@@ -56,7 +56,6 @@ from .group_algebra import (
     closure_check,
     convolve,
     ideal_check,
-    load_structure_table,
     multiplicative_closure,
     structure_table,
     verify_duality,
@@ -107,7 +106,6 @@ __all__ = [
     "factorization_census",
     "fibonacci",
     "ideal_check",
-    "load_structure_table",
     "m_to_f",
     "multiplicative_closure",
     "negative_battery",

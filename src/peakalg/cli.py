@@ -29,7 +29,7 @@ from .group_algebra import (
     closure_check,
     descent_algebra_containment,
     ideal_check,
-    load_structure_table,
+    structure_table,
 )
 from .permutations import (
     Permutation,
@@ -78,10 +78,13 @@ class RunConfig:
     flavor: str | None = None
     k: int | None = None
     fmt: str = "text"
-    cache_dir: str | None = None
     seed: int = 20260825
-    jobs: int = 1
     allow_large: bool = False
+
+    def __post_init__(self) -> None:
+        for flag, value in (("--n", self.n), ("--n-max", self.n_max), ("--k", self.k)):
+            if value is not None and value < 1:
+                raise UsageError(f"{flag} must be at least 1, got {value}")
 
     def enforce_bounds(self, n: int | None = None) -> None:
         value = self.n if n is None else n
@@ -273,8 +276,7 @@ def _cmd_structure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, i
     if config.n is None:
         raise UsageError("--n is required")
     config.enforce_bounds()
-    table = load_structure_table(config.n, kind, flavor, ns.mode, cache_dir=config.cache_dir,
-                                 refresh=ns.refresh_cache)
+    table = structure_table(config.n, kind, flavor, ns.mode)
     data = json.loads(table.to_json())
     rows = [
         {"A": json.dumps(e["A"]), "B": json.dumps(e["B"]), "C": json.dumps(e["C"]), "count": e["count"]}
@@ -400,7 +402,7 @@ def _cmd_verify(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]
     if config.n_max is not None:
         config.enforce_bounds(config.n_max)
     bounds = Bounds(n_max=config.n_max, seed=config.seed)
-    results = run_suite(names, bounds, jobs=config.jobs)
+    results = run_suite(names, bounds)
     passed = sum(1 for r in results if r.passed)
     payload = {
         "n_max": config.n_max,
@@ -444,9 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--n", type=int, default=None)
     common.add_argument("--n-max", dest="n_max", type=int, default=None)
     common.add_argument("--k", type=int, default=None, help="alphabet size parameter")
-    common.add_argument("--cache-dir", default=None)
     common.add_argument("--seed", type=int, default=20260825)
-    common.add_argument("--jobs", type=int, default=1)
     common.add_argument("--allow-large", action="store_true",
                         help="lift the default size bounds (A: n<=8, B: n<=6)")
 
@@ -477,7 +477,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("structure", parents=[common], help="structure-constant tables")
     p.add_argument("--flavor", required=True)
     p.add_argument("--mode", choices=("set", "number"), default="set")
-    p.add_argument("--refresh-cache", action="store_true")
     p.set_defaults(handler=_cmd_structure)
 
     p = sub.add_parser("closure", parents=[common], help="span closure / ideal / containment checks")
@@ -513,9 +512,7 @@ def _config_from(ns: argparse.Namespace) -> RunConfig:
         flavor=getattr(ns, "flavor", None),
         k=ns.k,
         fmt=ns.fmt,
-        cache_dir=ns.cache_dir,
         seed=ns.seed,
-        jobs=max(1, ns.jobs),
         allow_large=ns.allow_large,
     )
 
@@ -544,8 +541,8 @@ def main(argv: list[str] | None = None) -> int:
         ns = parser.parse_args(_mend_argv(list(argv)))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    config = _config_from(ns)
     try:
+        config = _config_from(ns)
         output, code = ns.handler(config, ns)
     except UsageError as exc:
         record = {"error": {"code": "usage", "message": str(exc)}}

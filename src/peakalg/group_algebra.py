@@ -3,7 +3,9 @@
 Elements are sparse vectors indexed by the stable rank of a window.  The
 product is convolution against the fixed composition convention of the
 permutations module: (u * w)(p) sums u(t) * w(s) over all ordered
-factorizations s . t = p.
+factorizations s . t = p.  Every product of two group elements, at every
+group size, is read from one kernel: rows of product ranks, each built once
+by window -> rank lookup.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs span/closure/ideal
@@ -14,18 +16,16 @@ certificate so downstream reports can show a witness instead of a bare flag.
 from __future__ import annotations
 
 import json
-import os
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
 from .linalg import Span
 from .permutations import (
     GroupElement,
     SignedPermutation,
-    compose,
     enumerate_group,
     group_order,
     rank,
@@ -34,9 +34,9 @@ from .permutations import (
 
 FORMAT_VERSION = 1
 
-# Composition tables are precomputed below this group order; larger groups
-# fall back to composing windows on the fly.
-_TABLE_LIMIT = 1000
+
+# ---------------------------------------------------------------------------
+# The group kernel: elements in rank order, window -> rank, product rows
 
 
 @lru_cache(maxsize=None)
@@ -45,20 +45,44 @@ def _elements(n: int, kind: str) -> tuple[GroupElement, ...]:
 
 
 @lru_cache(maxsize=None)
-def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
-    return tuple(rank(p.inverse()) for p in _elements(n, kind))
+def _index(n: int, kind: str) -> dict[tuple[int, ...], int]:
+    """Window -> rank; iterating it yields the windows in rank order."""
+    return {p.window: r for r, p in enumerate(_elements(n, kind))}
+
+
+# Product-row entries kept per group: every row of A_7 (25.4M entries, about
+# 200 MB as tuples) and of the smaller groups fits.  All rows of A_8 or B_6
+# would take 13-17 GB, so past this budget a row is rebuilt whenever it is
+# needed instead of kept.
+_ROW_BUDGET = 1 << 25
 
 
 @lru_cache(maxsize=None)
-def _compose_table(n: int, kind: str) -> tuple[tuple[int, ...], ...] | None:
-    """table[i][j] = rank of elements[i] composed with elements[j]."""
-    elements = _elements(n, kind)
-    if len(elements) > _TABLE_LIMIT:
-        return None
-    rows = []
-    for a in elements:
-        rows.append(tuple(rank(compose(a, b)) for b in elements))
-    return tuple(rows)
+def _kept_rows(n: int, kind: str) -> dict[int, tuple[int, ...]]:
+    return {}
+
+
+def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
+    """row[j] = rank of elements[r] composed with elements[j], read off the
+    window -> rank dict.  Built the first time it is needed, then kept while
+    the group's kept rows stay within _ROW_BUDGET entries."""
+    kept = _kept_rows(n, kind)
+    row = kept.get(r)
+    if row is None:
+        window = _elements(n, kind)[r].window
+        # image[v] is the value at v for v in -n..n (negative v index from the end)
+        image = (0,) + window + tuple(-v for v in reversed(window))
+        index = _index(n, kind)
+        row = tuple([index[tuple(map(image.__getitem__, b))] for b in index])
+        if (len(kept) + 1) * len(row) <= _ROW_BUDGET:
+            kept[r] = row
+    return row
+
+
+@lru_cache(maxsize=None)
+def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
+    index = _index(n, kind)
+    return tuple(index[p.inverse().window] for p in _elements(n, kind))
 
 
 class AlgebraElement:
@@ -150,7 +174,6 @@ class AlgebraElement:
         so this element plays the role of u and the argument the role of w."""
         self._compatible(other)
         n, kind = self.n, self.kind
-        table = _compose_table(n, kind)
         out: dict[int, Fraction] = {}
         integral = (
             all(v.denominator == 1 for v in self.coeffs.values())
@@ -158,19 +181,11 @@ class AlgebraElement:
         )
         u_items = [(k, int(v) if integral else v) for k, v in self.coeffs.items()]
         w_items = [(k, int(v) if integral else v) for k, v in other.coeffs.items()]
-        if table is not None:
-            for rs, cs in w_items:
-                row = table[rs]
-                for rt, ct in u_items:
-                    key = row[rt]
-                    out[key] = out.get(key, 0) + ct * cs
-        else:
-            elements = _elements(n, kind)
-            for rs, cs in w_items:
-                s = elements[rs]
-                for rt, ct in u_items:
-                    key = rank(compose(s, elements[rt]))
-                    out[key] = out.get(key, 0) + ct * cs
+        for rs, cs in w_items:
+            row = _row(n, kind, rs)
+            for rt, ct in u_items:
+                key = row[rt]
+                out[key] = out.get(key, 0) + ct * cs
         return AlgebraElement(n, kind, out)
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
@@ -188,19 +203,22 @@ def convolve(u: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
 StatKey = frozenset[int] | int
 
 
-def _stat_key(p: GroupElement, flavor: str, mode: str) -> StatKey:
-    members = stat_set(p, flavor).members
-    return len(members) if mode == "number" else members
+@lru_cache(maxsize=None)
+def _stat_keys(n: int, kind: str, flavor: str, mode: str) -> tuple[StatKey, ...]:
+    """The statistic of every element in rank order: the set itself, or its
+    cardinality when mode="number"."""
+    if mode not in ("set", "number"):
+        raise ValueError(f"unknown mode: {mode}")
+    members = (stat_set(p, flavor).members for p in _elements(n, kind))
+    return tuple(len(m) for m in members) if mode == "number" else tuple(members)
 
 
 def stat_classes(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, list[int]]:
     """Group element ranks by the value of the statistic (the set itself, or
     its cardinality when mode="number")."""
-    if mode not in ("set", "number"):
-        raise ValueError(f"unknown mode: {mode}")
     out: dict[StatKey, list[int]] = {}
-    for index, p in enumerate(_elements(n, kind)):
-        out.setdefault(_stat_key(p, flavor, mode), []).append(index)
+    for index, key in enumerate(_stat_keys(n, kind, flavor, mode)):
+        out.setdefault(key, []).append(index)
     return out
 
 
@@ -256,27 +274,6 @@ class StructureTable:
         }
         return json.dumps(payload, indent=1)
 
-    @classmethod
-    def from_json(cls, text: str) -> "StructureTable":
-        data = json.loads(text)
-        if data.get("format_version") != FORMAT_VERSION:
-            raise ValueError("unsupported structure table format")
-        mode = data["mode"]
-        counts = {}
-        keys = set()
-        for entry in data["entries"]:
-            a, b, c = (_key_from_json(entry[name], mode) for name in ("A", "B", "C"))
-            keys.update((a, b, c))
-            counts[(a, b, c)] = int(entry["count"])
-        return cls(
-            n=int(data["n"]),
-            kind=data["kind"],
-            flavor=data["flavor"],
-            mode=mode,
-            keys=tuple(sorted_keys(keys)),
-            counts=counts,
-        )
-
 
 def _freeze(key) -> StatKey:
     return key if isinstance(key, int) else frozenset(key)
@@ -286,10 +283,6 @@ def _key_json(key: StatKey):
     return key if isinstance(key, int) else sorted(key)
 
 
-def _key_from_json(raw, mode: str) -> StatKey:
-    return int(raw) if mode == "number" else frozenset(raw)
-
-
 def factorization_counts(
     target: GroupElement, flavor: str, mode: str = "set"
 ) -> dict[tuple[StatKey, StatKey], int]:
@@ -297,15 +290,11 @@ def factorization_counts(
     statistic pair (statistic of t, statistic of s)."""
     kind = "B" if isinstance(target, SignedPermutation) else "A"
     n = target.n
-    elements = _elements(n, kind)
-    inverses = _inverse_ranks(n, kind)
-    keys = [_stat_key(p, flavor, mode) for p in elements]
-    out: dict[tuple[StatKey, StatKey], int] = {}
-    for rt in range(len(elements)):
-        s = compose(target, elements[inverses[rt]])
-        pair = (keys[rt], keys[rank(s)])
-        out[pair] = out.get(pair, 0) + 1
-    return out
+    keys = _stat_keys(n, kind, flavor, mode)
+    row = _row(n, kind, _index(n, kind)[target.window])
+    # the t of rank rt pairs with s = target . t^-1
+    s_ranks = map(row.__getitem__, _inverse_ranks(n, kind))
+    return dict(Counter(zip(keys, map(keys.__getitem__, s_ranks))))
 
 
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:
@@ -353,43 +342,6 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
                 }
         # baseline retained per class; nothing else to record
     return {"consistent": True}
-
-
-# ---------------------------------------------------------------------------
-# Cache layer
-
-
-def cache_directory(override: str | os.PathLike | None = None) -> Path:
-    if override is not None:
-        return Path(override)
-    env = os.environ.get("PEAKALG_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "peakalg"
-
-
-def load_structure_table(
-    n: int,
-    kind: str,
-    flavor: str,
-    mode: str = "set",
-    cache_dir: str | os.PathLike | None = None,
-    refresh: bool = False,
-) -> StructureTable:
-    """Structure table with a JSON disk cache keyed by statistic and size."""
-    directory = cache_directory(cache_dir)
-    path = directory / f"structure_v{FORMAT_VERSION}_{kind}_{flavor}_{mode}_n{n}.json"
-    if not refresh and path.exists():
-        try:
-            return StructureTable.from_json(path.read_text())
-        except (ValueError, KeyError, json.JSONDecodeError):
-            pass  # stale or foreign file: recompute below
-    table = structure_table(n, kind, flavor, mode)
-    directory.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(".tmp")
-    tmp.write_text(table.to_json())
-    tmp.replace(path)
-    return table
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ through `Bounds.n_max`.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 from .alphabets import Alphabet
 from .enriched import (
@@ -52,7 +51,6 @@ from .permutations import (
     fibonacci,
     group_order,
     peak_set,
-    stat_set,
 )
 from .posets import random_poset, random_signed_poset
 from .qsym import (
@@ -74,6 +72,10 @@ class Bounds:
 
     n_max: int | None = None
     seed: int = 20260825
+
+    def __post_init__(self) -> None:
+        if self.n_max is not None and self.n_max < 1:
+            raise ValueError(f"n_max must be at least 1, got {self.n_max}")
 
     def cap(self, default: int) -> int:
         if self.n_max is None:
@@ -408,19 +410,11 @@ CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {
 }
 
 
-def run_suite(
-    names: Sequence[str] | None = None,
-    bounds: Bounds = Bounds(),
-    jobs: int = 1,
-) -> list[CheckResult]:
+def run_suite(names: Sequence[str] | None = None, bounds: Bounds = Bounds()) -> list[CheckResult]:
     """Run the named checks (all by default) and return results in listed
-    order regardless of completion order."""
+    order."""
     selected = list(CHECKS) if names is None else list(names)
     unknown = [name for name in selected if name not in CHECKS]
     if unknown:
         raise ValueError(f"unknown checks: {unknown}")
-    if jobs <= 1:
-        return [CHECKS[name](bounds) for name in selected]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        futures = {name: pool.submit(CHECKS[name], bounds) for name in selected}
-        return [futures[name].result() for name in selected]
+    return [CHECKS[name](bounds) for name in selected]

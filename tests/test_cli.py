@@ -174,28 +174,21 @@ def test_qsym_invalid_members(capsys):
     assert json.loads(err)["error"]["code"] == "usage"
 
 
-def test_structure_frozen_constant(tmp_path, capsys):
-    code, out, _ = run(
-        capsys, "structure", "--flavor", "interior", "--n", "3",
-        "--cache-dir", str(tmp_path), "--format", "json",
-    )
+def test_structure_frozen_constant(capsys):
+    code, out, _ = run(capsys, "structure", "--flavor", "interior", "--n", "3", "--format", "json")
     assert code == 0
     payload = json.loads(out)
     entry = next(
         e for e in payload["entries"] if e["A"] == [2] and e["B"] == [2] and e["C"] == []
     )
     assert entry["count"] == 1
-    assert (tmp_path / "structure_v1_A_interiorPeak_set_n3.json").exists()
 
 
-def test_structure_cache_warm_run_is_identical(tmp_path, capsys):
-    args = ("structure", "--flavor", "typeB", "--n", "2", "--cache-dir", str(tmp_path),
-            "--format", "json")
+def test_structure_cache_warm_run_is_identical(capsys):
+    args = ("structure", "--flavor", "typeB", "--n", "2", "--format", "json")
     code1, out1, _ = run(capsys, *args)
     code2, out2, _ = run(capsys, *args)
     assert (code1, out1) == (code2, out2)
-    code3, out3, _ = run(capsys, *args, "--refresh-cache")
-    assert out3 == out1
 
 
 def test_closure_signed_failure(capsys):
@@ -278,7 +271,7 @@ def test_verify_small_bound_passes(capsys):
 
 
 def test_verify_check_subset(capsys):
-    code, out, _ = run(capsys, "verify", "--checks", "examples,ranks", "--n-max", "4", "--jobs", "2")
+    code, out, _ = run(capsys, "verify", "--checks", "examples,ranks", "--n-max", "4")
     assert code == 0
     assert out.splitlines()[-1] == "2/2 checks passed"
 
@@ -298,11 +291,19 @@ def test_size_bounds_enforced(capsys):
     assert "--allow-large" in json.loads(err)["error"]["message"]
 
 
-def test_cache_dir_environment_variable(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PEAKALG_CACHE_DIR", str(tmp_path))
-    code, _, _ = run(capsys, "structure", "--flavor", "typeB", "--n", "2")
-    assert code == 0
-    assert (tmp_path / "structure_v1_B_typeBPeak_set_n2.json").exists()
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n-max", "0"),
+    ("qsym", "--report-ranks", "--n-max", "-1"),
+    ("negatives", "--n-max", "0"),
+    ("structure", "--flavor", "interior", "--n", "-3"),
+    ("census", "--window", "2,1,3", "--k", "-1"),
+    ("census", "--window", "2,1,3", "--k", "0"),
+    ("closure", "--flavor", "interior", "--n", "0"),
+])
+def test_sizes_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "usage"
 
 
 def test_argparse_errors_and_help(capsys):

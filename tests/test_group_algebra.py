@@ -1,22 +1,19 @@
 """Convolution algebra over window groups: class sums, structure tables,
-closure and duality checks, and the on-disk table cache."""
+closure and duality checks."""
 
 import itertools
-import json
 from fractions import Fraction
 
 import pytest
 
+from peakalg import group_algebra
 from peakalg.group_algebra import (
     AlgebraElement,
-    StructureTable,
-    cache_directory,
     class_sums,
     closure_check,
     descent_algebra_containment,
     factorization_counts,
     ideal_check,
-    load_structure_table,
     multiplicative_closure,
     representative_audit,
     span_contains_all,
@@ -42,25 +39,43 @@ F = Fraction
 
 
 def test_convolution_convention():
-    # the left operand supplies the right factor of each product
-    for a, b in itertools.product(enumerate_group(3, "A"), repeat=2):
-        u, w = AlgebraElement.delta(a), AlgebraElement.delta(b)
-        assert u.convolve(w) == AlgebraElement.delta(compose(b, a)), (a, b)
-    for a, b in itertools.product(enumerate_group(2, "B"), repeat=2):
-        u, w = AlgebraElement.delta(a), AlgebraElement.delta(b)
-        assert u.convolve(w) == AlgebraElement.delta(compose(b, a)), (a, b)
+    # the left operand supplies the right factor of each product; over all
+    # pairs this reads every entry of every product row of the group
+    for n, kind in ((3, "A"), (4, "A"), (2, "B"), (3, "B")):
+        for a, b in itertools.product(enumerate_group(n, kind), repeat=2):
+            u, w = AlgebraElement.delta(a), AlgebraElement.delta(b)
+            assert u.convolve(w) == AlgebraElement.delta(compose(b, a)), (a, b)
 
 
 def test_convolution_brute_force():
-    u = AlgebraElement(3, "A", {0: F(2), 3: F(-1)})
-    w = AlgebraElement(3, "A", {1: F(1), 5: F(7, 2)})
-    brute = {}
-    for rt, ct in u.coeffs.items():
-        for rs, cs in w.coeffs.items():
-            t, s = unrank(rt, 3, "A"), unrank(rs, 3, "A")
-            key = rank(compose(s, t))
-            brute[key] = brute.get(key, F(0)) + ct * cs
-    assert u.convolve(w).coeffs == {k: v for k, v in brute.items() if v}
+    # sparse products, also at A_7 and B_5, against composing and ranking
+    for n, kind in ((3, "A"), (7, "A"), (5, "B")):
+        order = group_order(n, kind)
+        u = AlgebraElement(n, kind, {0: F(2), 3: F(-1), order // 2: F(1, 3), order - 1: F(4)})
+        w = AlgebraElement(n, kind, {1: F(1), 5: F(7, 2), order // 3: F(-2), order - 2: F(5, 6)})
+        brute = {}
+        for rt, ct in u.coeffs.items():
+            for rs, cs in w.coeffs.items():
+                t, s = unrank(rt, n, kind), unrank(rs, n, kind)
+                key = rank(compose(s, t))
+                brute[key] = brute.get(key, F(0)) + ct * cs
+        assert u.convolve(w).coeffs == {k: v for k, v in brute.items() if v}, (n, kind)
+
+
+def test_rows_beyond_the_budget_are_rebuilt(monkeypatch):
+    monkeypatch.setattr(group_algebra, "_ROW_BUDGET", 2 * 24)  # two rows of S_4
+    group_algebra._kept_rows.cache_clear()
+    try:
+        sums = list(class_sums(4, "A", "leftPeak").values())
+        for u, w in itertools.product(sums, repeat=2):
+            brute = {}
+            for rt, rs in itertools.product(u.coeffs, w.coeffs):
+                key = rank(compose(unrank(rs, 4, "A"), unrank(rt, 4, "A")))
+                brute[key] = brute.get(key, 0) + 1
+            assert u.convolve(w).coeffs == brute
+        assert len(group_algebra._kept_rows(4, "A")) == 2
+    finally:
+        group_algebra._kept_rows.cache_clear()
 
 
 def test_identity_is_the_unit():
@@ -107,16 +122,6 @@ def test_frozen_structure_constant():
     assert table.n == 3 and table.kind == "A" and table.mode == "set"
 
 
-def test_structure_table_json_round_trip(tmp_path):
-    table = structure_table(3, "A", "interiorPeak")
-    again = StructureTable.from_json(table.to_json())
-    assert again.counts == {k: v for k, v in table.counts.items() if v}
-    assert again.n == 3 and again.flavor == "interiorPeak"
-    assert again.keys == table.keys
-    with pytest.raises(ValueError):
-        StructureTable.from_json(json.dumps({"format_version": 999}))
-
-
 def test_structure_constants_count_factorizations():
     # entry (A, B -> C) counts factorizations of one window per class C
     table = structure_table(3, "A", "interiorPeak")
@@ -127,6 +132,12 @@ def test_structure_constants_count_factorizations():
         pair = (frozenset({2}), frozenset({2}))
         assert counts[pair] == table.count(frozenset({2}), frozenset({2}), frozenset())
         break
+    # every window's counts agree with the independent oracle's recount
+    for n, kind, flavors in ((4, "A", ("interiorPeak", "leftPeak")), (3, "B", ("typeBPeak",))):
+        for flavor in flavors:
+            for target in enumerate_group(n, kind):
+                recount = oracle.factorizations(target.window, kind, flavor)
+                assert factorization_counts(target, flavor) == recount, (target, flavor)
 
 
 def test_duality_holds_for_unsigned_windows():
@@ -242,28 +253,3 @@ def test_right_count_closure_is_proper_at_four():
 
 def test_multiplicative_closure_of_nothing():
     assert multiplicative_closure([]) == {"dim_start": 0, "dim_closure": 0, "closed": True}
-
-
-def test_cache_cold_and_warm_agree(tmp_path):
-    cold = load_structure_table(3, "B", "typeBPeak", cache_dir=str(tmp_path))
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1
-    assert files[0].name == "structure_v1_B_typeBPeak_set_n3.json"
-    warm = load_structure_table(3, "B", "typeBPeak", cache_dir=str(tmp_path))
-    assert cold.counts == warm.counts and cold.keys == warm.keys
-
-
-def test_cache_recovers_from_a_stale_file(tmp_path):
-    fresh = load_structure_table(2, "A", "interiorPeak", cache_dir=str(tmp_path))
-    path = next(tmp_path.iterdir())
-    path.write_text(json.dumps({"format_version": 999}))
-    again = load_structure_table(2, "A", "interiorPeak", cache_dir=str(tmp_path))
-    assert again.counts == fresh.counts
-    # the stale file was replaced by a readable one
-    assert StructureTable.from_json(path.read_text()).counts == fresh.counts
-
-
-def test_cache_directory_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("PEAKALG_CACHE_DIR", str(tmp_path / "boxed"))
-    assert str(cache_directory()) == str(tmp_path / "boxed")
-    assert str(cache_directory(str(tmp_path / "named"))) == str(tmp_path / "named")

@@ -1,5 +1,7 @@
 """The bundled verification suite: bounded runs and report shapes."""
 
+import pytest
+
 from peakalg.verify import (
     CHECKS,
     Bounds,
@@ -77,7 +79,7 @@ def test_run_suite_order_and_selection():
     assert all(r.passed for r in results)
 
 
-def test_run_suite_parallel_matches_serial():
-    serial = run_suite(["examples", "ranks"], Bounds(n_max=4), jobs=1)
-    parallel = run_suite(["examples", "ranks"], Bounds(n_max=4), jobs=2)
-    assert [(r.name, r.passed) for r in serial] == [(r.name, r.passed) for r in parallel]
+def test_bounds_reject_n_max_below_one():
+    for n_max in (0, -1):
+        with pytest.raises(ValueError):
+            Bounds(n_max=n_max)
