@@ -46,6 +46,7 @@ from .qsym import (
     peak_function_F,
     peak_function_b,
     peak_function_b_F,
+    peak_series,
     quasi_shuffle,
     rank_of_span,
 )
@@ -115,6 +116,7 @@ __all__ = [
     "peak_function_F",
     "peak_function_b",
     "peak_function_b_F",
+    "peak_series",
     "peak_set",
     "quasi_shuffle",
     "rank",

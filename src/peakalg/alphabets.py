@@ -51,6 +51,9 @@ class Alphabet:
         self.index = {letter: i for i, letter in enumerate(self.letters)}
         if len(self.index) != len(self.letters):
             raise ValueError("duplicate letters")
+        # chain censuses over this alphabet by (n, descent set, anchored),
+        # kept by enriched.chain_census
+        self.censuses: dict[tuple[int, frozenset[int], bool], dict] = {}
 
     def __len__(self) -> int:
         return len(self.letters)

@@ -14,7 +14,7 @@ descent set.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .alphabets import Alphabet, Letter
 from .permutations import (
@@ -85,7 +85,17 @@ def _shift(census: Census, vars_: tuple[int, ...]) -> Census:
 
 
 def chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
-    """Monomial census of all chain maps, same DP as chain_count."""
+    """Monomial census of all chain maps, same DP as chain_count.  The DP
+    runs once per (n, descent set, anchored) for each alphabet and its
+    result is kept on the alphabet; every call returns a fresh copy."""
+    rules = (n, frozenset(des), anchored)
+    stored = alphabet.censuses.get(rules)
+    if stored is None:
+        stored = alphabet.censuses[rules] = _chain_census(n, des, alphabet, anchored)
+    return dict(stored)
+
+
+def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
     size = len(alphabet)
     base = (0,) * alphabet.n_vars
     if n == 0:
@@ -198,90 +208,147 @@ def census_of_maps(maps: Iterable[dict[int, Letter]], alphabet: Alphabet) -> Cen
 
 
 # ---------------------------------------------------------------------------
-# Poset-shaped enumeration (brute backtracking; the oracle side of the
-# census-additivity checks)
+# Poset-shaped enumeration: a brute force over maps, the oracle side of the
+# census-additivity checks.  It shares no code with the chain DP above.
 
 
-def poset_epp_maps(poset: LabeledPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
-    """Maps f on 1..n with, for every strict relation a < b in the poset,
-    f(a) <=+ f(b) when a < b as integers and f(a) <=- f(b) otherwise."""
-    relation = sorted(poset.relation)
+def _compile_relation(
+    poset: LabeledPoset | SignedPoset, alphabet: Alphabet
+) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
+    """The relation of a labeled or signed poset as allowed-letter bitmasks
+    over letter indices.
+
+    Labels 1..n receive letters in increasing order, and a strict relation
+    a < b is checked when its larger |label| m receives one: f(a) <=+ f(b)
+    when a < b as integers, f(a) <=- f(b) otherwise, with f(0) the zero
+    letter and f(-m) = -f(m).  Returns, per m, the mask of letters that m
+    may take whatever came before (the relations inside {0, m, -m}), and the
+    pairs (j, table) for the smaller labels j that m is related to: given
+    the letter y of j, m may take the letters of table[y].
+    """
+    n, size = poset.n, len(alphabet)
+    neg: list[int] = []
+    if isinstance(poset, SignedPoset):
+        if not supports_signed(alphabet):
+            raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
+        neg = [alphabet.index[alphabet.negate(letter)] for letter in alphabet.letters]
+    positive = [e > 0 for e in alphabet.eps]
+    letters = range(size)
+
+    def value(label: int, x: int) -> int:
+        # the letter of f(label) when f(|label|) has letter x
+        if label == 0:
+            return alphabet.zero_index
+        return x if label > 0 else neg[x]
+
+    def mask(a: int, b: int, m: int, y: int) -> int:
+        # the letters x of label m for which a < b holds when the other
+        # label of the pair has letter y
+        bits = 0
+        for x in letters:
+            fa = value(a, x if abs(a) == m else y)
+            fb = value(b, x if abs(b) == m else y)
+            if fa < fb or (fa == fb and positive[fa] == (a < b)):
+                bits |= 1 << x
+        return bits
+
+    fixed = [(1 << size) - 1] * (n + 1)
+    tables: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
+    shapes: dict[tuple[bool, ...], list[int]] = {}
+    for a, b in poset.relation:
+        m, j = max(abs(a), abs(b)), min(abs(a), abs(b))
+        if j in (0, m):
+            fixed[m] &= mask(a, b, m, 0)
+            continue
+        # the table depends on the labels only through these signs
+        shape = (abs(a) == m, a > 0, b > 0, a < b)
+        if shape not in shapes:
+            shapes[shape] = [mask(a, b, m, y) for y in letters]
+        table = shapes[shape]
+        previous = tables[m].get(j)
+        tables[m][j] = table if previous is None else [p & t for p, t in zip(previous, table)]
+    return fixed, [list(t.items()) for t in tables]
+
+
+def _visit_maps(
+    poset: LabeledPoset | SignedPoset,
+    alphabet: Alphabet,
+    weight: list[int],
+    leaf: Callable[[int, list[int]], None],
+) -> None:
+    """Call leaf(key, letters) once per map f on 1..n satisfying the
+    relation: letters[m] is the letter index of f(m) and key the sum of
+    weight over letters[1..n]."""
+    fixed, checks = _compile_relation(poset, alphabet)
+    n = poset.n
+    letters = [0] * (n + 1)
+
+    def extend(m: int, key: int) -> None:
+        allowed = fixed[m]
+        for j, table in checks[m]:
+            allowed &= table[letters[j]]
+        while allowed:
+            low = allowed & -allowed
+            allowed ^= low
+            x = low.bit_length() - 1
+            letters[m] = x
+            if m == n:
+                leaf(key + weight[x], letters)
+            else:
+                extend(m + 1, key + weight[x])
+
+    if n == 0:
+        leaf(0, letters)
+    else:
+        extend(1, 0)
+
+
+def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
+    """Maps f on the positive labels 1..n with, for every strict relation
+    a < b of the poset, f(a) <=+ f(b) when a < b as integers and
+    f(a) <=- f(b) otherwise.  For a signed poset the implied values
+    f(0) = zero letter and f(-m) = -f(m) enter the relation checks."""
     out: list[dict[int, Letter]] = []
-    assignment: dict[int, Letter] = {}
+    names = alphabet.letters
+    labels = range(1, poset.n + 1)
 
-    def consistent(label: int) -> bool:
-        for a, b in relation:
-            if a == label and b in assignment or b == label and a in assignment:
-                fa, fb = assignment[a], assignment[b]
-                ok = alphabet.leq_plus(fa, fb) if a < b else alphabet.leq_minus(fa, fb)
-                if not ok:
-                    return False
-        return True
+    def leaf(key: int, letters: list[int]) -> None:
+        out.append({m: names[letters[m]] for m in labels})
 
-    def extend(label: int) -> None:
-        if label > poset.n:
-            out.append(dict(assignment))
-            return
-        for letter in alphabet.letters:
-            assignment[label] = letter
-            if consistent(label):
-                extend(label + 1)
-            del assignment[label]
-
-    extend(1)
+    _visit_maps(poset, alphabet, [0] * len(alphabet), leaf)
     return out
 
 
-def poset_epp_count(poset: LabeledPoset, alphabet: Alphabet) -> int:
+def poset_epp_count(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> int:
     return len(poset_epp_maps(poset, alphabet))
 
 
 def signed_poset_epp_maps(poset: SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
-    """Maps on positive labels; the implied values f(0) = zero letter and
-    f(-m) = -f(m) enter the relation checks."""
-    if not supports_signed(alphabet):
-        raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
-    relation = sorted(poset.relation)
-    zero = alphabet.letters[alphabet.zero_index]
-    out: list[dict[int, Letter]] = []
-    assignment: dict[int, Letter] = {}
-
-    def value(label: int) -> Letter | None:
-        if label == 0:
-            return zero
-        if abs(label) not in assignment:
-            return None
-        f = assignment[abs(label)]
-        return f if label > 0 else alphabet.negate(f)
-
-    def consistent(label: int) -> bool:
-        for a, b in relation:
-            if abs(a) != label and abs(b) != label:
-                continue
-            fa, fb = value(a), value(b)
-            if fa is None or fb is None:
-                continue
-            ok = alphabet.leq_plus(fa, fb) if a < b else alphabet.leq_minus(fa, fb)
-            if not ok:
-                return False
-        return True
-
-    def extend(label: int) -> None:
-        if label > poset.n:
-            out.append(dict(assignment))
-            return
-        for letter in alphabet.letters:
-            assignment[label] = letter
-            if consistent(label):
-                extend(label + 1)
-            del assignment[label]
-
-    extend(1)
-    return out
+    """poset_epp_maps under its former name for signed posets, which the
+    benchmark's tracer still wraps."""
+    return poset_epp_maps(poset, alphabet)
 
 
-def signed_poset_epp_count(poset: SignedPoset, alphabet: Alphabet) -> int:
-    return len(signed_poset_epp_maps(poset, alphabet))
+def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> Census:
+    """census_of_maps(poset_epp_maps(poset, alphabet), alphabet), counted
+    map by map without materializing the maps.  A census key is kept as one
+    integer whose digits, in base radix, are its exponents."""
+    radix = poset.n * max(len(vars_) for vars_ in alphabet.var_lists) + 1
+    weight = [sum(radix ** v for v in vars_) for vars_ in alphabet.var_lists]
+    counts: dict[int, int] = {}
+
+    def leaf(key: int, letters: list[int]) -> None:
+        counts[key] = counts.get(key, 0) + 1
+
+    _visit_maps(poset, alphabet, weight, leaf)
+    census: Census = {}
+    for key, count in counts.items():
+        exponents = []
+        for _ in range(alphabet.n_vars):
+            key, digit = divmod(key, radix)
+            exponents.append(digit)
+        census[tuple(exponents)] = count
+    return census
 
 
 # ---------------------------------------------------------------------------

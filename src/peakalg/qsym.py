@@ -183,61 +183,49 @@ def _validated_members(members: Iterable[int], n: int, flavor: str) -> frozenset
     return StatSet.of(flavor, n, members).members
 
 
-def peak_function(members: Iterable[int], n: int) -> QSymElement:
-    """M-basis expansion of the census series shared by all windows with the
-    given interior peak set: sum over E inside [1, n-1] containing the peak
-    set in E union (E+1), with coefficient 2^(|E|+1)."""
-    peaks = _validated_members(members, n, "interiorPeak")
+def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str = "M") -> QSymElement:
+    """The census series shared by all windows with the given peak set.
+
+    Ordinary (interior peak sets): E ranges inside [1, n-1].  In the M basis
+    the sum is over E whose cover E union (E+1) contains the peak set, with
+    coefficient 2^(|E|+1); in the F basis over D whose boundary
+    D symmetric-difference (D+1) contains it, with coefficient 2^(|peaks|+1).
+    Signed (typeB, over pseudo-compositions): E ranges inside [0, n-1] and
+    each exponent drops by one, 2^|E| and 2^|peaks|.  Signed sets avoiding 0
+    are exactly the series of windows whose leftmost-anchored peak set has
+    no peak at 0."""
+    if basis not in ("M", "F"):
+        raise ValueError(f"unknown basis: {basis}")
+    peaks = _validated_members(members, n, "typeBPeak" if typeB else "interiorPeak")
+    lowest = 0 if typeB else 1
     out: Coeffs = {}
-    for size in range(n):
-        for chosen in itertools.combinations(range(1, n), size):
-            cover = set(chosen) | {i + 1 for i in chosen}
-            if peaks <= cover:
-                key = Composition.from_subset(chosen, n)
-                out[key] = Fraction(2 ** (size + 1))
-    return QSymElement("M", False, out)
+    for size in range(n - lowest + 1):
+        for chosen in itertools.combinations(range(lowest, n), size):
+            shifted = {i + 1 for i in chosen}
+            if basis == "M" and peaks <= set(chosen) | shifted:
+                coefficient = 2 ** (size + lowest)
+            elif basis == "F" and peaks <= set(chosen) ^ shifted:
+                coefficient = 2 ** (len(peaks) + lowest)
+            else:
+                continue
+            out[Composition.from_subset(chosen, n, typeB=typeB)] = Fraction(coefficient)
+    return QSymElement(basis, typeB, out)
+
+
+def peak_function(members: Iterable[int], n: int) -> QSymElement:
+    return peak_series(members, n)
 
 
 def peak_function_F(members: Iterable[int], n: int) -> QSymElement:
-    """F-basis form: 2^(|peaks|+1) times the sum of F_D over D whose boundary
-    D symmetric-difference (D+1) covers the peak set."""
-    peaks = _validated_members(members, n, "interiorPeak")
-    out: Coeffs = {}
-    for size in range(n):
-        for chosen in itertools.combinations(range(1, n), size):
-            boundary = set(chosen) ^ {i + 1 for i in chosen}
-            if peaks <= boundary:
-                key = Composition.from_subset(chosen, n)
-                out[key] = Fraction(2 ** (len(peaks) + 1))
-    return QSymElement("F", False, out)
+    return peak_series(members, n, basis="F")
 
 
 def peak_function_b(members: Iterable[int], n: int) -> QSymElement:
-    """Signed analogue over pseudo-compositions: E ranges inside [0, n-1]
-    and the coefficient is 2^|E|.  Sets avoiding 0 are exactly the series of
-    windows whose leftmost-anchored peak set has no peak at 0."""
-    peaks = _validated_members(members, n, "typeBPeak")
-    out: Coeffs = {}
-    for size in range(n + 1):
-        for chosen in itertools.combinations(range(0, n), size):
-            cover = set(chosen) | {i + 1 for i in chosen}
-            if peaks <= cover:
-                key = Composition.from_subset(chosen, n, typeB=True)
-                out[key] = Fraction(2 ** size)
-    return QSymElement("M", True, out)
+    return peak_series(members, n, typeB=True)
 
 
 def peak_function_b_F(members: Iterable[int], n: int) -> QSymElement:
-    """F-basis form of peak_function_b, coefficient 2^|peaks| on qualifying D."""
-    peaks = _validated_members(members, n, "typeBPeak")
-    out: Coeffs = {}
-    for size in range(n + 1):
-        for chosen in itertools.combinations(range(0, n), size):
-            boundary = set(chosen) ^ {i + 1 for i in chosen}
-            if peaks <= boundary:
-                key = Composition.from_subset(chosen, n, typeB=True)
-                out[key] = Fraction(2 ** len(peaks))
-    return QSymElement("F", True, out)
+    return peak_series(members, n, typeB=True, basis="F")
 
 
 # ---------------------------------------------------------------------------

@@ -9,14 +9,15 @@ from peakalg.alphabets import Alphabet
 from peakalg.enriched import (
     census_of_maps,
     census_product,
+    chain_census,
     epp_census,
     epp_count,
     epp_maps,
     epp_values,
     factorization_census,
+    poset_epp_census,
     poset_epp_count,
     poset_epp_maps,
-    signed_poset_epp_count,
     signed_poset_epp_maps,
 )
 from peakalg.permutations import (
@@ -142,6 +143,91 @@ def test_poset_maps_match_filter_oracle():
         assert poset_epp_count(P, alphabet) == len(brute)
 
 
+def _signed_filter(P, alphabet):
+    # every assignment of letters to 1..n, extended by f(0) = the zero letter
+    # and f(-m) = -f(m), kept when every strict relation a < b holds
+    zero = alphabet.letters[alphabet.zero_index]
+    kept = set()
+    for letters in itertools.product(alphabet.letters, repeat=P.n):
+        f = {0: zero}
+        for m, letter in enumerate(letters, start=1):
+            f[m], f[-m] = letter, alphabet.negate(letter)
+        if all(
+            (alphabet.leq_plus if a < b else alphabet.leq_minus)(f[a], f[b])
+            for a in f for b in f if a != b and P.less(a, b)
+        ):
+            kept.add(tuple(sorted((m, f[m]) for m in range(1, P.n + 1))))
+    return kept
+
+
+def test_signed_poset_maps_match_filter_oracle():
+    posets = [
+        SignedPoset.from_covers(1, [(1, -1)]),
+        SignedPoset.from_covers(1, [(-1, 1)]),
+        SignedPoset.from_covers(2, [(0, 2)]),
+        SignedPoset.from_covers(2, [(-1, 2)]),
+        SignedPoset.from_covers(2, [(1, -1), (0, 2), (-1, 2)]),
+        SignedPoset.from_covers(2, [(2, -2), (1, 0)]),
+        SignedPoset.from_covers(3, [(-3, 1), (2, -2), (0, 3)]),
+        SignedPoset.antichain(2),
+        SignedPoset.chain((2, -1, 3)),
+    ]
+    rng = random.Random(11)
+    posets += [random_signed_poset(n, rng) for n in (1, 2, 3, 3) for _ in range(2)]
+    for P in posets:
+        for alphabet in (Alphabet.plus_minus(1), Alphabet.plus_minus(2)):
+            got = [tuple(sorted(m.items())) for m in poset_epp_maps(P, alphabet)]
+            assert len(got) == len(set(got))
+            assert set(got) == _signed_filter(P, alphabet), (P, alphabet)
+
+
+def test_signed_posets_need_a_zero_letter():
+    with pytest.raises(ValueError):
+        poset_epp_maps(SignedPoset.antichain(1), Alphabet.prime(2))
+    with pytest.raises(ValueError):
+        poset_epp_census(SignedPoset.antichain(1), Alphabet.prime(2))
+
+
+def test_poset_census_matches_maps_and_extensions():
+    # the direct census equals the census of the materialized maps and the
+    # summed censuses of the linear extensions
+    rng = random.Random(5)
+    cases = [(random_poset(n, rng), [Alphabet.prime(k) for k in (1, 2)] + [Alphabet.left(k) for k in (1, 2)])
+             for n in range(0, 5) for _ in range(3)]
+    cases += [(random_signed_poset(n, rng), [Alphabet.plus_minus(k) for k in (1, 2)])
+              for n in range(0, 5) for _ in range(3)]
+    for P, alphabets in cases:
+        extensions = P.linear_extensions()
+        for alphabet in alphabets:
+            direct = poset_epp_census(P, alphabet)
+            assert direct == census_of_maps(poset_epp_maps(P, alphabet), alphabet), (P, alphabet)
+            summed = {}
+            for e in extensions:
+                for key, count in epp_census(e, alphabet).items():
+                    summed[key] = summed.get(key, 0) + count
+            assert direct == summed, (P, alphabet)
+
+
+def test_poset_census_of_a_product_alphabet():
+    # two weight variables per letter
+    product = Alphabet.product(Alphabet.prime(1), Alphabet.prime(2))
+    P = LabeledPoset.from_covers(3, [(2, 1), (2, 3)])
+    assert poset_epp_census(P, product) == census_of_maps(poset_epp_maps(P, product), product)
+
+
+def test_stored_chain_censuses_are_copies():
+    alphabet = Alphabet.plus_minus(2)
+    w, same_descents = SignedPermutation((2, -1, 3)), SignedPermutation((3, -2, 1))
+    before = epp_census(w, alphabet)
+    epp_census(w, alphabet).clear()
+    assert epp_census(same_descents, alphabet) == before
+    stored = chain_census(3, frozenset({1}), alphabet, True)
+    first_key = next(iter(stored))
+    stored[first_key] += 1
+    chain_census(3, frozenset({1}), alphabet, True)[first_key] = 0
+    assert chain_census(3, frozenset({1}), alphabet, True) == epp_census(w, alphabet) == before
+
+
 def test_poset_census_splits_over_extensions():
     # the census of a poset is the sum of the censuses of its extensions,
     # and the underlying map sets are literally disjoint
@@ -166,8 +252,9 @@ def test_signed_poset_census_splits_over_extensions():
         (random_signed_poset(3, random.Random(6)), Alphabet.plus_minus(1)),
     ]
     for B, alphabet in cases:
-        whole = {tuple(sorted(m.items())) for m in signed_poset_epp_maps(B, alphabet)}
-        assert signed_poset_epp_count(B, alphabet) == len(whole)
+        whole = {tuple(sorted(m.items())) for m in poset_epp_maps(B, alphabet)}
+        assert poset_epp_count(B, alphabet) == len(whole)
+        assert signed_poset_epp_maps(B, alphabet) == poset_epp_maps(B, alphabet)
         pieces = []
         for e in B.linear_extensions():
             pieces.append({tuple(sorted(m.items())) for m in epp_maps(e, alphabet)})

@@ -25,6 +25,7 @@ from peakalg.qsym import (
     peak_function_F,
     peak_function_b,
     peak_function_b_F,
+    peak_series,
     polynomial_product,
     quasi_shuffle,
     rank_of_span,
@@ -78,6 +79,9 @@ def test_peak_series_frozen():
     assert peak_function_F([], 2) == (F((2,)) + F((1, 1))).scale(2)
     assert peak_function_b([], 1) == M((1,), True) + M((0, 1), True).scale(2)
     assert peak_function_b([0], 1) == M((0, 1), True).scale(2)
+    assert peak_function_b([], 0) == M((), True)
+    assert peak_function_b_F([], 1) == F((1,), True) + F((0, 1), True)
+    assert peak_function_b_F([0], 2) == (F((0, 2), True) + F((0, 1, 1), True)).scale(2)
 
 
 def test_peak_series_rejects_invalid_sets():
@@ -88,12 +92,27 @@ def test_peak_series_rejects_invalid_sets():
 
 
 def test_fundamental_forms_agree():
-    for n in range(0, 7):
+    # every interior peak set with n <= 6 and every type B peak set with
+    # n <= 5, the left peak sets among them
+    plans = [(False, "interiorPeak", 6), (True, "typeBPeak", 5), (True, "leftPeak", 5)]
+    for typeB, flavor, n_max in plans:
+        for n in range(0, n_max + 1):
+            for s in enumerate_stat_sets(n, flavor):
+                series = peak_series(s.members, n, typeB)
+                assert series.basis == "M" and series.typeB == typeB
+                assert m_to_f(series) == peak_series(s.members, n, typeB, "F"), (flavor, n, s)
+
+
+def test_named_peak_series_are_the_builder():
+    for n in range(0, 5):
         for s in enumerate_stat_sets(n, "interiorPeak"):
-            assert m_to_f(peak_function(s.members, n)) == peak_function_F(s.members, n)
-    for n in range(0, 6):
+            assert peak_function(s.members, n) == peak_series(s.members, n)
+            assert peak_function_F(s.members, n) == peak_series(s.members, n, basis="F")
         for s in enumerate_stat_sets(n, "typeBPeak"):
-            assert m_to_f(peak_function_b(s.members, n)) == peak_function_b_F(s.members, n)
+            assert peak_function_b(s.members, n) == peak_series(s.members, n, typeB=True)
+            assert peak_function_b_F(s.members, n) == peak_series(s.members, n, typeB=True, basis="F")
+    with pytest.raises(ValueError):
+        peak_series([], 2, basis="X")
 
 
 def test_quasi_shuffle_frozen():

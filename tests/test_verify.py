@@ -8,6 +8,7 @@ from peakalg.verify import (
     CheckResult,
     check_duality,
     check_examples,
+    check_extensions,
     check_negatives,
     check_ranks,
     run_suite,
@@ -83,3 +84,20 @@ def test_bounds_reject_n_max_below_one():
     for n_max in (0, -1):
         with pytest.raises(ValueError):
             Bounds(n_max=n_max)
+
+
+def test_extensions_check_reports_what_it_examined():
+    # at n = 1 every order is a single label: a labeled one has one
+    # extension and 2k maps into prime(k); a signed one is the antichain
+    # (extensions 1 and -1, 4k+1 maps into plusMinus(k)) or a chain through
+    # 0 (one extension, 2k+1 maps)
+    result = check_extensions(Bounds(n_max=1), posets_per_n=3, k_max=2)
+    assert result.passed
+    examined = result.data["examined"]
+    assert examined["A"] == {"orders": 3, "extensions": 3 * 2, "maps": 3 * (2 + 4)}
+    signed = examined["B"]
+    antichains = signed["extensions"] // 2 - 3
+    assert signed["orders"] == 3 and 0 <= antichains <= 3
+    assert signed["maps"] == antichains * (5 + 9) + (3 - antichains) * (3 + 5)
+    for kind, seen in examined.items():
+        assert f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension" in result.details
