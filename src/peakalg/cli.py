@@ -300,9 +300,8 @@ def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int
     checks_passed &= report["closed"]
     if ns.ideal_in:
         outer_flavor = _canonical_flavor(ns.ideal_in, kind)
-        inner = list(class_sums(n, kind, flavor, ns.mode).values())
         outer = list(class_sums(n, kind, outer_flavor, ns.mode).values())
-        ideal = ideal_check(inner, outer)
+        ideal = ideal_check(n, kind, flavor, outer, ns.mode)
         payload["ideal_in"] = {"outer": outer_flavor, **ideal}
         checks_passed &= ideal["ideal"]
     if ns.descent_containment:

@@ -8,9 +8,13 @@ group size, is read from one kernel: rows of product ranks, each built once
 by window -> rank lookup.
 
 The module also builds class sums for any window statistic, tabulates
-structure constants from class representatives, and runs span/closure/ideal
-checks with exact arithmetic.  Closure failures come with an explicit
-certificate so downstream reports can show a witness instead of a bare flag.
+structure constants from class representatives, and runs closure, duality,
+ideal and descent-containment checks.  The classes of a statistic partition
+the group, so an element lies in the span of its class sums exactly when it
+is constant on every class; those checks decide membership that way, by
+comparing exact values, with no elimination.  Closure failures come with an
+explicit certificate so downstream reports can show a witness instead of a
+bare flag.
 """
 
 from __future__ import annotations
@@ -345,51 +349,42 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
 
 
 # ---------------------------------------------------------------------------
-# Span-based checks
+# Span checks: membership in a class-sum span is constancy on the classes
 
 
-def _span_of(elements: Iterable[AlgebraElement]) -> Span:
-    span = Span()
-    for element in elements:
-        span.add(element.to_vector())
-    return span
+def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, list[int]]) -> dict | None:
+    """The first class, in key order, on which the element is not constant,
+    with its lowest- and highest-valued members (ties go to the lower and the
+    higher rank) and their values; None when the element lies in the span of
+    the class sums."""
+    coeffs = element.coeffs
+    elements = _elements(element.n, element.kind)
+    for key in sorted_keys(classes):
+        values = [(coeffs.get(r, 0), r) for r in classes[key]]
+        low, high = min(values), max(values)
+        if low[0] != high[0]:
+            return {
+                "class": _key_json(key),
+                "windows": [str(elements[low[1]]), str(elements[high[1]])],
+                "values": [str(low[0]), str(high[0])],
+            }
+    return None
 
 
 def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Is the span of the class sums closed under convolution?  The report
     carries the span dimension and, on failure, the first offending pair with
-    the sizes of the mismatch."""
+    two windows of one class where their product takes different values."""
+    classes = stat_classes(n, kind, flavor, mode)
     sums = class_sums(n, kind, flavor, mode)
     keys = sorted_keys(sums)
-    span = _span_of(sums.values())
     for key_a in keys:
         for key_b in keys:
-            product = sums[key_a].convolve(sums[key_b])
-            if not span.contains(product.to_vector()):
-                witness = _escape_certificate(sums, keys, key_a, key_b, product)
-                return {"closed": False, "dim": span.dim, "certificate": witness}
-    return {"closed": True, "dim": span.dim, "certificate": None}
-
-
-def _escape_certificate(sums, keys, key_a, key_b, product) -> dict:
-    """Explain why v_A * v_B escapes the span: exhibit two windows in one
-    class where the product takes different values."""
-    n, kind = product.n, product.kind
-    elements = _elements(n, kind)
-    for key in keys:
-        ranks = sorted(sums[key].coeffs)
-        values = {r: product.coeffs.get(r, Fraction(0)) for r in ranks}
-        if len(set(values.values())) > 1:
-            items = sorted(values.items(), key=lambda kv: kv[1])
-            low, high = items[0], items[-1]
-            return {
-                "A": _key_json(key_a),
-                "B": _key_json(key_b),
-                "class": _key_json(key),
-                "windows": [str(elements[low[0]]), str(elements[high[0]])],
-                "values": [str(low[1]), str(high[1])],
-            }
-    return {"A": _key_json(key_a), "B": _key_json(key_b), "class": None, "windows": [], "values": []}
+            escape = _nonconstant_class(sums[key_a].convolve(sums[key_b]), classes)
+            if escape is not None:
+                certificate = {"A": _key_json(key_a), "B": _key_json(key_b), **escape}
+                return {"closed": False, "dim": len(classes), "certificate": certificate}
+    return {"closed": True, "dim": len(classes), "certificate": None}
 
 
 def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
@@ -397,7 +392,7 @@ def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
     given elements, grown by saturating pairwise products."""
     if not elements:
         return {"dim_start": 0, "dim_closure": 0, "closed": True}
-    span = _span_of(elements)
+    span = Span(element.to_vector() for element in elements)
     dim_start = span.dim
     basis = list(elements)
     frontier = list(elements)
@@ -413,30 +408,29 @@ def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
     return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
 
 
-def ideal_check(inner: Sequence[AlgebraElement], outer: Sequence[AlgebraElement]) -> dict:
-    """Do products between the outer elements and the inner span stay inside
-    the inner span, on both sides?"""
-    span = _span_of(inner)
+def ideal_check(n: int, kind: str, flavor: str, outer: Sequence[AlgebraElement], mode: str = "set") -> dict:
+    """Do products between the outer elements and the class sums of the
+    statistic stay inside the span of those class sums, on both sides?"""
+    classes = stat_classes(n, kind, flavor, mode)
+    inner = class_sums(n, kind, flavor, mode).values()
     for u in outer:
         for v in inner:
             for side, product in (("left", u.convolve(v)), ("right", v.convolve(u))):
-                if not span.contains(product.to_vector()):
+                if _nonconstant_class(product, classes) is not None:
                     return {"ideal": False, "side": side, "witness": repr(product)}
     return {"ideal": True, "side": None, "witness": None}
 
 
-def span_contains_all(container: Sequence[AlgebraElement], members: Sequence[AlgebraElement]) -> bool:
-    span = _span_of(container)
-    return all(span.contains(m.to_vector()) for m in members)
-
-
 def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
     """Every peak class sum is a sum of descent class sums, hence lies in the
-    span of the descent classes."""
+    span of the descent classes: the peak set is constant on every descent
+    class."""
     descent_flavor = "descentB" if kind == "B" else "descentA"
-    descent = list(class_sums(n, kind, descent_flavor).values())
-    peaks = list(class_sums(n, kind, flavor).values())
-    return span_contains_all(descent, peaks)
+    peak_of: dict[StatKey, StatKey] = {}
+    for descents, peaks in zip(_stat_keys(n, kind, descent_flavor, "set"), _stat_keys(n, kind, flavor, "set")):
+        if peak_of.setdefault(descents, peaks) != peaks:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,37 +439,35 @@ def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
 
 def verify_duality(n: int, kind: str, flavor: str, mode: str = "set", table: StructureTable | None = None) -> dict:
     """Compare every convolution v_A * v_B against the tabulated expansion
-    sum_C count(A,B,C) v_C.  Mismatches are reported, not raised.  Each names
-    one window where the two sides differ, the window's class, and the class
-    representative the constant is read from (its minimal-rank member, as in
-    `structure_table`), so the difference is the window's factorization count
-    minus the representative's."""
+    sum_C count(A,B,C) v_C, window by window.  Mismatches are reported, not
+    raised.  Each names the minimal-rank window where the two sides differ,
+    the window's class, and the class representative the constant is read
+    from (its minimal-rank member, as in `structure_table`), so the
+    difference is the window's factorization count minus the
+    representative's."""
     if table is None:
         table = structure_table(n, kind, flavor, mode)
     sums = class_sums(n, kind, flavor, mode)
     keys = sorted_keys(sums)
+    class_of = _stat_keys(n, kind, flavor, mode)
     elements = _elements(n, kind)
     mismatches = []
     for key_a in keys:
         for key_b in keys:
-            lhs = sums[key_a].convolve(sums[key_b])
-            rhs = AlgebraElement.zero(n, kind)
-            for key_c in keys:
-                value = table.count(key_a, key_b, key_c)
-                if value:
-                    rhs = rhs + sums[key_c].scale(value)
-            if lhs != rhs:
-                delta = lhs - rhs
-                sample_rank = min(delta.coeffs)
-                key_c = next(key for key in keys if sample_rank in sums[key].coeffs)
-                mismatches.append(
-                    {
-                        "A": _key_json(key_a),
-                        "B": _key_json(key_b),
-                        "window": str(elements[sample_rank]),
-                        "class": _key_json(key_c),
-                        "representative": str(elements[min(sums[key_c].coeffs)]),
-                        "difference": str(delta.coeffs[sample_rank]),
-                    }
-                )
+            lhs = sums[key_a].convolve(sums[key_b]).coeffs
+            expected = {key_c: table.count(key_a, key_b, key_c) for key_c in keys}
+            for r, key_c in enumerate(class_of):
+                difference = lhs.get(r, 0) - expected[key_c]
+                if difference:
+                    mismatches.append(
+                        {
+                            "A": _key_json(key_a),
+                            "B": _key_json(key_b),
+                            "window": str(elements[r]),
+                            "class": _key_json(key_c),
+                            "representative": str(elements[min(sums[key_c].coeffs)]),
+                            "difference": str(difference),
+                        }
+                    )
+                    break
     return {"consistent": not mismatches, "mismatches": mismatches}

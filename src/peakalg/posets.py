@@ -163,16 +163,16 @@ class SignedPoset:
         out: list[SignedPermutation] = []
         window: list[int] = []
         used: set[int] = set()
-        decided: list[int] = [0]
+        decided: set[int] = {0}
+        above: dict[int, set[int]] = {x: set() for x in range(-self.n, self.n + 1)}
+        for a, b in self.relation:
+            above[a].add(b)
 
         def violates(x: int) -> bool:
-            # x becomes the current maximum and -x the current minimum.
-            if self.less(x, -x):
-                return True
-            for d in decided:
-                if self.less(x, d) or self.less(d, -x):
-                    return True
-            return False
+            # x becomes the current maximum and -x the current minimum.  By
+            # central symmetry d < -x iff x < -d, and decided labels come in
+            # pairs d, -d, so checking x against the decided labels suffices.
+            return -x in above[x] or not above[x].isdisjoint(decided)
 
         def extend() -> None:
             if len(window) == self.n:
@@ -186,10 +186,9 @@ class SignedPoset:
                         continue
                     used.add(m)
                     window.append(x)
-                    decided.extend((x, -x))
+                    decided.update((x, -x))
                     extend()
-                    decided.pop()
-                    decided.pop()
+                    decided.difference_update((x, -x))
                     window.pop()
                     used.remove(m)
 

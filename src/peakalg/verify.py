@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 from .alphabets import Alphabet
 from .enriched import (
     chain_census,
+    chain_count,
     chain_rules,
     epp_census,
     epp_count,
@@ -170,7 +171,11 @@ def _bounded_poset(kind: str, n: int, rng: random.Random, k_probe: Alphabet, ext
         extensions = poset.linear_extensions()
         if len(extensions) > extension_cap:
             continue
-        projected = sum(epp_count(w, k_probe) for w in extensions)
+        descent_sets = Counter(chain_rules(w, k_probe) for w in extensions)
+        projected = sum(
+            times * chain_count(size, des, k_probe, anchored)
+            for (size, des, anchored), times in descent_sets.items()
+        )
         if projected <= map_cap:
             return poset, extensions
     return poset, extensions  # keep=1.0 is a chain: always small
@@ -309,9 +314,8 @@ def check_closure(bounds: Bounds) -> CheckResult:
         if not descent_algebra_containment(n, "B", "typeBPeak"):
             failures.append({"stage": "descent containment", "n": n})
     for n in range(1, bounds.cap(5) + 1):
-        inner = list(class_sums(n, "A", "interiorPeak").values())
         outer = list(class_sums(n, "A", "leftPeak").values())
-        report = ideal_check(inner, outer)
+        report = ideal_check(n, "A", "interiorPeak", outer)
         if not report["ideal"]:
             failures.append({"stage": "ideal", "n": n, "witness": report})
     return _result("closure", not failures, "spans closed with Fibonacci dimensions; ideal and containment hold", failures)

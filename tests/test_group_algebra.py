@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from peakalg import group_algebra
+from peakalg.eulerian import BATTERY_STATISTICS
 from peakalg.group_algebra import (
     AlgebraElement,
     class_sums,
@@ -16,11 +17,11 @@ from peakalg.group_algebra import (
     ideal_check,
     multiplicative_closure,
     representative_audit,
-    span_contains_all,
     stat_classes,
     structure_table,
     verify_duality,
 )
+from peakalg.linalg import Span, in_span
 from peakalg.permutations import (
     Permutation,
     SignedPermutation,
@@ -153,6 +154,7 @@ def test_duality_fails_for_signed_windows_at_three():
     assert representative_audit(2, "B", "typeBPeak")["consistent"]
     bad = verify_duality(3, "B", "typeBPeak")
     assert not bad["consistent"] and bad["mismatches"]
+    table = structure_table(3, "B", "typeBPeak")
     for mismatch in bad["mismatches"]:
         # the difference is the window's count minus its class representative's
         window, representative = (SignedPermutation.parse(mismatch[k]) for k in ("window", "representative"))
@@ -161,6 +163,18 @@ def test_duality_fails_for_signed_windows_at_three():
         pair = (frozenset(mismatch["A"]), frozenset(mismatch["B"]))
         counts = [factorization_counts(w, "typeBPeak").get(pair, 0) for w in (window, representative)]
         assert F(mismatch["difference"]) == counts[0] - counts[1] != 0
+        # the representative is the class's minimal-rank member, as in
+        # structure_table, and the window the minimal-rank one where the two
+        # sides differ
+        assert all(
+            stat_set(unrank(below, 3, "B"), "typeBPeak").members != key for below in range(rank(representative))
+        )
+        for below in range(rank(window)):
+            other = unrank(below, 3, "B")
+            other_key = stat_set(other, "typeBPeak").members
+            assert factorization_counts(other, "typeBPeak").get(pair, 0) == table.count(*pair, other_key)
+    # one record per pair
+    assert len({(str(m["A"]), str(m["B"])) for m in bad["mismatches"]}) == len(bad["mismatches"])
     audit = representative_audit(3, "B", "typeBPeak")
     assert not audit["consistent"]
     assert audit["windows"]
@@ -226,16 +240,57 @@ def test_interior_classes_form_an_ideal_of_the_left_span():
     for n in (2, 3, 4):
         inner = list(class_sums(n, "A", "interiorPeak").values())
         outer = list(class_sums(n, "A", "leftPeak").values())
-        assert span_contains_all(outer, inner)
-        assert ideal_check(inner, outer)["ideal"]
+        outer_vectors = [v.to_vector() for v in outer]
+        assert all(in_span(v.to_vector(), outer_vectors) for v in inner)
+        assert ideal_check(n, "A", "interiorPeak", outer)["ideal"]
 
 
 def test_interior_classes_are_not_an_ideal_of_everything():
     deltas = [AlgebraElement.delta(p) for p in enumerate_group(3, "A")]
-    inner = list(class_sums(3, "A", "interiorPeak").values())
-    report = ideal_check(inner, deltas)
+    report = ideal_check(3, "A", "interiorPeak", deltas)
     assert not report["ideal"]
     assert report["witness"]
+
+
+# every statistic the checks ask about: the non-closing battery, the three
+# peak flavors and the two descent flavors, each in both modes
+_SPAN_STATISTICS = sorted(
+    {(kind, flavor) for kind, flavor, _ in BATTERY_STATISTICS}
+    | {("A", "interiorPeak"), ("A", "leftPeak"), ("B", "typeBPeak"), ("A", "descentA"), ("B", "descentB")}
+)
+
+
+def test_constancy_on_classes_agrees_with_rational_span_membership():
+    # closure, ideal and containment decide span membership by constancy on
+    # classes; linalg.Span decides it by exact elimination
+    verdicts = {"closed": set(), "ideal": set(), "contained": set()}
+    for kind, flavor in _SPAN_STATISTICS:
+        descent_flavor = "descentB" if kind == "B" else "descentA"
+        for n in range(1, (4 if kind == "A" else 3) + 1):
+            for mode in ("set", "number"):
+                where = (kind, flavor, n, mode)
+                sums = list(class_sums(n, kind, flavor, mode).values())
+                span = Span(v.to_vector() for v in sums)
+                closed = all(span.contains(u.convolve(w).to_vector()) for u in sums for w in sums)
+                report = closure_check(n, kind, flavor, mode)
+                assert (report["closed"], report["dim"]) == (closed, span.dim), where
+                # outer elements: the descent class sums and one group element
+                outer = list(class_sums(n, kind, descent_flavor, mode).values())
+                outer.append(AlgebraElement.delta(unrank(group_order(n, kind) - 1, n, kind)))
+                ideal = all(
+                    span.contains(product.to_vector())
+                    for u in outer for v in sums for product in (u.convolve(v), v.convolve(u))
+                )
+                assert ideal_check(n, kind, flavor, outer, mode)["ideal"] == ideal, where
+                verdicts["closed"].add(closed)
+                verdicts["ideal"].add(ideal)
+            descent_vectors = [v.to_vector() for v in class_sums(n, kind, descent_flavor).values()]
+            peaks = class_sums(n, kind, flavor).values()
+            contained = all(in_span(v.to_vector(), descent_vectors) for v in peaks)
+            assert descent_algebra_containment(n, kind, flavor) == contained, (kind, flavor, n)
+            verdicts["contained"].add(contained)
+    # the sweep meets both answers to each question
+    assert verdicts == {"closed": {True, False}, "ideal": {True, False}, "contained": {True, False}}
 
 
 def test_number_mode_closures():

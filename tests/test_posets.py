@@ -107,6 +107,15 @@ def test_filter_oracle_agrees_with_backtracking():
         assert {e.window for e in B.linear_extensions()} == {
             e.window for e in B.linear_extensions_filter()
         }
+    # seeded random orders of both kinds, sparse to nearly chains
+    rng = random.Random(20261018)
+    for n in range(1, 5):
+        for keep in (0.3, 0.6, 0.9):
+            for _ in range(6):
+                for P in (random_poset(n, rng, keep), random_signed_poset(n, rng, keep)):
+                    found = [e.window for e in P.linear_extensions()]
+                    assert len(found) == len(set(found)), P.relation
+                    assert set(found) == {e.window for e in P.linear_extensions_filter()}, P.relation
 
 
 def test_signed_extensions_are_centrally_symmetric():

@@ -1,7 +1,12 @@
 """The bundled verification suite: bounded runs and report shapes."""
 
+import random
+
 import pytest
 
+from peakalg.alphabets import Alphabet
+from peakalg.enriched import epp_count
+from peakalg.posets import random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
     Bounds,
@@ -12,6 +17,7 @@ from peakalg.verify import (
     check_negatives,
     check_ranks,
     run_suite,
+    _bounded_poset,
 )
 
 
@@ -84,6 +90,31 @@ def test_bounds_reject_n_max_below_one():
     for n_max in (0, -1):
         with pytest.raises(ValueError):
             Bounds(n_max=n_max)
+
+
+def test_bounded_orders_match_a_count_per_extension():
+    # the projected map count is taken once per descent set; counting every
+    # extension on its own projects the same count, so the same orders are
+    # drawn (a small map cap makes re-draws happen)
+    redraws = []
+
+    def drawn_one_by_one(kind, n, rng, probe, map_cap):
+        for keep in (0.6, 0.75, 0.9, 1.0):
+            poset = random_poset(n, rng, keep) if kind == "A" else random_signed_poset(n, rng, keep)
+            extensions = poset.linear_extensions()
+            if len(extensions) <= 1500 and sum(epp_count(w, probe) for w in extensions) <= map_cap:
+                break
+            redraws.append((kind, n))
+        return poset, extensions
+
+    for kind, probe in (("A", Alphabet.prime(3)), ("B", Alphabet.plus_minus(3))):
+        for n in range(1, 6):
+            ours, reference = random.Random(n), random.Random(n)
+            for _ in range(8):
+                expected = drawn_one_by_one(kind, n, reference, probe, 3000)
+                assert _bounded_poset(kind, n, ours, probe, map_cap=3000) == expected
+            assert ours.random() == reference.random()
+    assert {kind for kind, _ in redraws} == {"A", "B"}
 
 
 def test_extensions_check_reports_what_it_examined():
