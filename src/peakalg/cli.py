@@ -46,8 +46,7 @@ from .posets import parse_poset
 from .qsym import (
     QSymElement,
     m_to_f,
-    peak_function,
-    peak_function_b,
+    peak_series,
     rank_of_span,
 )
 from .verify import CHECKS, Bounds, run_suite
@@ -216,10 +215,8 @@ def _cmd_census(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]
 
 
 def _series_for(flavor: str, members: list[int], n: int) -> QSymElement:
-    if flavor == "interiorPeak":
-        return peak_function(members, n)
-    if flavor in ("leftPeak", "typeBPeak"):
-        return peak_function_b(members, n)
+    if flavor in ("interiorPeak", "leftPeak", "typeBPeak"):
+        return peak_series(members, n, typeB=flavor != "interiorPeak")
     raise UsageError(f"no peak series for flavor {flavor}")
 
 
@@ -313,8 +310,11 @@ def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int
     if not report["closed"]:
         lines.append(f"  certificate: {json.dumps(report['certificate'])}")
     if "ideal_in" in payload:
-        rows.append({"check": "ideal", "result": payload["ideal_in"]["ideal"], "dim": ""})
-        lines.append(f"ideal in {payload['ideal_in']['outer']}: {payload['ideal_in']['ideal']}")
+        ideal = payload["ideal_in"]
+        rows.append({"check": "ideal", "result": ideal["ideal"], "dim": ""})
+        lines.append(f"ideal in {ideal['outer']}: {ideal['ideal']}")
+        if not ideal["ideal"]:
+            lines.append(f"  witness ({ideal['side']} side): {json.dumps(ideal['witness'])}")
     if "descent_containment" in payload:
         rows.append({"check": "descent containment", "result": payload["descent_containment"], "dim": ""})
         lines.append(f"descent containment: {payload['descent_containment']}")

@@ -173,7 +173,7 @@ def rho(n: int) -> AlgebraPolynomial:
         for d in range(poly.degree + 1):
             value = poly.coefficient(d)
             if value:
-                degree_maps[d][index] = degree_maps[d].get(index, Fraction(0)) + value
+                degree_maps[d][index] = degree_maps[d].get(index, 0) + value
     coefficients = tuple(AlgebraElement(n, "A", m) for m in degree_maps)
     return AlgebraPolynomial(coefficients)
 

@@ -1,9 +1,12 @@
-"""Exact rational group-algebra arithmetic for the two window groups.
+"""Exact group-algebra arithmetic for the two window groups.
 
-Elements are sparse vectors indexed by the stable rank of a window.  The
-product is convolution against the fixed composition convention of the
-permutations module: (u * w)(p) sums u(t) * w(s) over all ordered
-factorizations s . t = p.  Every product of two group elements, at every
+Elements are sparse vectors indexed by the stable rank of a window.  A
+coefficient is an int where it is integral, as in every class sum, product
+of class sums and factorization count, and a Fraction only where it is not
+(the rho elements of the eulerian module divide).  The product is
+convolution against the fixed composition convention of the permutations
+module: (u * w)(p) sums u(t) * w(s) over all ordered factorizations
+s . t = p.  Every product of two group elements, at every
 group size, is read from one kernel: rows of product ranks, each built once
 by window -> rank lookup.
 
@@ -26,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
-from .linalg import Span
+from .linalg import Span, exact
 from .permutations import (
     GroupElement,
     SignedPermutation,
@@ -90,19 +93,20 @@ def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
 
 
 class AlgebraElement:
-    """A finitely supported rational combination of group elements."""
+    """A finitely supported rational combination of group elements; each
+    coefficient is stored by the `linalg.exact` rule."""
 
     __slots__ = ("n", "kind", "coeffs")
 
     def __init__(self, n: int, kind: str, coeffs: Mapping[int, Fraction | int] | None = None):
         self.n = n
         self.kind = kind
-        self.coeffs: dict[int, Fraction] = {}
+        self.coeffs: dict[int, Fraction | int] = {}
         order = group_order(n, kind)
         for key, value in (coeffs or {}).items():
             if not 0 <= key < order:
                 raise ValueError(f"rank {key} out of range for {kind} n={n}")
-            value = Fraction(value)
+            value = exact(value)
             if value:
                 self.coeffs[key] = value
 
@@ -113,7 +117,7 @@ class AlgebraElement:
     @classmethod
     def delta(cls, element: GroupElement) -> "AlgebraElement":
         kind = "B" if isinstance(element, SignedPermutation) else "A"
-        return cls(element.n, kind, {rank(element): Fraction(1)})
+        return cls(element.n, kind, {rank(element): 1})
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "AlgebraElement":
@@ -124,8 +128,8 @@ class AlgebraElement:
     def from_vector(cls, n: int, kind: str, vector: Sequence[Fraction | int]) -> "AlgebraElement":
         return cls(n, kind, {i: v for i, v in enumerate(vector) if v})
 
-    def to_vector(self) -> list[Fraction]:
-        out = [Fraction(0)] * group_order(self.n, self.kind)
+    def to_vector(self) -> list[Fraction | int]:
+        out = [0] * group_order(self.n, self.kind)
         for key, value in self.coeffs.items():
             out[key] = value
         return out
@@ -138,14 +142,14 @@ class AlgebraElement:
         self._compatible(other)
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + value
+            out[key] = out.get(key, 0) + value
         return AlgebraElement(self.n, self.kind, out)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "AlgebraElement":
-        c = Fraction(c)
+        c = exact(c)
         return AlgebraElement(self.n, self.kind, {k: c * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -178,16 +182,10 @@ class AlgebraElement:
         so this element plays the role of u and the argument the role of w."""
         self._compatible(other)
         n, kind = self.n, self.kind
-        out: dict[int, Fraction] = {}
-        integral = (
-            all(v.denominator == 1 for v in self.coeffs.values())
-            and all(v.denominator == 1 for v in other.coeffs.values())
-        )
-        u_items = [(k, int(v) if integral else v) for k, v in self.coeffs.items()]
-        w_items = [(k, int(v) if integral else v) for k, v in other.coeffs.items()]
-        for rs, cs in w_items:
+        out: dict[int, Fraction | int] = {}
+        for rs, cs in other.coeffs.items():
             row = _row(n, kind, rs)
-            for rt, ct in u_items:
+            for rt, ct in self.coeffs.items():
                 key = row[rt]
                 out[key] = out.get(key, 0) + ct * cs
         return AlgebraElement(n, kind, out)
@@ -228,7 +226,7 @@ def stat_classes(n: int, kind: str, flavor: str, mode: str = "set") -> dict[Stat
 
 def class_sums(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, AlgebraElement]:
     return {
-        key: AlgebraElement(n, kind, {i: Fraction(1) for i in ranks})
+        key: AlgebraElement(n, kind, dict.fromkeys(ranks, 1))
         for key, ranks in stat_classes(n, kind, flavor, mode).items()
     }
 
@@ -410,14 +408,20 @@ def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
 
 def ideal_check(n: int, kind: str, flavor: str, outer: Sequence[AlgebraElement], mode: str = "set") -> dict:
     """Do products between the outer elements and the class sums of the
-    statistic stay inside the span of those class sums, on both sides?"""
+    statistic stay inside the span of those class sums, on both sides?  On
+    failure the witness names the inner class B, the position of the outer
+    element u in `outer`, and a class on which the product (u * v_B on the
+    left side, v_B * u on the right) is not constant, with two of its
+    windows and their values."""
     classes = stat_classes(n, kind, flavor, mode)
-    inner = class_sums(n, kind, flavor, mode).values()
-    for u in outer:
-        for v in inner:
+    inner = class_sums(n, kind, flavor, mode)
+    for index, u in enumerate(outer):
+        for key_b, v in inner.items():
             for side, product in (("left", u.convolve(v)), ("right", v.convolve(u))):
-                if _nonconstant_class(product, classes) is not None:
-                    return {"ideal": False, "side": side, "witness": repr(product)}
+                escape = _nonconstant_class(product, classes)
+                if escape is not None:
+                    witness = {"B": _key_json(key_b), "outer_index": index, **escape}
+                    return {"ideal": False, "side": side, "witness": witness}
     return {"ideal": True, "side": None, "witness": None}
 
 

@@ -1,6 +1,8 @@
 """Exact linear algebra over the rationals: row echelon, rank, span queries.
 
 Vectors are sequences of ints or Fractions; everything is computed exactly.
+`exact` is the coefficient rule of the element classes: an int where the
+value is integral, a Fraction only where it is not.
 """
 
 from __future__ import annotations
@@ -9,6 +11,14 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 Vector = Sequence[Fraction | int]
+
+
+def exact(value: Fraction | int) -> Fraction | int:
+    """The value as an int when it is integral, else as a Fraction."""
+    if isinstance(value, int):
+        return value
+    value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
 
 
 def _pivot(row: list[Fraction]) -> int:

@@ -1,5 +1,7 @@
 """Quasisymmetric functions with exact coefficients, in the monomial (M) and
 fundamental (F) bases, for both the ordinary and the signed (typeB) theory.
+A coefficient is an int where it is integral, as in every peak series and
+every product or evaluation of one, and a Fraction only where it is not.
 
 Keys are compositions of n (typeB: pseudo-compositions, whose first part may
 be zero and exponentiates the extra variable x_0).  Refinement is computed
@@ -18,10 +20,10 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Span
+from .linalg import Span, exact
 from .permutations import Composition, StatSet
 
-Coeffs = dict[Composition, Fraction]
+Coeffs = dict[Composition, Fraction | int]
 
 
 class QSymElement:
@@ -36,17 +38,17 @@ class QSymElement:
         for key, value in (coeffs or {}).items():
             if key.typeB != typeB:
                 raise ValueError("composition kind does not match element kind")
-            value = Fraction(value)
+            value = exact(value)
             if value:
                 self.coeffs[key] = value
 
     @classmethod
     def monomial(cls, parts: Iterable[int], typeB: bool = False) -> "QSymElement":
-        return cls("M", typeB, {Composition(tuple(parts), typeB): Fraction(1)})
+        return cls("M", typeB, {Composition(tuple(parts), typeB): 1})
 
     @classmethod
     def fundamental(cls, parts: Iterable[int], typeB: bool = False) -> "QSymElement":
-        return cls("F", typeB, {Composition(tuple(parts), typeB): Fraction(1)})
+        return cls("F", typeB, {Composition(tuple(parts), typeB): 1})
 
     @classmethod
     def zero(cls, basis: str = "M", typeB: bool = False) -> "QSymElement":
@@ -54,7 +56,7 @@ class QSymElement:
 
     @classmethod
     def one(cls, basis: str = "M", typeB: bool = False) -> "QSymElement":
-        return cls(basis, typeB, {Composition((), typeB): Fraction(1)})
+        return cls(basis, typeB, {Composition((), typeB): 1})
 
     def _compatible(self, other: "QSymElement") -> None:
         if self.basis != other.basis or self.typeB != other.typeB:
@@ -64,14 +66,14 @@ class QSymElement:
         self._compatible(other)
         out = dict(self.coeffs)
         for key, value in other.coeffs.items():
-            out[key] = out.get(key, Fraction(0)) + value
+            out[key] = out.get(key, 0) + value
         return QSymElement(self.basis, self.typeB, out)
 
     def __sub__(self, other: "QSymElement") -> "QSymElement":
         return self + other.scale(-1)
 
     def scale(self, c: Fraction | int) -> "QSymElement":
-        c = Fraction(c)
+        c = exact(c)
         return QSymElement(self.basis, self.typeB, {k: c * v for k, v in self.coeffs.items()})
 
     def __eq__(self, other: object) -> bool:
@@ -159,7 +161,7 @@ def f_to_m(element: QSymElement) -> QSymElement:
     out: Coeffs = {}
     for key, value in element.coeffs.items():
         for beta, _ in _refinements(key):
-            out[beta] = out.get(beta, Fraction(0)) + value
+            out[beta] = out.get(beta, 0) + value
     return QSymElement("M", element.typeB, out)
 
 
@@ -171,7 +173,7 @@ def m_to_f(element: QSymElement) -> QSymElement:
     for key, value in element.coeffs.items():
         for beta, extra in _refinements(key):
             sign = -1 if extra % 2 else 1
-            out[beta] = out.get(beta, Fraction(0)) + sign * value
+            out[beta] = out.get(beta, 0) + sign * value
     return QSymElement("F", element.typeB, out)
 
 
@@ -208,7 +210,7 @@ def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str 
                 coefficient = 2 ** (len(peaks) + lowest)
             else:
                 continue
-            out[Composition.from_subset(chosen, n, typeB=typeB)] = Fraction(coefficient)
+            out[Composition.from_subset(chosen, n, typeB=typeB)] = coefficient
     return QSymElement(basis, typeB, out)
 
 
@@ -266,11 +268,11 @@ def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
                 shuffles = _quasi_shuffles(ka.parts[1:] if ka.parts else (), kb.parts[1:] if kb.parts else ())
                 for tail, count in shuffles.items():
                     key = Composition((first_a + first_b,) + tail, True)
-                    out[key] = out.get(key, Fraction(0)) + value * count
+                    out[key] = out.get(key, 0) + value * count
             else:
                 for parts, count in _quasi_shuffles(ka.parts, kb.parts).items():
                     key = Composition(parts, False)
-                    out[key] = out.get(key, Fraction(0)) + value * count
+                    out[key] = out.get(key, 0) + value * count
     return QSymElement("M", x.typeB, out)
 
 
@@ -297,20 +299,20 @@ def rank_of_span(elements: Iterable[QSymElement]) -> int:
     position = {key: i for i, key in enumerate(keys)}
     span = Span()
     for element in elements:
-        row = [Fraction(0)] * len(keys)
+        row = [0] * len(keys)
         for key, value in element.coeffs.items():
             row[position[key]] = value
         span.add(row)
     return span.dim
 
 
-def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
+def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | int]:
     """Truncated polynomial evaluation in k positive variables (plus x_0 for
     the signed kind).  Keys are exponent tuples indexed 0..k, matching the
     census keys of the enriched module."""
     if element.basis != "M":
         element = f_to_m(element)
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for key, value in element.coeffs.items():
         parts = key.parts
         if element.typeB:
@@ -323,22 +325,22 @@ def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
             for variable, power in zip(support, tail):
                 exponents[variable] = power
             key_out = tuple(exponents)
-            out[key_out] = out.get(key_out, Fraction(0)) + value
+            out[key_out] = out.get(key_out, 0) + value
     return {key: value for key, value in out.items() if value}
 
 
-def evaluate_at_zero(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction]:
+def evaluate_at_zero(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | int]:
     """Truncated evaluation with the extra signed variable x_0 set to zero."""
     return {key: value for key, value in evaluate(element, k).items() if key[0] == 0}
 
 
 def polynomial_product(
     p: Mapping[tuple[int, ...], Fraction | int], q: Mapping[tuple[int, ...], Fraction | int]
-) -> dict[tuple[int, ...], Fraction]:
+) -> dict[tuple[int, ...], Fraction | int]:
     """Product of two truncated evaluations (exponent-keyed polynomials)."""
-    out: dict[tuple[int, ...], Fraction] = {}
+    out: dict[tuple[int, ...], Fraction | int] = {}
     for ka, va in p.items():
         for kb, vb in q.items():
             key = tuple(x + y for x, y in zip(ka, kb))
-            out[key] = out.get(key, Fraction(0)) + Fraction(va) * Fraction(vb)
+            out[key] = out.get(key, 0) + va * vb
     return {key: value for key, value in out.items() if value}

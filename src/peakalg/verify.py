@@ -12,7 +12,6 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Sequence
 
 from .alphabets import Alphabet
@@ -48,6 +47,7 @@ from .group_algebra import (
 from .permutations import (
     Permutation,
     SignedPermutation,
+    compositions,
     enumerate_group,
     enumerate_stat_sets,
     fibonacci,
@@ -58,13 +58,11 @@ from .posets import random_poset, random_signed_poset
 from .qsym import (
     QSymElement,
     evaluate,
-    peak_function,
-    peak_function_b,
+    peak_series,
     polynomial_product,
     quasi_shuffle,
     rank_of_span,
 )
-from .permutations import compositions
 
 
 @dataclass(frozen=True)
@@ -128,16 +126,11 @@ def check_ranks(bounds: Bounds) -> CheckResult:
     numbers f_{n-1} / f_n / f_{n+1} for the three statistics."""
     n_max = bounds.cap(7)
     failures = []
-    plans = [
-        ("interiorPeak", -1, lambda s, n: peak_function(s, n)),
-        ("leftPeak", 0, lambda s, n: peak_function_b(s, n)),
-        ("typeBPeak", 1, lambda s, n: peak_function_b(s, n)),
-    ]
-    for flavor, shift, build in plans:
+    for flavor, shift in (("interiorPeak", -1), ("leftPeak", 0), ("typeBPeak", 1)):
         for n in range(1, n_max + 1):
             sets = enumerate_stat_sets(n, flavor)
             expected = fibonacci(n + shift)
-            series = [build(s.members, n) for s in sets]
+            series = [peak_series(s.members, n, typeB=flavor != "interiorPeak") for s in sets]
             got_rank = rank_of_span(series)
             if len(sets) != expected or got_rank != expected:
                 failures.append(
@@ -224,27 +217,23 @@ def check_formulas(bounds: Bounds) -> CheckResult:
         prime, left = Alphabet.prime(k), Alphabet.left(k)
         for w in enumerate_group(n, "A"):
             interior = peak_set(w, "interiorPeak").members
-            if evaluate(peak_function(interior, n), k) != _fractions(epp_census(w, prime)):
+            if evaluate(peak_series(interior, n), k) != epp_census(w, prime):
                 failures.append({"flavor": "interior", "window": str(w)})
             left_set = peak_set(w, "leftPeak").members
-            if evaluate(peak_function_b(left_set, n), k) != _fractions(epp_census(w, left)):
+            if evaluate(peak_series(left_set, n, typeB=True), k) != epp_census(w, left):
                 failures.append({"flavor": "left", "window": str(w)})
     for n in range(1, n_b + 1):
         k = n + 1
         pm = Alphabet.plus_minus(k)
         for w in enumerate_group(n, "B"):
             members = peak_set(w, "typeBPeak").members
-            if evaluate(peak_function_b(members, n), k) != _fractions(epp_census(w, pm)):
+            if evaluate(peak_series(members, n, typeB=True), k) != epp_census(w, pm):
                 failures.append({"flavor": "typeB", "window": str(w)})
     return _result(
         "formulas", not failures,
         f"series = census at k=n+1, every window, n<={n_a} (ordinary) / n<={n_b} (signed)",
         failures,
     )
-
-
-def _fractions(census: dict) -> dict:
-    return {key: Fraction(value) for key, value in census.items()}
 
 
 def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
@@ -397,8 +386,8 @@ def check_oracles(bounds: Bounds) -> CheckResult:
             for cb in pool:
                 if ca.degree + cb.degree > 4:
                     continue
-                a = QSymElement("M", typeB, {ca: Fraction(1)})
-                b = QSymElement("M", typeB, {cb: Fraction(1)})
+                a = QSymElement.monomial(ca.parts, typeB)
+                b = QSymElement.monomial(cb.parts, typeB)
                 lhs = evaluate(quasi_shuffle(a, b), k)
                 rhs = polynomial_product(evaluate(a, k), evaluate(b, k))
                 if lhs != rhs:

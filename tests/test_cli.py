@@ -242,6 +242,14 @@ def test_idempotents(capsys):
     payload = json.loads(out)
     assert payload["report"]["multiplicative"] is True
     assert [s["peak_count"] for s in payload["idempotents"]] == [0, 1]
+    # rho divides, so the coefficients print as reduced fractions
+    windows = ["1,2,3", "1,3,2", "2,1,3", "2,3,1", "3,1,2", "3,2,1"]
+    frozen = [
+        ["1/3", "-2/3", "1/3", "-2/3", "1/3", "1/3"],
+        ["1/6"] * 6,
+    ]
+    for item, coeffs in zip(payload["idempotents"], frozen, strict=True):
+        assert item["terms"] == [{"window": w, "coeff": c} for w, c in zip(windows, coeffs)]
 
 
 def test_negatives_full_battery(capsys):

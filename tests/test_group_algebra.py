@@ -246,10 +246,31 @@ def test_interior_classes_form_an_ideal_of_the_left_span():
 
 
 def test_interior_classes_are_not_an_ideal_of_everything():
-    deltas = [AlgebraElement.delta(p) for p in enumerate_group(3, "A")]
+    elements = list(enumerate_group(3, "A"))
+    deltas = [AlgebraElement.delta(p) for p in elements]
     report = ideal_check(3, "A", "interiorPeak", deltas)
     assert not report["ideal"]
-    assert report["witness"]
+    witness = report["witness"]
+    # recount the certificate with the oracle: the outer element is delta_g,
+    # the inner one the class sum v_B, multiplied on the reported side
+    g = oracle.window(str(elements[witness["outer_index"]]))
+
+    def at_g(w):
+        return int(w == g)
+
+    def in_b(w):
+        return int(oracle.statistic(w, "interiorPeak") == frozenset(witness["B"]))
+
+    left, right = (at_g, in_b) if report["side"] == "left" else (in_b, at_g)
+
+    def coefficient(p):
+        # (left * right)(p) sums left(t) * right(s) over s.t = p
+        return sum(left(t) * right(oracle.compose(p, oracle.inverse(t))) for t in oracle.group("A", 3))
+
+    windows = [oracle.window(w) for w in witness["windows"]]
+    assert all(oracle.statistic(w, "interiorPeak") == frozenset(witness["class"]) for w in windows)
+    assert witness["values"] == [str(coefficient(w)) for w in windows]
+    assert witness["values"][0] != witness["values"][1]
 
 
 # every statistic the checks ask about: the non-closing battery, the three
