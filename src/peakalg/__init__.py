@@ -62,7 +62,6 @@ from .group_algebra import (
     verify_duality,
 )
 from .eulerian import (
-    AlgebraPolynomial,
     RationalPolynomial,
     eulerian_basis,
     negative_battery,
@@ -78,7 +77,6 @@ __version__ = "0.1.0"
 __all__ = [
     "Alphabet",
     "AlgebraElement",
-    "AlgebraPolynomial",
     "Bounds",
     "CheckResult",
     "Composition",

@@ -25,6 +25,7 @@ from .eulerian import (
     verify_rho_multiplicativity,
 )
 from .group_algebra import (
+    _key_json,
     class_sums,
     closure_check,
     descent_algebra_containment,
@@ -32,6 +33,7 @@ from .group_algebra import (
     structure_table,
 )
 from .permutations import (
+    FIBONACCI_SHIFT,
     Permutation,
     SignedPermutation,
     StatSet,
@@ -44,7 +46,6 @@ from .permutations import (
 )
 from .posets import parse_poset
 from .qsym import (
-    QSymElement,
     m_to_f,
     peak_series,
     rank_of_span,
@@ -70,11 +71,9 @@ class UsageError(Exception):
 class RunConfig:
     """Validated common settings of one invocation."""
 
-    command: str
     n: int | None = None
     n_max: int | None = None
     kind: str = "A"
-    flavor: str | None = None
     k: int | None = None
     fmt: str = "text"
     seed: int = 20260825
@@ -214,12 +213,6 @@ def _cmd_census(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]
     return Output(payload, rows, text), 0
 
 
-def _series_for(flavor: str, members: list[int], n: int) -> QSymElement:
-    if flavor in ("interiorPeak", "leftPeak", "typeBPeak"):
-        return peak_series(members, n, typeB=flavor != "interiorPeak")
-    raise UsageError(f"no peak series for flavor {flavor}")
-
-
 def _resolve_flavor_kind(raw: str | None, explicit_kind: str | None) -> tuple[str, str]:
     guess = "B" if raw in ("typeB", "typeBPeak", "descentB") else (explicit_kind or "A")
     flavor = _canonical_flavor(raw, guess)
@@ -228,18 +221,21 @@ def _resolve_flavor_kind(raw: str | None, explicit_kind: str | None) -> tuple[st
 
 
 def _cmd_qsym(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
-    flavor, kind = _resolve_flavor_kind(ns.flavor or "interior", ns.kind)
-    config.kind = kind
+    flavor = _canonical_flavor(ns.flavor or "interior", "A")
+    if flavor not in FIBONACCI_SHIFT:
+        raise UsageError(f"no peak series for flavor {flavor}; available: {', '.join(FIBONACCI_SHIFT)}")
+    typeB = flavor != "interiorPeak"
+    # a series is no group element, so the kind-A bound holds for every flavor
+    config.kind = "A"
     if ns.report_ranks:
         n_max = config.n_max or config.n or 7
         config.enforce_bounds(n_max)
-        shift = {"interiorPeak": -1, "leftPeak": 0, "typeBPeak": 1}[flavor]
         ranks = []
         for n in range(1, n_max + 1):
             sets = enumerate_stat_sets(n, flavor)
-            series = [_series_for(flavor, sorted(s.members), n) for s in sets]
+            series = [peak_series(sorted(s.members), n, typeB=typeB) for s in sets]
             ranks.append({"n": n, "count": len(sets), "rank": rank_of_span(series),
-                          "fibonacci": fibonacci(n + shift)})
+                          "fibonacci": fibonacci(n + FIBONACCI_SHIFT[flavor])})
         ok = all(r["rank"] == r["fibonacci"] == r["count"] for r in ranks)
         payload = {"flavor": flavor, "ranks": ranks, "all_match": ok}
         text = "\n".join(
@@ -253,7 +249,7 @@ def _cmd_qsym(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
         StatSet.of(flavor, config.n, members)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    element = _series_for(flavor, members, config.n)
+    element = peak_series(members, config.n, typeB=typeB)
     if ns.basis == "F":
         element = m_to_f(element)
     terms = [
@@ -297,8 +293,14 @@ def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int
     checks_passed &= report["closed"]
     if ns.ideal_in:
         outer_flavor = _canonical_flavor(ns.ideal_in, kind)
-        outer = list(class_sums(n, kind, outer_flavor, ns.mode).values())
-        ideal = ideal_check(n, kind, flavor, outer, ns.mode)
+        outer = class_sums(n, kind, outer_flavor, ns.mode)
+        ideal = ideal_check(n, kind, flavor, list(outer.values()), ns.mode)
+        if not ideal["ideal"]:
+            # name the failing outer class sum beside its position in `outer`
+            witness = ideal["witness"]
+            key = list(outer)[witness["outer_index"]]
+            head = {"B": witness["B"], "outer_index": witness["outer_index"], "outer_class": _key_json(key)}
+            ideal["witness"] = {**head, **witness}
         payload["ideal_in"] = {"outer": outer_flavor, **ideal}
         checks_passed &= ideal["ideal"]
     if ns.descent_containment:
@@ -504,11 +506,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _config_from(ns: argparse.Namespace) -> RunConfig:
     return RunConfig(
-        command=ns.command,
         n=ns.n,
         n_max=ns.n_max,
         kind=ns.kind or "A",
-        flavor=getattr(ns, "flavor", None),
         k=ns.k,
         fmt=ns.fmt,
         seed=ns.seed,

@@ -17,6 +17,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Iterator
 
 from .alphabets import Alphabet, Letter
+from .group_algebra import factorization_counts
 from .permutations import (
     GroupElement,
     Permutation,
@@ -371,17 +372,21 @@ def factorization_census(
     p: GroupElement, first: Alphabet, second: Alphabet
 ) -> Census:
     """Sum over all factorizations p = sigma * tau of the product census of
-    tau into the first alphabet and sigma into the second."""
-    from .permutations import compose, enumerate_group
-
-    kind = "B" if isinstance(p, SignedPermutation) else "A"
+    tau into the first alphabet and sigma into the second.  A census depends
+    on its window only through the descent set, so the sum runs over the
+    factorization counts of p by descent-set pair (Des tau, Des sigma)."""
+    n, _, first_anchored = chain_rules(p, first)
+    _, _, second_anchored = chain_rules(p, second)
+    flavor = "descentB" if isinstance(p, SignedPermutation) else "descentA"
     width = first.n_vars + second.n_vars
     total: Census = {}
-    for tau in enumerate_group(p.n, kind):
-        sigma = compose(p, tau.inverse())
+    for (des_tau, des_sigma), times in factorization_counts(p, flavor).items():
         combined = census_product(
-            epp_census(tau, first), epp_census(sigma, second), first.n_vars, width
+            chain_census(n, des_tau, first, first_anchored),
+            chain_census(n, des_sigma, second, second_anchored),
+            first.n_vars,
+            width,
         )
         for key, count in combined.items():
-            total[key] = total.get(key, 0) + count
+            total[key] = total.get(key, 0) + times * count
     return total

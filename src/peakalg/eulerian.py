@@ -14,7 +14,6 @@ group rank where closure breaks.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,6 +24,7 @@ from .group_algebra import (
     AlgebraElement,
     class_sums,
     closure_check,
+    factorization_counts,
     multiplicative_closure,
     sorted_keys,
     stat_classes,
@@ -114,28 +114,6 @@ class RationalPolynomial:
         return total
 
 
-@dataclass(frozen=True)
-class AlgebraPolynomial:
-    """Polynomial with group-algebra coefficients, ascending degree."""
-
-    coefficients: tuple[AlgebraElement, ...]
-
-    def __post_init__(self) -> None:
-        shapes = {(c.n, c.kind) for c in self.coefficients}
-        if len(shapes) > 1:
-            raise ValueError("coefficients live in different group algebras")
-
-    def coefficient(self, d: int) -> AlgebraElement:
-        return self.coefficients[d]
-
-    @property
-    def degree(self) -> int:
-        return len(self.coefficients) - 1
-
-    def nonzero_degrees(self) -> list[int]:
-        return [d for d, c in enumerate(self.coefficients) if not c.is_zero()]
-
-
 # ---------------------------------------------------------------------------
 # Order polynomials
 
@@ -163,19 +141,25 @@ def order_polynomial(peaks: int, n: int) -> RationalPolynomial:
 # The generating polynomial and its idempotent coefficients
 
 
-def rho(n: int) -> AlgebraPolynomial:
-    """Sum over all n-windows of the half-argument order polynomial times the
-    window, collected by degree in the formal variable."""
+def rho_by_peak_count(n: int) -> list[dict[int, Fraction]]:
+    """The coefficients of rho by degree in the formal variable: entry d maps
+    each realized interior peak count i to the degree-d coefficient of the
+    half-argument order polynomial of i-peak windows."""
     polys = {i: order_polynomial(i, n).substitute_scaled(Fraction(1, 2)) for i in realized_peak_counts(n)}
-    degree_maps: list[dict[int, Fraction]] = [{} for _ in range(n + 1)]
-    for index, p in enumerate(enumerate_group(n, "A")):
-        poly = polys[len(peak_set(p, "interiorPeak").members)]
-        for d in range(poly.degree + 1):
-            value = poly.coefficient(d)
-            if value:
-                degree_maps[d][index] = degree_maps[d].get(index, 0) + value
-    coefficients = tuple(AlgebraElement(n, "A", m) for m in degree_maps)
-    return AlgebraPolynomial(coefficients)
+    return [{i: poly.coefficient(d) for i, poly in polys.items()} for d in range(n + 1)]
+
+
+def _peak_count_combination(n: int, coefficients: dict[int, Fraction]) -> AlgebraElement:
+    """sum_i coefficients[i] * v_i over the interior peak-number class sums."""
+    classes = stat_classes(n, "A", "interiorPeak", mode="number")
+    return AlgebraElement(n, "A", {r: coefficients[i] for i, ranks in classes.items() for r in ranks})
+
+
+def rho(n: int) -> tuple[AlgebraElement, ...]:
+    """Sum over all n-windows of the half-argument order polynomial times the
+    window, collected by degree in the formal variable: its coefficients,
+    ascending by degree."""
+    return tuple(_peak_count_combination(n, c) for c in rho_by_peak_count(n))
 
 
 def parity_degrees(n: int) -> list[int]:
@@ -188,8 +172,8 @@ def parity_degrees(n: int) -> list[int]:
 
 def rho_idempotents(n: int) -> list[AlgebraElement]:
     """The coefficients of rho at the allowed-parity degrees, ascending."""
-    poly = rho(n)
-    return [poly.coefficient(d) for d in parity_degrees(n)]
+    elements = rho(n)
+    return [elements[d] for d in parity_degrees(n)]
 
 
 def idempotent_for_index(n: int, i: int) -> AlgebraElement:
@@ -205,41 +189,43 @@ def idempotent_for_peak_count(n: int, count: int) -> AlgebraElement:
     return idempotent_for_index(n, count + 1)
 
 
-def _integer_scaled(element: AlgebraElement) -> tuple[AlgebraElement, int]:
-    scale = math.lcm(*(v.denominator for v in element.coeffs.values())) if element.coeffs else 1
-    return element.scale(scale), scale
-
-
 def verify_rho_multiplicativity(n: int) -> dict:
     """Expand the product of two copies of rho in independent variables and
     compare coefficientwise with rho at the product variable: the (a,b)
     coefficient must be the degree-a coefficient when a=b and zero otherwise.
     Equivalently the nonzero coefficients are orthogonal idempotents.
-    Products are checked on integer rescalings, which is exact."""
-    poly = rho(n)
-    degrees = poly.nonzero_degrees()
+
+    Every coefficient is a combination of peak-number class sums, so at each
+    window p the product of the degree-a and degree-b coefficients is
+    sum c_a(A) c_b(B) N_p(A, B), with N_p the factorization counts of p by
+    peak-count pair.  Windows with the same peak count and the same counts
+    agree, so each such profile is checked once."""
+    by_count = rho_by_peak_count(n)
+    degrees = [d for d, c in enumerate(by_count) if any(c.values())]
     allowed = parity_degrees(n)
     parity_ok = all(d in allowed for d in degrees)
-    scaled = {d: _integer_scaled(poly.coefficient(d)) for d in degrees}
-    mismatches = []
-    for a in degrees:
-        ua, da = scaled[a]
-        for b in degrees:
-            ub, db = scaled[b]
-            product = ua.convolve(ub)
-            expected = ua.scale(da) if a == b else AlgebraElement.zero(n, "A")
-            if product != expected:
-                mismatches.append((a, b))
-    total = AlgebraElement.zero(n, "A")
-    for d in degrees:
-        total = total + poly.coefficient(d)
+    profiles = {
+        (
+            len(peak_set(p, "interiorPeak").members),
+            frozenset(factorization_counts(p, "interiorPeak", "number").items()),
+        )
+        for p in enumerate_group(n, "A")
+    }
+    failing = set()
+    for peaks, counts in profiles:
+        for a in degrees:
+            for b in degrees:
+                product = sum(by_count[a][i] * by_count[b][j] * times for (i, j), times in counts)
+                if product != (by_count[a][peaks] if a == b else 0):
+                    failing.add((a, b))
+    total = {i: sum(by_count[d][i] for d in degrees) for i in by_count[0]}
     return {
         "n": n,
-        "multiplicative": parity_ok and not mismatches,
+        "multiplicative": parity_ok and not failing,
         "parity_ok": parity_ok,
         "degrees": degrees,
-        "mismatches": mismatches,
-        "sum_equals_identity": total == AlgebraElement.identity(n, "A"),
+        "mismatches": [(a, b) for a in degrees for b in degrees if (a, b) in failing],
+        "sum_equals_identity": _peak_count_combination(n, total) == AlgebraElement.identity(n, "A"),
     }
 
 

@@ -408,6 +408,11 @@ def fibonacci(k: int) -> int:
     return a
 
 
+#: The flavors with a peak series, each with the shift s for which the peak
+#: sets of size-n windows, and the span of their series, number f_{n+s}.
+FIBONACCI_SHIFT = {"interiorPeak": -1, "leftPeak": 0, "typeBPeak": 1}
+
+
 def sparse_subsets(lo: int, hi: int) -> list[frozenset[int]]:
     """All subsets of [lo, hi] with no two consecutive elements."""
     out = [frozenset()]

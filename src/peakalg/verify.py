@@ -45,6 +45,7 @@ from .group_algebra import (
     verify_duality,
 )
 from .permutations import (
+    FIBONACCI_SHIFT,
     Permutation,
     SignedPermutation,
     compositions,
@@ -126,7 +127,7 @@ def check_ranks(bounds: Bounds) -> CheckResult:
     numbers f_{n-1} / f_n / f_{n+1} for the three statistics."""
     n_max = bounds.cap(7)
     failures = []
-    for flavor, shift in (("interiorPeak", -1), ("leftPeak", 0), ("typeBPeak", 1)):
+    for flavor, shift in FIBONACCI_SHIFT.items():
         for n in range(1, n_max + 1):
             sets = enumerate_stat_sets(n, flavor)
             expected = fibonacci(n + shift)
@@ -290,11 +291,10 @@ def check_closure(bounds: Bounds) -> CheckResult:
     descent-span containment for the signed one, and the two-sided ideal
     property of the interior span inside the left span."""
     failures = []
-    dims = {"interiorPeak": -1, "leftPeak": 0, "typeBPeak": 1}
     for kind, flavor, default in _DUALITY_PLANS:
         for n in range(1, bounds.cap(default) + 1):
             report = closure_check(n, kind, flavor)
-            expected = fibonacci(n + dims[flavor])
+            expected = fibonacci(n + FIBONACCI_SHIFT[flavor])
             if not report["closed"] or report["dim"] != expected:
                 failures.append({"kind": kind, "flavor": flavor, "n": n,
                                  "closed": report["closed"], "dim": report["dim"],

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from peakalg.cli import main
+from peakalg.group_algebra import class_sums
 
 
 def run(capsys, *argv):
@@ -174,6 +175,26 @@ def test_qsym_invalid_members(capsys):
     assert json.loads(err)["error"]["code"] == "usage"
 
 
+def test_qsym_flavors_without_a_series_are_usage_errors(capsys):
+    for argv in (("--report-ranks",), ("--n", "3"), ("--report-ranks", "--format", "json")):
+        code, out, err = run(capsys, "qsym", "--flavor", "right", *argv)
+        assert code == 2 and out == ""
+        assert "no peak series" in json.loads(err)["error"]["message"]
+
+
+def test_qsym_ranks_use_the_ordinary_bound_for_every_flavor(capsys):
+    code, out, _ = run(capsys, "qsym", "--flavor", "typeB", "--report-ranks", "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["all_match"] is True and [r["n"] for r in payload["ranks"]] == list(range(1, 8))
+    code, _, _ = run(capsys, "qsym", "--flavor", "typeB", "--kind", "B", "--report-ranks", "--n-max", "7")
+    assert code == 0
+    for flavor in ("typeB", "interior"):
+        code, _, err = run(capsys, "qsym", "--flavor", flavor, "--report-ranks", "--n-max", "9")
+        assert code == 2
+        assert "--allow-large" in json.loads(err)["error"]["message"]
+
+
 def test_structure_frozen_constant(capsys):
     code, out, _ = run(capsys, "structure", "--flavor", "interior", "--n", "3", "--format", "json")
     assert code == 0
@@ -215,6 +236,22 @@ def test_closure_with_ideal_and_containment(capsys):
     assert payload["closure"]["closed"] is True
     assert payload["ideal_in"]["ideal"] is True
     assert payload["descent_containment"] is True
+
+
+def test_closure_ideal_witness_names_the_outer_class(capsys):
+    for fmt in ("json", "text"):
+        code, out, _ = run(
+            capsys, "closure", "--flavor", "interior", "--n", "4", "--ideal-in", "descentA", "--format", fmt,
+        )
+        assert code == 1
+        if fmt == "json":
+            witness = json.loads(out)["ideal_in"]["witness"]
+        else:
+            line = next(line for line in out.splitlines() if "witness" in line)
+            witness = json.loads(line.split(": ", 1)[1])
+        outer_keys = list(class_sums(4, "A", "descentA"))
+        assert witness["outer_class"] == sorted(outer_keys[witness["outer_index"]])
+        assert list(witness)[:3] == ["B", "outer_index", "outer_class"]
 
 
 def test_orderpoly_frozen(capsys):

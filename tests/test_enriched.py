@@ -285,6 +285,41 @@ def test_bipartite_census_identity():
             assert direct == factorization_census(p, pm, pm), p
 
 
+def _composed_factorization_census(p, first, second):
+    """The factorization sum written out: every tau, sigma = p . tau^-1."""
+    kind = "B" if isinstance(p, SignedPermutation) else "A"
+    width = first.n_vars + second.n_vars
+    total = {}
+    for tau in enumerate_group(p.n, kind):
+        sigma = compose(p, tau.inverse())
+        combined = census_product(epp_census(tau, first), epp_census(sigma, second), first.n_vars, width)
+        for key, count in combined.items():
+            total[key] = total.get(key, 0) + count
+    return total
+
+
+def test_factorization_census_matches_composed_sum():
+    prime, left, pm = Alphabet.prime(2), Alphabet.left(2), Alphabet.plus_minus(2)
+    for n in range(1, 5):
+        for p in enumerate_group(n, "A"):
+            for first, second in ((prime, prime), (left, prime)):
+                assert factorization_census(p, first, second) == _composed_factorization_census(
+                    p, first, second
+                ), (p, first.variant)
+    for n in range(1, 4):
+        for p in enumerate_group(n, "B"):
+            assert factorization_census(p, pm, pm) == _composed_factorization_census(p, pm, pm), p
+
+
+def test_factorization_census_of_signed_window_needs_zero_letters():
+    p = SignedPermutation((-2, 1))
+    prime, pm = Alphabet.prime(2), Alphabet.plus_minus(2)
+    with pytest.raises(ValueError):
+        factorization_census(p, prime, pm)
+    with pytest.raises(ValueError):
+        factorization_census(p, pm, prime)
+
+
 def test_bipartite_count_identity_larger():
     prime = Alphabet.prime(3)
     product = Alphabet.product(prime, prime)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from peakalg import eulerian
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
 from peakalg.eulerian import (
@@ -94,12 +95,12 @@ def test_order_polynomial_out_of_sample():
 
 def test_half_argument_element_frozen():
     poly2 = rho(2)
-    e1 = poly2.coefficient(2)
+    e1 = poly2[2]
     expected = AlgebraElement(
         2, "A", {rank(Permutation((1, 2))): F(1, 2), rank(Permutation((2, 1))): F(1, 2)}
     )
     assert e1 == expected
-    assert poly2.nonzero_degrees() == [2]
+    assert [d for d, c in enumerate(poly2) if not c.is_zero()] == [2]
     assert e1.convolve(e1) == e1
 
 
@@ -120,6 +121,38 @@ def test_multiplicativity_report():
     assert verify_rho_multiplicativity(1)["sum_equals_identity"] is True
     assert verify_rho_multiplicativity(2)["sum_equals_identity"] is False
     assert verify_rho_multiplicativity(3)["sum_equals_identity"] is False
+
+
+def _dense_mismatches(n):
+    """The (a, b) pairs where the dense product of the degree-a and degree-b
+    coefficients of rho is not the degree-a coefficient (a = b) or zero."""
+    elements = rho(n)
+    degrees = [d for d, e in enumerate(elements) if not e.is_zero()]
+    zero = AlgebraElement.zero(n, "A")
+    return [
+        (a, b) for a in degrees for b in degrees
+        if elements[a].convolve(elements[b]) != (elements[a] if a == b else zero)
+    ]
+
+
+def test_multiplicativity_verdict_matches_dense_products():
+    for n in range(1, 6):
+        report = verify_rho_multiplicativity(n)
+        assert report["mismatches"] == _dense_mismatches(n) == [], n
+
+
+def test_multiplicativity_check_catches_a_perturbed_coefficient(monkeypatch):
+    original = eulerian.rho_by_peak_count
+
+    def perturbed(n):
+        table = original(n)
+        table[2][1] += F(1, 3)
+        return table
+
+    monkeypatch.setattr(eulerian, "rho_by_peak_count", perturbed)
+    report = verify_rho_multiplicativity(4)
+    assert not report["multiplicative"]
+    assert report["mismatches"] and report["mismatches"] == _dense_mismatches(4)
 
 
 def test_idempotents_are_orthogonal():

@@ -3,7 +3,7 @@ coefficient rule of the element classes."""
 
 from fractions import Fraction
 
-from peakalg.eulerian import _integer_scaled, rho_idempotents
+from peakalg.eulerian import rho_idempotents
 from peakalg.group_algebra import AlgebraElement, class_sums
 from peakalg.linalg import Span, exact, in_span, rank
 from peakalg.permutations import Composition
@@ -88,7 +88,6 @@ def test_coefficients_are_ints_where_integral():
     p, q = evaluate(series[0], 3), evaluate(series[1], 2)
     assert _all_int(p.values()) and _all_int(q.values())
     assert _all_int(polynomial_product(p, q).values())
-    assert _all_int(_integer_scaled(rho_idempotents(4)[0])[0].coeffs.values())
 
 
 def test_the_rule_keeps_fractions_only_where_they_divide():
