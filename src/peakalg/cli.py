@@ -269,14 +269,15 @@ def _cmd_structure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, i
     if config.n is None:
         raise UsageError("--n is required")
     config.enforce_bounds()
-    table = structure_table(config.n, kind, flavor, ns.mode)
-    data = json.loads(table.to_json())
-    rows = [
-        {"A": json.dumps(e["A"]), "B": json.dumps(e["B"]), "C": json.dumps(e["C"]), "count": e["count"]}
-        for e in data["entries"]
-    ]
-    text = "\n".join(f"A={r['A']} B={r['B']} C={r['C']}: {r['count']}" for r in rows)
-    return Output(data, rows, text), 0
+    payload = structure_table(config.n, kind, flavor, ns.mode).to_payload()
+    rows, text = [], ""
+    if config.fmt != "json":  # a large table is rendered only in the format asked for
+        rows = [
+            {"A": json.dumps(e["A"]), "B": json.dumps(e["B"]), "C": json.dumps(e["C"]), "count": e["count"]}
+            for e in payload["entries"]
+        ]
+        text = "\n".join(f"A={r['A']} B={r['B']} C={r['C']}: {r['count']}" for r in rows)
+    return Output(payload, rows, text), 0
 
 
 def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:

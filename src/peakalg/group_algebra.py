@@ -8,7 +8,9 @@ convolution against the fixed composition convention of the permutations
 module: (u * w)(p) sums u(t) * w(s) over all ordered factorizations
 s . t = p.  Every product of two group elements, at every
 group size, is read from one kernel: rows of product ranks, each built once
-by window -> rank lookup.
+by applying one cached getter per window to the row element's value table
+and looking the result up in the window -> rank dict.  Factorization counts
+are tallied over integer class ids and decoded to statistic pairs once.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
@@ -22,12 +24,12 @@ bare flag.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import Span, exact
 from .permutations import (
@@ -57,10 +59,21 @@ def _index(n: int, kind: str) -> dict[tuple[int, ...], int]:
     return {p.window: r for r, p in enumerate(_elements(n, kind))}
 
 
+@lru_cache(maxsize=None)
+def _getters(n: int, kind: str) -> tuple[Callable, ...]:
+    """One getter per window b, in rank order, reading the window of p.b off
+    p's value table.  A one-index itemgetter returns a bare value and a
+    zero-index one cannot be made, so for n <= 1 each getter reads its
+    window by hand."""
+    if n > 1:
+        return tuple(itemgetter(*b) for b in _index(n, kind))
+    return tuple(lambda image, b=b: tuple(map(image.__getitem__, b)) for b in _index(n, kind))
+
+
 # Product-row entries kept per group: every row of A_7 (25.4M entries, about
-# 200 MB as tuples) and of the smaller groups fits.  All rows of A_8 or B_6
-# would take 13-17 GB, so past this budget a row is rebuilt whenever it is
-# needed instead of kept.
+# 204 MB as tuples, beside 0.4 MB of cached getters) and of the smaller
+# groups fits.  All rows of A_8 or B_6 would take 13-17 GB, so past this
+# budget a row is rebuilt whenever it is needed instead of kept.
 _ROW_BUDGET = 1 << 25
 
 
@@ -80,7 +93,7 @@ def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
         # image[v] is the value at v for v in -n..n (negative v index from the end)
         image = (0,) + window + tuple(-v for v in reversed(window))
         index = _index(n, kind)
-        row = tuple([index[tuple(map(image.__getitem__, b))] for b in index])
+        row = tuple([index[g(image)] for g in _getters(n, kind)])
         if (len(kept) + 1) * len(row) <= _ROW_BUDGET:
             kept[r] = row
     return row
@@ -89,7 +102,13 @@ def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
     index = _index(n, kind)
-    return tuple(index[p.inverse().window] for p in _elements(n, kind))
+    out = []
+    for window in index:
+        inverse = [0] * n
+        for i, v in enumerate(window, start=1):
+            inverse[abs(v) - 1] = i if v > 0 else -i
+        out.append(index[tuple(inverse)])
+    return tuple(out)
 
 
 class AlgebraElement:
@@ -215,6 +234,15 @@ def _stat_keys(n: int, kind: str, flavor: str, mode: str) -> tuple[StatKey, ...]
     return tuple(len(m) for m in members) if mode == "number" else tuple(members)
 
 
+@lru_cache(maxsize=None)
+def _class_ids(n: int, kind: str, flavor: str, mode: str) -> tuple[tuple[StatKey, ...], tuple[int, ...]]:
+    """The distinct statistic values in order of first appearance, and the
+    position of every element's value among them, in rank order."""
+    position: dict[StatKey, int] = {}
+    ids = tuple([position.setdefault(key, len(position)) for key in _stat_keys(n, kind, flavor, mode)])
+    return tuple(position), ids
+
+
 def stat_classes(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, list[int]]:
     """Group element ranks by the value of the statistic (the set itself, or
     its cardinality when mode="number")."""
@@ -260,13 +288,15 @@ class StructureTable:
     def count(self, a: StatKey, b: StatKey, c: StatKey) -> int:
         return self.counts.get((_freeze(a), _freeze(b), _freeze(c)), 0)
 
-    def to_json(self) -> str:
+    def to_payload(self) -> dict:
+        """The table as a JSON-ready dict: a header and the nonzero entries,
+        sorted by (A, B, C)."""
         entries = [
             {"A": _key_json(a), "B": _key_json(b), "C": _key_json(c), "count": v}
             for (a, b, c), v in sorted(self.counts.items(), key=lambda kv: tuple(map(_sort_key, kv[0])))
             if v
         ]
-        payload = {
+        return {
             "format_version": FORMAT_VERSION,
             "flavor": self.flavor,
             "kind": self.kind,
@@ -274,7 +304,6 @@ class StructureTable:
             "n": self.n,
             "entries": entries,
         }
-        return json.dumps(payload, indent=1)
 
 
 def _freeze(key) -> StatKey:
@@ -292,11 +321,13 @@ def factorization_counts(
     statistic pair (statistic of t, statistic of s)."""
     kind = "B" if isinstance(target, SignedPermutation) else "A"
     n = target.n
-    keys = _stat_keys(n, kind, flavor, mode)
+    keys, ids = _class_ids(n, kind, flavor, mode)
+    width = len(keys)
     row = _row(n, kind, _index(n, kind)[target.window])
-    # the t of rank rt pairs with s = target . t^-1
-    s_ranks = map(row.__getitem__, _inverse_ranks(n, kind))
-    return dict(Counter(zip(keys, map(keys.__getitem__, s_ranks))))
+    # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
+    # pair of class ids (id_t, id_s) is counted as one integer width * id_t + id_s
+    codes = Counter([width * id_t + ids[row[j]] for id_t, j in zip(ids, _inverse_ranks(n, kind))])
+    return {(keys[code // width], keys[code % width]): count for code, count in codes.items()}
 
 
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:

@@ -1,6 +1,7 @@
 """Command line entry point: subcommands, formats, exit codes, and bounds."""
 
 import csv
+import hashlib
 import io
 import json
 
@@ -203,6 +204,35 @@ def test_structure_frozen_constant(capsys):
         e for e in payload["entries"] if e["A"] == [2] and e["B"] == [2] and e["C"] == []
     )
     assert entry["count"] == 1
+
+
+# sha256 of the exact stdout of `structure` in each format
+STRUCTURE_DIGESTS = {
+    ("interior", "A", "4", "set"): {
+        "json": "8268700459cf250f6c213b520d33f6986fd3c82e903583bcb53f486e0a9580f8",
+        "csv": "91c99901c9f12b74789f8cd768e38cc3169cfcfe1999bb6b6f798a1495c5fe4f",
+        "text": "e3351d85c6abaec4c2b97044eb7fe8e1f4be8f7e9d884bf0129e0cdbb0aa50b6",
+    },
+    ("typeB", "B", "3", "set"): {
+        "json": "965d541af4ec88c2ae4fc9a00f92aae04fabd8f67e43518d4f71d9eb8c9ba822",
+        "csv": "a4e6aed0d1e462fc0a9fbf6cce9994d774cf06b800620e0a494d42eb88d2d70b",
+        "text": "7b2625af135a7b040e0c49a98a2ff5ce55e187f450b4944c0bcd18efa1d4ae0e",
+    },
+    ("left", "A", "4", "number"): {
+        "json": "91d05127a727711d8ff2cf3a91141f50af37947bd074e229972e1a00b1c522ec",
+        "csv": "a8637029b2414b06d53a850b8c3200d862bbb6e64f7fc4ab5a7e3f1f25a52857",
+        "text": "65936d127fd261db82ac445053d323d6b37362a80290205861bad2932674b848",
+    },
+}
+
+
+@pytest.mark.parametrize("query", sorted(STRUCTURE_DIGESTS))
+def test_structure_output_is_frozen_in_every_format(capsys, query):
+    flavor, kind, n, mode = query
+    for fmt, digest in STRUCTURE_DIGESTS[query].items():
+        code = main(["structure", "--flavor", flavor, "--kind", kind, "--n", n, "--mode", mode, "--format", fmt])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (query, fmt)
 
 
 def test_structure_cache_warm_run_is_identical(capsys):

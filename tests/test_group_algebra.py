@@ -2,6 +2,7 @@
 closure and duality checks."""
 
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,7 @@ from peakalg.group_algebra import (
 )
 from peakalg.linalg import Span, in_span
 from peakalg.permutations import (
+    FLAVORS,
     Permutation,
     SignedPermutation,
     compose,
@@ -77,6 +79,33 @@ def test_rows_beyond_the_budget_are_rebuilt(monkeypatch):
         assert len(group_algebra._kept_rows(4, "A")) == 2
     finally:
         group_algebra._kept_rows.cache_clear()
+
+
+def test_product_rows_and_inverses_match_composing():
+    # every entry of every row, the empty and the one-letter groups included
+    for n, kind in [(n, "A") for n in range(6)] + [(n, "B") for n in range(4)]:
+        elements = list(enumerate_group(n, kind))
+        inverses = group_algebra._inverse_ranks(n, kind)
+        for r, p in enumerate(elements):
+            assert group_algebra._row(n, kind, r) == tuple(rank(compose(p, q)) for q in elements), (n, kind, r)
+            assert inverses[r] == rank(p.inverse()), (n, kind, r)
+
+
+def test_factorization_counts_match_composing_every_pair():
+    for n, kind in [(n, "A") for n in range(5)] + [(n, "B") for n in range(4)]:
+        elements = list(enumerate_group(n, kind))
+        pairs = {}  # rank of s.t -> [(t, s)]
+        for s, t in itertools.product(elements, repeat=2):
+            pairs.setdefault(rank(compose(s, t)), []).append((t, s))
+        for flavor in FLAVORS:
+            for mode in ("set", "number"):
+                def key(q):
+                    members = stat_set(q, flavor).members
+                    return len(members) if mode == "number" else members
+
+                for r, target in enumerate(elements):
+                    brute = Counter((key(t), key(s)) for t, s in pairs[r])
+                    assert factorization_counts(target, flavor, mode) == brute, (target, flavor, mode)
 
 
 def test_identity_is_the_unit():
