@@ -12,6 +12,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -552,7 +553,13 @@ def main(argv: list[str] | None = None) -> int:
         record = {"error": {"code": "invalid-input", "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 2
-    print(_render(output, config.fmt))
+    try:
+        print(_render(output, config.fmt))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left early (`| head`); send what is still buffered to
+        # devnull, so that the flush at exit stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

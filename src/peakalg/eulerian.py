@@ -199,7 +199,9 @@ def verify_rho_multiplicativity(n: int) -> dict:
     window p the product of the degree-a and degree-b coefficients is
     sum c_a(A) c_b(B) N_p(A, B), with N_p the factorization counts of p by
     peak-count pair.  Windows with the same peak count and the same counts
-    agree, so each such profile is checked once."""
+    agree, so each such profile is checked once.  The same profiles decide
+    whether the peak-number class sums commute: v_i * v_j = v_j * v_i exactly
+    when N_p(i, j) = N_p(j, i) at every window p."""
     by_count = rho_by_peak_count(n)
     degrees = [d for d, c in enumerate(by_count) if any(c.values())]
     allowed = parity_degrees(n)
@@ -226,6 +228,7 @@ def verify_rho_multiplicativity(n: int) -> dict:
         "degrees": degrees,
         "mismatches": [(a, b) for a in degrees for b in degrees if (a, b) in failing],
         "sum_equals_identity": _peak_count_combination(n, total) == AlgebraElement.identity(n, "A"),
+        "commutative": all(counts == {((j, i), times) for (i, j), times in counts} for _, counts in profiles),
     }
 
 
@@ -257,14 +260,6 @@ def spans_agree(first: Sequence[AlgebraElement], second: Sequence[AlgebraElement
     for element in second:
         b.add(element.to_vector())
     return a.equals(b)
-
-
-def commutes_pairwise(elements: Sequence[AlgebraElement]) -> bool:
-    return all(
-        u.convolve(w) == w.convolve(u)
-        for i, u in enumerate(elements)
-        for w in elements[i + 1 :]
-    )
 
 
 # ---------------------------------------------------------------------------

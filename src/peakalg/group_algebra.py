@@ -16,10 +16,13 @@ The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
 ideal and descent-containment checks.  The classes of a statistic partition
 the group, so an element lies in the span of its class sums exactly when it
-is constant on every class; those checks decide membership that way, by
-comparing exact values, with no elimination.  Closure failures come with an
-explicit certificate so downstream reports can show a witness instead of a
-bare flag.
+is constant on every class; the checks decide membership that way, by
+comparing exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B),
+the number of factorizations of p by class pair, one comparison decides
+closure, duality and the representative audit: every member's factorization
+counts against its class representative's.  The ideal check, whose outer
+elements need not be class sums, convolves.  Failures come with an explicit
+certificate so downstream reports can show a witness instead of a bare flag.
 """
 
 from __future__ import annotations
@@ -269,6 +272,11 @@ def sorted_keys(keys: Iterable[StatKey]) -> list[StatKey]:
     return sorted(keys, key=_sort_key)
 
 
+def _entry_order(item) -> tuple:
+    """Sort key of a (pair or triple of statistic keys, value) item."""
+    return tuple(map(_sort_key, item[0]))
+
+
 # ---------------------------------------------------------------------------
 # Structure constants
 
@@ -293,7 +301,7 @@ class StructureTable:
         sorted by (A, B, C)."""
         entries = [
             {"A": _key_json(a), "B": _key_json(b), "C": _key_json(c), "count": v}
-            for (a, b, c), v in sorted(self.counts.items(), key=lambda kv: tuple(map(_sort_key, kv[0])))
+            for (a, b, c), v in sorted(self.counts.items(), key=_entry_order)
             if v
         ]
         return {
@@ -344,36 +352,40 @@ def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> Struct
     return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=keys, counts=counts)
 
 
+def _mismatches(n: int, kind: str, flavor: str, mode: str):
+    """Walk the classes in order of first appearance, each in rank order, and
+    for every member whose factorization counts differ from its class
+    representative's (the minimal-rank member) yield (class, representative
+    rank, member rank, {pair: (representative's count, member's count)}).
+    As (v_A * v_B)(p) = N_p(A, B), this yields nothing exactly when the class
+    sums span a closed algebra with well-defined structure constants."""
+    elements = _elements(n, kind)
+    for key, ranks in stat_classes(n, kind, flavor, mode).items():
+        base = factorization_counts(elements[ranks[0]], flavor, mode)
+        for r in ranks[1:]:
+            counts = factorization_counts(elements[r], flavor, mode)
+            if counts != base:
+                yield key, ranks[0], r, {
+                    pair: (base.get(pair, 0), counts.get(pair, 0))
+                    for pair in base.keys() | counts.keys()
+                    if base.get(pair, 0) != counts.get(pair, 0)
+                }
+
+
 def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Check that factorization counts by statistic pair agree across every
     member of every class, not just the chosen representative.  Returns a
     report with the first disagreeing pair of windows if one exists."""
-    classes = stat_classes(n, kind, flavor, mode)
     elements = _elements(n, kind)
-    for key_c, ranks in classes.items():
-        baseline = None
-        base_rank = None
-        for r in ranks:
-            counts = factorization_counts(elements[r], flavor, mode)
-            if baseline is None:
-                baseline, base_rank = counts, r
-            elif counts != baseline:
-                diffs = {
-                    pair: (baseline.get(pair, 0), counts.get(pair, 0))
-                    for pair in set(baseline) | set(counts)
-                    if baseline.get(pair, 0) != counts.get(pair, 0)
-                }
-                return {
-                    "consistent": False,
-                    "class": _key_json(key_c),
-                    "windows": [str(elements[base_rank]), str(elements[r])],
-                    "differences": {
-                        str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(
-                            diffs.items(), key=lambda kv: tuple(map(_sort_key, kv[0]))
-                        )
-                    },
-                }
-        # baseline retained per class; nothing else to record
+    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
+        return {
+            "consistent": False,
+            "class": _key_json(key),
+            "windows": [str(elements[base]), str(elements[r])],
+            "differences": {
+                str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
+            },
+        }
     return {"consistent": True}
 
 
@@ -402,18 +414,18 @@ def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, list[i
 
 def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Is the span of the class sums closed under convolution?  The report
-    carries the span dimension and, on failure, the first offending pair with
-    two windows of one class where their product takes different values."""
-    classes = stat_classes(n, kind, flavor, mode)
-    sums = class_sums(n, kind, flavor, mode)
-    keys = sorted_keys(sums)
-    for key_a in keys:
-        for key_b in keys:
-            escape = _nonconstant_class(sums[key_a].convolve(sums[key_b]), classes)
-            if escape is not None:
-                certificate = {"A": _key_json(key_a), "B": _key_json(key_b), **escape}
-                return {"closed": False, "dim": len(classes), "certificate": certificate}
-    return {"closed": True, "dim": len(classes), "certificate": None}
+    carries the span dimension and, on failure, a certificate from the first
+    member whose counts differ from its representative's: the least pair
+    (A, B) that differs, the class, the representative and the member, and
+    the values of v_A * v_B at those two windows."""
+    dim = len(_class_ids(n, kind, flavor, mode)[0])
+    elements = _elements(n, kind)
+    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
+        (key_a, key_b), values = min(diffs.items(), key=_entry_order)
+        certificate = {"A": _key_json(key_a), "B": _key_json(key_b), "class": _key_json(key),
+                       "windows": [str(elements[base]), str(elements[r])], "values": [str(v) for v in values]}
+        return {"closed": False, "dim": dim, "certificate": certificate}
+    return {"closed": True, "dim": dim, "certificate": None}
 
 
 def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
@@ -472,37 +484,22 @@ def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
 # Duality verification (class-sum products against tabulated constants)
 
 
-def verify_duality(n: int, kind: str, flavor: str, mode: str = "set", table: StructureTable | None = None) -> dict:
-    """Compare every convolution v_A * v_B against the tabulated expansion
-    sum_C count(A,B,C) v_C, window by window.  Mismatches are reported, not
-    raised.  Each names the minimal-rank window where the two sides differ,
-    the window's class, and the class representative the constant is read
-    from (its minimal-rank member, as in `structure_table`), so the
-    difference is the window's factorization count minus the
-    representative's."""
-    if table is None:
-        table = structure_table(n, kind, flavor, mode)
-    sums = class_sums(n, kind, flavor, mode)
-    keys = sorted_keys(sums)
-    class_of = _stat_keys(n, kind, flavor, mode)
+def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
+    """Compare every product v_A * v_B against the tabulated expansion
+    sum_C count(A,B,C) v_C, window by window: at p the two sides are N_p(A, B)
+    and the count of the class representative the constant is read from (its
+    minimal-rank member, as in `structure_table`).  Mismatches are reported,
+    not raised, one per pair (A, B) in key order, at the minimal-rank window
+    where the two sides differ, with its class, representative and difference."""
     elements = _elements(n, kind)
-    mismatches = []
-    for key_a in keys:
-        for key_b in keys:
-            lhs = sums[key_a].convolve(sums[key_b]).coeffs
-            expected = {key_c: table.count(key_a, key_b, key_c) for key_c in keys}
-            for r, key_c in enumerate(class_of):
-                difference = lhs.get(r, 0) - expected[key_c]
-                if difference:
-                    mismatches.append(
-                        {
-                            "A": _key_json(key_a),
-                            "B": _key_json(key_b),
-                            "window": str(elements[r]),
-                            "class": _key_json(key_c),
-                            "representative": str(elements[min(sums[key_c].coeffs)]),
-                            "difference": str(difference),
-                        }
-                    )
-                    break
+    first: dict[tuple[StatKey, StatKey], tuple] = {}
+    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
+        for pair, (expected, count) in diffs.items():
+            if pair not in first or r < first[pair][0]:
+                first[pair] = (r, key, base, count - expected)
+    mismatches = [
+        {"A": _key_json(key_a), "B": _key_json(key_b), "window": str(elements[r]), "class": _key_json(key),
+         "representative": str(elements[base]), "difference": str(difference)}
+        for (key_a, key_b), (r, key, base, difference) in sorted(first.items(), key=_entry_order)
+    ]
     return {"consistent": not mismatches, "mismatches": mismatches}

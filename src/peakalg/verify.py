@@ -26,7 +26,6 @@ from .enriched import (
 )
 from .eulerian import (
     BATTERY_CAPS,
-    commutes_pairwise,
     eulerian_basis,
     negative_battery,
     order_polynomial,
@@ -269,6 +268,12 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
 _DUALITY_PLANS = (("A", "interiorPeak", 5), ("A", "leftPeak", 5), ("B", "typeBPeak", 4))
 
 
+def _plans_examined(bounds: Bounds) -> str:
+    """The kind, flavor and sizes of every duality/closure plan at these bounds."""
+    plans = (f"{kind}:{flavor} n=1..{bounds.cap(default)}" for kind, flavor, default in _DUALITY_PLANS)
+    return "examined " + ", ".join(plans)
+
+
 def check_duality(bounds: Bounds) -> CheckResult:
     """Class-sum products match the tabulated factorization constants, and
     the constants are independent of the chosen class representative."""
@@ -283,7 +288,8 @@ def check_duality(bounds: Bounds) -> CheckResult:
             if not audit["consistent"]:
                 failures.append({"kind": kind, "flavor": flavor, "n": n, "stage": "audit",
                                  "witness": {key: audit[key] for key in ("class", "windows", "differences")}})
-    return _result("duality", not failures, "class-sum products = tabulated constants, audits clean", failures)
+    return _result("duality", not failures, "class-sum products = tabulated constants, audits clean", failures,
+                   _plans_examined(bounds))
 
 
 def check_closure(bounds: Bounds) -> CheckResult:
@@ -307,7 +313,8 @@ def check_closure(bounds: Bounds) -> CheckResult:
         report = ideal_check(n, "A", "interiorPeak", outer)
         if not report["ideal"]:
             failures.append({"stage": "ideal", "n": n, "witness": report})
-    return _result("closure", not failures, "spans closed with Fibonacci dimensions; ideal and containment hold", failures)
+    return _result("closure", not failures, "spans closed with Fibonacci dimensions; ideal and containment hold", failures,
+                   _plans_examined(bounds))
 
 
 def check_idempotents(bounds: Bounds) -> CheckResult:
@@ -326,7 +333,7 @@ def check_idempotents(bounds: Bounds) -> CheckResult:
         idempotents = rho_idempotents(n)
         if len(idempotents) != (n + 1) // 2 or not spans_agree(basis, idempotents):
             failures.append({"n": n, "stage": "span"})
-        if not commutes_pairwise(basis):
+        if not report["commutative"]:
             failures.append({"n": n, "stage": "commutativity"})
     return _result("idempotents", not failures, f"orthogonal idempotents and matching spans, n<={n_max}", failures)
 

@@ -4,9 +4,14 @@ import csv
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import peakalg
 from peakalg.cli import main
 from peakalg.group_algebra import class_sums
 
@@ -355,6 +360,21 @@ def test_verify_unknown_check(capsys):
     code, _, err = run(capsys, "verify", "--checks", "bogus")
     assert code == 2
     assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_output_into_a_pipe_closed_early_is_quiet():
+    # as in `peakalg structure ... | head -1`: the CSV is larger than a pipe
+    # buffer, so the command is still writing when the reader leaves
+    source = str(Path(peakalg.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [source, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "peakalg.cli", "structure", "--flavor", "exterior", "--n", "6", "--format", "csv"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        header = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait()
+    assert header == b"A,B,C,count\r\n"
+    assert (code, err) == (0, b"")
 
 
 def test_size_bounds_enforced(capsys):

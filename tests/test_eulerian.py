@@ -12,7 +12,6 @@ from peakalg.eulerian import (
     BATTERY_CAPS,
     BATTERY_STATISTICS,
     RationalPolynomial,
-    commutes_pairwise,
     eulerian_basis,
     idempotent_for_index,
     idempotent_for_peak_count,
@@ -155,6 +154,19 @@ def test_multiplicativity_check_catches_a_perturbed_coefficient(monkeypatch):
     assert report["mismatches"] and report["mismatches"] == _dense_mismatches(4)
 
 
+def test_commutativity_flag_catches_an_asymmetric_count(monkeypatch):
+    original = eulerian.factorization_counts
+
+    def asymmetric(p, flavor, mode):
+        counts = original(p, flavor, mode)
+        if p == Permutation((1, 2, 3, 4)):
+            counts[(0, 1)] += 1
+        return counts
+
+    monkeypatch.setattr(eulerian, "factorization_counts", asymmetric)
+    assert not verify_rho_multiplicativity(4)["commutative"]
+
+
 def test_idempotents_are_orthogonal():
     for n in (2, 3, 4):
         es = rho_idempotents(n)
@@ -182,7 +194,10 @@ def test_count_class_sums_span_the_idempotents():
         e = rho_idempotents(n)
         assert len(E) == (n + 1) // 2
         assert spans_agree(E, e), n
-        assert commutes_pairwise(E), n
+        # the commutativity read off factorization counts, against the dense
+        # products u * w and w * u of every pair of class sums
+        dense = all(u * w == w * u for u in E for w in E)
+        assert verify_rho_multiplicativity(n)["commutative"] is dense is True, n
 
 
 def test_eulerian_basis_flavors():

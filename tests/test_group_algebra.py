@@ -2,6 +2,7 @@
 closure and duality checks."""
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from peakalg.group_algebra import (
     ideal_check,
     multiplicative_closure,
     representative_audit,
+    sorted_keys,
     stat_classes,
     structure_table,
     verify_duality,
@@ -207,6 +209,83 @@ def test_duality_fails_for_signed_windows_at_three():
     audit = representative_audit(3, "B", "typeBPeak")
     assert not audit["consistent"]
     assert audit["windows"]
+
+
+# Dense references: duality and closure decided from the products of every
+# pair of class sums by `convolve`, independently of the comparison of
+# factorization counts that the library uses
+
+
+def _json_key(key):
+    return key if isinstance(key, int) else sorted(key)
+
+
+def _dense_verify_duality(n, kind, flavor, mode):
+    table = structure_table(n, kind, flavor, mode)
+    sums = class_sums(n, kind, flavor, mode)
+    keys = sorted_keys(sums)
+    elements = list(enumerate_group(n, kind))
+    class_of = {r: key for key, v in sums.items() for r in v.coeffs}
+    mismatches = []
+    for key_a in keys:
+        for key_b in keys:
+            lhs = sums[key_a].convolve(sums[key_b]).coeffs
+            for r, window in enumerate(elements):
+                key_c = class_of[r]
+                difference = lhs.get(r, 0) - table.count(key_a, key_b, key_c)
+                if difference:
+                    mismatches.append({
+                        "A": _json_key(key_a), "B": _json_key(key_b), "window": str(window),
+                        "class": _json_key(key_c), "representative": str(elements[min(sums[key_c].coeffs)]),
+                        "difference": str(difference),
+                    })
+                    break
+    return {"consistent": not mismatches, "mismatches": mismatches}
+
+
+def _dense_closure(n, kind, flavor, mode):
+    """(closed, dim): closed when every product of two class sums is constant
+    on every class."""
+    classes = stat_classes(n, kind, flavor, mode)
+    sums = class_sums(n, kind, flavor, mode).values()
+    closed = all(
+        len({product.coeffs.get(r, 0) for r in ranks}) == 1
+        for product in (u.convolve(w) for u in sums for w in sums)
+        for ranks in classes.values()
+    )
+    return closed, len(classes)
+
+
+def test_count_comparison_matches_the_dense_deciders():
+    verdicts = set()
+    for n, kind in [(n, "A") for n in range(1, 6)] + [(n, "B") for n in range(1, 5)]:
+        elements = list(enumerate_group(n, kind))
+        rank_of = {str(p): r for r, p in enumerate(elements)}
+        for flavor in FLAVORS:
+            for mode in ("set", "number"):
+                where = (n, kind, flavor, mode)
+                duality = verify_duality(n, kind, flavor, mode)
+                assert json.dumps(duality) == json.dumps(_dense_verify_duality(n, kind, flavor, mode)), where
+                report = closure_check(n, kind, flavor, mode)
+                assert (report["closed"], report["dim"]) == _dense_closure(n, kind, flavor, mode), where
+                verdicts.add((report["closed"], duality["consistent"]))
+                if report["closed"]:
+                    assert report["certificate"] is None, where
+                    continue
+                # the representative and a member of one class, where the
+                # dense product v_A * v_B takes the two reported values
+                certificate = report["certificate"]
+                key = certificate["class"]
+                members = stat_classes(n, kind, flavor, mode)[key if isinstance(key, int) else frozenset(key)]
+                ranks = [rank_of[w] for w in certificate["windows"]]
+                assert ranks[0] == min(members) and ranks[1] in members, (where, certificate)
+                sums = class_sums(n, kind, flavor, mode)
+                pair = [k if isinstance(k, int) else frozenset(k) for k in (certificate["A"], certificate["B"])]
+                product = sums[pair[0]].convolve(sums[pair[1]])
+                assert certificate["values"] == [str(product.coeffs.get(r, 0)) for r in ranks], (where, certificate)
+                assert certificate["values"][0] != certificate["values"][1], (where, certificate)
+    # the sweep meets closed and non-closed spans
+    assert verdicts == {(True, True), (False, False)}
 
 
 def test_signed_window_factorization_witness():

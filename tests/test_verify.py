@@ -6,14 +6,17 @@ import pytest
 
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
+from peakalg import verify
 from peakalg.posets import random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
     Bounds,
     CheckResult,
+    check_closure,
     check_duality,
     check_examples,
     check_extensions,
+    check_idempotents,
     check_negatives,
     check_ranks,
     run_suite,
@@ -72,6 +75,17 @@ def test_duality_check_reports_the_signed_failure():
 def test_duality_check_passes_below_the_failure():
     result = check_duality(Bounds(n_max=2))
     assert result.passed
+    # duality and closure both name the plans and sizes they examined
+    quoted = "; examined A:interiorPeak n=1..2, A:leftPeak n=1..2, B:typeBPeak n=1..2"
+    assert result.details.endswith(quoted)
+    assert check_closure(Bounds(n_max=2)).details.endswith(quoted)
+
+
+def test_idempotents_check_reports_class_sums_that_do_not_commute(monkeypatch):
+    original = verify.verify_rho_multiplicativity
+    monkeypatch.setattr(verify, "verify_rho_multiplicativity", lambda n: {**original(n), "commutative": n != 3})
+    result = check_idempotents(Bounds(n_max=4))
+    assert result.data["failures"] == [{"n": 3, "stage": "commutativity"}]
 
 
 def test_negatives_check_is_inconclusive_at_a_short_bound():
