@@ -1,9 +1,12 @@
 """Command-line surface.
 
 Every subcommand computes a JSON-serializable payload first; text and CSV
-renderings are derived from it, so the machine format is canonical.  Exit
-codes: 0 on success, 1 when a requested verification fails, 2 on usage
-errors (with a machine-readable error record on stderr).
+renderings are derived from it, so the machine format is canonical.  Each
+subcommand declares only the flags it reads.  Exit codes: 0 on success, 1
+when a requested verification fails, 2 on usage errors.  A bad value (a size
+below 1 or over the default bound, a malformed window, an unknown flavor)
+prints a machine-readable error record on stderr; an unknown or missing flag
+prints argparse's usage message instead.
 """
 
 from __future__ import annotations
@@ -40,18 +43,12 @@ from .permutations import (
     StatSet,
     FLAVORS,
     SIGNED_FLAVORS,
-    enumerate_stat_sets,
-    fibonacci,
     stat_set,
     _parse_ints,
 )
 from .posets import parse_poset
-from .qsym import (
-    m_to_f,
-    peak_series,
-    rank_of_span,
-)
-from .verify import CHECKS, Bounds, run_suite
+from .qsym import m_to_f, peak_series
+from .verify import CHECKS, Bounds, run_suite, series_ranks
 
 DEFAULT_BOUNDS = {"A": 8, "B": 6}
 
@@ -68,33 +65,19 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Validated common settings of one invocation."""
+def _enforce_bound(n: int, kind: str, allow_large: bool) -> None:
+    limit = DEFAULT_BOUNDS[kind]
+    if n > limit and not allow_large:
+        raise UsageError(
+            f"n={n} exceeds the default bound {limit} for kind {kind}; "
+            "pass --allow-large to acknowledge the cost"
+        )
 
-    n: int | None = None
-    n_max: int | None = None
-    kind: str = "A"
-    k: int | None = None
-    fmt: str = "text"
-    seed: int = 20260825
-    allow_large: bool = False
 
-    def __post_init__(self) -> None:
-        for flag, value in (("--n", self.n), ("--n-max", self.n_max), ("--k", self.k)):
-            if value is not None and value < 1:
-                raise UsageError(f"{flag} must be at least 1, got {value}")
-
-    def enforce_bounds(self, n: int | None = None) -> None:
-        value = self.n if n is None else n
-        if value is None:
-            return
-        limit = DEFAULT_BOUNDS[self.kind]
-        if value > limit and not self.allow_large:
-            raise UsageError(
-                f"n={value} exceeds the default bound {limit} for kind {self.kind}; "
-                "pass --allow-large to acknowledge the cost"
-            )
+def _require_n(ns: argparse.Namespace, kind: str) -> None:
+    if ns.n is None:
+        raise UsageError("--n is required")
+    _enforce_bound(ns.n, kind, ns.allow_large)
 
 
 @dataclass
@@ -138,7 +121,7 @@ def _parse_members(text: str | None) -> list[int]:
 # Subcommand handlers: each returns (Output, exit_code)
 
 
-def _cmd_peaks(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
     window = _parse_window(ns.window, ns.kind, ns.flavor)
     kind = "B" if isinstance(window, SignedPermutation) else "A"
     if ns.flavor is not None:
@@ -164,17 +147,16 @@ def _cmd_peaks(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
     return Output(payload, rows, text), 0
 
 
-def _cmd_extensions(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
     try:
         source = sys.stdin.read() if ns.file == "-" else open(ns.file).read()
     except OSError as exc:
         raise UsageError(str(exc)) from None
     try:
-        poset = parse_poset(source, signed=ns.signed, n=config.n)
+        poset = parse_poset(source, signed=ns.signed, n=ns.n)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    config.kind = "B" if ns.signed else "A"
-    config.enforce_bounds(poset.n)
+    _enforce_bound(poset.n, "B" if ns.signed else "A", ns.allow_large)
     extensions = poset.linear_extensions()
     payload = {
         "n": poset.n,
@@ -190,22 +172,21 @@ def _cmd_extensions(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, 
 _ALPHABETS = {"prime": Alphabet.prime, "left": Alphabet.left, "plusMinus": Alphabet.plus_minus}
 
 
-def _cmd_census(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
     window = _parse_window(ns.window, ns.kind, None)
     kind = "B" if isinstance(window, SignedPermutation) else "A"
-    k = 2 if config.k is None else config.k
     name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
     if name not in _ALPHABETS:
         raise UsageError(f"unknown alphabet: {name}")
     try:
-        census = epp_census(window, _ALPHABETS[name](k))
+        census = epp_census(window, _ALPHABETS[name](ns.k))
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     entries = [
         {"exponents": list(exponents), "count": count}
         for exponents, count in sorted(census.items())
     ]
-    payload = {"window": str(window), "alphabet": name, "k": k, "total": sum(census.values()),
+    payload = {"window": str(window), "alphabet": name, "k": ns.k, "total": sum(census.values()),
                "entries": entries}
     rows = [{"exponents": " ".join(map(str, e["exponents"])), "count": e["count"]} for e in entries]
     text = "\n".join(
@@ -221,58 +202,51 @@ def _resolve_flavor_kind(raw: str | None, explicit_kind: str | None) -> tuple[st
     return flavor, kind
 
 
-def _cmd_qsym(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     flavor = _canonical_flavor(ns.flavor or "interior", "A")
     if flavor not in FIBONACCI_SHIFT:
         raise UsageError(f"no peak series for flavor {flavor}; available: {', '.join(FIBONACCI_SHIFT)}")
-    typeB = flavor != "interiorPeak"
-    # a series is no group element, so the kind-A bound holds for every flavor
-    config.kind = "A"
     if ns.report_ranks:
-        n_max = config.n_max or config.n or 7
-        config.enforce_bounds(n_max)
+        n_max = ns.n_max or ns.n or 7
+        # a series is no group element, so the kind-A bound holds for every flavor
+        _enforce_bound(n_max, "A", ns.allow_large)
         ranks = []
         for n in range(1, n_max + 1):
-            sets = enumerate_stat_sets(n, flavor)
-            series = [peak_series(sorted(s.members), n, typeB=typeB) for s in sets]
-            ranks.append({"n": n, "count": len(sets), "rank": rank_of_span(series),
-                          "fibonacci": fibonacci(n + FIBONACCI_SHIFT[flavor])})
+            count, rank, target = series_ranks(flavor, n)
+            ranks.append({"n": n, "count": count, "rank": rank, "fibonacci": target})
         ok = all(r["rank"] == r["fibonacci"] == r["count"] for r in ranks)
         payload = {"flavor": flavor, "ranks": ranks, "all_match": ok}
         text = "\n".join(
             f"n={r['n']}: sets={r['count']} rank={r['rank']} expected={r['fibonacci']}" for r in ranks
         ) + f"\nall match: {ok}"
         return Output(payload, ranks, text), 0 if ok else 1
-    if config.n is None:
+    if ns.n is None:
         raise UsageError("--n is required for an expansion")
     members = _parse_members(ns.members)
     try:
-        StatSet.of(flavor, config.n, members)
+        StatSet.of(flavor, ns.n, members)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    element = peak_series(members, config.n, typeB=typeB)
+    element = peak_series(members, ns.n, typeB=flavor != "interiorPeak")
     if ns.basis == "F":
         element = m_to_f(element)
     terms = [
         {"parts": list(key.parts), "coeff": str(value)}
         for key, value in sorted(element.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].parts))
     ]
-    payload = {"flavor": flavor, "n": config.n, "members": members, "basis": element.basis,
+    payload = {"flavor": flavor, "n": ns.n, "members": members, "basis": element.basis,
                "typeB": element.typeB, "terms": terms}
     rows = [{"parts": " ".join(map(str, t["parts"])), "coeff": t["coeff"]} for t in terms]
     text = "\n".join(f"{t['coeff']} * {ns.basis or 'M'}{tuple(t['parts'])}" for t in terms)
     return Output(payload, rows, text), 0
 
 
-def _cmd_structure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
     flavor, kind = _resolve_flavor_kind(ns.flavor, ns.kind)
-    config.kind = kind
-    if config.n is None:
-        raise UsageError("--n is required")
-    config.enforce_bounds()
-    payload = structure_table(config.n, kind, flavor, ns.mode).to_payload()
+    _require_n(ns, kind)
+    payload = structure_table(ns.n, kind, flavor, ns.mode).to_payload()
     rows, text = [], ""
-    if config.fmt != "json":  # a large table is rendered only in the format asked for
+    if ns.fmt != "json":  # a large table is rendered only in the format asked for
         rows = [
             {"A": json.dumps(e["A"]), "B": json.dumps(e["B"]), "C": json.dumps(e["C"]), "count": e["count"]}
             for e in payload["entries"]
@@ -281,13 +255,10 @@ def _cmd_structure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, i
     return Output(payload, rows, text), 0
 
 
-def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
     flavor, kind = _resolve_flavor_kind(ns.flavor, ns.kind)
-    config.kind = kind
-    if config.n is None:
-        raise UsageError("--n is required")
-    config.enforce_bounds()
-    n = config.n
+    _require_n(ns, kind)
+    n = ns.n
     payload: dict = {"n": n, "kind": kind, "flavor": flavor, "mode": ns.mode}
     checks_passed = True
     report = closure_check(n, kind, flavor, ns.mode)
@@ -325,23 +296,21 @@ def _cmd_closure(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int
     return Output(payload, rows, "\n".join(lines)), 0 if checks_passed else 1
 
 
-def _cmd_orderpoly(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
-    if config.n is None:
-        raise UsageError("--n is required")
-    config.enforce_bounds()
-    counts = [ns.peaks] if ns.peaks is not None else realized_peak_counts(config.n)
+def _cmd_orderpoly(ns: argparse.Namespace) -> tuple[Output, int]:
+    _require_n(ns, "A")
+    counts = [ns.peaks] if ns.peaks is not None else realized_peak_counts(ns.n)
     polys = []
     for i in counts:
         try:
-            poly = order_polynomial(i, config.n)
+            poly = order_polynomial(i, ns.n)
         except ValueError as exc:
             raise UsageError(str(exc)) from None
         polys.append({
             "peaks": i,
             "coefficients": [str(c) for c in poly.coefficients],
-            "values": {str(k): str(poly.evaluate(k)) for k in range(config.n + 3)},
+            "values": {str(k): str(poly.evaluate(k)) for k in range(ns.n + 3)},
         })
-    payload = {"n": config.n, "polynomials": polys}
+    payload = {"n": ns.n, "polynomials": polys}
     rows = [{"peaks": p["peaks"], "coefficients": " ".join(p["coefficients"])} for p in polys]
     text = "\n".join(
         f"peaks={p['peaks']}: coefficients (ascending) {p['coefficients']}" for p in polys
@@ -349,12 +318,10 @@ def _cmd_orderpoly(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, i
     return Output(payload, rows, text), 0
 
 
-def _cmd_idempotents(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
-    if config.n is None:
-        raise UsageError("--n is required")
-    config.enforce_bounds()
-    report = verify_rho_multiplicativity(config.n)
-    elements = rho_idempotents(config.n)
+def _cmd_idempotents(ns: argparse.Namespace) -> tuple[Output, int]:
+    _require_n(ns, "A")
+    report = verify_rho_multiplicativity(ns.n)
+    elements = rho_idempotents(ns.n)
     serialized = []
     for index, element in enumerate(elements, start=1):
         serialized.append({
@@ -363,7 +330,7 @@ def _cmd_idempotents(config: RunConfig, ns: argparse.Namespace) -> tuple[Output,
             "terms": [{"window": str(w), "coeff": str(element.coeffs[key])}
                       for key, w in zip(sorted(element.coeffs), element.support())],
         })
-    payload = {"n": config.n, "report": {k: v for k, v in report.items()}, "idempotents": serialized}
+    payload = {"n": ns.n, "report": {k: v for k, v in report.items()}, "idempotents": serialized}
     rows = [{"index": s["index"], "peak_count": s["peak_count"], "terms": len(s["terms"])}
             for s in serialized]
     lines = [f"multiplicative: {report['multiplicative']}  degrees: {report['degrees']}  "
@@ -375,9 +342,9 @@ def _cmd_idempotents(config: RunConfig, ns: argparse.Namespace) -> tuple[Output,
     return Output(payload, rows, "\n".join(lines)), 0 if report["multiplicative"] else 1
 
 
-def _cmd_negatives(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
-    n_max = config.n_max or 6
-    config.enforce_bounds(n_max)
+def _cmd_negatives(ns: argparse.Namespace) -> tuple[Output, int]:
+    n_max = ns.n_max or 6
+    _enforce_bound(n_max, "A", ns.allow_large)
     reports = negative_battery(n_max)
     failed = [r for r in reports if not r["control"] and r["closed"]]
     payload = {"n_max": n_max, "reports": reports}
@@ -395,21 +362,21 @@ def _cmd_negatives(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, i
     return Output(payload, rows, "\n".join(lines)), 0 if not failed else 1
 
 
-def _cmd_verify(config: RunConfig, ns: argparse.Namespace) -> tuple[Output, int]:
+def _cmd_verify(ns: argparse.Namespace) -> tuple[Output, int]:
     names = None
     if ns.checks:
         names = [name.strip() for name in ns.checks.split(",") if name.strip()]
         unknown = [name for name in names if name not in CHECKS]
         if unknown:
             raise UsageError(f"unknown checks: {unknown}; available: {', '.join(CHECKS)}")
-    if config.n_max is not None:
-        config.enforce_bounds(config.n_max)
-    bounds = Bounds(n_max=config.n_max, seed=config.seed)
+    if ns.n_max is not None:
+        _enforce_bound(ns.n_max, "A", ns.allow_large)
+    bounds = Bounds(n_max=ns.n_max, seed=ns.seed)
     results = run_suite(names, bounds)
     passed = sum(1 for r in results if r.passed)
     payload = {
-        "n_max": config.n_max,
-        "seed": config.seed,
+        "n_max": ns.n_max,
+        "seed": ns.seed,
         "passed": passed,
         "total": len(results),
         "results": [r.to_dict() for r in results],
@@ -442,80 +409,68 @@ def build_parser() -> argparse.ArgumentParser:
         description="Peak statistics of (signed) permutations, their quasisymmetric "
         "series, and the associated group-algebra spans.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
-    common.add_argument("--kind", choices=("A", "B"), default=None,
-                        help="window kind: A ordinary, B signed")
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--n-max", dest="n_max", type=int, default=None)
-    common.add_argument("--k", type=int, default=None, help="alphabet size parameter")
-    common.add_argument("--seed", type=int, default=20260825)
-    common.add_argument("--allow-large", action="store_true",
-                        help="lift the default size bounds (A: n<=8, B: n<=6)")
+    # flags shared by several subcommands, each declared where it is read
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", dest="fmt", choices=("text", "json", "csv"), default="text")
+    kind = argparse.ArgumentParser(add_help=False)
+    kind.add_argument("--kind", choices=("A", "B"), default=None, help="window kind: A ordinary, B signed")
+    large = argparse.ArgumentParser(add_help=False)
+    large.add_argument("--allow-large", action="store_true",
+                       help="lift the default size bounds (A: n<=8, B: n<=6)")
+    size = argparse.ArgumentParser(add_help=False, parents=[large])
+    size.add_argument("--n", type=int, default=None)
+    n_max = argparse.ArgumentParser(add_help=False)
+    n_max.add_argument("--n-max", dest="n_max", type=int, default=None)
 
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("peaks", parents=[common], help="statistics of one window")
+    def command(name, handler, parents, summary):
+        # no abbreviations: `verify --n 3` must not be read as `--n-max 3`
+        p = sub.add_parser(name, parents=[fmt, *parents], help=summary, allow_abbrev=False)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = command("peaks", _cmd_peaks, [kind], "statistics of one window")
     p.add_argument("--window", required=True)
     p.add_argument("--flavor", default=None)
-    p.set_defaults(handler=_cmd_peaks)
 
-    p = sub.add_parser("extensions", parents=[common], help="linear extensions of a poset file")
+    p = command("extensions", _cmd_extensions, [size], "linear extensions of a poset file")
     p.add_argument("--file", required=True, help="poset file ('-' for stdin), lines 'a<b'")
     p.add_argument("--signed", action="store_true")
-    p.set_defaults(handler=_cmd_extensions)
 
-    p = sub.add_parser("census", parents=[common], help="enriched-map census of a window")
+    p = command("census", _cmd_census, [kind], "enriched-map census of a window")
     p.add_argument("--window", required=True)
     p.add_argument("--alphabet", choices=tuple(_ALPHABETS), default=None)
-    p.set_defaults(handler=_cmd_census)
+    p.add_argument("--k", type=int, default=2, help="alphabet size parameter")
 
-    p = sub.add_parser("qsym", parents=[common], help="peak series expansions and rank reports")
+    p = command("qsym", _cmd_qsym, [size, n_max], "peak series expansions and rank reports")
     p.add_argument("--flavor", default="interior")
     p.add_argument("--members", default=None, help="peak set, e.g. '{0,3}' or '0,3'")
     p.add_argument("--basis", choices=("M", "F"), default="M")
     p.add_argument("--report-ranks", action="store_true")
-    p.set_defaults(handler=_cmd_qsym)
 
-    p = sub.add_parser("structure", parents=[common], help="structure-constant tables")
+    p = command("structure", _cmd_structure, [kind, size], "structure-constant tables")
     p.add_argument("--flavor", required=True)
     p.add_argument("--mode", choices=("set", "number"), default="set")
-    p.set_defaults(handler=_cmd_structure)
 
-    p = sub.add_parser("closure", parents=[common], help="span closure / ideal / containment checks")
+    p = command("closure", _cmd_closure, [kind, size], "span closure / ideal / containment checks")
     p.add_argument("--flavor", required=True)
     p.add_argument("--mode", choices=("set", "number"), default="set")
     p.add_argument("--ideal-in", default=None, help="also check the classes form an ideal in this flavor's span")
     p.add_argument("--descent-containment", action="store_true")
-    p.set_defaults(handler=_cmd_closure)
 
-    p = sub.add_parser("orderpoly", parents=[common], help="enriched counting polynomials")
+    p = command("orderpoly", _cmd_orderpoly, [size], "enriched counting polynomials")
     p.add_argument("--peaks", type=int, default=None)
-    p.set_defaults(handler=_cmd_orderpoly)
 
-    p = sub.add_parser("idempotents", parents=[common], help="orthogonal idempotents and their checks")
-    p.set_defaults(handler=_cmd_idempotents)
+    command("idempotents", _cmd_idempotents, [size], "orthogonal idempotents and their checks")
 
-    p = sub.add_parser("negatives", parents=[common], help="battery of non-closing statistics")
-    p.set_defaults(handler=_cmd_negatives)
+    command("negatives", _cmd_negatives, [n_max, large], "battery of non-closing statistics")
 
-    p = sub.add_parser("verify", parents=[common], help="run the verification suite")
+    p = command("verify", _cmd_verify, [n_max, large], "run the verification suite")
     p.add_argument("--checks", default=None, help="comma-separated subset of checks")
-    p.set_defaults(handler=_cmd_verify)
+    p.add_argument("--seed", type=int, default=20260825)
 
     return parser
-
-
-def _config_from(ns: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        n=ns.n,
-        n_max=ns.n_max,
-        kind=ns.kind or "A",
-        k=ns.k,
-        fmt=ns.fmt,
-        seed=ns.seed,
-        allow_large=ns.allow_large,
-    )
 
 
 def _mend_argv(argv: list[str]) -> list[str]:
@@ -543,8 +498,11 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        config = _config_from(ns)
-        output, code = ns.handler(config, ns)
+        for flag, value in (("--n", getattr(ns, "n", None)), ("--n-max", getattr(ns, "n_max", None)),
+                            ("--k", getattr(ns, "k", None))):
+            if value is not None and value < 1:
+                raise UsageError(f"{flag} must be at least 1, got {value}")
+        output, code = ns.handler(ns)
     except UsageError as exc:
         record = {"error": {"code": "usage", "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
@@ -554,7 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         print(json.dumps(record), file=sys.stderr)
         return 2
     try:
-        print(_render(output, config.fmt))
+        print(_render(output, ns.fmt))
         sys.stdout.flush()
     except BrokenPipeError:
         # the reader left early (`| head`); send what is still buffered to

@@ -118,8 +118,8 @@ class RationalPolynomial:
 # Order polynomials
 
 
-def realized_peak_counts(n: int, kind: str = "A", flavor: str = "interiorPeak") -> list[int]:
-    return sorted(stat_classes(n, kind, flavor, mode="number"))
+def realized_peak_counts(n: int) -> list[int]:
+    return sorted(stat_classes(n, "A", "interiorPeak", mode="number"))
 
 
 def order_polynomial(peaks: int, n: int) -> RationalPolynomial:

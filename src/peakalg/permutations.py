@@ -219,21 +219,10 @@ def peak_set(p: GroupElement, flavor: str) -> StatSet:
     if flavor in SIGNED_FLAVORS and not isinstance(p, SignedPermutation):
         p = SignedPermutation.from_unsigned(p)
     w = p.window
-    n = p.n
-    members: frozenset[int]
-    if flavor == "interiorPeak":
-        members = _window_peaks((0,) + w + (0,), 2, n - 1)
-    elif flavor == "leftPeak":
-        members = _window_peaks((0,) + w + (0,), 1, n - 1)
-    elif flavor == "typeBPeak":
-        members = _window_peaks((0,) + w + (0,), 1, n - 1)
-        if n and w[0] < 0:
-            members |= {0}
-    elif flavor == "rightPeak":
-        members = _window_peaks((0,) + w + (0,), 2, n)
-    else:  # exteriorPeak
-        members = _window_peaks((0,) + w + (0,), 1, n)
-    return StatSet(flavor, n, members)
+    members = _window_peaks((0,) + w + (0,), *ambient_interval(flavor, p.n))
+    if flavor == "typeBPeak" and p.n and w[0] < 0:
+        members |= {0}
+    return StatSet(flavor, p.n, members)
 
 
 def descent_set(p: GroupElement, flavor: str) -> StatSet:

@@ -194,7 +194,7 @@ def test_qsym_ranks_use_the_ordinary_bound_for_every_flavor(capsys):
     payload = json.loads(out)
     assert payload["all_match"] is True and [r["n"] for r in payload["ranks"]] == list(range(1, 8))
     code, _, _ = run(capsys, "qsym", "--flavor", "typeB", "--kind", "B", "--report-ranks", "--n-max", "7")
-    assert code == 0
+    assert code == 2
     for flavor in ("typeB", "interior"):
         code, _, err = run(capsys, "qsym", "--flavor", flavor, "--report-ranks", "--n-max", "9")
         assert code == 2
@@ -399,6 +399,22 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "--n", "3"),
+    ("peaks", "--window", "2,1,3", "--seed", "1"),
+    ("census", "--window", "2,1,3", "--allow-large"),
+    ("idempotents", "--n", "3", "--kind", "B"),
+    ("negatives", "--k", "2"),
+    ("orderpoly", "--n", "7", "--kind", "B"),
+    ("structure", "--flavor", "interior", "--n", "3", "--n-max", "4"),
+    ("extensions", "--file", "-", "--seed", "1"),
+])
+def test_flags_a_subcommand_does_not_read_are_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments" in err  # argparse's message, not a record of a bad value
 
 
 def test_argparse_errors_and_help(capsys):
