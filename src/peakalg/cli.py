@@ -222,6 +222,8 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
         return Output(payload, ranks, text), 0 if ok else 1
     if ns.n is None:
         raise UsageError("--n is required for an expansion")
+    # the series is a sum over all 2^(n-1) subsets, bounded like the ranks above
+    _enforce_bound(ns.n, "A", ns.allow_large)
     members = _parse_members(ns.members)
     try:
         StatSet.of(flavor, ns.n, members)

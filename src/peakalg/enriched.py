@@ -9,7 +9,9 @@ the zero letter, with the step sign decided by whether 0 is a descent.
 The census of a window records, for each monomial exponent vector, how many
 chain maps produce it; the exponent of variable v counts chain values of
 weight v.  By construction the census depends on the window only through its
-descent set.
+descent set.  Inside the chain DP and the poset census a key is one integer
+whose base-radix digits are the exponents, decoded to a tuple once the
+census is complete.
 """
 
 from __future__ import annotations
@@ -52,6 +54,30 @@ def _equality_gate(alphabet: Alphabet, minus: bool) -> list[bool]:
     return [e > 0 for e in alphabet.eps]
 
 
+class _KeyCodes:
+    """Census keys of maps on n values kept as integers inside the census
+    builders: the exponents of a key are its digits in base radix, so that
+    adding a letter's weight to a key is one integer addition.  An exponent
+    is at most n times the most often one letter names one variable, and
+    the radix is one more, so digits never carry."""
+
+    def __init__(self, alphabet: Alphabet, n: int) -> None:
+        most = max(vars_.count(v) for vars_ in alphabet.var_lists for v in vars_)
+        self.radix = n * most + 1
+        self.weight = [sum(self.radix ** v for v in vars_) for vars_ in alphabet.var_lists]
+        self.n_vars = alphabet.n_vars
+
+    def decode(self, counts: dict[int, int]) -> Census:
+        census: Census = {}
+        for key, count in counts.items():
+            exponents = []
+            for _ in range(self.n_vars):
+                key, digit = divmod(key, self.radix)
+                exponents.append(digit)
+            census[tuple(exponents)] = count
+        return census
+
+
 def chain_count(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> int:
     """Number of chain maps, by prefix-sum dynamic programming."""
     size = len(alphabet)
@@ -75,16 +101,6 @@ def chain_count(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool)
     return sum(state)
 
 
-def _shift(census: Census, vars_: tuple[int, ...]) -> Census:
-    out: Census = {}
-    for key, count in census.items():
-        bumped = list(key)
-        for v in vars_:
-            bumped[v] += 1
-        out[tuple(bumped)] = count
-    return out
-
-
 def chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
     """Monomial census of all chain maps, same DP as chain_count.  The DP
     runs once per (n, descent set, anchored) for each alphabet and its
@@ -98,34 +114,36 @@ def chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool
 
 def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
     size = len(alphabet)
-    base = (0,) * alphabet.n_vars
+    codes = _KeyCodes(alphabet, n)
     if n == 0:
-        return {base: 1}
+        return codes.decode({0: 1})
     if anchored:
-        state: list[Census] = [{} for _ in range(size)]
-        state[alphabet.zero_index] = {base: 1}
+        state: list[dict[int, int]] = [{} for _ in range(size)]
+        state[alphabet.zero_index] = {0: 1}
         first = 0
     else:
-        state = [_shift({base: 1}, alphabet.var_lists[j]) for j in range(size)]
+        state = [{weight: 1} for weight in codes.weight]
         first = 1
     for i in range(first, n):
         gate = _equality_gate(alphabet, i in des)
-        new: list[Census] = []
-        running: Census = {}
-        for j in range(size):
-            current = dict(running)
+        new: list[dict[int, int]] = []
+        running: dict[int, int] = {}
+        for j, weight in enumerate(codes.weight):
+            # chains ending below letter j, plus those ending at j when the
+            # step may repeat it, each extended by one value at j
+            current = {key + weight: count for key, count in running.items()}
             if gate[j]:
                 for key, count in state[j].items():
-                    current[key] = current.get(key, 0) + count
-            new.append(_shift(current, alphabet.var_lists[j]))
+                    current[key + weight] = current.get(key + weight, 0) + count
+            new.append(current)
             for key, count in state[j].items():
                 running[key] = running.get(key, 0) + count
         state = new
-    total: Census = {}
+    total: dict[int, int] = {}
     for partial in state:
         for key, count in partial.items():
             total[key] = total.get(key, 0) + count
-    return total
+    return codes.decode(total)
 
 
 def chain_tuples(
@@ -334,22 +352,14 @@ def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> C
     """census_of_maps(poset_epp_maps(poset, alphabet), alphabet), counted
     map by map without materializing the maps.  A census key is kept as one
     integer whose digits, in base radix, are its exponents."""
-    radix = poset.n * max(len(vars_) for vars_ in alphabet.var_lists) + 1
-    weight = [sum(radix ** v for v in vars_) for vars_ in alphabet.var_lists]
+    codes = _KeyCodes(alphabet, poset.n)
     counts: dict[int, int] = {}
 
     def leaf(key: int, letters: list[int]) -> None:
         counts[key] = counts.get(key, 0) + 1
 
-    _visit_maps(poset, alphabet, weight, leaf)
-    census: Census = {}
-    for key, count in counts.items():
-        exponents = []
-        for _ in range(alphabet.n_vars):
-            key, digit = divmod(key, radix)
-            exponents.append(digit)
-        census[tuple(exponents)] = count
-    return census
+    _visit_maps(poset, alphabet, codes.weight, leaf)
+    return codes.decode(counts)
 
 
 # ---------------------------------------------------------------------------
@@ -374,19 +384,21 @@ def factorization_census(
     """Sum over all factorizations p = sigma * tau of the product census of
     tau into the first alphabet and sigma into the second.  A census depends
     on its window only through the descent set, so the sum runs over the
-    factorization counts of p by descent-set pair (Des tau, Des sigma)."""
+    factorization counts of p by descent-set pair (Des tau, Des sigma): for
+    each Des tau the censuses of its sigma sides are summed first, and that
+    sum enters one product with the census of tau."""
     n, _, first_anchored = chain_rules(p, first)
     _, _, second_anchored = chain_rules(p, second)
     flavor = "descentB" if isinstance(p, SignedPermutation) else "descentA"
+    sigma_sides: dict[frozenset[int], Census] = {}
+    for (des_tau, des_sigma), times in factorization_counts(p, flavor).items():
+        side = sigma_sides.setdefault(des_tau, {})
+        for key, count in chain_census(n, des_sigma, second, second_anchored).items():
+            side[key] = side.get(key, 0) + times * count
     width = first.n_vars + second.n_vars
     total: Census = {}
-    for (des_tau, des_sigma), times in factorization_counts(p, flavor).items():
-        combined = census_product(
-            chain_census(n, des_tau, first, first_anchored),
-            chain_census(n, des_sigma, second, second_anchored),
-            first.n_vars,
-            width,
-        )
+    for des_tau, side in sigma_sides.items():
+        combined = census_product(chain_census(n, des_tau, first, first_anchored), side, first.n_vars, width)
         for key, count in combined.items():
-            total[key] = total.get(key, 0) + times * count
+            total[key] = total.get(key, 0) + count
     return total

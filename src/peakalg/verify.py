@@ -209,31 +209,37 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
 
 def check_formulas(bounds: Bounds) -> CheckResult:
     """The subset-expansion of each peak series evaluates, in n+1 variables,
-    to the brute census of every window with that peak set."""
+    to the brute census of every window with that peak set.  Each series is
+    evaluated once per size and compared with every window of its set."""
     n_a = bounds.cap(5)
     n_b = bounds.cap(4)
     failures = []
+    examined = {flavor: {"windows": 0, "series": 0} for flavor in ("interior", "left", "typeB")}
+
+    def compare(label: str, w, members: frozenset[int], typeB: bool, alphabet: Alphabet, evaluated: dict) -> None:
+        seen = examined[label]
+        if (members, typeB) not in evaluated:
+            evaluated[members, typeB] = evaluate(peak_series(members, w.n, typeB=typeB), w.n + 1)
+            seen["series"] += 1
+        seen["windows"] += 1
+        if evaluated[members, typeB] != epp_census(w, alphabet):
+            failures.append({"flavor": label, "window": str(w)})
+
     for n in range(1, n_a + 1):
-        k = n + 1
-        prime, left = Alphabet.prime(k), Alphabet.left(k)
+        prime, left = Alphabet.prime(n + 1), Alphabet.left(n + 1)
+        evaluated: dict = {}
         for w in enumerate_group(n, "A"):
-            interior = peak_set(w, "interiorPeak").members
-            if evaluate(peak_series(interior, n), k) != epp_census(w, prime):
-                failures.append({"flavor": "interior", "window": str(w)})
-            left_set = peak_set(w, "leftPeak").members
-            if evaluate(peak_series(left_set, n, typeB=True), k) != epp_census(w, left):
-                failures.append({"flavor": "left", "window": str(w)})
+            compare("interior", w, peak_set(w, "interiorPeak").members, False, prime, evaluated)
+            compare("left", w, peak_set(w, "leftPeak").members, True, left, evaluated)
     for n in range(1, n_b + 1):
-        k = n + 1
-        pm = Alphabet.plus_minus(k)
+        pm = Alphabet.plus_minus(n + 1)
+        evaluated = {}
         for w in enumerate_group(n, "B"):
-            members = peak_set(w, "typeBPeak").members
-            if evaluate(peak_series(members, n, typeB=True), k) != epp_census(w, pm):
-                failures.append({"flavor": "typeB", "window": str(w)})
+            compare("typeB", w, peak_set(w, "typeBPeak").members, True, pm, evaluated)
     return _result(
         "formulas", not failures,
         f"series = census at k=n+1, every window, n<={n_a} (ordinary) / n<={n_b} (signed)",
-        failures,
+        failures, _quote_examined(examined, "series"), examined=examined,
     )
 
 
@@ -243,27 +249,35 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
     n_a = bounds.cap(4)
     n_b = bounds.cap(3)
     failures = []
-    pairs_a = [
-        ("prime*prime", Alphabet.prime(k), Alphabet.prime(k)),
-        ("left*prime", Alphabet.left(k), Alphabet.prime(k)),
-    ]
-    for n in range(1, n_a + 1):
-        for label, first, second in pairs_a:
-            product = Alphabet.product(first, second)
-            for w in enumerate_group(n, "A"):
-                if epp_census(w, product) != factorization_census(w, first, second):
-                    failures.append({"pair": label, "window": str(w)})
     pm = Alphabet.plus_minus(k)
-    product_b = Alphabet.product(pm, pm)
-    for n in range(1, n_b + 1):
-        for w in enumerate_group(n, "B"):
-            if epp_census(w, product_b) != factorization_census(w, pm, pm):
-                failures.append({"pair": "pm*pm", "window": str(w)})
+    pairs = {
+        "A": [("prime*prime", Alphabet.prime(k), Alphabet.prime(k)), ("left*prime", Alphabet.left(k), Alphabet.prime(k))],
+        "B": [("pm*pm", pm, pm)],
+    }
+    examined = {label: {"windows": 0, "products": 0} for plan in pairs.values() for label, _, _ in plan}
+    for kind, n_max in (("A", n_a), ("B", n_b)):
+        for n in range(1, n_max + 1):
+            # tau runs over the whole group, so every descent set is some Des tau,
+            # and factorization_census takes one census product per Des tau
+            descent_sets = len(enumerate_stat_sets(n, "descent" + kind))
+            for label, first, second in pairs[kind]:
+                product = Alphabet.product(first, second)
+                seen = examined[label]
+                for w in enumerate_group(n, kind):
+                    seen["windows"] += 1
+                    seen["products"] += descent_sets
+                    if epp_census(w, product) != factorization_census(w, first, second):
+                        failures.append({"pair": label, "window": str(w)})
     return _result(
         "bipartite", not failures,
         f"pair-alphabet census factorizations at k={k}, n<={n_a} (ordinary) / n<={n_b} (signed)",
-        failures,
+        failures, _quote_examined(examined, "products"), examined=examined,
     )
+
+
+def _quote_examined(examined: dict, counted: str) -> str:
+    """Per entry of `examined`: the windows compared and its other count."""
+    return "; ".join(f"{label}: {seen['windows']} windows, {seen[counted]} {counted}" for label, seen in examined.items())
 
 
 _DUALITY_PLANS = (("A", "interiorPeak", 5), ("A", "leftPeak", 5), ("B", "typeBPeak", 4))

@@ -201,6 +201,24 @@ def test_qsym_ranks_use_the_ordinary_bound_for_every_flavor(capsys):
         assert "--allow-large" in json.loads(err)["error"]["message"]
 
 
+def test_qsym_expansion_is_held_to_the_ordinary_bound(capsys, monkeypatch):
+    # the bound is checked before any series is built: a series at n = 30
+    # would be a sum over 2^29 subsets, so here it is never built at all
+    original = peakalg.cli.peak_series
+    built = []
+
+    def guarded(members, n, **kw):
+        built.append(n)
+        return original(members, n, **kw) if n <= 8 else None
+
+    monkeypatch.setattr(peakalg.cli, "peak_series", guarded)
+    code, out, err = run(capsys, "qsym", "--flavor", "interior", "--n", "30", "--members", "{2}")
+    assert (code, out, built) == (2, "", [])
+    assert "n=30 exceeds the default bound 8 for kind A" in json.loads(err)["error"]["message"]
+    code, out, _ = run(capsys, "qsym", "--flavor", "interior", "--n", "8", "--members", "{2}")
+    assert code == 0 and out
+
+
 def test_structure_frozen_constant(capsys):
     code, out, _ = run(capsys, "structure", "--flavor", "interior", "--n", "3", "--format", "json")
     assert code == 0

@@ -24,6 +24,7 @@ from peakalg.permutations import (
     Permutation,
     SignedPermutation,
     compose,
+    descent_set,
     enumerate_group,
     peak_set,
 )
@@ -215,6 +216,29 @@ def test_poset_census_of_a_product_alphabet():
     assert poset_epp_census(P, product) == census_of_maps(poset_epp_maps(P, product), product)
 
 
+def test_chain_census_keys_at_the_radix_bound():
+    # inside the DP a key is one integer of base-radix exponent digits; chains
+    # that put all n values on one letter take an exponent to n, the largest
+    # digit the radix holds, so a radix one too small shows up here
+    nested = Alphabet.product(Alphabet.product(Alphabet.prime(1), Alphabet.prime(1)), Alphabet.prime(1))
+    assert all(len(vars_) == 3 for vars_ in nested.var_lists)
+    pm_pair = Alphabet.product(Alphabet.plus_minus(1), Alphabet.plus_minus(1))
+    cases = [
+        (Alphabet.product(Alphabet.prime(2), Alphabet.prime(2)), "A", 3),
+        (Alphabet.product(Alphabet.left(2), Alphabet.prime(2)), "A", 3),
+        (pm_pair, "A", 3),
+        (pm_pair, "B", 2),
+        (nested, "A", 3),
+    ]
+    for alphabet, kind, n_max in cases:
+        for n in range(1, n_max + 1):
+            for p in enumerate_group(n, kind):
+                census = epp_census(p, alphabet)
+                assert census == census_of_maps(epp_maps(p, alphabet), alphabet), (p, alphabet.var_lists)
+                if kind == "A" and not descent_set(p, "descentA").members:
+                    assert max(max(key) for key in census) == n
+
+
 def test_stored_chain_censuses_are_copies():
     alphabet = Alphabet.plus_minus(2)
     w, same_descents = SignedPermutation((2, -1, 3)), SignedPermutation((3, -2, 1))
@@ -299,16 +323,18 @@ def _composed_factorization_census(p, first, second):
 
 
 def test_factorization_census_matches_composed_sum():
-    prime, left, pm = Alphabet.prime(2), Alphabet.left(2), Alphabet.plus_minus(2)
-    for n in range(1, 5):
-        for p in enumerate_group(n, "A"):
-            for first, second in ((prime, prime), (left, prime)):
-                assert factorization_census(p, first, second) == _composed_factorization_census(
-                    p, first, second
-                ), (p, first.variant)
-    for n in range(1, 4):
-        for p in enumerate_group(n, "B"):
-            assert factorization_census(p, pm, pm) == _composed_factorization_census(p, pm, pm), p
+    # k = 3 is the size check_bipartite uses
+    for k, n_a, n_b in ((2, 4, 3), (3, 3, 2)):
+        prime, left, pm = Alphabet.prime(k), Alphabet.left(k), Alphabet.plus_minus(k)
+        for n in range(1, n_a + 1):
+            for p in enumerate_group(n, "A"):
+                for first, second in ((prime, prime), (left, prime)):
+                    assert factorization_census(p, first, second) == _composed_factorization_census(
+                        p, first, second
+                    ), (p, first.variant, k)
+        for n in range(1, n_b + 1):
+            for p in enumerate_group(n, "B"):
+                assert factorization_census(p, pm, pm) == _composed_factorization_census(p, pm, pm), (p, k)
 
 
 def test_factorization_census_of_signed_window_needs_zero_letters():

@@ -6,16 +6,19 @@ import pytest
 
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
-from peakalg import verify
+from peakalg import enriched, verify
+from peakalg.permutations import enumerate_group, peak_set
 from peakalg.posets import random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
     Bounds,
     CheckResult,
+    check_bipartite,
     check_closure,
     check_duality,
     check_examples,
     check_extensions,
+    check_formulas,
     check_idempotents,
     check_negatives,
     check_ranks,
@@ -146,3 +149,57 @@ def test_extensions_check_reports_what_it_examined():
     assert signed["maps"] == antichains * (5 + 9) + (3 - antichains) * (3 + 5)
     for kind, seen in examined.items():
         assert f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension" in result.details
+
+
+def test_a_wrong_series_fails_every_window_of_its_peak_set(monkeypatch):
+    # each series is evaluated once per size; a wrong one must still be
+    # reported once per window that has its peak set, and nowhere else
+    original = verify.evaluate
+    wrong = verify.peak_series(frozenset({2}), 4)
+
+    def corrupted(element, k):
+        values = original(element, k)
+        if element == wrong:
+            values[next(iter(values))] += 1
+        return values
+
+    monkeypatch.setattr(verify, "evaluate", corrupted)
+    result = check_formulas(Bounds(n_max=4))
+    windows = [w for w in enumerate_group(4, "A") if peak_set(w, "interiorPeak").members == {2}]
+    assert len(windows) > 1
+    assert not result.passed
+    assert result.data["failures"] == [{"flavor": "interior", "window": str(w)} for w in windows]
+
+
+def test_formulas_check_reports_what_it_examined(monkeypatch):
+    # windows: 1 + 2 + 6 of A_n and 2 + 8 + 48 of B_n; series: one per peak
+    # set, Fibonacci many (f_{n-1}, f_n, f_{n+1}), each evaluated once
+    calls = []
+    original = verify.evaluate
+    monkeypatch.setattr(verify, "evaluate", lambda element, k: calls.append(k) or original(element, k))
+    result = check_formulas(Bounds(n_max=3))
+    assert result.passed
+    examined = result.data["examined"]
+    assert examined == {
+        "interior": {"windows": 9, "series": 1 + 1 + 2},
+        "left": {"windows": 9, "series": 1 + 2 + 3},
+        "typeB": {"windows": 58, "series": 2 + 3 + 5},
+    }
+    assert len(calls) == sum(seen["series"] for seen in examined.values())
+    assert result.details.endswith("; interior: 9 windows, 4 series; left: 9 windows, 6 series; typeB: 58 windows, 10 series")
+
+
+def test_bipartite_check_reports_what_it_examined(monkeypatch):
+    # the quoted product count is the number of census_product calls made
+    calls = []
+    original = enriched.census_product
+    monkeypatch.setattr(enriched, "census_product", lambda *args: calls.append(1) or original(*args))
+    result = check_bipartite(Bounds(n_max=3))
+    assert result.passed
+    examined = result.data["examined"]
+    ordinary = {"windows": 1 + 2 + 6, "products": 1 * 1 + 2 * 2 + 6 * 4}
+    assert examined == {"prime*prime": ordinary, "left*prime": ordinary,
+                        "pm*pm": {"windows": 2 + 8 + 48, "products": 2 * 2 + 8 * 4 + 48 * 8}}
+    assert len(calls) == sum(seen["products"] for seen in examined.values())
+    for label, seen in examined.items():
+        assert f"{label}: {seen['windows']} windows, {seen['products']} products" in result.details
