@@ -91,7 +91,7 @@ def _canonical_flavor(name: str | None, kind: str) -> str:
     if name is None:
         raise UsageError("--flavor is required here")
     if name == "descent":
-        return "descentB" if kind == "B" else "descentA"
+        return "descent" + kind
     flavor = FLAVOR_ALIASES.get(name, name)
     if flavor not in FLAVORS:
         raise UsageError(f"unknown flavor: {name}")
@@ -99,12 +99,10 @@ def _canonical_flavor(name: str | None, kind: str) -> str:
 
 
 def _parse_window(text: str, kind: str | None, flavor: str | None) -> Permutation | SignedPermutation:
+    """A signed window when the kind is B, an entry is negative, or the
+    flavor, by alias or full name, is a signed one."""
     values = _parse_ints(text)
-    signed = (
-        kind == "B"
-        or any(v < 0 for v in values)
-        or (flavor in SIGNED_FLAVORS if flavor else False)
-    )
+    signed = kind == "B" or any(v < 0 for v in values) or FLAVOR_ALIASES.get(flavor, flavor) in SIGNED_FLAVORS
     try:
         return SignedPermutation(values) if signed else Permutation(values)
     except ValueError as exc:
@@ -123,11 +121,11 @@ def _parse_members(text: str | None) -> list[int]:
 
 def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
     window = _parse_window(ns.window, ns.kind, ns.flavor)
-    kind = "B" if isinstance(window, SignedPermutation) else "A"
+    kind = window.kind
     if ns.flavor is not None:
         flavors = [_canonical_flavor(ns.flavor, kind)]
     else:
-        flavors = [f for f in FLAVORS if kind == "B" or f not in ("typeBPeak", "descentB")]
+        flavors = [f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS]
     stats = {}
     for flavor in flavors:
         try:
@@ -149,7 +147,11 @@ def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
 
 def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
     try:
-        source = sys.stdin.read() if ns.file == "-" else open(ns.file).read()
+        if ns.file == "-":
+            source = sys.stdin.read()
+        else:
+            with open(ns.file) as handle:
+                source = handle.read()
     except OSError as exc:
         raise UsageError(str(exc)) from None
     try:
@@ -174,8 +176,7 @@ _ALPHABETS = {"prime": Alphabet.prime, "left": Alphabet.left, "plusMinus": Alpha
 
 def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
     window = _parse_window(ns.window, ns.kind, None)
-    kind = "B" if isinstance(window, SignedPermutation) else "A"
-    name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
+    name = ns.alphabet or ("plusMinus" if window.kind == "B" else "prime")
     if name not in _ALPHABETS:
         raise UsageError(f"unknown alphabet: {name}")
     try:
@@ -196,10 +197,10 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _resolve_flavor_kind(raw: str | None, explicit_kind: str | None) -> tuple[str, str]:
-    guess = "B" if raw in ("typeB", "typeBPeak", "descentB") else (explicit_kind or "A")
-    flavor = _canonical_flavor(raw, guess)
-    kind = "B" if flavor in ("typeBPeak", "descentB") else (explicit_kind or "A")
-    return flavor, kind
+    """The flavor and the kind of its group: a signed flavor forces kind B."""
+    kind = explicit_kind or "A"
+    flavor = _canonical_flavor(raw, kind)
+    return flavor, "B" if flavor in SIGNED_FLAVORS else kind
 
 
 def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:

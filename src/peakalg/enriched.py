@@ -20,12 +20,7 @@ from typing import Callable, Iterable, Iterator
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
-from .permutations import (
-    GroupElement,
-    Permutation,
-    SignedPermutation,
-    descent_set,
-)
+from .permutations import GroupElement, descent_set
 from .posets import LabeledPoset, SignedPoset
 
 Census = dict[tuple[int, ...], int]
@@ -39,13 +34,9 @@ def supports_signed(alphabet: Alphabet) -> bool:
 
 def chain_rules(p: GroupElement, alphabet: Alphabet) -> tuple[int, frozenset[int], bool]:
     """(n, descent set, anchored?) governing the chains of p into alphabet."""
-    if isinstance(p, SignedPermutation):
-        if not supports_signed(alphabet):
-            raise ValueError(f"{alphabet.variant} alphabet cannot host signed windows")
-        des = descent_set(p, "descentB").members
-    else:
-        des = descent_set(p, "descentA").members
-    return p.n, des, alphabet.zero_index is not None
+    if p.kind == "B" and not supports_signed(alphabet):
+        raise ValueError(f"{alphabet.variant} alphabet cannot host signed windows")
+    return p.n, descent_set(p, "descent" + p.kind).members, alphabet.zero_index is not None
 
 
 def _equality_gate(alphabet: Alphabet, minus: bool) -> list[bool]:
@@ -199,13 +190,12 @@ def epp_values(p: GroupElement, alphabet: Alphabet) -> Iterator[tuple[Letter, ..
 def epp_maps(p: GroupElement, alphabet: Alphabet) -> list[dict[int, Letter]]:
     """Chain maps rewritten as maps on the positive labels 1..n.  For signed
     windows the value at |w(i)| is mirrored when w(i) < 0."""
-    signed = isinstance(p, SignedPermutation)
     out = []
     for values in epp_values(p, alphabet):
         assignment: dict[int, Letter] = {}
         for i, g in enumerate(values, start=1):
             label = p.window[i - 1]
-            if signed and label < 0:
+            if label < 0:
                 assignment[-label] = alphabet.negate(g)
             else:
                 assignment[label] = g
@@ -247,7 +237,7 @@ def _compile_relation(
     """
     n, size = poset.n, len(alphabet)
     neg: list[int] = []
-    if isinstance(poset, SignedPoset):
+    if poset.kind == "B":
         if not supports_signed(alphabet):
             raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
         neg = [alphabet.index[alphabet.negate(letter)] for letter in alphabet.letters]
@@ -299,27 +289,37 @@ def _visit_maps(
     relation: letters[m] is the letter index of f(m) and key the sum of
     weight over letters[1..n]."""
     fixed, checks = _compile_relation(poset, alphabet)
-    n = poset.n
-    letters = [0] * (n + 1)
-
-    def extend(m: int, key: int) -> None:
-        allowed = fixed[m]
-        for j, table in checks[m]:
-            allowed &= table[letters[j]]
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            x = low.bit_length() - 1
-            letters[m] = x
-            if m == n:
-                leaf(key + weight[x], letters)
-            else:
-                extend(m + 1, key + weight[x])
-
-    if n == 0:
+    letters = [0] * (poset.n + 1)
+    if poset.n == 0:
         leaf(0, letters)
     else:
-        extend(1, 0)
+        _extend_map(1, 0, fixed, checks, letters, weight, leaf)
+
+
+def _extend_map(
+    m: int,
+    key: int,
+    fixed: list[int],
+    checks: list[list[tuple[int, list[int]]]],
+    letters: list[int],
+    weight: list[int],
+    leaf: Callable[[int, list[int]], None],
+) -> None:
+    """Give label m each letter the relation allows after letters[1..m-1],
+    then go on to m + 1, or call leaf once m is the last label."""
+    allowed = fixed[m]
+    for j, table in checks[m]:
+        allowed &= table[letters[j]]
+    last = m == len(letters) - 1
+    while allowed:
+        low = allowed & -allowed
+        allowed ^= low
+        x = low.bit_length() - 1
+        letters[m] = x
+        if last:
+            leaf(key + weight[x], letters)
+        else:
+            _extend_map(m + 1, key + weight[x], fixed, checks, letters, weight, leaf)
 
 
 def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
@@ -389,9 +389,8 @@ def factorization_census(
     sum enters one product with the census of tau."""
     n, _, first_anchored = chain_rules(p, first)
     _, _, second_anchored = chain_rules(p, second)
-    flavor = "descentB" if isinstance(p, SignedPermutation) else "descentA"
     sigma_sides: dict[frozenset[int], Census] = {}
-    for (des_tau, des_sigma), times in factorization_counts(p, flavor).items():
+    for (des_tau, des_sigma), times in factorization_counts(p, "descent" + p.kind).items():
         side = sigma_sides.setdefault(des_tau, {})
         for key, count in chain_census(n, des_sigma, second, second_anchored).items():
             side[key] = side.get(key, 0) + times * count

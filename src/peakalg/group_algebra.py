@@ -37,7 +37,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .linalg import Span, exact
 from .permutations import (
     GroupElement,
-    SignedPermutation,
     enumerate_group,
     group_order,
     rank,
@@ -138,13 +137,11 @@ class AlgebraElement:
 
     @classmethod
     def delta(cls, element: GroupElement) -> "AlgebraElement":
-        kind = "B" if isinstance(element, SignedPermutation) else "A"
-        return cls(element.n, kind, {rank(element): 1})
+        return cls(element.n, element.kind, {rank(element): 1})
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "AlgebraElement":
-        element = _elements(n, kind)[0]
-        return cls.delta(type(element).identity(n))
+        return cls(n, kind, {0: 1})  # the identity window has rank 0
 
     @classmethod
     def from_vector(cls, n: int, kind: str, vector: Sequence[Fraction | int]) -> "AlgebraElement":
@@ -327,8 +324,7 @@ def factorization_counts(
 ) -> dict[tuple[StatKey, StatKey], int]:
     """For one target window, count ordered factorizations s.t = target by the
     statistic pair (statistic of t, statistic of s)."""
-    kind = "B" if isinstance(target, SignedPermutation) else "A"
-    n = target.n
+    n, kind = target.n, target.kind
     keys, ids = _class_ids(n, kind, flavor, mode)
     width = len(keys)
     row = _row(n, kind, _index(n, kind)[target.window])
@@ -472,9 +468,8 @@ def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
     """Every peak class sum is a sum of descent class sums, hence lies in the
     span of the descent classes: the peak set is constant on every descent
     class."""
-    descent_flavor = "descentB" if kind == "B" else "descentA"
     peak_of: dict[StatKey, StatKey] = {}
-    for descents, peaks in zip(_stat_keys(n, kind, descent_flavor, "set"), _stat_keys(n, kind, flavor, "set")):
+    for descents, peaks in zip(_stat_keys(n, kind, "descent" + kind, "set"), _stat_keys(n, kind, flavor, "set")):
         if peak_of.setdefault(descents, peaks) != peaks:
             return False
     return True

@@ -2,7 +2,9 @@
 
 Windows use one-line notation: a permutation of [n] is the tuple
 (w(1), ..., w(n)).  Signed windows carry a sign on each entry; the value at a
-negative position is determined by w(-i) = -w(i), and w(0) = 0.
+negative position is determined by w(-i) = -w(i), and w(0) = 0.  Both kinds
+share one implementation; a window's `kind` attribute ("A" for Permutation,
+"B" for SignedPermutation) is where the rest of the package reads its kind.
 
 The statistic flavors and their ambient intervals:
 
@@ -21,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -32,25 +34,24 @@ def _parse_ints(text: str) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class Permutation:
-    """An element of the symmetric group S_n in window notation."""
+class _Window:
+    """A window of either kind; a subclass adds its `kind` and the check of
+    its window.  The rules below read w(-i) = -w(i) and w(0) = 0, so they
+    hold for both kinds."""
 
     window: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if sorted(self.window) != list(range(1, len(self.window) + 1)):
-            raise ValueError(f"not a permutation window: {self.window}")
+    kind: ClassVar[str]
 
     @property
     def n(self) -> int:
         return len(self.window)
 
     @classmethod
-    def identity(cls, n: int) -> "Permutation":
+    def identity(cls, n: int) -> "_Window":
         return cls(tuple(range(1, n + 1)))
 
     @classmethod
-    def parse(cls, text: str) -> "Permutation":
+    def parse(cls, text: str) -> "_Window":
         return cls(_parse_ints(text))
 
     def value(self, i: int) -> int:
@@ -61,13 +62,13 @@ class Permutation:
             return self.window[i - 1]
         return -self.window[-i - 1]
 
-    def inverse(self) -> "Permutation":
+    def inverse(self) -> "_Window":
         inv = [0] * self.n
         for i, j in enumerate(self.window, start=1):
-            inv[j - 1] = i
-        return Permutation(tuple(inv))
+            inv[abs(j) - 1] = i if j > 0 else -i
+        return type(self)(tuple(inv))
 
-    def __mul__(self, other: "Permutation") -> "Permutation":
+    def __mul__(self, other: "_Window") -> "_Window":
         return compose(self, other)
 
     def __str__(self) -> str:
@@ -75,55 +76,28 @@ class Permutation:
 
 
 @dataclass(frozen=True)
-class SignedPermutation:
+class Permutation(_Window):
+    """An element of the symmetric group S_n in window notation."""
+
+    kind = "A"
+
+    def __post_init__(self) -> None:
+        if sorted(self.window) != list(range(1, len(self.window) + 1)):
+            raise ValueError(f"not a permutation window: {self.window}")
+
+
+@dataclass(frozen=True)
+class SignedPermutation(_Window):
     """An element of the hyperoctahedral group B_n in window notation.
 
     The full window on {-n..n} is implied by w(-i) = -w(i) and w(0) = 0.
     """
 
-    window: tuple[int, ...]
+    kind = "B"
 
     def __post_init__(self) -> None:
         if sorted(abs(v) for v in self.window) != list(range(1, len(self.window) + 1)):
             raise ValueError(f"not a signed permutation window: {self.window}")
-
-    @property
-    def n(self) -> int:
-        return len(self.window)
-
-    @classmethod
-    def identity(cls, n: int) -> "SignedPermutation":
-        return cls(tuple(range(1, n + 1)))
-
-    @classmethod
-    def parse(cls, text: str) -> "SignedPermutation":
-        return cls(_parse_ints(text))
-
-    @classmethod
-    def from_unsigned(cls, p: Permutation) -> "SignedPermutation":
-        return cls(p.window)
-
-    def value(self, i: int) -> int:
-        if i == 0:
-            return 0
-        if i > 0:
-            return self.window[i - 1]
-        return -self.window[-i - 1]
-
-    def inverse(self) -> "SignedPermutation":
-        inv = [0] * self.n
-        for i, j in enumerate(self.window, start=1):
-            if j > 0:
-                inv[j - 1] = i
-            else:
-                inv[-j - 1] = -i
-        return SignedPermutation(tuple(inv))
-
-    def __mul__(self, other: "SignedPermutation") -> "SignedPermutation":
-        return compose(self, other)
-
-    def __str__(self) -> str:
-        return ",".join(str(v) for v in self.window)
 
 
 GroupElement = Permutation | SignedPermutation
@@ -202,40 +176,34 @@ class StatSet:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 
 
-def _window_peaks(values: tuple[int, ...], lo: int, hi: int) -> frozenset[int]:
-    """Peaks of a padded value sequence: positions i (1-based into values[1:])
-    with values[i-1] < values[i] > values[i+1], clipped to [lo, hi]."""
-    return frozenset(
-        i
-        for i in range(max(lo, 1), hi + 1)
-        if values[i - 1] < values[i] > values[i + 1]
-    )
+def _stat_set(p: GroupElement, flavor: str) -> StatSet:
+    """The flavor's set of p: peaks of the window padded with w(0) = w(n+1)
+    = 0, or descents, clipped to the ambient interval; a signed flavor adds
+    0 whenever w(1) < 0."""
+    w, n = p.window, p.n
+    lo, hi = ambient_interval(flavor, n)
+    if flavor in PEAK_FLAVORS:
+        values = (0,) + w + (0,)
+        members = {i for i in range(max(lo, 1), hi + 1) if values[i - 1] < values[i] > values[i + 1]}
+    else:
+        members = {i for i in range(max(lo, 1), hi + 1) if w[i - 1] > w[i]}
+    if flavor in SIGNED_FLAVORS and n and w[0] < 0:
+        members.add(0)
+    return StatSet(flavor, n, frozenset(members))
 
 
 def peak_set(p: GroupElement, flavor: str) -> StatSet:
     """The flavor's peak set of a (signed) permutation."""
     if flavor not in PEAK_FLAVORS:
         raise ValueError(f"not a peak flavor: {flavor}")
-    if flavor in SIGNED_FLAVORS and not isinstance(p, SignedPermutation):
-        p = SignedPermutation.from_unsigned(p)
-    w = p.window
-    members = _window_peaks((0,) + w + (0,), *ambient_interval(flavor, p.n))
-    if flavor == "typeBPeak" and p.n and w[0] < 0:
-        members |= {0}
-    return StatSet(flavor, p.n, members)
+    return _stat_set(p, flavor)
 
 
 def descent_set(p: GroupElement, flavor: str) -> StatSet:
     """Positions i with w(i) > w(i+1); descentB adds 0 when w(1) < 0."""
     if flavor not in DESCENT_FLAVORS:
         raise ValueError(f"not a descent flavor: {flavor}")
-    if flavor == "descentB" and not isinstance(p, SignedPermutation):
-        p = SignedPermutation.from_unsigned(p)
-    w = p.window
-    members = set(i for i in range(1, p.n) if w[i - 1] > w[i])
-    if flavor == "descentB" and p.n and w[0] < 0:
-        members.add(0)
-    return StatSet(flavor, p.n, frozenset(members))
+    return _stat_set(p, flavor)
 
 
 def stat_set(p: GroupElement, flavor: str) -> StatSet:
@@ -297,7 +265,7 @@ def _lehmer_unrank(rank: int, n: int) -> tuple[int, ...]:
 
 def rank(p: GroupElement) -> int:
     """Index of p in the enumerate_group order."""
-    if isinstance(p, SignedPermutation):
+    if p.kind == "B":
         mask = sum(1 << i for i, v in enumerate(p.window) if v < 0)
         return _lehmer_rank(tuple(abs(v) for v in p.window)) * (1 << p.n) + mask
     return _lehmer_rank(p.window)

@@ -3,14 +3,17 @@ extensions, and the zig-zag posets that encode descent classes.
 
 Input line format: one strict relation per line, "a<b".  Signed posets use
 labels in {-n..n} and automatically receive the symmetric closure
-(a < b implies -b < -a).
+(a < b implies -b < -a).  Both kinds share one implementation of the label
+check, the closure and the constructors; an order's `kind` attribute ("A"
+for LabeledPoset, "B" for SignedPoset) matches the kind of its linear
+extensions' windows.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import ClassVar, Iterable, Sequence
 
 from .permutations import Permutation, SignedPermutation
 
@@ -37,64 +40,63 @@ def _check_strict_order(pairs: set[tuple[int, int]]) -> None:
 
 
 @dataclass(frozen=True)
-class LabeledPoset:
-    """A strict partial order on the labels 1..n, stored transitively closed."""
+class _Order:
+    """A strict partial order of either kind, stored transitively closed; a
+    subclass adds its `kind` and its linear extensions."""
 
     n: int
     relation: frozenset[tuple[int, int]]
+    kind: ClassVar[str]
 
     def __post_init__(self) -> None:
+        labels = self.labels
         for a, b in self.relation:
-            if not (1 <= a <= self.n and 1 <= b <= self.n):
+            if a not in labels or b not in labels:
                 raise ValueError(f"label out of range: {a} < {b}")
-        closed = _transitive_closure(set(self.relation))
+        pairs = set(self.relation)
+        if self.kind == "B":
+            pairs |= {(-b, -a) for a, b in pairs}
+        closed = _transitive_closure(pairs)
         _check_strict_order(closed)
         object.__setattr__(self, "relation", frozenset(closed))
 
+    @property
+    def labels(self) -> range:
+        """1..n for an ordinary order, -n..n for a signed one."""
+        return range(-self.n if self.kind == "B" else 1, self.n + 1)
+
     @classmethod
-    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "LabeledPoset":
+    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "_Order":
         return cls(n, frozenset(covers))
 
     @classmethod
-    def antichain(cls, n: int) -> "LabeledPoset":
+    def antichain(cls, n: int) -> "_Order":
         return cls(n, frozenset())
+
+    def less(self, a: int, b: int) -> bool:
+        return (a, b) in self.relation
+
+
+class LabeledPoset(_Order):
+    """A strict partial order on the labels 1..n."""
+
+    kind = "A"
 
     @classmethod
     def chain(cls, labels: Sequence[int]) -> "LabeledPoset":
         covers = frozenset(zip(labels, labels[1:]))
         return cls(len(labels), covers)
 
-    def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
-
     def linear_extensions(self) -> list[Permutation]:
         """All label orderings compatible with the poset, as windows: the
         window lists the labels from bottom to top."""
-        above = {i: set() for i in range(1, self.n + 1)}
-        indegree = {i: 0 for i in range(1, self.n + 1)}
+        above = {i: set() for i in self.labels}
+        indegree = {i: 0 for i in self.labels}
         for a, b in _reduce_to_covers(self.n, self.relation):
             above[a].add(b)
             indegree[b] += 1
         out: list[Permutation] = []
-        window: list[int] = []
-
-        def extend() -> None:
-            if len(window) == self.n:
-                out.append(Permutation(tuple(window)))
-                return
-            for label in sorted(indegree):
-                if indegree[label] == 0:
-                    del indegree[label]
-                    for b in above[label]:
-                        indegree[b] -= 1
-                    window.append(label)
-                    extend()
-                    window.pop()
-                    for b in above[label]:
-                        indegree[b] += 1
-                    indegree[label] = 0
-
-        extend()
+        _extend_labeled(self.n, above, indegree, [], out)
         return out
 
     def linear_extensions_filter(self) -> list[Permutation]:
@@ -110,6 +112,27 @@ class LabeledPoset:
         return out
 
 
+def _extend_labeled(
+    n: int, above: dict[int, set[int]], indegree: dict[int, int], window: list[int], out: list[Permutation]
+) -> None:
+    """Append to out every extension of window by the labels still in
+    indegree, each placed once nothing left below it."""
+    if len(window) == n:
+        out.append(Permutation(tuple(window)))
+        return
+    for label in sorted(indegree):
+        if indegree[label] == 0:
+            del indegree[label]
+            for b in above[label]:
+                indegree[b] -= 1
+            window.append(label)
+            _extend_labeled(n, above, indegree, window, out)
+            window.pop()
+            for b in above[label]:
+                indegree[b] += 1
+            indegree[label] = 0
+
+
 def _reduce_to_covers(n: int, relation: frozenset[tuple[int, int]]) -> set[tuple[int, int]]:
     return {
         (a, b)
@@ -118,32 +141,12 @@ def _reduce_to_covers(n: int, relation: frozenset[tuple[int, int]]) -> set[tuple
     }
 
 
-@dataclass(frozen=True)
-class SignedPoset:
+class SignedPoset(_Order):
     """A strict partial order on {-n..n} that is centrally symmetric:
     a < b implies -b < -a.  The symmetric and transitive closures are taken
     at construction."""
 
-    n: int
-    relation: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        for a, b in self.relation:
-            if not (abs(a) <= self.n and abs(b) <= self.n):
-                raise ValueError(f"label out of range: {a} < {b}")
-        pairs = set(self.relation)
-        pairs |= {(-b, -a) for a, b in pairs}
-        closed = _transitive_closure(pairs)
-        _check_strict_order(closed)
-        object.__setattr__(self, "relation", frozenset(closed))
-
-    @classmethod
-    def from_covers(cls, n: int, covers: Iterable[tuple[int, int]]) -> "SignedPoset":
-        return cls(n, frozenset(covers))
-
-    @classmethod
-    def antichain(cls, n: int) -> "SignedPoset":
-        return cls(n, frozenset())
+    kind = "B"
 
     @classmethod
     def chain(cls, window: Sequence[int]) -> "SignedPoset":
@@ -151,48 +154,17 @@ class SignedPoset:
         labels = (0,) + tuple(window)
         return cls(len(window), frozenset(zip(labels, labels[1:])))
 
-    def less(self, a: int, b: int) -> bool:
-        return (a, b) in self.relation
-
     def linear_extensions(self) -> list[SignedPermutation]:
         """All centrally symmetric total orders extending the poset.
 
         Each is returned as the window (w(1), ..., w(n)) of labels sitting
         above 0, bottom to top; the mirror half is implied.
         """
-        out: list[SignedPermutation] = []
-        window: list[int] = []
-        used: set[int] = set()
-        decided: set[int] = {0}
-        above: dict[int, set[int]] = {x: set() for x in range(-self.n, self.n + 1)}
+        above: dict[int, set[int]] = {x: set() for x in self.labels}
         for a, b in self.relation:
             above[a].add(b)
-
-        def violates(x: int) -> bool:
-            # x becomes the current maximum and -x the current minimum.  By
-            # central symmetry d < -x iff x < -d, and decided labels come in
-            # pairs d, -d, so checking x against the decided labels suffices.
-            return -x in above[x] or not above[x].isdisjoint(decided)
-
-        def extend() -> None:
-            if len(window) == self.n:
-                out.append(SignedPermutation(tuple(window)))
-                return
-            for m in range(1, self.n + 1):
-                if m in used:
-                    continue
-                for x in (m, -m):
-                    if violates(x):
-                        continue
-                    used.add(m)
-                    window.append(x)
-                    decided.update((x, -x))
-                    extend()
-                    decided.difference_update((x, -x))
-                    window.pop()
-                    used.remove(m)
-
-        extend()
+        out: list[SignedPermutation] = []
+        _extend_signed(self.n, above, set(), {0}, [], out)
         return out
 
     def linear_extensions_filter(self) -> list[SignedPermutation]:
@@ -206,6 +178,32 @@ class SignedPoset:
             if all(pos[a] < pos[b] for a, b in self.relation):
                 out.append(p)
         return out
+
+
+def _extend_signed(
+    n: int, above: dict[int, set[int]], used: set[int], decided: set[int], window: list[int],
+    out: list[SignedPermutation],
+) -> None:
+    """Append to out every extension of window by x or -x for each m = |x|
+    not yet used, x becoming the current maximum and -x the minimum."""
+    if len(window) == n:
+        out.append(SignedPermutation(tuple(window)))
+        return
+    for m in range(1, n + 1):
+        if m in used:
+            continue
+        for x in (m, -m):
+            # By central symmetry d < -x iff x < -d, and decided labels come
+            # in pairs d, -d, so checking x against the decided labels suffices.
+            if -x in above[x] or not above[x].isdisjoint(decided):
+                continue
+            used.add(m)
+            window.append(x)
+            decided.update((x, -x))
+            _extend_signed(n, above, used, decided, window, out)
+            decided.difference_update((x, -x))
+            window.pop()
+            used.remove(m)
 
 
 def zigzag_poset(pi: Permutation, members: Iterable[int]) -> LabeledPoset:
@@ -238,27 +236,25 @@ def parse_poset(text: str, signed: bool = False, n: int | None = None) -> Labele
     return LabeledPoset.from_covers(n, covers)
 
 
+def _thinned_chain(window: list[int], rng: random.Random, keep: float, floor: tuple[int, ...]) -> list[tuple[int, int]]:
+    """Shuffle the window, set floor below it, and keep each cover of the
+    resulting chain with probability `keep`."""
+    rng.shuffle(window)
+    labels = list(floor) + window
+    return [cover for cover in zip(labels, labels[1:]) if rng.random() < keep]
+
+
 def random_poset(n: int, rng: random.Random, keep: float = 0.6) -> LabeledPoset:
     """A random poset built by thinning the cover chain of a random window.
 
     Keeping each cover with probability `keep` bounds the number of linear
     extensions, which keeps brute-force map enumeration affordable.
     """
-    window = list(range(1, n + 1))
-    rng.shuffle(window)
-    covers = [
-        (window[s - 1], window[s]) for s in range(1, n) if rng.random() < keep
-    ]
-    return LabeledPoset.from_covers(n, covers)
+    return LabeledPoset.from_covers(n, _thinned_chain(list(range(1, n + 1)), rng, keep, ()))
 
 
 def random_signed_poset(n: int, rng: random.Random, keep: float = 0.6) -> SignedPoset:
     """Random signed analogue: thin the chain 0 < w(1) < ... of a random
     signed window, then close symmetrically."""
     window = [v if rng.random() < 0.5 else -v for v in range(1, n + 1)]
-    rng.shuffle(window)
-    labels = [0] + window
-    covers = [
-        (labels[s - 1], labels[s]) for s in range(1, n + 1) if rng.random() < keep
-    ]
-    return SignedPoset.from_covers(n, covers)
+    return SignedPoset.from_covers(n, _thinned_chain(window, rng, keep, (0,)))

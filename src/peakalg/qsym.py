@@ -154,27 +154,26 @@ def _refinements(key: Composition) -> list[tuple[Composition, int]]:
     return out
 
 
-def f_to_m(element: QSymElement) -> QSymElement:
-    """Rewrite an F-basis element in the M basis."""
-    if element.basis != "F":
-        raise ValueError("f_to_m expects the F basis")
+def _refine(element: QSymElement, source: str, target: str, sign: int) -> QSymElement:
+    """Send each key to the sum of its refinements, each with the coefficient
+    sign^(number of added split points)."""
+    if element.basis != source:
+        raise ValueError(f"expected an element of the {source} basis, got the {element.basis} basis")
     out: Coeffs = {}
     for key, value in element.coeffs.items():
-        for beta, _ in _refinements(key):
-            out[beta] = out.get(beta, 0) + value
-    return QSymElement("M", element.typeB, out)
+        for beta, extra in _refinements(key):
+            out[beta] = out.get(beta, 0) + sign**extra * value
+    return QSymElement(target, element.typeB, out)
+
+
+def f_to_m(element: QSymElement) -> QSymElement:
+    """Rewrite an F-basis element in the M basis."""
+    return _refine(element, "F", "M", 1)
 
 
 def m_to_f(element: QSymElement) -> QSymElement:
     """Rewrite an M-basis element in the F basis (inclusion-exclusion)."""
-    if element.basis != "M":
-        raise ValueError("m_to_f expects the M basis")
-    out: Coeffs = {}
-    for key, value in element.coeffs.items():
-        for beta, extra in _refinements(key):
-            sign = -1 if extra % 2 else 1
-            out[beta] = out.get(beta, 0) + sign * value
-    return QSymElement("F", element.typeB, out)
+    return _refine(element, "M", "F", -1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -62,6 +63,11 @@ def test_peaks_flavor_forces_signed_parse(capsys):
     code, out, _ = run(capsys, "peaks", "--window", "1,2", "--flavor", "typeB")
     assert code == 0
     assert out == "{}"
+    # a signed flavor reads the window as signed, by alias or by full name
+    for flavor in ("typeB", "typeBPeak", "descentB"):
+        code, out, _ = run(capsys, "peaks", "--window", "2,1,3", "--flavor", flavor, "--format", "json")
+        assert code == 0
+        assert json.loads(out)["kind"] == "B", flavor
 
 
 def test_peaks_csv(capsys):
@@ -104,6 +110,17 @@ def test_extensions_signed_file(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["count"] == 3
     assert set(payload["extensions"]) == {"2,-1", "-1,-2", "-2,-1"}
+
+
+def test_extensions_file_is_closed(tmp_path, capsys):
+    path = tmp_path / "vee.poset"
+    path.write_text("1<2\n1<3\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, _ = run(capsys, "extensions", "--file", str(path))
+    assert code == 0
+    assert out.endswith("count: 2")
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_extensions_from_stdin(capsys, monkeypatch):

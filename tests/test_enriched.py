@@ -1,5 +1,6 @@
 """Enriched order-preserving maps: counts, censuses, and factorizations."""
 
+import gc
 import itertools
 import random
 
@@ -209,6 +210,21 @@ def test_poset_census_matches_maps_and_extensions():
             assert direct == summed, (P, alphabet)
 
 
+def test_poset_maps_leave_no_reference_cycles():
+    cases = [(LabeledPoset.from_covers(3, [(2, 1), (2, 3)]), Alphabet.prime(2)),
+             (SignedPoset.from_covers(2, [(0, 1), (-2, 1)]), Alphabet.plus_minus(2))]
+    for P, alphabet in cases:
+        assert poset_epp_maps(P, alphabet)
+        for visit in (poset_epp_maps, poset_epp_census):
+            gc.collect()
+            gc.disable()
+            try:
+                visit(P, alphabet)
+                assert gc.collect() == 0, (visit.__name__, P)
+            finally:
+                gc.enable()
+
+
 def test_poset_census_of_a_product_alphabet():
     # two weight variables per letter
     product = Alphabet.product(Alphabet.prime(1), Alphabet.prime(2))
@@ -311,7 +327,7 @@ def test_bipartite_census_identity():
 
 def _composed_factorization_census(p, first, second):
     """The factorization sum written out: every tau, sigma = p . tau^-1."""
-    kind = "B" if isinstance(p, SignedPermutation) else "A"
+    kind = p.kind
     width = first.n_vars + second.n_vars
     total = {}
     for tau in enumerate_group(p.n, kind):

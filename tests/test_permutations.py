@@ -25,6 +25,8 @@ from peakalg.permutations import (
     unrank,
 )
 
+import peak_oracle as oracle
+
 
 def test_frozen_peak_examples():
     p = Permutation((2, 1, 4, 3, 5))
@@ -115,7 +117,7 @@ def test_interior_left_containment():
 def test_unsigned_windows_have_left_flavored_signed_peaks():
     for n in range(1, 5):
         for p in enumerate_group(n, "A"):
-            sp = SignedPermutation.from_unsigned(p)
+            sp = SignedPermutation(p.window)
             assert peak_set(sp, "typeBPeak").members == peak_set(p, "leftPeak").members
 
 
@@ -232,3 +234,21 @@ def test_peak_sets_determined_by_descent_sets():
         des = descent_set(p, "descentB").members
         expected = {i for i in des if i - 1 not in des}
         assert peak_set(p, "typeBPeak").members == expected
+
+
+def test_windows_agree_with_the_oracle():
+    # inverses and statistics at every window of A_n, n <= 5, and B_n, n <= 4;
+    # products of all pairs at A_n, n <= 3, and B_n, n <= 2
+    flavors = {"interiorPeak": "interiorPeak", "leftPeak": "leftPeak",
+               "typeBPeak": "typeBPeak", "descentB": "descent"}
+    for kind, n_max, n_pairs in (("A", 5, 3), ("B", 4, 2)):
+        for n in range(1, n_max + 1):
+            windows = list(enumerate_group(n, kind))
+            assert {p.window for p in windows} == set(oracle.group(kind, n))
+            for p in windows:
+                assert p.inverse().window == oracle.inverse(p.window), p
+                for flavor, name in flavors.items():
+                    assert stat_set(p, flavor).members == oracle.statistic(p.window, name), (p, flavor)
+            if n <= n_pairs:
+                for p, q in itertools.product(windows, repeat=2):
+                    assert compose(p, q).window == oracle.compose(p.window, q.window), (p, q)

@@ -1,5 +1,6 @@
 """Labeled posets, signed posets, linear extensions, and zig-zag chains."""
 
+import gc
 import random
 
 import pytest
@@ -211,3 +212,23 @@ def test_signed_relation_below_own_negative():
     assert windows == {w for w in windows if -1 in w or any(v == -1 for v in w)}
     assert all(-1 in (w[0], w[1]) for w in windows)
     assert len(windows) == 4
+
+
+def _garbage_left_by(call):
+    """The number of collectable objects, that is objects in reference
+    cycles, that call leaves behind."""
+    gc.collect()
+    gc.disable()
+    try:
+        call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def test_linear_extensions_leave_no_reference_cycles():
+    P = LabeledPoset.from_covers(4, [(1, 3), (2, 3)])
+    B = SignedPoset.from_covers(3, [(0, 1), (-2, 1)])
+    assert len(P.linear_extensions()) == 8 and len(B.linear_extensions()) == 18
+    assert _garbage_left_by(P.linear_extensions) == 0
+    assert _garbage_left_by(B.linear_extensions) == 0
