@@ -3,10 +3,14 @@
 Every subcommand computes a JSON-serializable payload first; text and CSV
 renderings are derived from it, so the machine format is canonical.  Each
 subcommand declares only the flags it reads.  Exit codes: 0 on success, 1
-when a requested verification fails, 2 on usage errors.  A bad value (a size
-below 1 or over the default bound, a malformed window, an unknown flavor)
-prints a machine-readable error record on stderr; an unknown or missing flag
-prints argparse's usage message instead.
+when a requested verification fails, 2 on usage errors.  The kind, flavor
+and window of a query are resolved in one place: a signed flavor or a
+negative entry asks for kind B, and an explicit `--kind A` beside either is
+a usage error.  Every refused value (a size below 1 or over the default
+bound, a malformed window, an unknown flavor, a contradicting kind, a value
+the library refuses) prints the one machine-readable `"usage"` error record
+on stderr; an unknown or missing flag prints argparse's usage message
+instead.
 """
 
 from __future__ import annotations
@@ -48,7 +52,7 @@ from .permutations import (
 )
 from .posets import parse_poset
 from .qsym import m_to_f, peak_series
-from .verify import CHECKS, Bounds, run_suite, series_ranks
+from .verify import Bounds, run_suite, series_ranks
 
 DEFAULT_BOUNDS = {"A": 8, "B": 6}
 
@@ -61,14 +65,10 @@ FLAVOR_ALIASES = {
 }
 
 
-class UsageError(Exception):
-    pass
-
-
 def _enforce_bound(n: int, kind: str, allow_large: bool) -> None:
     limit = DEFAULT_BOUNDS[kind]
     if n > limit and not allow_large:
-        raise UsageError(
+        raise ValueError(
             f"n={n} exceeds the default bound {limit} for kind {kind}; "
             "pass --allow-large to acknowledge the cost"
         )
@@ -76,7 +76,7 @@ def _enforce_bound(n: int, kind: str, allow_large: bool) -> None:
 
 def _require_n(ns: argparse.Namespace, kind: str) -> None:
     if ns.n is None:
-        raise UsageError("--n is required")
+        raise ValueError("--n is required")
     _enforce_bound(ns.n, kind, ns.allow_large)
 
 
@@ -87,26 +87,28 @@ class Output:
     text: str
 
 
-def _canonical_flavor(name: str | None, kind: str) -> str:
-    if name is None:
-        raise UsageError("--flavor is required here")
+def _canonical_flavor(name: str, kind: str) -> str:
     if name == "descent":
         return "descent" + kind
     flavor = FLAVOR_ALIASES.get(name, name)
     if flavor not in FLAVORS:
-        raise UsageError(f"unknown flavor: {name}")
+        raise ValueError(f"unknown flavor: {name}")
     return flavor
 
 
-def _parse_window(text: str, kind: str | None, flavor: str | None) -> Permutation | SignedPermutation:
-    """A signed window when the kind is B, an entry is negative, or the
-    flavor, by alias or full name, is a signed one."""
-    values = _parse_ints(text)
-    signed = kind == "B" or any(v < 0 for v in values) or FLAVOR_ALIASES.get(flavor, flavor) in SIGNED_FLAVORS
-    try:
-        return SignedPermutation(values) if signed else Permutation(values)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+def _resolve(kind: str | None, flavor: str | None, window: str | None = None
+             ) -> tuple[str, str | None, Permutation | SignedPermutation | None]:
+    """The kind, canonical flavor and window of a query.  A signed flavor, by
+    alias or full name, or a negative entry of the window asks for kind B,
+    and an explicit `--kind A` beside either is refused; otherwise the kind
+    is the one given, or A."""
+    values = None if window is None else _parse_ints(window)
+    signed = FLAVOR_ALIASES.get(flavor, flavor) in SIGNED_FLAVORS or any(v < 0 for v in values or ())
+    if signed and kind == "A":
+        raise ValueError("--kind A names S_n, but a signed flavor or a negative entry names B_n")
+    kind = "B" if signed else kind or "A"
+    element = None if values is None else (SignedPermutation if kind == "B" else Permutation)(values)
+    return kind, None if flavor is None else _canonical_flavor(flavor, kind), element
 
 
 def _parse_members(text: str | None) -> list[int]:
@@ -120,18 +122,9 @@ def _parse_members(text: str | None) -> list[int]:
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
-    window = _parse_window(ns.window, ns.kind, ns.flavor)
-    kind = window.kind
-    if ns.flavor is not None:
-        flavors = [_canonical_flavor(ns.flavor, kind)]
-    else:
-        flavors = [f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS]
-    stats = {}
-    for flavor in flavors:
-        try:
-            stats[flavor] = stat_set(window, flavor)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+    kind, flavor, window = _resolve(ns.kind, ns.flavor, ns.window)
+    flavors = [flavor] if flavor is not None else [f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS]
+    stats = {flavor: stat_set(window, flavor) for flavor in flavors}
     payload = {
         "window": str(window),
         "kind": kind,
@@ -153,11 +146,8 @@ def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
             with open(ns.file) as handle:
                 source = handle.read()
     except OSError as exc:
-        raise UsageError(str(exc)) from None
-    try:
-        poset = parse_poset(source, signed=ns.signed, n=ns.n)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        raise ValueError(str(exc)) from None
+    poset = parse_poset(source, signed=ns.signed, n=ns.n)
     _enforce_bound(poset.n, "B" if ns.signed else "A", ns.allow_large)
     extensions = poset.linear_extensions()
     payload = {
@@ -175,14 +165,9 @@ _ALPHABETS = {"prime": Alphabet.prime, "left": Alphabet.left, "plusMinus": Alpha
 
 
 def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
-    window = _parse_window(ns.window, ns.kind, None)
-    name = ns.alphabet or ("plusMinus" if window.kind == "B" else "prime")
-    if name not in _ALPHABETS:
-        raise UsageError(f"unknown alphabet: {name}")
-    try:
-        census = epp_census(window, _ALPHABETS[name](ns.k))
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    kind, _, window = _resolve(ns.kind, None, ns.window)
+    name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
+    census = epp_census(window, _ALPHABETS[name](ns.k))
     entries = [
         {"exponents": list(exponents), "count": count}
         for exponents, count in sorted(census.items())
@@ -196,17 +181,10 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
     return Output(payload, rows, text), 0
 
 
-def _resolve_flavor_kind(raw: str | None, explicit_kind: str | None) -> tuple[str, str]:
-    """The flavor and the kind of its group: a signed flavor forces kind B."""
-    kind = explicit_kind or "A"
-    flavor = _canonical_flavor(raw, kind)
-    return flavor, "B" if flavor in SIGNED_FLAVORS else kind
-
-
 def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     flavor = _canonical_flavor(ns.flavor or "interior", "A")
     if flavor not in FIBONACCI_SHIFT:
-        raise UsageError(f"no peak series for flavor {flavor}; available: {', '.join(FIBONACCI_SHIFT)}")
+        raise ValueError(f"no peak series for flavor {flavor}; available: {', '.join(FIBONACCI_SHIFT)}")
     if ns.report_ranks:
         n_max = ns.n_max or ns.n or 7
         # a series is no group element, so the kind-A bound holds for every flavor
@@ -222,14 +200,11 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
         ) + f"\nall match: {ok}"
         return Output(payload, ranks, text), 0 if ok else 1
     if ns.n is None:
-        raise UsageError("--n is required for an expansion")
+        raise ValueError("--n is required for an expansion")
     # the series is a sum over all 2^(n-1) subsets, bounded like the ranks above
     _enforce_bound(ns.n, "A", ns.allow_large)
     members = _parse_members(ns.members)
-    try:
-        StatSet.of(flavor, ns.n, members)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    StatSet.of(flavor, ns.n, members)
     element = peak_series(members, ns.n, typeB=flavor != "interiorPeak")
     if ns.basis == "F":
         element = m_to_f(element)
@@ -245,7 +220,7 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
-    flavor, kind = _resolve_flavor_kind(ns.flavor, ns.kind)
+    kind, flavor, _ = _resolve(ns.kind, ns.flavor)
     _require_n(ns, kind)
     payload = structure_table(ns.n, kind, flavor, ns.mode).to_payload()
     rows, text = [], ""
@@ -259,7 +234,7 @@ def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
-    flavor, kind = _resolve_flavor_kind(ns.flavor, ns.kind)
+    kind, flavor, _ = _resolve(ns.kind, ns.flavor)
     _require_n(ns, kind)
     n = ns.n
     payload: dict = {"n": n, "kind": kind, "flavor": flavor, "mode": ns.mode}
@@ -304,10 +279,7 @@ def _cmd_orderpoly(ns: argparse.Namespace) -> tuple[Output, int]:
     counts = [ns.peaks] if ns.peaks is not None else realized_peak_counts(ns.n)
     polys = []
     for i in counts:
-        try:
-            poly = order_polynomial(i, ns.n)
-        except ValueError as exc:
-            raise UsageError(str(exc)) from None
+        poly = order_polynomial(i, ns.n)
         polys.append({
             "peaks": i,
             "coefficients": [str(c) for c in poly.coefficients],
@@ -366,12 +338,7 @@ def _cmd_negatives(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[Output, int]:
-    names = None
-    if ns.checks:
-        names = [name.strip() for name in ns.checks.split(",") if name.strip()]
-        unknown = [name for name in names if name not in CHECKS]
-        if unknown:
-            raise UsageError(f"unknown checks: {unknown}; available: {', '.join(CHECKS)}")
+    names = None if ns.checks is None else [name.strip() for name in ns.checks.split(",") if name.strip()]
     if ns.n_max is not None:
         _enforce_bound(ns.n_max, "A", ns.allow_large)
     bounds = Bounds(n_max=ns.n_max, seed=ns.seed)
@@ -504,14 +471,10 @@ def main(argv: list[str] | None = None) -> int:
         for flag, value in (("--n", getattr(ns, "n", None)), ("--n-max", getattr(ns, "n_max", None)),
                             ("--k", getattr(ns, "k", None))):
             if value is not None and value < 1:
-                raise UsageError(f"{flag} must be at least 1, got {value}")
+                raise ValueError(f"{flag} must be at least 1, got {value}")
         output, code = ns.handler(ns)
-    except UsageError as exc:
+    except ValueError as exc:  # every refused value, wherever it is found
         record = {"error": {"code": "usage", "message": str(exc)}}
-        print(json.dumps(record), file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        record = {"error": {"code": "invalid-input", "message": str(exc)}}
         print(json.dumps(record), file=sys.stderr)
         return 2
     try:

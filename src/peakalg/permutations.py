@@ -217,7 +217,13 @@ def stat_set(p: GroupElement, flavor: str) -> StatSet:
 # Group enumeration with a stable rank/unrank order
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("A", "B"):
+        raise ValueError(f"unknown kind: {kind}")
+
+
 def group_order(n: int, kind: str) -> int:
+    _check_kind(kind)
     order = 1
     for m in range(2, n + 1):
         order *= m
@@ -231,17 +237,16 @@ def enumerate_group(n: int, kind: str) -> Iterator[GroupElement]:
     values, and for kind 'B' each base window runs through all 2^n sign
     patterns, with position i flipping bit i-1 of an ascending counter.
     """
+    _check_kind(kind)
     if kind == "A":
         for window in itertools.permutations(range(1, n + 1)):
             yield Permutation(window)
-    elif kind == "B":
+    else:
         for window in itertools.permutations(range(1, n + 1)):
             for mask in range(1 << n):
                 yield SignedPermutation(
                     tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(window))
                 )
-    else:
-        raise ValueError(f"unknown kind: {kind}")
 
 
 def _lehmer_rank(window: tuple[int, ...]) -> int:
@@ -273,6 +278,7 @@ def rank(p: GroupElement) -> int:
 
 def unrank(r: int, n: int, kind: str) -> GroupElement:
     """Inverse of rank for the given group."""
+    _check_kind(kind)
     if kind == "A":
         return Permutation(_lehmer_unrank(r, n))
     base_rank, mask = divmod(r, 1 << n)

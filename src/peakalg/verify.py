@@ -178,6 +178,8 @@ def _bounded_poset(kind: str, n: int, rng: random.Random, k_probe: Alphabet, ext
 def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> CheckResult:
     """Census additivity: the census of an order equals the sum of the
     censuses of its linear extensions, for random orders of both kinds."""
+    if posets_per_n < 1 or k_max < 1:
+        raise ValueError(f"posets_per_n and k_max must be at least 1, got {posets_per_n} and {k_max}")
     n_max = bounds.cap(6)
     rng = random.Random(bounds.seed)
     failures = []
@@ -437,9 +439,11 @@ CHECKS: dict[str, Callable[[Bounds], CheckResult]] = {
 
 def run_suite(names: Sequence[str] | None = None, bounds: Bounds = Bounds()) -> list[CheckResult]:
     """Run the named checks (all by default) and return results in listed
-    order."""
+    order.  An empty selection is refused: a suite that ran nothing passed
+    nothing."""
     selected = list(CHECKS) if names is None else list(names)
     unknown = [name for name in selected if name not in CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {unknown}")
+    if unknown or not selected:
+        problem = f"unknown checks: {unknown}" if unknown else "no checks selected"
+        raise ValueError(f"{problem}; available: {', '.join(CHECKS)}")
     return [CHECKS[name](bounds) for name in selected]

@@ -70,6 +70,37 @@ def test_peaks_flavor_forces_signed_parse(capsys):
         assert json.loads(out)["kind"] == "B", flavor
 
 
+@pytest.mark.parametrize("argv", [
+    ("peaks", "--window", "-1,2"),
+    ("peaks", "--window", "2,1,3", "--flavor", "descentB"),
+    ("census", "--window", "-2,1"),
+    ("structure", "--flavor", "typeB", "--n", "2"),
+    ("closure", "--flavor", "typeB", "--n", "3"),
+])
+def test_kind_a_beside_a_signed_flavor_or_entry_is_refused(capsys, argv):
+    # the window or flavor asks for B_n; an explicit --kind A is not overridden
+    code, out, err = run(capsys, *argv, "--kind", "A")
+    assert code == 2 and out == ""
+    record = json.loads(err)["error"]
+    assert record["code"] == "usage" and "--kind A" in record["message"]
+    code, out, _ = run(capsys, *argv)
+    assert code in (0, 1) and out  # without --kind the signed reading stands
+
+
+def test_refused_library_values_are_usage_records(tmp_path, capsys):
+    path = tmp_path / "cycle.poset"
+    path.write_text("1<2\n2<1\n")
+    for argv in (
+        ("extensions", "--file", str(path)),
+        ("census", "--window", "-2,1", "--alphabet", "prime"),
+        ("qsym", "--flavor", "left", "--n", "3", "--members", "{0}"),
+        ("verify", "--checks", ","),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert json.loads(err)["error"]["code"] == "usage", argv
+
+
 def test_peaks_csv(capsys):
     code, out, _ = run(capsys, "peaks", "--window", "2,1,3", "--format", "csv")
     assert code == 0

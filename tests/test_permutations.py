@@ -104,6 +104,14 @@ def test_group_orders_and_rank_round_trip():
             assert unrank(r, n, kind) == e
 
 
+def test_unknown_kinds_are_refused():
+    # no third group: a kind other than A or B is an error, not some group
+    for call in (lambda: group_order(3, "C"), lambda: unrank(0, 2, "Z"),
+                 lambda: next(enumerate_group(2, "C"))):
+        with pytest.raises(ValueError, match="unknown kind"):
+            call()
+
+
 def test_interior_left_containment():
     # interior peaks are left peaks; the only extra left peak can sit at 1
     for n in range(1, 6):

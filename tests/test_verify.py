@@ -103,6 +103,14 @@ def test_run_suite_order_and_selection():
     assert all(r.passed for r in results)
 
 
+def test_run_suite_refuses_an_empty_or_unknown_selection():
+    # a suite that ran nothing passed nothing; the message lists the checks
+    for names, problem in (([], "no checks selected"), (["bogus"], "unknown checks")):
+        with pytest.raises(ValueError, match=problem) as refused:
+            run_suite(names, Bounds(n_max=2))
+        assert f"available: {', '.join(CHECKS)}" in str(refused.value)
+
+
 def test_bounds_reject_n_max_below_one():
     for n_max in (0, -1):
         with pytest.raises(ValueError):
@@ -149,6 +157,13 @@ def test_extensions_check_reports_what_it_examined():
     assert signed["maps"] == antichains * (5 + 9) + (3 - antichains) * (3 + 5)
     for kind, seen in examined.items():
         assert f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension" in result.details
+
+
+def test_extensions_check_refuses_to_draw_nothing():
+    # with no order drawn, or no alphabet, the check would pass on 0 orders
+    for posets_per_n, k_max in ((0, 3), (-1, 3), (25, 0)):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_extensions(Bounds(n_max=2), posets_per_n=posets_per_n, k_max=k_max)
 
 
 def test_a_wrong_series_fails_every_window_of_its_peak_set(monkeypatch):
