@@ -12,8 +12,8 @@ The package covers, with exact arithmetic throughout:
   quasi-shuffle products, and exact span ranks (`qsym`);
 - group-algebra convolution, class sums, structure tables, closure / ideal /
   containment checks (`group_algebra`, `linalg`);
-- counting polynomials, orthogonal idempotents, peak-number bases, and the
-  battery of statistics whose class sums fail closure (`eulerian`);
+- counting polynomials, orthogonal idempotents and their peak-number span,
+  and the battery of statistics whose class sums fail closure (`eulerian`);
 - a reporting verification suite and a command-line front end (`verify`,
   `cli`).
 """
@@ -63,7 +63,6 @@ from .group_algebra import (
 )
 from .eulerian import (
     RationalPolynomial,
-    eulerian_basis,
     negative_battery,
     order_polynomial,
     rho,
@@ -99,7 +98,6 @@ __all__ = [
     "epp_census",
     "epp_count",
     "epp_maps",
-    "eulerian_basis",
     "evaluate",
     "f_to_m",
     "factorization_census",

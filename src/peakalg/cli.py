@@ -96,19 +96,19 @@ def _canonical_flavor(name: str, kind: str) -> str:
     return flavor
 
 
-def _resolve(kind: str | None, flavor: str | None, window: str | None = None
-             ) -> tuple[str, str | None, Permutation | SignedPermutation | None]:
-    """The kind, canonical flavor and window of a query.  A signed flavor, by
-    alias or full name, or a negative entry of the window asks for kind B,
-    and an explicit `--kind A` beside either is refused; otherwise the kind
-    is the one given, or A."""
+def _resolve(kind: str | None, flavors: list[str], window: str | None = None
+             ) -> tuple[str, list[str], Permutation | SignedPermutation | None]:
+    """The kind, canonical flavors and window of a query.  A signed flavor,
+    by alias or full name, or a negative entry of the window asks for kind
+    B, and an explicit `--kind A` beside either is refused; otherwise the
+    kind is the one given, or A."""
     values = None if window is None else _parse_ints(window)
-    signed = FLAVOR_ALIASES.get(flavor, flavor) in SIGNED_FLAVORS or any(v < 0 for v in values or ())
+    signed = any(FLAVOR_ALIASES.get(f, f) in SIGNED_FLAVORS for f in flavors) or any(v < 0 for v in values or ())
     if signed and kind == "A":
         raise ValueError("--kind A names S_n, but a signed flavor or a negative entry names B_n")
     kind = "B" if signed else kind or "A"
     element = None if values is None else (SignedPermutation if kind == "B" else Permutation)(values)
-    return kind, None if flavor is None else _canonical_flavor(flavor, kind), element
+    return kind, [_canonical_flavor(flavor, kind) for flavor in flavors], element
 
 
 def _parse_members(text: str | None) -> list[int]:
@@ -122,8 +122,8 @@ def _parse_members(text: str | None) -> list[int]:
 
 
 def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
-    kind, flavor, window = _resolve(ns.kind, ns.flavor, ns.window)
-    flavors = [flavor] if flavor is not None else [f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS]
+    kind, flavors, window = _resolve(ns.kind, [] if ns.flavor is None else [ns.flavor], ns.window)
+    flavors = flavors or [f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS]
     stats = {flavor: stat_set(window, flavor) for flavor in flavors}
     payload = {
         "window": str(window),
@@ -165,7 +165,7 @@ _ALPHABETS = {"prime": Alphabet.prime, "left": Alphabet.left, "plusMinus": Alpha
 
 
 def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
-    kind, _, window = _resolve(ns.kind, None, ns.window)
+    kind, _, window = _resolve(ns.kind, [], ns.window)
     name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
     census = epp_census(window, _ALPHABETS[name](ns.k))
     entries = [
@@ -220,7 +220,7 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
-    kind, flavor, _ = _resolve(ns.kind, ns.flavor)
+    kind, (flavor,), _ = _resolve(ns.kind, [ns.flavor])
     _require_n(ns, kind)
     payload = structure_table(ns.n, kind, flavor, ns.mode).to_payload()
     rows, text = [], ""
@@ -234,7 +234,9 @@ def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
-    kind, flavor, _ = _resolve(ns.kind, ns.flavor)
+    # the outer flavor of --ideal-in takes part in the kind rule as --flavor does
+    kind, flavors, _ = _resolve(ns.kind, [ns.flavor, ns.ideal_in] if ns.ideal_in else [ns.flavor])
+    flavor = flavors[0]
     _require_n(ns, kind)
     n = ns.n
     payload: dict = {"n": n, "kind": kind, "flavor": flavor, "mode": ns.mode}
@@ -243,7 +245,7 @@ def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
     payload["closure"] = report
     checks_passed &= report["closed"]
     if ns.ideal_in:
-        outer_flavor = _canonical_flavor(ns.ideal_in, kind)
+        outer_flavor = flavors[1]
         outer = class_sums(n, kind, outer_flavor, ns.mode)
         ideal = ideal_check(n, kind, flavor, list(outer.values()), ns.mode)
         if not ideal["ideal"]:

@@ -4,7 +4,9 @@ A window w with descent set D (type B: including 0 when w(1) < 0) admits the
 chain maps g = (g_1, ..., g_n) into an alphabet: consecutive values satisfy
 g_i <=+ g_{i+1} when i is not a descent and g_i <=- g_{i+1} when it is.  For
 alphabets with a zero letter the chain is anchored: a virtual g_0 equal to
-the zero letter, with the step sign decided by whether 0 is a descent.
+the zero letter, with the step sign decided by whether 0 is a descent.  So
+the chains are fixed by the window's size and descent set together with the
+alphabet, and every chain builder below takes exactly those three.
 
 The census of a window records, for each monomial exponent vector, how many
 chain maps produce it; the exponent of variable v counts chain values of
@@ -32,11 +34,12 @@ def supports_signed(alphabet: Alphabet) -> bool:
     return alphabet.zero_index is not None and alphabet._negate is not None
 
 
-def chain_rules(p: GroupElement, alphabet: Alphabet) -> tuple[int, frozenset[int], bool]:
-    """(n, descent set, anchored?) governing the chains of p into alphabet."""
+def chain_rules(p: GroupElement, alphabet: Alphabet) -> tuple[int, frozenset[int]]:
+    """(n, descent set) governing the chains of p into alphabet; whether a
+    chain is anchored is the alphabet's own property (a zero letter)."""
     if p.kind == "B" and not supports_signed(alphabet):
         raise ValueError(f"{alphabet.variant} alphabet cannot host signed windows")
-    return p.n, descent_set(p, "descent" + p.kind).members, alphabet.zero_index is not None
+    return p.n, descent_set(p, "descent" + p.kind).members
 
 
 def _equality_gate(alphabet: Alphabet, minus: bool) -> list[bool]:
@@ -69,12 +72,12 @@ class _KeyCodes:
         return census
 
 
-def chain_count(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> int:
+def chain_count(n: int, des: frozenset[int], alphabet: Alphabet) -> int:
     """Number of chain maps, by prefix-sum dynamic programming."""
     size = len(alphabet)
     if n == 0:
         return 1
-    if anchored:
+    if alphabet.zero_index is not None:
         state = [0] * size
         state[alphabet.zero_index] = 1
         first = 0
@@ -92,23 +95,23 @@ def chain_count(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool)
     return sum(state)
 
 
-def chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
+def chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
     """Monomial census of all chain maps, same DP as chain_count.  The DP
-    runs once per (n, descent set, anchored) for each alphabet and its
-    result is kept on the alphabet; every call returns a fresh copy."""
-    rules = (n, frozenset(des), anchored)
+    runs once per (n, descent set) for each alphabet and its result is kept
+    on the alphabet; every call returns a fresh copy."""
+    rules = (n, frozenset(des))
     stored = alphabet.censuses.get(rules)
     if stored is None:
-        stored = alphabet.censuses[rules] = _chain_census(n, des, alphabet, anchored)
+        stored = alphabet.censuses[rules] = _chain_census(n, des, alphabet)
     return dict(stored)
 
 
-def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool) -> Census:
+def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
     size = len(alphabet)
     codes = _KeyCodes(alphabet, n)
     if n == 0:
         return codes.decode({0: 1})
-    if anchored:
+    if alphabet.zero_index is not None:
         state: list[dict[int, int]] = [{} for _ in range(size)]
         state[alphabet.zero_index] = {0: 1}
         first = 0
@@ -137,9 +140,7 @@ def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet, anchored: boo
     return codes.decode(total)
 
 
-def chain_tuples(
-    n: int, des: frozenset[int], alphabet: Alphabet, anchored: bool
-) -> Iterator[tuple[Letter, ...]]:
+def chain_tuples(n: int, des: frozenset[int], alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
     """All chain maps materialized as value tuples (g_1, ..., g_n)."""
     size = len(alphabet)
     chain: list[int] = []
@@ -161,7 +162,7 @@ def chain_tuples(
             yield from extend(j, position in des)
             chain.pop()
 
-    if anchored:
+    if alphabet.zero_index is not None:
         yield from extend(alphabet.zero_index, 0 in des)
     else:
         yield from extend(None, None)
@@ -172,19 +173,16 @@ def chain_tuples(
 
 
 def epp_count(p: GroupElement, alphabet: Alphabet) -> int:
-    n, des, anchored = chain_rules(p, alphabet)
-    return chain_count(n, des, alphabet, anchored)
+    return chain_count(*chain_rules(p, alphabet), alphabet)
 
 
 def epp_census(p: GroupElement, alphabet: Alphabet) -> Census:
-    n, des, anchored = chain_rules(p, alphabet)
-    return chain_census(n, des, alphabet, anchored)
+    return chain_census(*chain_rules(p, alphabet), alphabet)
 
 
 def epp_values(p: GroupElement, alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
     """Chain value tuples (g_i = f(w(i)))."""
-    n, des, anchored = chain_rules(p, alphabet)
-    return chain_tuples(n, des, alphabet, anchored)
+    return chain_tuples(*chain_rules(p, alphabet), alphabet)
 
 
 def epp_maps(p: GroupElement, alphabet: Alphabet) -> list[dict[int, Letter]]:
@@ -387,17 +385,17 @@ def factorization_census(
     factorization counts of p by descent-set pair (Des tau, Des sigma): for
     each Des tau the censuses of its sigma sides are summed first, and that
     sum enters one product with the census of tau."""
-    n, _, first_anchored = chain_rules(p, first)
-    _, _, second_anchored = chain_rules(p, second)
+    n, _ = chain_rules(p, first)
+    chain_rules(p, second)  # refuses a second alphabet that cannot host p
     sigma_sides: dict[frozenset[int], Census] = {}
     for (des_tau, des_sigma), times in factorization_counts(p, "descent" + p.kind).items():
         side = sigma_sides.setdefault(des_tau, {})
-        for key, count in chain_census(n, des_sigma, second, second_anchored).items():
+        for key, count in chain_census(n, des_sigma, second).items():
             side[key] = side.get(key, 0) + times * count
     width = first.n_vars + second.n_vars
     total: Census = {}
     for des_tau, side in sigma_sides.items():
-        combined = census_product(chain_census(n, des_tau, first, first_anchored), side, first.n_vars, width)
+        combined = census_product(chain_census(n, des_tau, first), side, first.n_vars, width)
         for key, count in combined.items():
             total[key] = total.get(key, 0) + count
     return total

@@ -5,7 +5,10 @@ letters extends to a degree-n polynomial in k; it depends only on the number
 of interior peaks of p.  Packaging the half-argument polynomials of all
 windows into a single generating polynomial with group-algebra coefficients
 yields coefficients that are mutually orthogonal idempotents; their span is
-the span of the peak-number class sums.
+the span of the peak-number class sums.  The coefficients are kept by
+interior peak count, and one report, `verify_rho_multiplicativity`, decides
+their multiplicativity, that span and the commutativity of the class sums in
+those coordinates: no dense product or elimination over the group is formed.
 
 The battery at the bottom sweeps the statistics whose class sums do NOT span
 a convolution-closed subspace, recording a concrete witness at the smallest
@@ -26,7 +29,6 @@ from .group_algebra import (
     closure_check,
     factorization_counts,
     multiplicative_closure,
-    sorted_keys,
     stat_classes,
 )
 from .linalg import Span
@@ -176,19 +178,6 @@ def rho_idempotents(n: int) -> list[AlgebraElement]:
     return [elements[d] for d in parity_degrees(n)]
 
 
-def idempotent_for_index(n: int, i: int) -> AlgebraElement:
-    """1-based index along the allowed-parity degrees."""
-    items = rho_idempotents(n)
-    if not 1 <= i <= len(items):
-        raise ValueError(f"index {i} out of range 1..{len(items)}")
-    return items[i - 1]
-
-
-def idempotent_for_peak_count(n: int, count: int) -> AlgebraElement:
-    """Same list keyed by interior peak count (index minus one)."""
-    return idempotent_for_index(n, count + 1)
-
-
 def verify_rho_multiplicativity(n: int) -> dict:
     """Expand the product of two copies of rho in independent variables and
     compare coefficientwise with rho at the product variable: the (a,b)
@@ -201,10 +190,16 @@ def verify_rho_multiplicativity(n: int) -> dict:
     peak-count pair.  Windows with the same peak count and the same counts
     agree, so each such profile is checked once.  The same profiles decide
     whether the peak-number class sums commute: v_i * v_j = v_j * v_i exactly
-    when N_p(i, j) = N_p(j, i) at every window p."""
+    when N_p(i, j) = N_p(j, i) at every window p.
+
+    The class sums have disjoint supports, so the allowed-degree
+    coefficients span the same space as the class sums exactly when their
+    rows of peak-count coefficients form a square matrix of full rank."""
     by_count = rho_by_peak_count(n)
     degrees = [d for d, c in enumerate(by_count) if any(c.values())]
     allowed = parity_degrees(n)
+    peak_counts = sorted(by_count[0])
+    rows = Span([by_count[d][i] for i in peak_counts] for d in allowed)
     parity_ok = all(d in allowed for d in degrees)
     profiles = {
         (
@@ -229,37 +224,8 @@ def verify_rho_multiplicativity(n: int) -> dict:
         "mismatches": [(a, b) for a in degrees for b in degrees if (a, b) in failing],
         "sum_equals_identity": _peak_count_combination(n, total) == AlgebraElement.identity(n, "A"),
         "commutative": all(counts == {((j, i), times) for (i, j), times in counts} for _, counts in profiles),
+        "spans_classes": len(allowed) == len(peak_counts) == rows.dim,
     }
-
-
-# ---------------------------------------------------------------------------
-# Peak-number class sums
-
-
-_BASIS_FLAVORS = {
-    "interior": "interiorPeak",
-    "left": "leftPeak",
-    "typeB": "typeBPeak",
-    "rightNumber": "rightPeak",
-    "exteriorNumber": "exteriorPeak",
-}
-
-
-def eulerian_basis(n: int, kind: str, flavor: str) -> list[AlgebraElement]:
-    """Class sums of windows sharing a peak count, ascending by count."""
-    if flavor not in _BASIS_FLAVORS:
-        raise ValueError(f"unknown basis flavor: {flavor}")
-    sums = class_sums(n, kind, _BASIS_FLAVORS[flavor], mode="number")
-    return [sums[key] for key in sorted_keys(sums)]
-
-
-def spans_agree(first: Sequence[AlgebraElement], second: Sequence[AlgebraElement]) -> bool:
-    a, b = Span(), Span()
-    for element in first:
-        a.add(element.to_vector())
-    for element in second:
-        b.add(element.to_vector())
-    return a.equals(b)
 
 
 # ---------------------------------------------------------------------------

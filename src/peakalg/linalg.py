@@ -62,12 +62,6 @@ class Span:
             return True
         return False
 
-    def equals(self, other: "Span") -> bool:
-        return (
-            self.dim == other.dim
-            and all(self.contains(row) for row in other.rows)
-        )
-
 
 def rank(vectors: Iterable[Vector]) -> int:
     return Span(vectors).dim

@@ -76,6 +76,7 @@ def test_peaks_flavor_forces_signed_parse(capsys):
     ("census", "--window", "-2,1"),
     ("structure", "--flavor", "typeB", "--n", "2"),
     ("closure", "--flavor", "typeB", "--n", "3"),
+    ("closure", "--flavor", "interior", "--n", "3", "--ideal-in", "typeB"),
 ])
 def test_kind_a_beside_a_signed_flavor_or_entry_is_refused(capsys, argv):
     # the window or flavor asks for B_n; an explicit --kind A is not overridden
@@ -337,6 +338,18 @@ def test_closure_with_ideal_and_containment(capsys):
     assert payload["closure"]["closed"] is True
     assert payload["ideal_in"]["ideal"] is True
     assert payload["descent_containment"] is True
+
+
+def test_a_signed_outer_flavor_asks_for_signed_windows(capsys):
+    # --ideal-in takes part in the kind rule as --flavor does, so the inner
+    # flavor and its descent alias are read on B_n too
+    for flavor, canonical in (("interior", "interiorPeak"), ("descent", "descentB")):
+        code, out, _ = run(
+            capsys, "closure", "--flavor", flavor, "--n", "3", "--ideal-in", "typeB", "--format", "json",
+        )
+        assert code in (0, 1) and out, flavor
+        payload = json.loads(out)
+        assert (payload["kind"], payload["flavor"], payload["ideal_in"]["outer"]) == ("B", canonical, "typeBPeak")
 
 
 def test_closure_ideal_witness_names_the_outer_class(capsys):

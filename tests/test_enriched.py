@@ -261,11 +261,11 @@ def test_stored_chain_censuses_are_copies():
     before = epp_census(w, alphabet)
     epp_census(w, alphabet).clear()
     assert epp_census(same_descents, alphabet) == before
-    stored = chain_census(3, frozenset({1}), alphabet, True)
+    stored = chain_census(3, frozenset({1}), alphabet)
     first_key = next(iter(stored))
     stored[first_key] += 1
-    chain_census(3, frozenset({1}), alphabet, True)[first_key] = 0
-    assert chain_census(3, frozenset({1}), alphabet, True) == epp_census(w, alphabet) == before
+    chain_census(3, frozenset({1}), alphabet)[first_key] = 0
+    assert chain_census(3, frozenset({1}), alphabet) == epp_census(w, alphabet) == before
 
 
 def test_poset_census_splits_over_extensions():

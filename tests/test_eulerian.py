@@ -12,19 +12,16 @@ from peakalg.eulerian import (
     BATTERY_CAPS,
     BATTERY_STATISTICS,
     RationalPolynomial,
-    eulerian_basis,
-    idempotent_for_index,
-    idempotent_for_peak_count,
     negative_battery,
     order_polynomial,
     parity_degrees,
     realized_peak_counts,
     rho,
     rho_idempotents,
-    spans_agree,
     verify_rho_multiplicativity,
 )
-from peakalg.group_algebra import AlgebraElement, closure_check
+from peakalg.group_algebra import AlgebraElement, class_sums, closure_check
+from peakalg.linalg import Span
 from peakalg.permutations import Permutation, enumerate_group, peak_set, rank
 
 F = Fraction
@@ -177,37 +174,39 @@ def test_idempotents_are_orthogonal():
                 assert a.convolve(b) == expected, (n, i, j)
 
 
-def test_idempotent_indexings_agree():
-    assert idempotent_for_index(3, 1) == rho_idempotents(3)[0]
-    assert idempotent_for_index(3, 2) == rho_idempotents(3)[1]
-    assert idempotent_for_peak_count(3, 0) == rho_idempotents(3)[0]
-    assert idempotent_for_peak_count(3, 1) == rho_idempotents(3)[1]
-    with pytest.raises(ValueError):
-        idempotent_for_index(3, 3)
-    with pytest.raises(ValueError):
-        idempotent_for_peak_count(3, 2)
+def _dense_spans_agree(first, second):
+    """Whether two lists of elements span one subspace, by elimination over
+    their |S_n|-long coefficient vectors."""
+    dims = [Span(e.to_vector() for e in elements).dim for elements in (first, second, first + second)]
+    return len(set(dims)) == 1
 
 
 def test_count_class_sums_span_the_idempotents():
-    for n in range(1, 6):
-        E = eulerian_basis(n, "A", "interior")
-        e = rho_idempotents(n)
-        assert len(E) == (n + 1) // 2
-        assert spans_agree(E, e), n
+    for n in range(1, 7):
+        sums = list(class_sums(n, "A", "interiorPeak", "number").values())
+        idempotents = rho_idempotents(n)
+        assert len(sums) == len(idempotents) == (n + 1) // 2
+        report = verify_rho_multiplicativity(n)
+        assert report["spans_classes"] is _dense_spans_agree(sums, idempotents) is True, n
         # the commutativity read off factorization counts, against the dense
         # products u * w and w * u of every pair of class sums
-        dense = all(u * w == w * u for u in E for w in E)
-        assert verify_rho_multiplicativity(n)["commutative"] is dense is True, n
+        dense = all(u * w == w * u for u in sums for w in sums)
+        assert report["commutative"] is dense is True, n
 
 
-def test_eulerian_basis_flavors():
-    basis = eulerian_basis(1, "B", "typeB")
-    assert len(basis) == 2
-    assert all(len(b.coeffs) == 1 for b in basis)
-    assert len(eulerian_basis(4, "A", "interior")) == 2
-    assert len(eulerian_basis(3, "A", "left")) == 2
-    with pytest.raises(ValueError):
-        eulerian_basis(3, "A", "noSuchFlavor")
+def test_span_verdict_matches_dense_elimination_when_a_degree_vanishes(monkeypatch):
+    original = eulerian.rho_by_peak_count
+    for n in (4, 5):
+        top = parity_degrees(n)[-1]
+
+        def zeroed(m):
+            table = original(m)
+            table[top] = {i: F(0) for i in table[top]}
+            return table
+
+        monkeypatch.setattr(eulerian, "rho_by_peak_count", zeroed)
+        sums = list(class_sums(n, "A", "interiorPeak", "number").values())
+        assert verify_rho_multiplicativity(n)["spans_classes"] is _dense_spans_agree(sums, rho_idempotents(n)) is False
 
 
 def test_count_closures_hold_for_unsigned_windows():

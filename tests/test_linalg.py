@@ -50,14 +50,6 @@ def test_reduce_returns_the_residual():
     assert s.contains([F(7), F(0)])
 
 
-def test_equals_is_subspace_equality():
-    a = Span([[F(1), F(0)], [F(0), F(1)]])
-    b = Span([[F(1), F(1)], [F(1), F(-1)]])
-    assert a.equals(b)
-    c = Span([[F(1), F(1)]])
-    assert not a.equals(c)
-
-
 def test_fraction_arithmetic_stays_exact():
     # thirds and sevenths do not round: eliminating them reproduces zero
     v1 = [F(1, 3), F(1, 7)]

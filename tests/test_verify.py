@@ -1,13 +1,15 @@
 """The bundled verification suite: bounded runs and report shapes."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
-from peakalg import enriched, verify
-from peakalg.permutations import enumerate_group, peak_set
+from peakalg import enriched, eulerian, verify
+from peakalg.permutations import descent_set, enumerate_group, peak_set
 from peakalg.posets import random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
@@ -91,6 +93,22 @@ def test_idempotents_check_reports_class_sums_that_do_not_commute(monkeypatch):
     assert result.data["failures"] == [{"n": 3, "stage": "commutativity"}]
 
 
+def test_idempotents_check_reports_a_coefficient_that_vanished(monkeypatch):
+    # with its top allowed degree zeroed at n = 5, rho stays multiplicative,
+    # but its two remaining idempotents no longer span the three class sums
+    original = eulerian.rho_by_peak_count
+
+    def zeroed(n):
+        table = original(n)
+        if n == 5:
+            table[5] = {i: Fraction(0) for i in table[5]}
+        return table
+
+    monkeypatch.setattr(eulerian, "rho_by_peak_count", zeroed)
+    result = check_idempotents(Bounds())
+    assert result.data["failures"] == [{"n": 5, "stage": "span"}]
+
+
 def test_negatives_check_is_inconclusive_at_a_short_bound():
     result = check_negatives(Bounds(n_max=2))
     assert result.passed
@@ -120,7 +138,8 @@ def test_bounds_reject_n_max_below_one():
 def test_bounded_orders_match_a_count_per_extension():
     # the projected map count is taken once per descent set; counting every
     # extension on its own projects the same count, so the same orders are
-    # drawn (a small map cap makes re-draws happen)
+    # drawn (a small map cap makes re-draws happen), each returned with its
+    # extensions tallied by (n, descent set)
     redraws = []
 
     def drawn_one_by_one(kind, n, rng, probe, map_cap):
@@ -130,7 +149,7 @@ def test_bounded_orders_match_a_count_per_extension():
             if len(extensions) <= 1500 and sum(epp_count(w, probe) for w in extensions) <= map_cap:
                 break
             redraws.append((kind, n))
-        return poset, extensions
+        return poset, Counter((n, descent_set(w, "descent" + kind).members) for w in extensions)
 
     for kind, probe in (("A", Alphabet.prime(3)), ("B", Alphabet.plus_minus(3))):
         for n in range(1, 6):
