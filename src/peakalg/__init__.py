@@ -10,8 +10,10 @@ The package covers, with exact arithmetic throughout:
   (`alphabets`, `enriched`);
 - quasisymmetric series in the monomial/fundamental bases, peak series,
   quasi-shuffle products, and exact span ranks (`qsym`);
+- exact sparse vectors and their spans (`linalg`), the one arithmetic and
+  elimination of the group-algebra and quasisymmetric elements;
 - group-algebra convolution, class sums, structure tables, closure / ideal /
-  containment checks (`group_algebra`, `linalg`);
+  containment checks (`group_algebra`);
 - counting polynomials, orthogonal idempotents and their peak-number span,
   and the battery of statistics whose class sums fail closure (`eulerian`);
 - a reporting verification suite and a command-line front end (`verify`,
@@ -55,7 +57,6 @@ from .group_algebra import (
     StructureTable,
     class_sums,
     closure_check,
-    convolve,
     ideal_check,
     multiplicative_closure,
     structure_table,
@@ -90,7 +91,6 @@ __all__ = [
     "class_sums",
     "closure_check",
     "compose",
-    "convolve",
     "descent_set",
     "enumerate_group",
     "enumerate_peak_sets",

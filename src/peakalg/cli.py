@@ -50,7 +50,7 @@ from .permutations import (
     stat_set,
     _parse_ints,
 )
-from .posets import parse_poset
+from .posets import LabeledPoset, SignedPoset, parse_covers
 from .qsym import m_to_f, peak_series
 from .verify import Bounds, run_suite, series_ranks
 
@@ -147,8 +147,11 @@ def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
                 source = handle.read()
     except OSError as exc:
         raise ValueError(str(exc)) from None
-    poset = parse_poset(source, signed=ns.signed, n=ns.n)
-    _enforce_bound(poset.n, "B" if ns.signed else "A", ns.allow_large)
+    largest, covers = parse_covers(source)
+    n = largest if ns.n is None else ns.n
+    # bounded before the order and its transitive closure are built
+    _enforce_bound(n, "B" if ns.signed else "A", ns.allow_large)
+    poset = (SignedPoset if ns.signed else LabeledPoset).from_covers(n, covers)
     extensions = poset.linear_extensions()
     payload = {
         "n": poset.n,

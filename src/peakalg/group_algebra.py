@@ -1,16 +1,17 @@
 """Exact group-algebra arithmetic for the two window groups.
 
-Elements are sparse vectors indexed by the stable rank of a window.  A
-coefficient is an int where it is integral, as in every class sum, product
-of class sums and factorization count, and a Fraction only where it is not
-(the rho elements of the eulerian module divide).  The product is
-convolution against the fixed composition convention of the permutations
-module: (u * w)(p) sums u(t) * w(s) over all ordered factorizations
-s . t = p.  Every product of two group elements, at every
-group size, is read from one kernel: rows of product ranks, each built once
-by applying one cached getter per window to the row element's value table
-and looking the result up in the window -> rank dict.  Factorization counts
-are tallied over integer class ids and decoded to statistic pairs once.
+Elements are sparse exact vectors (`linalg.SparseVector`) keyed by the
+stable rank of a window.  A coefficient is an int where it is integral, as
+in every class sum, product of class sums and factorization count, and a
+Fraction only where it is not (the rho elements of the eulerian module
+divide).  The product is convolution against the fixed composition
+convention of the permutations module: (u * w)(p) sums u(t) * w(s) over
+all ordered factorizations s . t = p.  Every product of two group elements,
+at every group size, is read from one kernel: rows of product ranks, each
+built once by applying one cached getter per window to the row element's
+value table and looking the result up in the window -> rank dict.
+Factorization counts are tallied over integer class ids and decoded to
+statistic pairs once.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
@@ -23,6 +24,8 @@ closure, duality and the representative audit: every member's factorization
 counts against its class representative's.  The ideal check, whose outer
 elements need not be class sums, convolves.  Failures come with an explicit
 certificate so downstream reports can show a witness instead of a bare flag.
+`multiplicative_closure`, whose products leave the class-sum span, hands
+their coefficient mappings to `linalg.Span` as they are.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .linalg import Span, exact
+from .linalg import SparseVector, Span
 from .permutations import (
     GroupElement,
     enumerate_group,
@@ -113,23 +116,27 @@ def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-class AlgebraElement:
-    """A finitely supported rational combination of group elements; each
-    coefficient is stored by the `linalg.exact` rule."""
+class AlgebraElement(SparseVector):
+    """A finitely supported rational combination of group elements, keyed by
+    rank; each coefficient is stored by the `linalg.exact` rule."""
 
-    __slots__ = ("n", "kind", "coeffs")
+    __slots__ = ("n", "kind")
+    mismatch = "elements live in different group algebras"
 
     def __init__(self, n: int, kind: str, coeffs: Mapping[int, Fraction | int] | None = None):
         self.n = n
         self.kind = kind
-        self.coeffs: dict[int, Fraction | int] = {}
-        order = group_order(n, kind)
-        for key, value in (coeffs or {}).items():
+        super().__init__(coeffs)
+
+    @property
+    def space(self) -> tuple[int, str]:
+        return self.n, self.kind
+
+    def _check_keys(self, keys: Iterable[int]) -> None:
+        order = group_order(self.n, self.kind)
+        for key in keys:
             if not 0 <= key < order:
-                raise ValueError(f"rank {key} out of range for {kind} n={n}")
-            value = exact(value)
-            if value:
-                self.coeffs[key] = value
+                raise ValueError(f"rank {key} out of range for {self.kind} n={self.n}")
 
     @classmethod
     def zero(cls, n: int, kind: str) -> "AlgebraElement":
@@ -142,48 +149,6 @@ class AlgebraElement:
     @classmethod
     def identity(cls, n: int, kind: str) -> "AlgebraElement":
         return cls(n, kind, {0: 1})  # the identity window has rank 0
-
-    @classmethod
-    def from_vector(cls, n: int, kind: str, vector: Sequence[Fraction | int]) -> "AlgebraElement":
-        return cls(n, kind, {i: v for i, v in enumerate(vector) if v})
-
-    def to_vector(self) -> list[Fraction | int]:
-        out = [0] * group_order(self.n, self.kind)
-        for key, value in self.coeffs.items():
-            out[key] = value
-        return out
-
-    def _compatible(self, other: "AlgebraElement") -> None:
-        if self.n != other.n or self.kind != other.kind:
-            raise ValueError("elements live in different group algebras")
-
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return AlgebraElement(self.n, self.kind, out)
-
-    def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "AlgebraElement":
-        c = exact(c)
-        return AlgebraElement(self.n, self.kind, {k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, AlgebraElement)
-            and self.n == other.n
-            and self.kind == other.kind
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.kind, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def support(self) -> list[GroupElement]:
         elements = _elements(self.n, self.kind)
@@ -211,10 +176,6 @@ class AlgebraElement:
 
     def __mul__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self.convolve(other)
-
-
-def convolve(u: AlgebraElement, w: AlgebraElement) -> AlgebraElement:
-    return u.convolve(w)
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +390,7 @@ def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
     given elements, grown by saturating pairwise products."""
     if not elements:
         return {"dim_start": 0, "dim_closure": 0, "closed": True}
-    span = Span(element.to_vector() for element in elements)
+    span = Span(element.coeffs for element in elements)
     dim_start = span.dim
     basis = list(elements)
     frontier = list(elements)
@@ -438,7 +399,7 @@ def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
         for u in basis:
             for w in frontier:
                 for product in (u.convolve(w), w.convolve(u)):
-                    if span.add(product.to_vector()):
+                    if span.add(product.coeffs):
                         fresh.append(product)
         basis.extend(fresh)
         frontier = fresh

@@ -328,6 +328,7 @@ class Composition:
 
     @classmethod
     def from_subset(cls, members: Iterable[int], n: int, typeB: bool = False) -> "Composition":
+        """The composition of n whose partial-sum set is the given subset."""
         lo = 0 if typeB else 1
         positions = sorted(members)
         if any(not lo <= i <= n - 1 for i in positions):
@@ -340,11 +341,6 @@ class Composition:
 
     def __str__(self) -> str:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
-
-
-def subset_composition(members: Iterable[int], n: int, typeB: bool = False) -> Composition:
-    """The composition of n whose partial-sum set is the given subset."""
-    return Composition.from_subset(members, n, typeB)
 
 
 def compositions(n: int, typeB: bool = False) -> list[Composition]:

@@ -220,8 +220,9 @@ def zigzag_poset(pi: Permutation, members: Iterable[int]) -> LabeledPoset:
     return LabeledPoset.from_covers(pi.n, covers)
 
 
-def parse_poset(text: str, signed: bool = False, n: int | None = None) -> LabeledPoset | SignedPoset:
-    """Parse "a<b" lines; n defaults to the largest |label| mentioned."""
+def parse_covers(text: str) -> tuple[int, list[tuple[int, int]]]:
+    """The relations of "a<b" lines, skipping blank lines and # comments,
+    with the largest |label| they mention (0 when there is none)."""
     covers = []
     for raw in text.replace("−", "-").splitlines():
         line = raw.strip()
@@ -229,11 +230,13 @@ def parse_poset(text: str, signed: bool = False, n: int | None = None) -> Labele
             continue
         left, _, right = line.partition("<")
         covers.append((int(left), int(right)))
-    if n is None:
-        n = max((max(abs(a), abs(b)) for a, b in covers), default=0)
-    if signed:
-        return SignedPoset.from_covers(n, covers)
-    return LabeledPoset.from_covers(n, covers)
+    return max((max(abs(a), abs(b)) for a, b in covers), default=0), covers
+
+
+def parse_poset(text: str, signed: bool = False, n: int | None = None) -> LabeledPoset | SignedPoset:
+    """Parse "a<b" lines; n defaults to the largest |label| mentioned."""
+    largest, covers = parse_covers(text)
+    return (SignedPoset if signed else LabeledPoset).from_covers(largest if n is None else n, covers)
 
 
 def _thinned_chain(window: list[int], rng: random.Random, keep: float, floor: tuple[int, ...]) -> list[tuple[int, int]]:

@@ -1,7 +1,10 @@
 """Quasisymmetric functions with exact coefficients, in the monomial (M) and
 fundamental (F) bases, for both the ordinary and the signed (typeB) theory.
-A coefficient is an int where it is integral, as in every peak series and
-every product or evaluation of one, and a Fraction only where it is not.
+An element is a sparse exact vector (`linalg.SparseVector`) keyed by
+compositions.  A coefficient is an int where it is integral, as in every
+peak series and every product or evaluation of one, and a Fraction only
+where it is not.  The rank of a span of elements eliminates their
+coefficient mappings directly (`linalg.Span`).
 
 Keys are compositions of n (typeB: pseudo-compositions, whose first part may
 be zero and exponentiates the extra variable x_0).  Refinement is computed
@@ -20,27 +23,32 @@ import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .linalg import Span, exact
+from .linalg import SparseVector, Span
 from .permutations import Composition, StatSet
 
 Coeffs = dict[Composition, Fraction | int]
 
 
-class QSymElement:
+class QSymElement(SparseVector):
     """A finitely supported exact-coefficient element in the M or F basis."""
+
+    __slots__ = ("basis", "typeB")
+    mismatch = "elements live in different bases or kinds"
 
     def __init__(self, basis: str, typeB: bool, coeffs: Mapping[Composition, Fraction | int] | None = None):
         if basis not in ("M", "F"):
             raise ValueError(f"unknown basis: {basis}")
         self.basis = basis
         self.typeB = typeB
-        self.coeffs: Coeffs = {}
-        for key, value in (coeffs or {}).items():
-            if key.typeB != typeB:
-                raise ValueError("composition kind does not match element kind")
-            value = exact(value)
-            if value:
-                self.coeffs[key] = value
+        super().__init__(coeffs)
+
+    @property
+    def space(self) -> tuple[str, bool]:
+        return self.basis, self.typeB
+
+    def _check_keys(self, keys: Iterable[Composition]) -> None:
+        if any(key.typeB != self.typeB for key in keys):
+            raise ValueError("composition kind does not match element kind")
 
     @classmethod
     def monomial(cls, parts: Iterable[int], typeB: bool = False) -> "QSymElement":
@@ -57,38 +65,6 @@ class QSymElement:
     @classmethod
     def one(cls, basis: str = "M", typeB: bool = False) -> "QSymElement":
         return cls(basis, typeB, {Composition((), typeB): 1})
-
-    def _compatible(self, other: "QSymElement") -> None:
-        if self.basis != other.basis or self.typeB != other.typeB:
-            raise ValueError("elements live in different bases or kinds")
-
-    def __add__(self, other: "QSymElement") -> "QSymElement":
-        self._compatible(other)
-        out = dict(self.coeffs)
-        for key, value in other.coeffs.items():
-            out[key] = out.get(key, 0) + value
-        return QSymElement(self.basis, self.typeB, out)
-
-    def __sub__(self, other: "QSymElement") -> "QSymElement":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "QSymElement":
-        c = exact(c)
-        return QSymElement(self.basis, self.typeB, {k: c * v for k, v in self.coeffs.items()})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, QSymElement)
-            and self.basis == other.basis
-            and self.typeB == other.typeB
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.basis, self.typeB, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
 
     def degrees(self) -> set[int]:
         return {key.degree for key in self.coeffs}
@@ -279,30 +255,12 @@ def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
 # Rank computation and truncated evaluation
 
 
-def _column_keys(elements: Iterable[QSymElement]) -> list[Composition]:
-    keys = set()
-    for element in elements:
-        keys.update(element.coeffs)
-    return sorted(keys, key=lambda c: (c.degree, c.length, c.parts))
-
-
 def rank_of_span(elements: Iterable[QSymElement]) -> int:
     """Exact rank over the rationals of the coefficient matrix."""
     elements = list(elements)
-    if not elements:
-        return 0
-    basis = {(e.basis, e.typeB) for e in elements}
-    if len(basis) > 1:
-        raise ValueError("elements live in different bases or kinds")
-    keys = _column_keys(elements)
-    position = {key: i for i, key in enumerate(keys)}
-    span = Span()
-    for element in elements:
-        row = [0] * len(keys)
-        for key, value in element.coeffs.items():
-            row[position[key]] = value
-        span.add(row)
-    return span.dim
+    if len({e.space for e in elements}) > 1:
+        raise ValueError(QSymElement.mismatch)
+    return Span(e.coeffs for e in elements).dim
 
 
 def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | int]:

@@ -21,7 +21,8 @@ from fractions import Fraction
 import sympy
 
 from peakalg.group_algebra import class_sums, structure_table
-from peakalg.linalg import in_span
+from peakalg.linalg import Span
+from peakalg.permutations import group_order
 from peakalg.verify import (
     Bounds,
     check_bipartite,
@@ -203,21 +204,13 @@ def test_criterion_09_closure_violations_with_independent_reelimination():
             continue
         n, kind = report["n"], report["kind"]
         sums = list(class_sums(n, kind, report["flavor"], report["mode"]).values())
-        vectors = [s.to_vector() for s in sums]
-        escaped = None
-        for a in sums:
-            for b in sums:
-                product = a.convolve(b).to_vector()
-                if not in_span(product, vectors):
-                    escaped = product
-                    break
-            if escaped is not None:
-                break
+        span = Span(s.coeffs for s in sums)
+        products = (a.convolve(b) for a in sums for b in sums)
+        escaped = next((p for p in products if not span.contains(p.coeffs)), None)
         assert escaped is not None, report["statistic"]
-        matrix = sympy.Matrix(
-            [[sympy.Rational(v[i]) for v in vectors] for i in range(len(escaped))]
-        )
-        rhs = sympy.Matrix([sympy.Rational(x) for x in escaped])
+        windows = range(group_order(n, kind))
+        matrix = sympy.Matrix([[sympy.Rational(s.coeffs.get(i, 0)) for s in sums] for i in windows])
+        rhs = sympy.Matrix([sympy.Rational(escaped.coeffs.get(i, 0)) for i in windows])
         solutions = sympy.linsolve((matrix, rhs))
         assert solutions == sympy.EmptySet, (report["statistic"], solutions)
 

@@ -162,6 +162,20 @@ def test_extensions_from_stdin(capsys, monkeypatch):
     assert json.loads(out)["count"] == 1
 
 
+def test_oversized_extensions_input_is_refused_before_any_closure(tmp_path, capsys, monkeypatch):
+    def no_closure(pairs):
+        raise AssertionError("the transitive closure of an oversized order was taken")
+
+    monkeypatch.setattr(peakalg.posets, "_transitive_closure", no_closure)
+    path = tmp_path / "chain.poset"
+    path.write_text("".join(f"{i}<{i + 1}\n" for i in range(1, 400)))
+    for argv in (("extensions", "--file", str(path)), ("extensions", "--file", str(path), "--signed")):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        record = json.loads(err)["error"]
+        assert record["code"] == "usage" and record["message"].startswith("n=400 exceeds the default bound"), argv
+
+
 def test_extensions_missing_file(capsys):
     code, _, err = run(capsys, "extensions", "--file", "/no/such/file")
     assert code == 2

@@ -1,6 +1,7 @@
 """Order polynomials, the half-argument generating element, orthogonal
 idempotents, and the closure battery."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -119,6 +120,36 @@ def test_multiplicativity_report():
     assert verify_rho_multiplicativity(3)["sum_equals_identity"] is False
 
 
+def _dense_sum_equals_identity(n):
+    """Whether the coefficients of rho sum to the identity, compared as lists
+    over all n! windows."""
+    total = [0] * math.factorial(n)
+    for element in rho(n):
+        for r, c in element.coeffs.items():
+            total[r] += c
+    identity = AlgebraElement.identity(n, "A").coeffs
+    return total == [identity.get(r, 0) for r in range(len(total))]
+
+
+def test_sum_equals_identity_matches_the_dense_comparison(monkeypatch):
+    for n in range(1, 7):
+        assert verify_rho_multiplicativity(n)["sum_equals_identity"] is _dense_sum_equals_identity(n), n
+    # tables whose coefficients sum to the identity, to twice it, to a class
+    # sum bigger than the identity, or to zero
+    tables = [
+        (1, True, [{0: 0}, {0: 1}]),
+        (1, True, [{0: F(1, 3)}, {0: F(2, 3)}]),
+        (1, False, [{0: 0}, {0: 2}]),
+        (2, False, [{0: 0}, {0: 0}, {0: 1}]),
+        (3, False, [{0: 0, 1: 0}, {0: 1, 1: 0}, {0: 0, 1: 0}, {0: 0, 1: 0}]),
+        (3, False, [{0: 0, 1: 0}, {0: 1, 1: -1}, {0: -1, 1: 1}, {0: 0, 1: 0}]),
+    ]
+    for n, expected, table in tables:
+        monkeypatch.setattr(eulerian, "rho_by_peak_count", lambda size, table=table: [dict(c) for c in table])
+        report = verify_rho_multiplicativity(n)
+        assert report["sum_equals_identity"] is _dense_sum_equals_identity(n) is expected, (n, table)
+
+
 def _dense_mismatches(n):
     """The (a, b) pairs where the dense product of the degree-a and degree-b
     coefficients of rho is not the degree-a coefficient (a = b) or zero."""
@@ -174,10 +205,10 @@ def test_idempotents_are_orthogonal():
                 assert a.convolve(b) == expected, (n, i, j)
 
 
-def _dense_spans_agree(first, second):
+def _group_spans_agree(first, second):
     """Whether two lists of elements span one subspace, by elimination over
-    their |S_n|-long coefficient vectors."""
-    dims = [Span(e.to_vector() for e in elements).dim for elements in (first, second, first + second)]
+    their coefficients at every window of S_n."""
+    dims = [Span(e.coeffs for e in elements).dim for elements in (first, second, first + second)]
     return len(set(dims)) == 1
 
 
@@ -187,7 +218,7 @@ def test_count_class_sums_span_the_idempotents():
         idempotents = rho_idempotents(n)
         assert len(sums) == len(idempotents) == (n + 1) // 2
         report = verify_rho_multiplicativity(n)
-        assert report["spans_classes"] is _dense_spans_agree(sums, idempotents) is True, n
+        assert report["spans_classes"] is _group_spans_agree(sums, idempotents) is True, n
         # the commutativity read off factorization counts, against the dense
         # products u * w and w * u of every pair of class sums
         dense = all(u * w == w * u for u in sums for w in sums)
@@ -206,7 +237,7 @@ def test_span_verdict_matches_dense_elimination_when_a_degree_vanishes(monkeypat
 
         monkeypatch.setattr(eulerian, "rho_by_peak_count", zeroed)
         sums = list(class_sums(n, "A", "interiorPeak", "number").values())
-        assert verify_rho_multiplicativity(n)["spans_classes"] is _dense_spans_agree(sums, rho_idempotents(n)) is False
+        assert verify_rho_multiplicativity(n)["spans_classes"] is _group_spans_agree(sums, rho_idempotents(n)) is False
 
 
 def test_count_closures_hold_for_unsigned_windows():

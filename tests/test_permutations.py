@@ -21,7 +21,6 @@ from peakalg.permutations import (
     sparse_subsets,
     stat_set,
     StatSet,
-    subset_composition,
     unrank,
 )
 
@@ -208,8 +207,8 @@ def test_sparse_subsets():
 
 
 def test_composition_subset_bijection():
-    assert subset_composition({1, 3}, 5).parts == (1, 2, 2)
-    assert subset_composition({0}, 1, typeB=True).parts == (0, 1)
+    assert Composition.from_subset({1, 3}, 5).parts == (1, 2, 2)
+    assert Composition.from_subset({0}, 1, typeB=True).parts == (0, 1)
     assert Composition((1, 2, 2)).to_subset() == frozenset({1, 3})
     assert Composition((0, 1), typeB=True).to_subset() == frozenset({0})
     for n in range(5):
