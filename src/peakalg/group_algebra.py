@@ -7,11 +7,15 @@ Fraction only where it is not (the rho elements of the eulerian module
 divide).  The product is convolution against the fixed composition
 convention of the permutations module: (u * w)(p) sums u(t) * w(s) over
 all ordered factorizations s . t = p.  Every product of two group elements,
-at every group size, is read from one kernel: rows of product ranks, each
-built once by applying one cached getter per window to the row element's
-value table and looking the result up in the window -> rank dict.
-Factorization counts are tallied over integer class ids and decoded to
-statistic pairs once.
+at every group size, is read from one kernel: rows of product ranks, with
+row(x)[j] the rank of x composed with the j-th element.  A rank's digits
+(its Lehmer digits, then for kind B its sign bits) name one factor each,
+the element is the product of its digits' factors, and row(x . f) is
+row(x) read at the entries of row(f).  So a row is the identity's row
+taken through one cached getter per nonzero digit; only a factor's own row
+is read off the window -> rank dict, entry by entry.  Factorization counts
+map the ranks of target . t^-1, with t ordered by class, to class ids and
+count them class segment by segment.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
@@ -34,6 +38,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from operator import itemgetter
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -43,6 +48,7 @@ from .permutations import (
     enumerate_group,
     group_order,
     rank,
+    rank_digits,
     stat_set,
 )
 
@@ -64,21 +70,46 @@ def _index(n: int, kind: str) -> dict[tuple[int, ...], int]:
     return {p.window: r for r, p in enumerate(_elements(n, kind))}
 
 
+def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
+    """itemgetter(*indices), always returning a tuple: a one-index itemgetter
+    returns a bare value (and a zero-index one cannot be made; every group
+    has at least one element, so no caller asks for one)."""
+    if len(indices) == 1:
+        (i,) = indices
+        return lambda values: (values[i],)
+    return itemgetter(*indices)
+
+
 @lru_cache(maxsize=None)
-def _getters(n: int, kind: str) -> tuple[Callable, ...]:
-    """One getter per window b, in rank order, reading the window of p.b off
-    p's value table.  A one-index itemgetter returns a bare value and a
-    zero-index one cannot be made, so for n <= 1 each getter reads its
-    window by hand."""
-    if n > 1:
-        return tuple(itemgetter(*b) for b in _index(n, kind))
-    return tuple(lambda image, b=b: tuple(map(image.__getitem__, b)) for b in _index(n, kind))
+def _columns(n: int, kind: str) -> tuple[Callable, ...]:
+    """Getter i reads the value at position i+1 of every window, in rank
+    order, off a value table indexed by -n..n (negative values from the end)."""
+    return tuple(_getter(column) for column in zip(*_index(n, kind)))
+
+
+@lru_cache(maxsize=None)
+def _factor(n: int, kind: str, slot: int, digit: int) -> Callable[[Sequence], tuple]:
+    """The getter of the factor f of one nonzero digit of `rank_digits`:
+    applied to the row of x it gives the row of x.f, as row(x.f)[j] =
+    row(x)[row(f)[j]].  Lehmer slot k < n-1 gives q_{k+1}(d), which fixes
+    1..k, sends position k+1 to k+1+d and lists the other values in
+    increasing order; sign slot n-1+i flips position i+1.  Row(f) is the one
+    row read off the window -> rank dict entry by entry."""
+    window = list(range(1, n + 1))
+    if slot < n - 1:
+        window.insert(slot, window.pop(slot + digit))
+    else:
+        window[slot - (n - 1)] *= -1
+    image = (0, *window, *(-v for v in reversed(window)))
+    composed = zip(*(column(image) for column in _columns(n, kind)))
+    return _getter(tuple(map(_index(n, kind).__getitem__, composed)))
 
 
 # Product-row entries kept per group: every row of A_7 (25.4M entries, about
-# 204 MB as tuples, beside 0.4 MB of cached getters) and of the smaller
-# groups fits.  All rows of A_8 or B_6 would take 13-17 GB, so past this
-# budget a row is rebuilt whenever it is needed instead of kept.
+# 204 MB as tuples, beside under 1.2 MB of factor and column getters) and of
+# the smaller groups fits.  All rows of A_8 or B_6 would take 13-17 GB, so
+# past this budget a row is rebuilt from its factors whenever it is needed
+# instead of kept.
 _ROW_BUDGET = 1 << 25
 
 
@@ -87,18 +118,25 @@ def _kept_rows(n: int, kind: str) -> dict[int, tuple[int, ...]]:
     return {}
 
 
+@lru_cache(maxsize=None)
+def _identity_row(n: int, kind: str) -> tuple[int, ...]:
+    """The identity's row.  Every row is read out of this one tuple, so all
+    rows of a group share its int objects instead of each holding its own."""
+    return tuple(range(group_order(n, kind)))
+
+
 def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
-    """row[j] = rank of elements[r] composed with elements[j], read off the
-    window -> rank dict.  Built the first time it is needed, then kept while
+    """row[j] = rank of elements[r] composed with elements[j].  The element is
+    the product of the factors of its digits, so its row is the identity's
+    row taken through the getter of each nonzero digit in turn.  Kept while
     the group's kept rows stay within _ROW_BUDGET entries."""
     kept = _kept_rows(n, kind)
     row = kept.get(r)
     if row is None:
-        window = _elements(n, kind)[r].window
-        # image[v] is the value at v for v in -n..n (negative v index from the end)
-        image = (0,) + window + tuple(-v for v in reversed(window))
-        index = _index(n, kind)
-        row = tuple([index[g(image)] for g in _getters(n, kind)])
+        row = _identity_row(n, kind)
+        for slot, digit in enumerate(rank_digits(r, n, kind)):
+            if digit:
+                row = _factor(n, kind, slot, digit)(row)
         if (len(kept) + 1) * len(row) <= _ROW_BUDGET:
             kept[r] = row
     return row
@@ -280,6 +318,16 @@ def _key_json(key: StatKey):
     return key if isinstance(key, int) else sorted(key)
 
 
+@lru_cache(maxsize=None)
+def _segments(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequence], tuple], tuple[int, ...]]:
+    """A getter reading off a target's row the ranks of target.t^-1 for every
+    t, with t ordered by class (classes in order of first appearance, each
+    in rank order), and the end of each class's segment in that order."""
+    classes = stat_classes(n, kind, flavor, mode).values()
+    inverse = _inverse_ranks(n, kind)
+    return _getter([inverse[t] for ranks in classes for t in ranks]), tuple(accumulate(map(len, classes)))
+
+
 def factorization_counts(
     target: GroupElement, flavor: str, mode: str = "set"
 ) -> dict[tuple[StatKey, StatKey], int]:
@@ -287,12 +335,17 @@ def factorization_counts(
     statistic pair (statistic of t, statistic of s)."""
     n, kind = target.n, target.kind
     keys, ids = _class_ids(n, kind, flavor, mode)
-    width = len(keys)
-    row = _row(n, kind, _index(n, kind)[target.window])
+    inverses, ends = _segments(n, kind, flavor, mode)
     # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
-    # pair of class ids (id_t, id_s) is counted as one integer width * id_t + id_s
-    codes = Counter([width * id_t + ids[row[j]] for id_t, j in zip(ids, _inverse_ranks(n, kind))])
-    return {(keys[code // width], keys[code % width]): count for code, count in codes.items()}
+    # class ids of the s sides, t's class segment by segment
+    s_ids = _getter(inverses(_row(n, kind, _index(n, kind)[target.window])))(ids)
+    counts: dict[tuple[StatKey, StatKey], int] = {}
+    start = 0
+    for key_t, end in zip(keys, ends):
+        for id_s, count in Counter(s_ids[start:end]).items():
+            counts[(key_t, keys[id_s])] = count
+        start = end
+    return counts
 
 
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:
@@ -387,21 +440,22 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
 
 def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
     """Dimension of the smallest convolution-closed subspace containing the
-    given elements, grown by saturating pairwise products."""
+    given elements.  That subspace is the span of the words in them, and a
+    word one letter longer is a shorter word times one letter, so each vector
+    that grows the span is multiplied on the right by the given elements
+    only, until no product grows it."""
     if not elements:
         return {"dim_start": 0, "dim_closure": 0, "closed": True}
     span = Span(element.coeffs for element in elements)
     dim_start = span.dim
-    basis = list(elements)
     frontier = list(elements)
     while frontier:
         fresh: list[AlgebraElement] = []
-        for u in basis:
-            for w in frontier:
-                for product in (u.convolve(w), w.convolve(u)):
-                    if span.add(product.coeffs):
-                        fresh.append(product)
-        basis.extend(fresh)
+        for w in frontier:
+            for g in elements:
+                product = w.convolve(g)
+                if span.add(product.coeffs):
+                    fresh.append(product)
         frontier = fresh
     return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
 

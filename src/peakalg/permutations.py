@@ -258,16 +258,6 @@ def _lehmer_rank(window: tuple[int, ...]) -> int:
     return rank
 
 
-def _lehmer_unrank(rank: int, n: int) -> tuple[int, ...]:
-    digits = []
-    for radix in range(1, n + 1):
-        rank, digit = divmod(rank, radix)
-        digits.append(digit)
-    digits.reverse()
-    remaining = list(range(1, n + 1))
-    return tuple(remaining.pop(d) for d in digits)
-
-
 def rank(p: GroupElement) -> int:
     """Index of p in the enumerate_group order."""
     if p.kind == "B":
@@ -276,16 +266,33 @@ def rank(p: GroupElement) -> int:
     return _lehmer_rank(p.window)
 
 
+def rank_digits(r: int, n: int, kind: str) -> tuple[int, ...]:
+    """The digits of rank r in the enumerate_group order: the Lehmer digits
+    of the unsigned window, radices n down to 2 (digit i counts the later
+    values below the one at position i+1), then for kind 'B' the n sign
+    bits, bit i set when position i+1 is negative."""
+    _check_kind(kind)
+    signs: tuple[int, ...] = ()
+    if kind == "B":
+        r, mask = divmod(r, 1 << n)
+        signs = tuple((mask >> i) & 1 for i in range(n))
+    lehmer = []
+    for radix in range(2, n + 1):
+        r, digit = divmod(r, radix)
+        lehmer.append(digit)
+    lehmer.reverse()
+    return (*lehmer, *signs)
+
+
 def unrank(r: int, n: int, kind: str) -> GroupElement:
     """Inverse of rank for the given group."""
-    _check_kind(kind)
+    digits = rank_digits(r, n, kind)
+    split = max(n - 1, 0)
+    remaining = list(range(1, n + 1))
+    window = [remaining.pop(d) for d in digits[:split]] + remaining
     if kind == "A":
-        return Permutation(_lehmer_unrank(r, n))
-    base_rank, mask = divmod(r, 1 << n)
-    window = _lehmer_unrank(base_rank, n)
-    return SignedPermutation(
-        tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(window))
-    )
+        return Permutation(tuple(window))
+    return SignedPermutation(tuple(-v if sign else v for v, sign in zip(window, digits[split:])))
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ closure and duality checks."""
 
 import itertools
 import json
+import random
 from collections import Counter
 from fractions import Fraction
 
@@ -84,13 +85,36 @@ def test_rows_beyond_the_budget_are_rebuilt(monkeypatch):
 
 
 def test_product_rows_and_inverses_match_composing():
-    # every entry of every row, the empty and the one-letter groups included
-    for n, kind in [(n, "A") for n in range(6)] + [(n, "B") for n in range(4)]:
+    # every entry of every row, the empty and the one-letter groups included,
+    # built in rank order and again in a shuffled order from no kept rows
+    shuffle = random.Random(20261018).shuffle
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
         elements = list(enumerate_group(n, kind))
         inverses = group_algebra._inverse_ranks(n, kind)
+        expected = [tuple(rank(compose(p, q)) for q in elements) for p in elements]
+        order = list(range(len(elements)))
+        for shuffled in (False, True):
+            group_algebra._kept_rows.cache_clear()
+            if shuffled:
+                shuffle(order)
+            for r in order:
+                assert group_algebra._row(n, kind, r) == expected[r], (n, kind, r, shuffled)
         for r, p in enumerate(elements):
-            assert group_algebra._row(n, kind, r) == tuple(rank(compose(p, q)) for q in elements), (n, kind, r)
             assert inverses[r] == rank(p.inverse()), (n, kind, r)
+    group_algebra._kept_rows.cache_clear()
+
+
+def test_factor_getters_are_bounded_by_digits():
+    # besides the kept rows, a group holds one getter per (slot, nonzero
+    # digit): n(n-1)/2 Lehmer factors and, for B_n, n sign flips
+    for n, kind in ((6, "A"), (4, "B")):
+        group_algebra._kept_rows.cache_clear()
+        group_algebra._factor.cache_clear()
+        for r in range(group_order(n, kind)):
+            group_algebra._row(n, kind, r)
+        signs = n if kind == "B" else 0
+        assert group_algebra._factor.cache_info().currsize == n * (n - 1) // 2 + signs
+    group_algebra._kept_rows.cache_clear()
 
 
 def test_factorization_counts_match_composing_every_pair():
@@ -108,6 +132,26 @@ def test_factorization_counts_match_composing_every_pair():
                 for r, target in enumerate(elements):
                     brute = Counter((key(t), key(s)) for t, s in pairs[r])
                     assert factorization_counts(target, flavor, mode) == brute, (target, flavor, mode)
+
+
+def _zip_tally(target, flavor, mode):
+    """Factorization counts tallied pair by pair over the kernel's row and
+    inverse ranks, one integer code per (class of t, class of s)."""
+    n, kind = target.n, target.kind
+    keys, ids = group_algebra._class_ids(n, kind, flavor, mode)
+    width = len(keys)
+    row = group_algebra._row(n, kind, rank(target))
+    codes = Counter([width * id_t + ids[row[j]] for id_t, j in zip(ids, group_algebra._inverse_ranks(n, kind))])
+    return {(keys[code // width], keys[code % width]): count for code, count in codes.items()}
+
+
+def test_factorization_counts_match_a_pairwise_tally():
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
+        for flavor in FLAVORS:
+            for mode in ("set", "number"):
+                for target in enumerate_group(n, kind):
+                    assert factorization_counts(target, flavor, mode) == _zip_tally(target, flavor, mode), (
+                        target, flavor, mode)
 
 
 def test_identity_is_the_unit():
@@ -438,3 +482,35 @@ def test_right_count_closure_is_proper_at_four():
 
 def test_multiplicative_closure_of_nothing():
     assert multiplicative_closure([]) == {"dim_start": 0, "dim_closure": 0, "closed": True}
+
+
+def _both_sided_closure(elements):
+    """The closure grown from every product of a basis vector and a fresh
+    one, on both sides."""
+    span = Span(element.coeffs for element in elements)
+    dim_start = span.dim
+    basis = list(elements)
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for u in basis:
+            for w in frontier:
+                for product in (u.convolve(w), w.convolve(u)):
+                    if span.add(product.coeffs):
+                        fresh.append(product)
+        basis.extend(fresh)
+        frontier = fresh
+    return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
+
+
+def test_one_sided_closure_matches_the_both_sided_rule():
+    grew = set()
+    for kind, flavor in sorted({(kind, flavor) for kind, flavor, _ in BATTERY_STATISTICS}):
+        for n in range(1, (5 if kind == "A" else 3) + 1):
+            for mode in ("set", "number"):
+                sums = list(class_sums(n, kind, flavor, mode).values())
+                grown = multiplicative_closure(sums)
+                assert grown == _both_sided_closure(sums), (kind, flavor, n, mode)
+                grew.add(grown["closed"])
+    # the sweep meets spans that close and spans that grow
+    assert grew == {True, False}

@@ -18,6 +18,7 @@ from peakalg.permutations import (
     group_order,
     peak_set,
     rank,
+    rank_digits,
     sparse_subsets,
     stat_set,
     StatSet,
@@ -101,6 +102,17 @@ def test_group_orders_and_rank_round_trip():
         for r, e in enumerate(elements):
             assert rank(e) == r
             assert unrank(r, n, kind) == e
+
+
+def test_rank_digits_read_the_window():
+    # Lehmer digit i counts the later values below position i+1's; sign bit i
+    # marks position i+1 negative; the empty and one-letter groups included
+    for n, kind in [(n, "A") for n in range(6)] + [(n, "B") for n in range(5)]:
+        for r, e in enumerate(enumerate_group(n, kind)):
+            values = [abs(v) for v in e.window]
+            lehmer = tuple(sum(u < v for u in values[i + 1:]) for i, v in enumerate(values[:-1]))
+            signs = tuple(int(v < 0) for v in e.window) if kind == "B" else ()
+            assert rank_digits(r, n, kind) == lehmer + signs, (n, kind, r)
 
 
 def test_unknown_kinds_are_refused():
