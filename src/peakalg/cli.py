@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Every subcommand computes a JSON-serializable payload first; text and CSV
-renderings are derived from it, so the machine format is canonical.  Each
+renderings are derived from it, so the machine format is canonical (a large
+`structure` table renders that JSON text itself, from each key's text).  Each
 subcommand declares only the flags it reads.  Exit codes: 0 on success, 1
 when a requested verification fails, 2 on usage errors.  The kind, flavor
 and window of a query are resolved in one place: a signed flavor or a
@@ -21,7 +22,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .alphabets import Alphabet
 from .enriched import epp_census
@@ -38,12 +39,13 @@ from .group_algebra import (
     closure_check,
     descent_algebra_containment,
     ideal_check,
+    StructureTable,
     structure_table,
 )
 from .permutations import (
+    ELEMENT_TYPES,
     FIBONACCI_SHIFT,
-    Permutation,
-    SignedPermutation,
+    GroupElement,
     StatSet,
     FLAVORS,
     SIGNED_FLAVORS,
@@ -82,7 +84,7 @@ def _require_n(ns: argparse.Namespace, kind: str) -> None:
 
 @dataclass
 class Output:
-    payload: dict
+    payload: dict | str  # a str is the payload's JSON text, rendered already
     rows: list[dict]
     text: str
 
@@ -97,7 +99,7 @@ def _canonical_flavor(name: str, kind: str) -> str:
 
 
 def _resolve(kind: str | None, flavors: list[str], window: str | None = None
-             ) -> tuple[str, list[str], Permutation | SignedPermutation | None]:
+             ) -> tuple[str, list[str], GroupElement | None]:
     """The kind, canonical flavors and window of a query.  A signed flavor,
     by alias or full name, or a negative entry of the window asks for kind
     B, and an explicit `--kind A` beside either is refused; otherwise the
@@ -107,7 +109,7 @@ def _resolve(kind: str | None, flavors: list[str], window: str | None = None
     if signed and kind == "A":
         raise ValueError("--kind A names S_n, but a signed flavor or a negative entry names B_n")
     kind = "B" if signed else kind or "A"
-    element = None if values is None else (SignedPermutation if kind == "B" else Permutation)(values)
+    element = None if values is None else ELEMENT_TYPES[kind](values)
     return kind, [_canonical_flavor(flavor, kind) for flavor in flavors], element
 
 
@@ -222,18 +224,27 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     return Output(payload, rows, text), 0
 
 
+def _structure_json(table: StructureTable) -> str:
+    """json.dumps(table.to_payload(), indent=1), with each key's text
+    rendered once instead of once per entry."""
+    # an entry's values sit three levels deep
+    key = [json.dumps(_key_json(k), indent=1).replace("\n", "\n   ") for k in table.keys]
+    entries = [f'  {{\n   "A": {key[a]},\n   "B": {key[b]},\n   "C": {key[c]},\n   "count": {v}\n  }}'
+               for (a, b, c), v in table.sorted_entries()]
+    head = json.dumps(replace(table, counts={}).to_payload(), indent=1).removesuffix("[]\n}")
+    return head + ("[\n" + ",\n".join(entries) + "\n ]\n}" if entries else "[]\n}")
+
+
 def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
     kind, (flavor,), _ = _resolve(ns.kind, [ns.flavor])
     _require_n(ns, kind)
-    payload = structure_table(ns.n, kind, flavor, ns.mode).to_payload()
-    rows, text = [], ""
-    if ns.fmt != "json":  # a large table is rendered only in the format asked for
-        rows = [
-            {"A": json.dumps(e["A"]), "B": json.dumps(e["B"]), "C": json.dumps(e["C"]), "count": e["count"]}
-            for e in payload["entries"]
-        ]
-        text = "\n".join(f"A={r['A']} B={r['B']} C={r['C']}: {r['count']}" for r in rows)
-    return Output(payload, rows, text), 0
+    table = structure_table(ns.n, kind, flavor, ns.mode)
+    if ns.fmt == "json":  # a large table is rendered only in the format asked for
+        return Output(_structure_json(table), [], ""), 0
+    key = [json.dumps(_key_json(k)) for k in table.keys]
+    rows = [{"A": key[a], "B": key[b], "C": key[c], "count": v} for (a, b, c), v in table.sorted_entries()]
+    text = "\n".join(f"A={r['A']} B={r['B']} C={r['C']}: {r['count']}" for r in rows)
+    return Output({}, rows, text), 0
 
 
 def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
@@ -367,7 +378,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[Output, int]:
 
 def _render(output: Output, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(output.payload, indent=1, default=str)
+        return output.payload if isinstance(output.payload, str) else json.dumps(output.payload, indent=1, default=str)
     if fmt == "csv":
         buffer = io.StringIO()
         if output.rows:

@@ -25,14 +25,14 @@ from .alphabets import Alphabet
 from .enriched import epp_count
 from .group_algebra import (
     AlgebraElement,
+    _counts,
     class_sums,
     closure_check,
-    factorization_counts,
     multiplicative_closure,
     stat_classes,
 )
 from .linalg import Span
-from .permutations import enumerate_group, peak_set
+from .permutations import unrank
 
 
 @dataclass(frozen=True)
@@ -132,9 +132,7 @@ def order_polynomial(peaks: int, n: int) -> RationalPolynomial:
         raise ValueError("window size must be at least 1")
     if not 0 <= peaks <= (n - 1) // 2:
         raise ValueError(f"no window of size {n} has {peaks} interior peaks")
-    representative = next(
-        p for p in enumerate_group(n, "A") if len(peak_set(p, "interiorPeak").members) == peaks
-    )
+    representative = unrank(stat_classes(n, "A", "interiorPeak", "number")[peaks][0], n, "A")
     points = [(k, epp_count(representative, Alphabet.prime(k))) for k in range(n + 1)]
     return RationalPolynomial.interpolate(points)
 
@@ -201,11 +199,9 @@ def verify_rho_multiplicativity(n: int) -> dict:
     rows = Span(by_count[d] for d in allowed)
     parity_ok = all(d in allowed for d in degrees)
     profiles = {
-        (
-            len(peak_set(p, "interiorPeak").members),
-            frozenset(factorization_counts(p, "interiorPeak", "number").items()),
-        )
-        for p in enumerate_group(n, "A")
+        (peaks, frozenset(_counts(n, "A", r, "interiorPeak", "number").items()))
+        for peaks, ranks in stat_classes(n, "A", "interiorPeak", "number").items()
+        for r in ranks
     }
     failing = set()
     for peaks, counts in profiles:

@@ -6,16 +6,17 @@ in every class sum, product of class sums and factorization count, and a
 Fraction only where it is not (the rho elements of the eulerian module
 divide).  The product is convolution against the fixed composition
 convention of the permutations module: (u * w)(p) sums u(t) * w(s) over
-all ordered factorizations s . t = p.  Every product of two group elements,
-at every group size, is read from one kernel: rows of product ranks, with
-row(x)[j] the rank of x composed with the j-th element.  A rank's digits
-(its Lehmer digits, then for kind B its sign bits) name one factor each,
-the element is the product of its digits' factors, and row(x . f) is
-row(x) read at the entries of row(f).  So a row is the identity's row
-taken through one cached getter per nonzero digit; only a factor's own row
-is read off the window -> rank dict, entry by entry.  Factorization counts
+all ordered factorizations s . t = p.  The kernel holds a group as windows,
+columns and rows, indexed by rank: the window tuples of
+`permutations.windows`, their value columns w(0..n+1), off which every
+statistic is read as bit codes, and rows of product ranks, row(x)[j] the
+rank of x composed with the j-th element.  A rank's digits (its Lehmer
+digits, then for kind B its sign bits) name one factor each, and row(x . f)
+is row(x) read at the entries of row(f), so a row is the identity's row
+taken through one cached getter per nonzero digit.  Factorization counts
 map the ranks of target . t^-1, with t ordered by class, to class ids and
-count them class segment by segment.
+count them class segment by segment.  Element objects are built on demand,
+for `support` and the window text of a certificate.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
@@ -38,36 +39,46 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate
-from operator import itemgetter
+from itertools import accumulate, repeat
+from operator import and_, gt, itemgetter, lshift, lt, or_
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .linalg import SparseVector, Span
 from .permutations import (
+    ELEMENT_TYPES,
+    PEAK_FLAVORS,
+    SIGNED_FLAVORS,
     GroupElement,
-    enumerate_group,
+    ambient_interval,
     group_order,
     rank,
     rank_digits,
-    stat_set,
+    windows,
 )
 
 FORMAT_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# The group kernel: elements in rank order, window -> rank, product rows
-
-
-@lru_cache(maxsize=None)
-def _elements(n: int, kind: str) -> tuple[GroupElement, ...]:
-    return tuple(enumerate_group(n, kind))
+# The group kernel: windows in rank order, value columns, product rows
 
 
 @lru_cache(maxsize=None)
 def _index(n: int, kind: str) -> dict[tuple[int, ...], int]:
     """Window -> rank; iterating it yields the windows in rank order."""
-    return {p.window: r for r, p in enumerate(_elements(n, kind))}
+    return {window: r for r, window in enumerate(windows(n, kind))}
+
+
+@lru_cache(maxsize=None)
+def _values(n: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Column i: w(i) of every window in rank order, i = 0..n+1, w(0) = w(n+1) = 0."""
+    zeros = (0,) * group_order(n, kind)
+    return (zeros, *zip(*windows(n, kind)), zeros)
+
+
+def _texts(n: int, kind: str, *ranks: int) -> list[str]:
+    """The windows of the given ranks as `str` of their elements writes them."""
+    return [",".join(map(str, windows(n, kind)[r])) for r in ranks]
 
 
 def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
@@ -84,7 +95,7 @@ def _getter(indices: Sequence[int]) -> Callable[[Sequence], tuple]:
 def _columns(n: int, kind: str) -> tuple[Callable, ...]:
     """Getter i reads the value at position i+1 of every window, in rank
     order, off a value table indexed by -n..n (negative values from the end)."""
-    return tuple(_getter(column) for column in zip(*_index(n, kind)))
+    return tuple(map(_getter, _values(n, kind)[1:n + 1]))
 
 
 @lru_cache(maxsize=None)
@@ -189,15 +200,14 @@ class AlgebraElement(SparseVector):
         return cls(n, kind, {0: 1})  # the identity window has rank 0
 
     def support(self) -> list[GroupElement]:
-        elements = _elements(self.n, self.kind)
-        return [elements[i] for i in sorted(self.coeffs)]
+        group = windows(self.n, self.kind)
+        return [ELEMENT_TYPES[self.kind](group[i]) for i in sorted(self.coeffs)]
 
     def __repr__(self) -> str:
         if not self.coeffs:
             return "0"
-        elements = _elements(self.n, self.kind)
-        bits = [f"{value}*[{elements[key]}]" for key, value in sorted(self.coeffs.items())]
-        return " + ".join(bits)
+        keys = sorted(self.coeffs)
+        return " + ".join(f"{self.coeffs[k]}*[{text}]" for k, text in zip(keys, _texts(self.n, self.kind, *keys)))
 
     def convolve(self, other: "AlgebraElement") -> "AlgebraElement":
         """(u * w)(p) = sum of u(t) * w(s) over ordered factorizations s.t=p,
@@ -224,13 +234,34 @@ StatKey = frozenset[int] | int
 
 
 @lru_cache(maxsize=None)
+def _stat_codes(n: int, kind: str, flavor: str) -> tuple[int, ...]:
+    """The flavor's set of every window in rank order as a bit code (bit i
+    set when i is a member), read off the value columns by the rules of
+    `permutations.stat_set`, one position at a time."""
+    lo, hi = ambient_interval(flavor, n)
+    w = _values(n, kind)
+    codes = iter(w[0])  # all zero
+    for i in range(max(lo, 1), hi + 1):
+        hits = map(gt, w[i], w[i + 1])  # a descent at i; a peak also needs an ascent into i
+        if flavor in PEAK_FLAVORS:
+            hits = map(and_, map(lt, w[i - 1], w[i]), hits)
+        codes = map(or_, codes, map(lshift, hits, repeat(i)))
+    if flavor in SIGNED_FLAVORS:
+        codes = map(or_, codes, map(lt, w[1], repeat(0)))
+    return tuple(codes)
+
+
+@lru_cache(maxsize=None)
 def _stat_keys(n: int, kind: str, flavor: str, mode: str) -> tuple[StatKey, ...]:
     """The statistic of every element in rank order: the set itself, or its
     cardinality when mode="number"."""
     if mode not in ("set", "number"):
         raise ValueError(f"unknown mode: {mode}")
-    members = (stat_set(p, flavor).members for p in _elements(n, kind))
-    return tuple(len(m) for m in members) if mode == "number" else tuple(members)
+    codes = _stat_codes(n, kind, flavor)
+    if mode == "number":
+        return tuple(map(int.bit_count, codes))
+    members = {code: frozenset(i for i in range(code.bit_length()) if code >> i & 1) for code in set(codes)}
+    return tuple(map(members.__getitem__, codes))
 
 
 @lru_cache(maxsize=None)
@@ -280,7 +311,7 @@ def _entry_order(item) -> tuple:
 @dataclass(frozen=True)
 class StructureTable:
     """Counts of ordered factorizations s.t = representative(C) with the
-    statistic of t equal to A and the statistic of s equal to B."""
+    statistic of t equal to A and the statistic of s equal to B; keys sorted."""
 
     n: int
     kind: str
@@ -292,22 +323,20 @@ class StructureTable:
     def count(self, a: StatKey, b: StatKey, c: StatKey) -> int:
         return self.counts.get((_freeze(a), _freeze(b), _freeze(c)), 0)
 
+    def sorted_entries(self) -> list[tuple[tuple[int, int, int], int]]:
+        """The nonzero entries as ((position of A, B, C in `keys`), count),
+        sorted by (A, B, C)."""
+        position = dict(zip(self.keys, range(len(self.keys)))).__getitem__
+        triples = map(tuple, map(map, repeat(position), self.counts))
+        return sorted(filter(itemgetter(1), zip(triples, self.counts.values())))
+
     def to_payload(self) -> dict:
         """The table as a JSON-ready dict: a header and the nonzero entries,
         sorted by (A, B, C)."""
-        entries = [
-            {"A": _key_json(a), "B": _key_json(b), "C": _key_json(c), "count": v}
-            for (a, b, c), v in sorted(self.counts.items(), key=_entry_order)
-            if v
-        ]
-        return {
-            "format_version": FORMAT_VERSION,
-            "flavor": self.flavor,
-            "kind": self.kind,
-            "mode": self.mode,
-            "n": self.n,
-            "entries": entries,
-        }
+        keys = list(map(_key_json, self.keys))
+        entries = [{"A": keys[a], "B": keys[b], "C": keys[c], "count": v} for (a, b, c), v in self.sorted_entries()]
+        return {"format_version": FORMAT_VERSION, "flavor": self.flavor, "kind": self.kind, "mode": self.mode,
+                "n": self.n, "entries": entries}
 
 
 def _freeze(key) -> StatKey:
@@ -333,12 +362,16 @@ def factorization_counts(
 ) -> dict[tuple[StatKey, StatKey], int]:
     """For one target window, count ordered factorizations s.t = target by the
     statistic pair (statistic of t, statistic of s)."""
-    n, kind = target.n, target.kind
+    return _counts(target.n, target.kind, _index(target.n, target.kind)[target.window], flavor, mode)
+
+
+def _counts(n: int, kind: str, r: int, flavor: str, mode: str) -> dict[tuple[StatKey, StatKey], int]:
+    """`factorization_counts` of the window of rank r."""
     keys, ids = _class_ids(n, kind, flavor, mode)
     inverses, ends = _segments(n, kind, flavor, mode)
     # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
     # class ids of the s sides, t's class segment by segment
-    s_ids = _getter(inverses(_row(n, kind, _index(n, kind)[target.window])))(ids)
+    s_ids = _getter(inverses(_row(n, kind, r)))(ids)
     counts: dict[tuple[StatKey, StatKey], int] = {}
     start = 0
     for key_t, end in zip(keys, ends):
@@ -352,12 +385,10 @@ def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> Struct
     """Tabulate all structure constants from the minimal-rank representative
     of each statistic class."""
     classes = stat_classes(n, kind, flavor, mode)
-    elements = _elements(n, kind)
     keys = tuple(sorted_keys(classes))
     counts: dict[tuple[StatKey, StatKey, StatKey], int] = {}
     for key_c, ranks in classes.items():
-        representative = elements[min(ranks)]
-        for (key_a, key_b), value in factorization_counts(representative, flavor, mode).items():
+        for (key_a, key_b), value in _counts(n, kind, ranks[0], flavor, mode).items():
             counts[(key_a, key_b, key_c)] = value
     return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=keys, counts=counts)
 
@@ -369,11 +400,10 @@ def _mismatches(n: int, kind: str, flavor: str, mode: str):
     rank, member rank, {pair: (representative's count, member's count)}).
     As (v_A * v_B)(p) = N_p(A, B), this yields nothing exactly when the class
     sums span a closed algebra with well-defined structure constants."""
-    elements = _elements(n, kind)
     for key, ranks in stat_classes(n, kind, flavor, mode).items():
-        base = factorization_counts(elements[ranks[0]], flavor, mode)
+        base = _counts(n, kind, ranks[0], flavor, mode)
         for r in ranks[1:]:
-            counts = factorization_counts(elements[r], flavor, mode)
+            counts = _counts(n, kind, r, flavor, mode)
             if counts != base:
                 yield key, ranks[0], r, {
                     pair: (base.get(pair, 0), counts.get(pair, 0))
@@ -386,12 +416,11 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
     """Check that factorization counts by statistic pair agree across every
     member of every class, not just the chosen representative.  Returns a
     report with the first disagreeing pair of windows if one exists."""
-    elements = _elements(n, kind)
     for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
         return {
             "consistent": False,
             "class": _key_json(key),
-            "windows": [str(elements[base]), str(elements[r])],
+            "windows": _texts(n, kind, base, r),
             "differences": {
                 str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
             },
@@ -409,14 +438,13 @@ def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, list[i
     higher rank) and their values; None when the element lies in the span of
     the class sums."""
     coeffs = element.coeffs
-    elements = _elements(element.n, element.kind)
     for key in sorted_keys(classes):
         values = [(coeffs.get(r, 0), r) for r in classes[key]]
         low, high = min(values), max(values)
         if low[0] != high[0]:
             return {
                 "class": _key_json(key),
-                "windows": [str(elements[low[1]]), str(elements[high[1]])],
+                "windows": _texts(element.n, element.kind, low[1], high[1]),
                 "values": [str(low[0]), str(high[0])],
             }
     return None
@@ -429,11 +457,10 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     (A, B) that differs, the class, the representative and the member, and
     the values of v_A * v_B at those two windows."""
     dim = len(_class_ids(n, kind, flavor, mode)[0])
-    elements = _elements(n, kind)
     for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
         (key_a, key_b), values = min(diffs.items(), key=_entry_order)
         certificate = {"A": _key_json(key_a), "B": _key_json(key_b), "class": _key_json(key),
-                       "windows": [str(elements[base]), str(elements[r])], "values": [str(v) for v in values]}
+                       "windows": _texts(n, kind, base, r), "values": [str(v) for v in values]}
         return {"closed": False, "dim": dim, "certificate": certificate}
     return {"closed": True, "dim": dim, "certificate": None}
 
@@ -501,15 +528,15 @@ def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     minimal-rank member, as in `structure_table`).  Mismatches are reported,
     not raised, one per pair (A, B) in key order, at the minimal-rank window
     where the two sides differ, with its class, representative and difference."""
-    elements = _elements(n, kind)
     first: dict[tuple[StatKey, StatKey], tuple] = {}
     for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
         for pair, (expected, count) in diffs.items():
             if pair not in first or r < first[pair][0]:
                 first[pair] = (r, key, base, count - expected)
     mismatches = [
-        {"A": _key_json(key_a), "B": _key_json(key_b), "window": str(elements[r]), "class": _key_json(key),
-         "representative": str(elements[base]), "difference": str(difference)}
+        {"A": _key_json(key_a), "B": _key_json(key_b), "window": window, "class": _key_json(key),
+         "representative": representative, "difference": str(difference)}
         for (key_a, key_b), (r, key, base, difference) in sorted(first.items(), key=_entry_order)
+        for window, representative in [_texts(n, kind, r, base)]
     ]
     return {"consistent": not mismatches, "mismatches": mismatches}

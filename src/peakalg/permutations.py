@@ -23,6 +23,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from typing import ClassVar, Iterable, Iterator
 
 
@@ -101,6 +103,8 @@ class SignedPermutation(_Window):
 
 
 GroupElement = Permutation | SignedPermutation
+
+ELEMENT_TYPES = {"A": Permutation, "B": SignedPermutation}
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -218,7 +222,7 @@ def stat_set(p: GroupElement, flavor: str) -> StatSet:
 
 
 def _check_kind(kind: str) -> None:
-    if kind not in ("A", "B"):
+    if kind not in ELEMENT_TYPES:
         raise ValueError(f"unknown kind: {kind}")
 
 
@@ -230,23 +234,25 @@ def group_order(n: int, kind: str) -> int:
     return order if kind == "A" else order * (1 << n)
 
 
-def enumerate_group(n: int, kind: str) -> Iterator[GroupElement]:
-    """All of S_n (kind 'A') or B_n (kind 'B').
-
-    The order is stable: windows by lexicographic order of their absolute
-    values, and for kind 'B' each base window runs through all 2^n sign
-    patterns, with position i flipping bit i-1 of an ascending counter.
-    """
+@lru_cache(maxsize=None)
+def windows(n: int, kind: str) -> tuple[tuple[int, ...], ...]:
+    """Every window of S_n (kind 'A') or B_n (kind 'B') in rank order, the
+    one definition of that order: windows by lexicographic order of their
+    absolute values, and for kind 'B' each base window runs through all 2^n
+    sign patterns, with position i flipping bit i-1 of an ascending counter."""
     _check_kind(kind)
+    bases = itertools.permutations(range(1, n + 1))
     if kind == "A":
-        for window in itertools.permutations(range(1, n + 1)):
-            yield Permutation(window)
-    else:
-        for window in itertools.permutations(range(1, n + 1)):
-            for mask in range(1 << n):
-                yield SignedPermutation(
-                    tuple(-v if (mask >> i) & 1 else v for i, v in enumerate(window))
-                )
+        return tuple(bases)
+    # product varies its last factor fastest, so reversed it flips position 1 fastest
+    signs = [pattern[::-1] for pattern in itertools.product((1, -1), repeat=n)]
+    return tuple(tuple(map(mul, base, pattern)) for base in bases for pattern in signs)
+
+
+def enumerate_group(n: int, kind: str) -> Iterator[GroupElement]:
+    """All of S_n (kind 'A') or B_n (kind 'B'), as elements, in rank order."""
+    group = windows(n, kind)  # checks the kind at the call
+    return map(ELEMENT_TYPES[kind], group)
 
 
 def _lehmer_rank(window: tuple[int, ...]) -> int:
@@ -259,7 +265,7 @@ def _lehmer_rank(window: tuple[int, ...]) -> int:
 
 
 def rank(p: GroupElement) -> int:
-    """Index of p in the enumerate_group order."""
+    """Index of p in the `windows` order."""
     if p.kind == "B":
         mask = sum(1 << i for i, v in enumerate(p.window) if v < 0)
         return _lehmer_rank(tuple(abs(v) for v in p.window)) * (1 << p.n) + mask
@@ -267,7 +273,7 @@ def rank(p: GroupElement) -> int:
 
 
 def rank_digits(r: int, n: int, kind: str) -> tuple[int, ...]:
-    """The digits of rank r in the enumerate_group order: the Lehmer digits
+    """The digits of rank r in the `windows` order: the Lehmer digits
     of the unsigned window, radices n down to 2 (digit i counts the later
     values below the one at position i+1), then for kind 'B' the n sign
     bits, bit i set when position i+1 is negative."""
@@ -290,9 +296,9 @@ def unrank(r: int, n: int, kind: str) -> GroupElement:
     split = max(n - 1, 0)
     remaining = list(range(1, n + 1))
     window = [remaining.pop(d) for d in digits[:split]] + remaining
-    if kind == "A":
-        return Permutation(tuple(window))
-    return SignedPermutation(tuple(-v if sign else v for v, sign in zip(window, digits[split:])))
+    if kind == "B":
+        window = [-v if sign else v for v, sign in zip(window, digits[split:])]
+    return ELEMENT_TYPES[kind](tuple(window))
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,9 @@ from pathlib import Path
 import pytest
 
 import peakalg
-from peakalg.cli import main
-from peakalg.group_algebra import class_sums
+from peakalg.cli import _structure_json, main
+from peakalg.group_algebra import StructureTable, class_sums, structure_table
+from peakalg.permutations import FLAVORS
 
 
 def run(capsys, *argv):
@@ -319,6 +320,30 @@ def test_structure_output_is_frozen_in_every_format(capsys, query):
         code = main(["structure", "--flavor", flavor, "--kind", kind, "--n", n, "--mode", mode, "--format", fmt])
         out = capsys.readouterr().out
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (query, fmt)
+
+
+def _key_order(key):
+    # statistic keys sort by size, then members; a number-mode key by value
+    return (key,) if isinstance(key, int) else (len(key), key)
+
+
+def test_structure_json_is_json_dumps_of_the_payload():
+    # the rendered text against the pure-Python encoder, for every flavor and
+    # both modes; the payload's entries are the nonzero counts in key order
+    for kind, n_max in (("A", 5), ("B", 3)):
+        for n in range(n_max + 1):
+            for flavor in FLAVORS:
+                for mode in ("set", "number"):
+                    table = structure_table(n, kind, flavor, mode)
+                    payload = table.to_payload()
+                    assert _structure_json(table) == json.dumps(payload, indent=1), (kind, n, flavor, mode)
+                    entries = payload["entries"]
+                    assert len(entries) == sum(1 for v in table.counts.values() if v)
+                    order = [tuple(map(_key_order, (e["A"], e["B"], e["C"]))) for e in entries]
+                    assert order == sorted(order) and all(e["count"] for e in entries)
+    empty = StructureTable(n=2, kind="A", flavor="interiorPeak", mode="set", keys=(), counts={})
+    assert _structure_json(empty) == json.dumps(empty.to_payload(), indent=1)
+    assert empty.to_payload()["entries"] == []
 
 
 def test_structure_cache_warm_run_is_identical(capsys):

@@ -23,7 +23,7 @@ from peakalg.eulerian import (
 )
 from peakalg.group_algebra import AlgebraElement, class_sums, closure_check
 from peakalg.linalg import Span
-from peakalg.permutations import Permutation, enumerate_group, peak_set, rank
+from peakalg.permutations import Permutation, enumerate_group, peak_set, rank, unrank
 
 F = Fraction
 
@@ -183,15 +183,16 @@ def test_multiplicativity_check_catches_a_perturbed_coefficient(monkeypatch):
 
 
 def test_commutativity_flag_catches_an_asymmetric_count(monkeypatch):
-    original = eulerian.factorization_counts
+    # the report reads the factorization counts of each window by its rank
+    original = eulerian._counts
 
-    def asymmetric(p, flavor, mode):
-        counts = original(p, flavor, mode)
-        if p == Permutation((1, 2, 3, 4)):
+    def asymmetric(n, kind, r, flavor, mode):
+        counts = original(n, kind, r, flavor, mode)
+        if unrank(r, n, kind) == Permutation((1, 2, 3, 4)):
             counts[(0, 1)] += 1
         return counts
 
-    monkeypatch.setattr(eulerian, "factorization_counts", asymmetric)
+    monkeypatch.setattr(eulerian, "_counts", asymmetric)
     assert not verify_rho_multiplicativity(4)["commutative"]
 
 

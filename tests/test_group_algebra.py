@@ -84,6 +84,27 @@ def test_rows_beyond_the_budget_are_rebuilt(monkeypatch):
         group_algebra._kept_rows.cache_clear()
 
 
+def test_stat_keys_read_off_the_columns_match_stat_set():
+    # every window against the per-element statistic, in both modes, for
+    # every flavor; the empty and one-letter groups included
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
+        elements = list(enumerate_group(n, kind))
+        for flavor in FLAVORS:
+            members = [stat_set(p, flavor).members for p in elements]
+            assert list(group_algebra._stat_keys(n, kind, flavor, "set")) == members, (n, kind, flavor)
+            assert list(group_algebra._stat_keys(n, kind, flavor, "number")) == list(map(len, members))
+
+
+def test_unknown_kind_flavor_or_mode_is_refused():
+    for args, message in (((3, "C", "interiorPeak", "set"), "unknown kind"),
+                          ((3, "A", "noSuchPeak", "set"), "unknown flavor"),
+                          ((3, "A", "interiorPeak", "count"), "unknown mode")):
+        with pytest.raises(ValueError, match=message):
+            group_algebra._stat_keys(*args)
+        with pytest.raises(ValueError, match=message):
+            stat_classes(*args)
+
+
 def test_product_rows_and_inverses_match_composing():
     # every entry of every row, the empty and the one-letter groups included,
     # built in rank order and again in a shuffled order from no kept rows

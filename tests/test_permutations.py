@@ -5,6 +5,7 @@ import itertools
 import pytest
 
 from peakalg.permutations import (
+    ELEMENT_TYPES,
     Composition,
     Permutation,
     SignedPermutation,
@@ -23,6 +24,7 @@ from peakalg.permutations import (
     stat_set,
     StatSet,
     unrank,
+    windows,
 )
 
 import peak_oracle as oracle
@@ -95,13 +97,16 @@ def test_inverse_exhaustive():
 def test_group_orders_and_rank_round_trip():
     assert group_order(4, "A") == 24
     assert group_order(3, "B") == 48
-    for n, kind in [(3, "A"), (4, "A"), (2, "B"), (3, "B")]:
-        elements = list(enumerate_group(n, kind))
-        assert len(elements) == group_order(n, kind)
-        assert len(set(elements)) == len(elements)
-        for r, e in enumerate(elements):
-            assert rank(e) == r
-            assert unrank(r, n, kind) == e
+    # the window tuples are the one definition of the order: rank reads each
+    # back, and enumerate_group yields them as elements; n = 0 and 1 included
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
+        group = windows(n, kind)
+        assert len(group) == len(set(group)) == group_order(n, kind)
+        assert [e.window for e in enumerate_group(n, kind)] == list(group)
+        for r, window in enumerate(group):
+            element = ELEMENT_TYPES[kind](window)
+            assert rank(element) == r, (n, kind, r)
+            assert unrank(r, n, kind) == element
 
 
 def test_rank_digits_read_the_window():
@@ -116,9 +121,11 @@ def test_rank_digits_read_the_window():
 
 
 def test_unknown_kinds_are_refused():
-    # no third group: a kind other than A or B is an error, not some group
+    # no third group: a kind other than A or B is an error, not some group;
+    # enumerate_group refuses it at the call, before the first element
     for call in (lambda: group_order(3, "C"), lambda: unrank(0, 2, "Z"),
-                 lambda: next(enumerate_group(2, "C"))):
+                 lambda: next(enumerate_group(2, "C")), lambda: enumerate_group(3, "C"),
+                 lambda: windows(2, "Z")):
         with pytest.raises(ValueError, match="unknown kind"):
             call()
 
