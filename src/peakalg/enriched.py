@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
-from .permutations import GroupElement, descent_set
+from .permutations import GroupElement, descent_set, rank
 from .posets import LabeledPoset, SignedPoset
 
 Census = dict[tuple[int, ...], int]
@@ -364,9 +364,9 @@ def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> C
 # Bipartite censuses
 
 
-def census_product(left: Census, right: Census, offset: int, width: int) -> Census:
-    """Combine a census over variables [0, offset) with one over [0, width -
-    offset): keys concatenate, counts multiply."""
+def census_product(left: Census, right: Census, width: int) -> Census:
+    """Combine a census over the first variables with one over the rest, width
+    variables in all: keys concatenate, counts multiply."""
     out: Census = {}
     for key_a, count_a in left.items():
         for key_b, count_b in right.items():
@@ -388,14 +388,14 @@ def factorization_census(
     n, _ = chain_rules(p, first)
     chain_rules(p, second)  # refuses a second alphabet that cannot host p
     sigma_sides: dict[frozenset[int], Census] = {}
-    for (des_tau, des_sigma), times in factorization_counts(p, "descent" + p.kind).items():
+    for (des_tau, des_sigma), times in factorization_counts(n, p.kind, rank(p), "descent" + p.kind).items():
         side = sigma_sides.setdefault(des_tau, {})
         for key, count in chain_census(n, des_sigma, second).items():
             side[key] = side.get(key, 0) + times * count
     width = first.n_vars + second.n_vars
     total: Census = {}
     for des_tau, side in sigma_sides.items():
-        combined = census_product(chain_census(n, des_tau, first), side, first.n_vars, width)
+        combined = census_product(chain_census(n, des_tau, first), side, width)
         for key, count in combined.items():
             total[key] = total.get(key, 0) + count
     return total

@@ -25,9 +25,9 @@ from .alphabets import Alphabet
 from .enriched import epp_count
 from .group_algebra import (
     AlgebraElement,
-    _counts,
     class_sums,
     closure_check,
+    factorization_counts,
     multiplicative_closure,
     stat_classes,
 )
@@ -199,7 +199,7 @@ def verify_rho_multiplicativity(n: int) -> dict:
     rows = Span(by_count[d] for d in allowed)
     parity_ok = all(d in allowed for d in degrees)
     profiles = {
-        (peaks, frozenset(_counts(n, "A", r, "interiorPeak", "number").items()))
+        (peaks, frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
         for peaks, ranks in stat_classes(n, "A", "interiorPeak", "number").items()
         for r in ranks
     }
@@ -214,7 +214,7 @@ def verify_rho_multiplicativity(n: int) -> dict:
     # only peak count 0 has a nonzero total, that total is 1, and its class
     # is the identity (rank 0) alone
     total = {i: sum(by_count[d][i] for d in degrees) for i in by_count[0]}
-    identity_alone = stat_classes(n, "A", "interiorPeak", mode="number")[0] == [0]
+    identity_alone = stat_classes(n, "A", "interiorPeak", mode="number")[0] == (0,)
     return {
         "n": n,
         "multiplicative": parity_ok and not failing,

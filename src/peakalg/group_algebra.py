@@ -13,10 +13,15 @@ statistic is read as bit codes, and rows of product ranks, row(x)[j] the
 rank of x composed with the j-th element.  A rank's digits (its Lehmer
 digits, then for kind B its sign bits) name one factor each, and row(x . f)
 is row(x) read at the entries of row(f), so a row is the identity's row
-taken through one cached getter per nonzero digit.  Factorization counts
-map the ranks of target . t^-1, with t ordered by class, to class ids and
-count them class segment by segment.  Element objects are built on demand,
-for `support` and the window text of a certificate.
+taken through one cached getter per nonzero digit.  Element objects are
+built on demand, for `support` and the window text of a certificate.
+
+Each statistic, per (n, kind, flavor, mode), has one cached partition of
+the group: its keys in order of first appearance, the class id of every
+rank, and the ranks of each class.  `stat_classes`, the class sums, the
+structure tables and every check read it.  `factorization_counts` takes a
+target by rank, maps the ranks of target . t^-1, with t ordered by class,
+to class ids and counts them class segment by segment; every walk calls it.
 
 The module also builds class sums for any window statistic, tabulates
 structure constants from class representatives, and runs closure, duality,
@@ -41,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import and_, gt, itemgetter, lshift, lt, or_
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseVector, Span
 from .permutations import (
@@ -251,35 +256,40 @@ def _stat_codes(n: int, kind: str, flavor: str) -> tuple[int, ...]:
     return tuple(codes)
 
 
+class _Partition(NamedTuple):
+    """The classes of one statistic: its distinct values in order of first
+    appearance, the class id of every rank, and the ranks of each class,
+    ascending."""
+
+    keys: tuple[StatKey, ...]
+    ids: tuple[int, ...]
+    members: tuple[tuple[int, ...], ...]
+
+
 @lru_cache(maxsize=None)
-def _stat_keys(n: int, kind: str, flavor: str, mode: str) -> tuple[StatKey, ...]:
-    """The statistic of every element in rank order: the set itself, or its
-    cardinality when mode="number"."""
+def _partition(n: int, kind: str, flavor: str, mode: str) -> _Partition:
+    """Partition the group by the flavor's set, or by its cardinality when
+    mode="number"."""
     if mode not in ("set", "number"):
         raise ValueError(f"unknown mode: {mode}")
     codes = _stat_codes(n, kind, flavor)
     if mode == "number":
-        return tuple(map(int.bit_count, codes))
-    members = {code: frozenset(i for i in range(code.bit_length()) if code >> i & 1) for code in set(codes)}
-    return tuple(map(members.__getitem__, codes))
-
-
-@lru_cache(maxsize=None)
-def _class_ids(n: int, kind: str, flavor: str, mode: str) -> tuple[tuple[StatKey, ...], tuple[int, ...]]:
-    """The distinct statistic values in order of first appearance, and the
-    position of every element's value among them, in rank order."""
+        key_of = {code: code.bit_count() for code in set(codes)}
+    else:
+        key_of = {code: frozenset(i for i in range(code.bit_length()) if code >> i & 1) for code in set(codes)}
     position: dict[StatKey, int] = {}
-    ids = tuple([position.setdefault(key, len(position)) for key in _stat_keys(n, kind, flavor, mode)])
-    return tuple(position), ids
+    ids = tuple([position.setdefault(key_of[code], len(position)) for code in codes])
+    members: list[list[int]] = [[] for _ in position]
+    for r, i in enumerate(ids):
+        members[i].append(r)
+    return _Partition(tuple(position), ids, tuple(map(tuple, members)))
 
 
-def stat_classes(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, list[int]]:
+def stat_classes(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, tuple[int, ...]]:
     """Group element ranks by the value of the statistic (the set itself, or
     its cardinality when mode="number")."""
-    out: dict[StatKey, list[int]] = {}
-    for index, key in enumerate(_stat_keys(n, kind, flavor, mode)):
-        out.setdefault(key, []).append(index)
-    return out
+    keys, _, members = _partition(n, kind, flavor, mode)
+    return dict(zip(keys, members))
 
 
 def class_sums(n: int, kind: str, flavor: str, mode: str = "set") -> dict[StatKey, AlgebraElement]:
@@ -352,22 +362,17 @@ def _segments(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequ
     """A getter reading off a target's row the ranks of target.t^-1 for every
     t, with t ordered by class (classes in order of first appearance, each
     in rank order), and the end of each class's segment in that order."""
-    classes = stat_classes(n, kind, flavor, mode).values()
+    members = _partition(n, kind, flavor, mode).members
     inverse = _inverse_ranks(n, kind)
-    return _getter([inverse[t] for ranks in classes for t in ranks]), tuple(accumulate(map(len, classes)))
+    return _getter([inverse[t] for ranks in members for t in ranks]), tuple(accumulate(map(len, members)))
 
 
 def factorization_counts(
-    target: GroupElement, flavor: str, mode: str = "set"
+    n: int, kind: str, r: int, flavor: str, mode: str = "set"
 ) -> dict[tuple[StatKey, StatKey], int]:
-    """For one target window, count ordered factorizations s.t = target by the
-    statistic pair (statistic of t, statistic of s)."""
-    return _counts(target.n, target.kind, _index(target.n, target.kind)[target.window], flavor, mode)
-
-
-def _counts(n: int, kind: str, r: int, flavor: str, mode: str) -> dict[tuple[StatKey, StatKey], int]:
-    """`factorization_counts` of the window of rank r."""
-    keys, ids = _class_ids(n, kind, flavor, mode)
+    """For the window of rank r, count ordered factorizations s.t = window by
+    the statistic pair (statistic of t, statistic of s)."""
+    keys, ids, _ = _partition(n, kind, flavor, mode)
     inverses, ends = _segments(n, kind, flavor, mode)
     # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
     # class ids of the s sides, t's class segment by segment
@@ -384,13 +389,12 @@ def _counts(n: int, kind: str, r: int, flavor: str, mode: str) -> dict[tuple[Sta
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:
     """Tabulate all structure constants from the minimal-rank representative
     of each statistic class."""
-    classes = stat_classes(n, kind, flavor, mode)
-    keys = tuple(sorted_keys(classes))
+    keys, _, members = _partition(n, kind, flavor, mode)
     counts: dict[tuple[StatKey, StatKey, StatKey], int] = {}
-    for key_c, ranks in classes.items():
-        for (key_a, key_b), value in _counts(n, kind, ranks[0], flavor, mode).items():
+    for key_c, ranks in zip(keys, members):
+        for (key_a, key_b), value in factorization_counts(n, kind, ranks[0], flavor, mode).items():
             counts[(key_a, key_b, key_c)] = value
-    return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=keys, counts=counts)
+    return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=tuple(sorted_keys(keys)), counts=counts)
 
 
 def _mismatches(n: int, kind: str, flavor: str, mode: str):
@@ -400,10 +404,11 @@ def _mismatches(n: int, kind: str, flavor: str, mode: str):
     rank, member rank, {pair: (representative's count, member's count)}).
     As (v_A * v_B)(p) = N_p(A, B), this yields nothing exactly when the class
     sums span a closed algebra with well-defined structure constants."""
-    for key, ranks in stat_classes(n, kind, flavor, mode).items():
-        base = _counts(n, kind, ranks[0], flavor, mode)
+    keys, _, members = _partition(n, kind, flavor, mode)
+    for key, ranks in zip(keys, members):
+        base = factorization_counts(n, kind, ranks[0], flavor, mode)
         for r in ranks[1:]:
-            counts = _counts(n, kind, r, flavor, mode)
+            counts = factorization_counts(n, kind, r, flavor, mode)
             if counts != base:
                 yield key, ranks[0], r, {
                     pair: (base.get(pair, 0), counts.get(pair, 0))
@@ -432,7 +437,7 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
 # Span checks: membership in a class-sum span is constancy on the classes
 
 
-def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, list[int]]) -> dict | None:
+def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, Sequence[int]]) -> dict | None:
     """The first class, in key order, on which the element is not constant,
     with its lowest- and highest-valued members (ties go to the lower and the
     higher rank) and their values; None when the element lies in the span of
@@ -456,7 +461,7 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     member whose counts differ from its representative's: the least pair
     (A, B) that differs, the class, the representative and the member, and
     the values of v_A * v_B at those two windows."""
-    dim = len(_class_ids(n, kind, flavor, mode)[0])
+    dim = len(_partition(n, kind, flavor, mode).keys)
     for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
         (key_a, key_b), values = min(diffs.items(), key=_entry_order)
         certificate = {"A": _key_json(key_a), "B": _key_json(key_b), "class": _key_json(key),
@@ -509,12 +514,10 @@ def ideal_check(n: int, kind: str, flavor: str, outer: Sequence[AlgebraElement],
 def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
     """Every peak class sum is a sum of descent class sums, hence lies in the
     span of the descent classes: the peak set is constant on every descent
-    class."""
-    peak_of: dict[StatKey, StatKey] = {}
-    for descents, peaks in zip(_stat_keys(n, kind, "descent" + kind, "set"), _stat_keys(n, kind, flavor, "set")):
-        if peak_of.setdefault(descents, peaks) != peaks:
-            return False
-    return True
+    class, so pairing the two sets' bit codes makes no more distinct pairs
+    than there are descent sets."""
+    descents = _stat_codes(n, kind, "descent" + kind)
+    return len(set(zip(descents, _stat_codes(n, kind, flavor)))) == len(set(descents))
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,6 @@ censuses of the enriched module, which is what the test suite checks.
 from __future__ import annotations
 
 import itertools
-import json
 from fractions import Fraction
 from typing import Iterable, Mapping
 
@@ -90,24 +89,6 @@ class QSymElement(SparseVector):
             basis = self.basis + ("B" if self.typeB else "")
             bits.append(f"{value}*{basis}{key}")
         return " + ".join(bits)
-
-    # -- serialization -------------------------------------------------------
-
-    def to_json(self) -> str:
-        terms = [
-            {"parts": list(key.parts), "coeff": str(value)}
-            for key, value in sorted(self.coeffs.items(), key=lambda kv: (kv[0].degree, kv[0].parts))
-        ]
-        return json.dumps({"basis": self.basis, "typeB": self.typeB, "terms": terms})
-
-    @classmethod
-    def from_json(cls, text: str) -> "QSymElement":
-        data = json.loads(text)
-        coeffs = {
-            Composition(tuple(term["parts"]), data["typeB"]): Fraction(term["coeff"])
-            for term in data["terms"]
-        }
-        return cls(data["basis"], data["typeB"], coeffs)
 
 
 # ---------------------------------------------------------------------------

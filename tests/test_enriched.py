@@ -305,7 +305,7 @@ def test_signed_poset_census_splits_over_extensions():
 def test_census_product_offsets_variables():
     a = {(0, 1): 2}
     b = {(0, 0, 1): 3}
-    assert census_product(a, b, offset=2, width=5) == {(0, 1, 0, 0, 1): 6}
+    assert census_product(a, b, width=5) == {(0, 1, 0, 0, 1): 6}
 
 
 def test_bipartite_census_identity():
@@ -332,7 +332,7 @@ def _composed_factorization_census(p, first, second):
     total = {}
     for tau in enumerate_group(p.n, kind):
         sigma = compose(p, tau.inverse())
-        combined = census_product(epp_census(tau, first), epp_census(sigma, second), first.n_vars, width)
+        combined = census_product(epp_census(tau, first), epp_census(sigma, second), width)
         for key, count in combined.items():
             total[key] = total.get(key, 0) + count
     return total

@@ -184,15 +184,15 @@ def test_multiplicativity_check_catches_a_perturbed_coefficient(monkeypatch):
 
 def test_commutativity_flag_catches_an_asymmetric_count(monkeypatch):
     # the report reads the factorization counts of each window by its rank
-    original = eulerian._counts
+    original = eulerian.factorization_counts
 
-    def asymmetric(n, kind, r, flavor, mode):
+    def asymmetric(n, kind, r, flavor, mode="set"):
         counts = original(n, kind, r, flavor, mode)
         if unrank(r, n, kind) == Permutation((1, 2, 3, 4)):
             counts[(0, 1)] += 1
         return counts
 
-    monkeypatch.setattr(eulerian, "_counts", asymmetric)
+    monkeypatch.setattr(eulerian, "factorization_counts", asymmetric)
     assert not verify_rho_multiplicativity(4)["commutative"]
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg import group_algebra
+from peakalg import enriched, eulerian, group_algebra
+from peakalg.alphabets import Alphabet
 from peakalg.eulerian import BATTERY_STATISTICS
 from peakalg.group_algebra import (
     AlgebraElement,
@@ -91,8 +92,12 @@ def test_stat_keys_read_off_the_columns_match_stat_set():
         elements = list(enumerate_group(n, kind))
         for flavor in FLAVORS:
             members = [stat_set(p, flavor).members for p in elements]
-            assert list(group_algebra._stat_keys(n, kind, flavor, "set")) == members, (n, kind, flavor)
-            assert list(group_algebra._stat_keys(n, kind, flavor, "number")) == list(map(len, members))
+            for mode, expected in (("set", members), ("number", list(map(len, members)))):
+                keys, ids, classes = group_algebra._partition(n, kind, flavor, mode)
+                assert [keys[i] for i in ids] == expected, (n, kind, flavor, mode)
+                # the keys in order of first appearance, each class its ranks ascending
+                assert list(keys) == list(dict.fromkeys(expected)), (n, kind, flavor, mode)
+                assert classes == tuple(tuple(r for r, i in enumerate(ids) if i == c) for c in range(len(keys)))
 
 
 def test_unknown_kind_flavor_or_mode_is_refused():
@@ -100,7 +105,7 @@ def test_unknown_kind_flavor_or_mode_is_refused():
                           ((3, "A", "noSuchPeak", "set"), "unknown flavor"),
                           ((3, "A", "interiorPeak", "count"), "unknown mode")):
         with pytest.raises(ValueError, match=message):
-            group_algebra._stat_keys(*args)
+            group_algebra._partition(*args)
         with pytest.raises(ValueError, match=message):
             stat_classes(*args)
 
@@ -152,14 +157,14 @@ def test_factorization_counts_match_composing_every_pair():
 
                 for r, target in enumerate(elements):
                     brute = Counter((key(t), key(s)) for t, s in pairs[r])
-                    assert factorization_counts(target, flavor, mode) == brute, (target, flavor, mode)
+                    assert factorization_counts(n, kind, rank(target), flavor, mode) == brute, (target, flavor, mode)
 
 
 def _zip_tally(target, flavor, mode):
     """Factorization counts tallied pair by pair over the kernel's row and
     inverse ranks, one integer code per (class of t, class of s)."""
     n, kind = target.n, target.kind
-    keys, ids = group_algebra._class_ids(n, kind, flavor, mode)
+    keys, ids, _ = group_algebra._partition(n, kind, flavor, mode)
     width = len(keys)
     row = group_algebra._row(n, kind, rank(target))
     codes = Counter([width * id_t + ids[row[j]] for id_t, j in zip(ids, group_algebra._inverse_ranks(n, kind))])
@@ -171,8 +176,8 @@ def test_factorization_counts_match_a_pairwise_tally():
         for flavor in FLAVORS:
             for mode in ("set", "number"):
                 for target in enumerate_group(n, kind):
-                    assert factorization_counts(target, flavor, mode) == _zip_tally(target, flavor, mode), (
-                        target, flavor, mode)
+                    counts = factorization_counts(n, kind, rank(target), flavor, mode)
+                    assert counts == _zip_tally(target, flavor, mode), (target, flavor, mode)
 
 
 def test_identity_is_the_unit():
@@ -214,6 +219,47 @@ def test_stat_classes_partition_the_group():
     assert sum(len(v) for v in number.values()) == group_order(4, "A")
 
 
+def test_stat_classes_view_one_cached_partition():
+    # every class question on one statistic builds its partition once; the
+    # classes handed out are tuples, so no caller can alter the cached ranks
+    group_algebra._partition.cache_clear()
+    structure_table(4, "B", "typeBPeak")
+    closure_check(4, "B", "typeBPeak")
+    classes = stat_classes(4, "B", "typeBPeak")
+    assert group_algebra._partition.cache_info().misses == 1
+    assert all(type(ranks) is tuple for ranks in classes.values())
+    classes.clear()  # the dict itself is the caller's own
+    assert sum(map(len, stat_classes(4, "B", "typeBPeak").values())) == group_order(4, "B")
+    assert group_algebra._partition.cache_info().misses == 1
+
+
+def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch):
+    # a counting wrapper bound in every namespace that imports the function,
+    # as the benchmark's tracer binds its wrappers
+    original = group_algebra.factorization_counts
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (group_algebra, eulerian, enriched):
+        monkeypatch.setattr(module, "factorization_counts", counted)
+    prime = Alphabet.prime(2)
+    # closure and duality walk every rank, a table every class representative,
+    # the idempotents report every window of S_4, a census its one window
+    for walk, expected in (
+        (lambda: closure_check(3, "A", "interiorPeak"), group_order(3, "A")),
+        (lambda: verify_duality(3, "B", "typeBPeak"), group_order(3, "B")),
+        (lambda: structure_table(4, "A", "leftPeak", "number"), len(stat_classes(4, "A", "leftPeak", "number"))),
+        (lambda: eulerian.verify_rho_multiplicativity(4), group_order(4, "A")),
+        (lambda: enriched.factorization_census(Permutation((2, 3, 1)), prime, prime), 1),
+    ):
+        calls.clear()
+        walk()
+        assert len(calls) == expected
+
+
 def test_frozen_structure_constant():
     table = structure_table(3, "A", "interiorPeak")
     assert table.count(frozenset({2}), frozenset({2}), frozenset()) == 1
@@ -226,7 +272,7 @@ def test_structure_constants_count_factorizations():
     for target in enumerate_group(3, "A"):
         if stat_set(target, "interiorPeak").members != frozenset():
             continue
-        counts = factorization_counts(target, "interiorPeak")
+        counts = factorization_counts(3, "A", rank(target), "interiorPeak")
         pair = (frozenset({2}), frozenset({2}))
         assert counts[pair] == table.count(frozenset({2}), frozenset({2}), frozenset())
         break
@@ -235,7 +281,7 @@ def test_structure_constants_count_factorizations():
         for flavor in flavors:
             for target in enumerate_group(n, kind):
                 recount = oracle.factorizations(target.window, kind, flavor)
-                assert factorization_counts(target, flavor) == recount, (target, flavor)
+                assert factorization_counts(n, kind, rank(target), flavor) == recount, (target, flavor)
 
 
 def test_duality_holds_for_unsigned_windows():
@@ -258,7 +304,8 @@ def test_duality_fails_for_signed_windows_at_three():
         key = frozenset(mismatch["class"])
         assert stat_set(window, "typeBPeak").members == key == stat_set(representative, "typeBPeak").members
         pair = (frozenset(mismatch["A"]), frozenset(mismatch["B"]))
-        counts = [factorization_counts(w, "typeBPeak").get(pair, 0) for w in (window, representative)]
+        counts = [factorization_counts(3, "B", rank(w), "typeBPeak").get(pair, 0)
+                  for w in (window, representative)]
         assert F(mismatch["difference"]) == counts[0] - counts[1] != 0
         # the representative is the class's minimal-rank member, as in
         # structure_table, and the window the minimal-rank one where the two
@@ -269,7 +316,7 @@ def test_duality_fails_for_signed_windows_at_three():
         for below in range(rank(window)):
             other = unrank(below, 3, "B")
             other_key = stat_set(other, "typeBPeak").members
-            assert factorization_counts(other, "typeBPeak").get(pair, 0) == table.count(*pair, other_key)
+            assert factorization_counts(3, "B", below, "typeBPeak").get(pair, 0) == table.count(*pair, other_key)
     # one record per pair
     assert len({(str(m["A"]), str(m["B"])) for m in bad["mismatches"]}) == len(bad["mismatches"])
     audit = representative_audit(3, "B", "typeBPeak")
@@ -361,8 +408,8 @@ def test_signed_window_factorization_witness():
     assert stat_set(first, "typeBPeak").members == frozenset({1})
     assert stat_set(second, "typeBPeak").members == frozenset({1})
     pair = (frozenset({0}), frozenset({1}))
-    assert factorization_counts(first, "typeBPeak")[pair] == 4
-    assert factorization_counts(second, "typeBPeak")[pair] == 3
+    assert factorization_counts(3, "B", rank(first), "typeBPeak")[pair] == 4
+    assert factorization_counts(3, "B", rank(second), "typeBPeak")[pair] == 3
     # recounted by the independent oracle
     recount = [oracle.factorizations(oracle.window(w), "B", "typeBPeak")[pair] for w in ("1,-2,-3", "1,-2,3")]
     assert recount == [4, 3]

@@ -206,15 +206,6 @@ def test_monomial_evaluation_frozen():
     assert evaluate(M((2, 1), True), 1) == {(2, 1): Fraction(1)}
 
 
-def test_serialization_round_trip():
-    e = peak_function_b([0], 2)
-    assert QSymElement.from_json(e.to_json()) == e
-    text = e.to_json()
-    assert '"basis": "M"' in text and '"typeB": true' in text
-    f = peak_function_F([2], 3)
-    assert QSymElement.from_json(f.to_json()) == f
-
-
 def test_composition_keys_are_validated():
     with pytest.raises(ValueError):
         QSymElement("M", False, {Composition((0, 1), typeB=True): Fraction(1)})
