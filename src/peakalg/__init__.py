@@ -18,112 +18,57 @@ The package covers, with exact arithmetic throughout:
   and the battery of statistics whose class sums fail closure (`eulerian`);
 - a reporting verification suite and a command-line front end (`verify`,
   `cli`).
+
+The namespace resolves names on first use (PEP 562): `import peakalg` loads
+no submodule, and the first access to an exported name or a submodule
+imports its home module and binds the name here, so later accesses are plain
+lookups.
 """
 
-from .permutations import (
-    Composition,
-    Permutation,
-    SignedPermutation,
-    StatSet,
-    compose,
-    descent_set,
-    enumerate_group,
-    enumerate_peak_sets,
-    enumerate_stat_sets,
-    fibonacci,
-    peak_set,
-    rank,
-    stat_set,
-    unrank,
-)
-from .posets import LabeledPoset, SignedPoset, parse_poset, zigzag_poset
-from .alphabets import Alphabet
-from .enriched import epp_census, epp_count, epp_maps, factorization_census
-from .qsym import (
-    QSymElement,
-    evaluate,
-    f_to_m,
-    m_to_f,
-    peak_function,
-    peak_function_F,
-    peak_function_b,
-    peak_function_b_F,
-    peak_series,
-    quasi_shuffle,
-    rank_of_span,
-)
-from .group_algebra import (
-    AlgebraElement,
-    StructureTable,
-    class_sums,
-    closure_check,
-    ideal_check,
-    multiplicative_closure,
-    structure_table,
-    verify_duality,
-)
-from .eulerian import (
-    RationalPolynomial,
-    negative_battery,
-    order_polynomial,
-    rho,
-    rho_idempotents,
-    verify_rho_multiplicativity,
-)
-from .verify import Bounds, CheckResult, run_suite
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Alphabet",
-    "AlgebraElement",
-    "Bounds",
-    "CheckResult",
-    "Composition",
-    "LabeledPoset",
-    "Permutation",
-    "QSymElement",
-    "RationalPolynomial",
-    "SignedPermutation",
-    "SignedPoset",
-    "StatSet",
-    "StructureTable",
-    "class_sums",
-    "closure_check",
-    "compose",
-    "descent_set",
-    "enumerate_group",
-    "enumerate_peak_sets",
-    "enumerate_stat_sets",
-    "epp_census",
-    "epp_count",
-    "epp_maps",
-    "evaluate",
-    "f_to_m",
-    "factorization_census",
-    "fibonacci",
-    "ideal_check",
-    "m_to_f",
-    "multiplicative_closure",
-    "negative_battery",
-    "order_polynomial",
-    "parse_poset",
-    "peak_function",
-    "peak_function_F",
-    "peak_function_b",
-    "peak_function_b_F",
-    "peak_series",
-    "peak_set",
-    "quasi_shuffle",
-    "rank",
-    "rank_of_span",
-    "rho",
-    "rho_idempotents",
-    "run_suite",
-    "stat_set",
-    "structure_table",
-    "unrank",
-    "verify_duality",
-    "verify_rho_multiplicativity",
-    "zigzag_poset",
-]
+# home module -> the names it exports through the package
+_EXPORTS = {
+    "permutations": (
+        "Composition", "Permutation", "SignedPermutation", "StatSet", "compose", "descent_set",
+        "enumerate_group", "enumerate_peak_sets", "enumerate_stat_sets", "fibonacci", "peak_set",
+        "rank", "stat_set", "unrank",
+    ),
+    "posets": ("LabeledPoset", "SignedPoset", "parse_poset", "zigzag_poset"),
+    "alphabets": ("Alphabet",),
+    "enriched": ("epp_census", "epp_count", "epp_maps", "factorization_census"),
+    "qsym": (
+        "QSymElement", "evaluate", "f_to_m", "m_to_f", "peak_function", "peak_function_F",
+        "peak_function_b", "peak_function_b_F", "peak_series", "quasi_shuffle", "rank_of_span",
+    ),
+    "group_algebra": (
+        "AlgebraElement", "StructureTable", "class_sums", "closure_check", "ideal_check",
+        "multiplicative_closure", "structure_table", "verify_duality",
+    ),
+    "eulerian": (
+        "RationalPolynomial", "negative_battery", "order_polynomial", "rho", "rho_idempotents",
+        "verify_rho_multiplicativity",
+    ),
+    "verify": ("Bounds", "CheckResult", "run_suite"),
+}
+_SUBMODULES = (*_EXPORTS, "linalg", "cli")
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_HOME)
+
+
+def __getattr__(name: str):
+    if name in _SUBMODULES:
+        value = importlib.import_module(f"{__name__}.{name}")
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return [*__all__, *_SUBMODULES, "__version__"]

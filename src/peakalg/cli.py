@@ -3,7 +3,9 @@
 Every subcommand computes a JSON-serializable payload first; text and CSV
 renderings are derived from it, so the machine format is canonical (a large
 `structure` table renders that JSON text itself, from each key's text).  Each
-subcommand declares only the flags it reads.  Exit codes: 0 on success, 1
+subcommand declares only the flags it reads and imports the modules it runs,
+so a `structure` or `closure` process loads no more than `permutations`,
+`group_algebra` and `linalg`.  Exit codes: 0 on success, 1
 when a requested verification fails, 2 on usage errors.  The kind, flavor
 and window of a query are resolved in one place: a signed flavor or a
 negative entry asks for kind B, and an explicit `--kind A` beside either is
@@ -24,15 +26,6 @@ import os
 import sys
 from dataclasses import dataclass, replace
 
-from .alphabets import Alphabet
-from .enriched import epp_census
-from .eulerian import (
-    negative_battery,
-    order_polynomial,
-    realized_peak_counts,
-    rho_idempotents,
-    verify_rho_multiplicativity,
-)
 from .group_algebra import (
     _key_json,
     class_sums,
@@ -52,9 +45,6 @@ from .permutations import (
     stat_set,
     _parse_ints,
 )
-from .posets import LabeledPoset, SignedPoset, parse_covers
-from .qsym import m_to_f, peak_series
-from .verify import Bounds, run_suite, series_ranks
 
 DEFAULT_BOUNDS = {"A": 8, "B": 6}
 
@@ -141,6 +131,8 @@ def _cmd_peaks(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .posets import LabeledPoset, SignedPoset, parse_covers
+
     try:
         if ns.file == "-":
             source = sys.stdin.read()
@@ -166,13 +158,17 @@ def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
     return Output(payload, rows, text), 0
 
 
-_ALPHABETS = {"prime": Alphabet.prime, "left": Alphabet.left, "plusMinus": Alphabet.plus_minus}
+# alphabet name -> its `Alphabet` factory method
+_ALPHABETS = {"prime": "prime", "left": "left", "plusMinus": "plus_minus"}
 
 
 def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .alphabets import Alphabet
+    from .enriched import epp_census
+
     kind, _, window = _resolve(ns.kind, [], ns.window)
     name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
-    census = epp_census(window, _ALPHABETS[name](ns.k))
+    census = epp_census(window, getattr(Alphabet, _ALPHABETS[name])(ns.k))
     entries = [
         {"exponents": list(exponents), "count": count}
         for exponents, count in sorted(census.items())
@@ -187,10 +183,16 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .qsym import m_to_f, peak_series
+
     flavor = _canonical_flavor(ns.flavor or "interior", "A")
     if flavor not in FIBONACCI_SHIFT:
         raise ValueError(f"no peak series for flavor {flavor}; available: {', '.join(FIBONACCI_SHIFT)}")
     if ns.report_ranks:
+        if ns.n is not None and ns.n_max is not None:
+            raise ValueError("--n and --n-max both bound the rank report; pass one of them")
+        from .verify import series_ranks
+
         n_max = ns.n_max or ns.n or 7
         # a series is no group element, so the kind-A bound holds for every flavor
         _enforce_bound(n_max, "A", ns.allow_large)
@@ -206,6 +208,8 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
         return Output(payload, ranks, text), 0 if ok else 1
     if ns.n is None:
         raise ValueError("--n is required for an expansion")
+    if ns.n_max is not None:
+        raise ValueError("--n-max bounds only --report-ranks; an expansion reads --n")
     # the series is a sum over all 2^(n-1) subsets, bounded like the ranks above
     _enforce_bound(ns.n, "A", ns.allow_large)
     members = _parse_members(ns.members)
@@ -291,6 +295,8 @@ def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_orderpoly(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .eulerian import order_polynomial, realized_peak_counts
+
     _require_n(ns, "A")
     counts = [ns.peaks] if ns.peaks is not None else realized_peak_counts(ns.n)
     polys = []
@@ -310,6 +316,8 @@ def _cmd_orderpoly(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_idempotents(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .eulerian import rho_idempotents, verify_rho_multiplicativity
+
     _require_n(ns, "A")
     report = verify_rho_multiplicativity(ns.n)
     elements = rho_idempotents(ns.n)
@@ -334,6 +342,8 @@ def _cmd_idempotents(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_negatives(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .eulerian import negative_battery
+
     n_max = ns.n_max or 6
     _enforce_bound(n_max, "A", ns.allow_large)
     reports = negative_battery(n_max)
@@ -354,6 +364,8 @@ def _cmd_negatives(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_verify(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .verify import Bounds, run_suite
+
     names = None if ns.checks is None else [name.strip() for name in ns.checks.split(",") if name.strip()]
     if ns.n_max is not None:
         _enforce_bound(ns.n_max, "A", ns.allow_large)

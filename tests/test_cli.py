@@ -268,19 +268,21 @@ def test_qsym_ranks_use_the_ordinary_bound_for_every_flavor(capsys):
 def test_qsym_expansion_is_held_to_the_ordinary_bound(capsys, monkeypatch):
     # the bound is checked before any series is built: a series at n = 30
     # would be a sum over 2^29 subsets, so here it is never built at all
-    original = peakalg.cli.peak_series
+    # (the handler reads `peak_series` off the `qsym` module when it runs)
+    original = peakalg.qsym.peak_series
     built = []
 
     def guarded(members, n, **kw):
         built.append(n)
         return original(members, n, **kw) if n <= 8 else None
 
-    monkeypatch.setattr(peakalg.cli, "peak_series", guarded)
+    monkeypatch.setattr(peakalg.qsym, "peak_series", guarded)
     code, out, err = run(capsys, "qsym", "--flavor", "interior", "--n", "30", "--members", "{2}")
     assert (code, out, built) == (2, "", [])
     assert "n=30 exceeds the default bound 8 for kind A" in json.loads(err)["error"]["message"]
     code, out, _ = run(capsys, "qsym", "--flavor", "interior", "--n", "8", "--members", "{2}")
     assert code == 0 and out
+    assert built == [8]  # the patch reached the handler
 
 
 def test_structure_frozen_constant(capsys):
@@ -517,6 +519,23 @@ def test_sizes_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "usage"
+
+
+@pytest.mark.parametrize("argv", [
+    ("qsym", "--report-ranks", "--n", "2", "--n-max", "3"),
+    ("qsym", "--n", "3", "--members", "{2}", "--n-max", "5"),
+])
+def test_qsym_flags_it_would_drop_are_usage_errors(capsys, argv):
+    # --n and --n-max would both bound the rank report; an expansion has no --n-max
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"]["code"] == "usage"
+
+
+def test_rank_report_reads_n_as_its_bound(capsys):
+    code, out, _ = run(capsys, "qsym", "--report-ranks", "--n", "3", "--format", "json")
+    assert code == 0
+    assert [r["n"] for r in json.loads(out)["ranks"]] == [1, 2, 3]
 
 
 @pytest.mark.parametrize("argv", [
