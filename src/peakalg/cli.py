@@ -28,7 +28,6 @@ from dataclasses import dataclass, replace
 
 from .group_algebra import (
     _key_json,
-    class_sums,
     closure_check,
     descent_algebra_containment,
     ideal_check,
@@ -264,14 +263,7 @@ def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
     checks_passed &= report["closed"]
     if ns.ideal_in:
         outer_flavor = flavors[1]
-        outer = class_sums(n, kind, outer_flavor, ns.mode)
-        ideal = ideal_check(n, kind, flavor, list(outer.values()), ns.mode)
-        if not ideal["ideal"]:
-            # name the failing outer class sum beside its position in `outer`
-            witness = ideal["witness"]
-            key = list(outer)[witness["outer_index"]]
-            head = {"B": witness["B"], "outer_index": witness["outer_index"], "outer_class": _key_json(key)}
-            ideal["witness"] = {**head, **witness}
+        ideal = ideal_check(n, kind, flavor, outer_flavor, ns.mode)
         payload["ideal_in"] = {"outer": outer_flavor, **ideal}
         checks_passed &= ideal["ideal"]
     if ns.descent_containment:
@@ -333,7 +325,7 @@ def _cmd_idempotents(ns: argparse.Namespace) -> tuple[Output, int]:
     rows = [{"index": s["index"], "peak_count": s["peak_count"], "terms": len(s["terms"])}
             for s in serialized]
     lines = [f"multiplicative: {report['multiplicative']}  degrees: {report['degrees']}  "
-             f"sum=identity: {report['sum_equals_identity']}"]
+             f"sum=identity: {report['sum_equals_identity']}  sum=unit: {report['sum_is_unit']}"]
     for s in serialized:
         preview = ", ".join(f"{t['coeff']}*[{t['window']}]" for t in s["terms"][:4])
         suffix = " ..." if len(s["terms"]) > 4 else ""

@@ -17,6 +17,7 @@ group rank where closure breaks.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -25,7 +26,6 @@ from .alphabets import Alphabet
 from .enriched import epp_count
 from .group_algebra import (
     AlgebraElement,
-    class_sums,
     closure_check,
     factorization_counts,
     multiplicative_closure,
@@ -215,6 +215,16 @@ def verify_rho_multiplicativity(n: int) -> dict:
     # is the identity (rank 0) alone
     total = {i: sum(by_count[d][i] for d in degrees) for i in by_count[0]}
     identity_alone = stat_classes(n, "A", "interiorPeak", mode="number")[0] == (0,)
+    # the sum e is the unit of the peak-number span when e * v_j = v_j * e =
+    # v_j for every j: at p, sum_i total[i] N_p(i, j) = sum_i total[i] N_p(j, i)
+    # = [peaks(p) = j]
+    unit = True
+    for peaks, counts in profiles:
+        left, right = Counter(), Counter()  # (e * v_j)(p) and (v_j * e)(p) by j
+        for (i, j), times in counts:
+            left[j] += total[i] * times
+            right[i] += total[j] * times
+        unit &= left == right == Counter({peaks: 1})
     return {
         "n": n,
         "multiplicative": parity_ok and not failing,
@@ -222,6 +232,7 @@ def verify_rho_multiplicativity(n: int) -> dict:
         "degrees": degrees,
         "mismatches": [(a, b) for a in degrees for b in degrees if (a, b) in failing],
         "sum_equals_identity": [i for i, t in total.items() if t] == [0] and total[0] == 1 and identity_alone,
+        "sum_is_unit": unit,
         "commutative": all(counts == {((j, i), times) for (i, j), times in counts} for _, counts in profiles),
         "spans_classes": len(allowed) == len(by_count[0]) == rows.dim,
     }
@@ -269,9 +280,7 @@ def negative_battery(n_max: int = 6) -> list[dict]:
         for n in range(1, bound + 1):
             check = closure_check(n, kind, flavor, mode)
             if not check["closed"]:
-                grown = multiplicative_closure(
-                    list(class_sums(n, kind, flavor, mode).values())
-                )
+                grown = multiplicative_closure(n, kind, flavor, mode)
                 report.update(
                     {
                         "n": n,

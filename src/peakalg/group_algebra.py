@@ -18,22 +18,20 @@ built on demand, for `support` and the window text of a certificate.
 
 Each statistic, per (n, kind, flavor, mode), has one cached partition of
 the group: its keys in order of first appearance, the class id of every
-rank, and the ranks of each class.  `stat_classes`, the class sums, the
-structure tables and every check read it.  `factorization_counts` takes a
-target by rank, maps the ranks of target . t^-1, with t ordered by class,
-to class ids and counts them class segment by segment; every walk calls it.
+rank, and the ranks of each class; every class question reads it.  A tally
+reads the ranks of target . t^-1 off the target's row, with t ordered by the
+classes of one statistic, and counts their class ids under another, class
+segment by segment; `factorization_counts` is its one-statistic case.
 
-The module also builds class sums for any window statistic, tabulates
-structure constants from class representatives, and runs closure, duality,
-ideal and descent-containment checks.  The classes of a statistic partition
-the group, so an element lies in the span of its class sums exactly when it
-is constant on every class; the checks decide membership that way, by
-comparing exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B),
-the number of factorizations of p by class pair, one comparison decides
-closure, duality and the representative audit: every member's factorization
-counts against its class representative's.  The ideal check, whose outer
-elements need not be class sums, convolves.  Failures come with an explicit
-certificate so downstream reports can show a witness instead of a bare flag.
+The classes of a statistic partition the group, so an element lies in the
+span of its class sums exactly when it is constant on every class, and the
+closure, duality, ideal and audit checks decide membership by comparing
+exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
+number of factorizations of p by class pair, each compares every class
+member's tallies against its class representative's.  Every check is a walk
+over the target windows that builds each target's row once and keeps none;
+`AlgebraElement.convolve` is the public product, and no check calls it.
+Failures come with an explicit certificate, so reports can show a witness.
 `multiplicative_closure`, whose products leave the class-sum span, hands
 their coefficient mappings to `linalg.Span` as they are.
 """
@@ -121,19 +119,6 @@ def _factor(n: int, kind: str, slot: int, digit: int) -> Callable[[Sequence], tu
     return _getter(tuple(map(_index(n, kind).__getitem__, composed)))
 
 
-# Product-row entries kept per group: every row of A_7 (25.4M entries, about
-# 204 MB as tuples, beside under 1.2 MB of factor and column getters) and of
-# the smaller groups fits.  All rows of A_8 or B_6 would take 13-17 GB, so
-# past this budget a row is rebuilt from its factors whenever it is needed
-# instead of kept.
-_ROW_BUDGET = 1 << 25
-
-
-@lru_cache(maxsize=None)
-def _kept_rows(n: int, kind: str) -> dict[int, tuple[int, ...]]:
-    return {}
-
-
 @lru_cache(maxsize=None)
 def _identity_row(n: int, kind: str) -> tuple[int, ...]:
     """The identity's row.  Every row is read out of this one tuple, so all
@@ -144,17 +129,12 @@ def _identity_row(n: int, kind: str) -> tuple[int, ...]:
 def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
     """row[j] = rank of elements[r] composed with elements[j].  The element is
     the product of the factors of its digits, so its row is the identity's
-    row taken through the getter of each nonzero digit in turn.  Kept while
-    the group's kept rows stay within _ROW_BUDGET entries."""
-    kept = _kept_rows(n, kind)
-    row = kept.get(r)
-    if row is None:
-        row = _identity_row(n, kind)
-        for slot, digit in enumerate(rank_digits(r, n, kind)):
-            if digit:
-                row = _factor(n, kind, slot, digit)(row)
-        if (len(kept) + 1) * len(row) <= _ROW_BUDGET:
-            kept[r] = row
+    row taken through the getter of each nonzero digit in turn.  The row is
+    built for its caller and kept by no one."""
+    row = _identity_row(n, kind)
+    for slot, digit in enumerate(rank_digits(r, n, kind)):
+        if digit:
+            row = _factor(n, kind, slot, digit)(row)
     return row
 
 
@@ -367,23 +347,30 @@ def _segments(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequ
     return _getter([inverse[t] for ranks in members for t in ranks]), tuple(accumulate(map(len, members)))
 
 
-def factorization_counts(
-    n: int, kind: str, r: int, flavor: str, mode: str = "set"
+def _tally(
+    n: int, kind: str, row: tuple[int, ...], t_flavor: str, s_flavor: str, mode: str
 ) -> dict[tuple[StatKey, StatKey], int]:
-    """For the window of rank r, count ordered factorizations s.t = window by
-    the statistic pair (statistic of t, statistic of s)."""
-    keys, ids, _ = _partition(n, kind, flavor, mode)
-    inverses, ends = _segments(n, kind, flavor, mode)
+    """Count the factorizations s.t = target, given the target's row, by the
+    pair (class of t under t_flavor, class of s under s_flavor)."""
+    t_keys = _partition(n, kind, t_flavor, mode).keys
+    s_keys, s_ids, _ = _partition(n, kind, s_flavor, mode)
+    inverses, ends = _segments(n, kind, t_flavor, mode)
     # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
     # class ids of the s sides, t's class segment by segment
-    s_ids = _getter(inverses(_row(n, kind, r)))(ids)
+    ids = _getter(inverses(row))(s_ids)
     counts: dict[tuple[StatKey, StatKey], int] = {}
     start = 0
-    for key_t, end in zip(keys, ends):
-        for id_s, count in Counter(s_ids[start:end]).items():
-            counts[(key_t, keys[id_s])] = count
+    for key_t, end in zip(t_keys, ends):
+        for id_s, count in Counter(ids[start:end]).items():
+            counts[(key_t, s_keys[id_s])] = count
         start = end
     return counts
+
+
+def factorization_counts(n: int, kind: str, r: int, flavor: str, mode: str = "set") -> dict[tuple[StatKey, StatKey], int]:
+    """For the window of rank r, count ordered factorizations s.t = window by
+    the statistic pair (statistic of t, statistic of s)."""
+    return _tally(n, kind, _row(n, kind, r), flavor, flavor, mode)
 
 
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:
@@ -397,18 +384,21 @@ def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> Struct
     return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=tuple(sorted_keys(keys)), counts=counts)
 
 
-def _mismatches(n: int, kind: str, flavor: str, mode: str):
+def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[int], dict] | None = None):
     """Walk the classes in order of first appearance, each in rank order, and
-    for every member whose factorization counts differ from its class
-    representative's (the minimal-rank member) yield (class, representative
-    rank, member rank, {pair: (representative's count, member's count)}).
-    As (v_A * v_B)(p) = N_p(A, B), this yields nothing exactly when the class
-    sums span a closed algebra with well-defined structure constants."""
+    for every member whose counts differ from its class representative's (the
+    minimal-rank member) yield (class, representative rank, member rank,
+    {pair: (representative's count, member's count)}).  The counts of a rank
+    are its factorization counts unless `counts_of` reads others.  As
+    (v_A * v_B)(p) = N_p(A, B), the factorization counts yield nothing
+    exactly when the class sums span a closed algebra with well-defined
+    structure constants."""
+    counts_of = counts_of or (lambda r: factorization_counts(n, kind, r, flavor, mode))
     keys, _, members = _partition(n, kind, flavor, mode)
     for key, ranks in zip(keys, members):
-        base = factorization_counts(n, kind, ranks[0], flavor, mode)
+        base = counts_of(ranks[0])
         for r in ranks[1:]:
-            counts = factorization_counts(n, kind, r, flavor, mode)
+            counts = counts_of(r)
             if counts != base:
                 yield key, ranks[0], r, {
                     pair: (base.get(pair, 0), counts.get(pair, 0))
@@ -437,24 +427,6 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
 # Span checks: membership in a class-sum span is constancy on the classes
 
 
-def _nonconstant_class(element: AlgebraElement, classes: Mapping[StatKey, Sequence[int]]) -> dict | None:
-    """The first class, in key order, on which the element is not constant,
-    with its lowest- and highest-valued members (ties go to the lower and the
-    higher rank) and their values; None when the element lies in the span of
-    the class sums."""
-    coeffs = element.coeffs
-    for key in sorted_keys(classes):
-        values = [(coeffs.get(r, 0), r) for r in classes[key]]
-        low, high = min(values), max(values)
-        if low[0] != high[0]:
-            return {
-                "class": _key_json(key),
-                "windows": _texts(element.n, element.kind, low[1], high[1]),
-                "values": [str(low[0]), str(high[0])],
-            }
-    return None
-
-
 def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Is the span of the class sums closed under convolution?  The report
     carries the span dimension and, on failure, a certificate from the first
@@ -470,44 +442,58 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     return {"closed": True, "dim": dim, "certificate": None}
 
 
-def multiplicative_closure(elements: Sequence[AlgebraElement]) -> dict:
+def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Dimension of the smallest convolution-closed subspace containing the
-    given elements.  That subspace is the span of the words in them, and a
-    word one letter longer is a shorter word times one letter, so each vector
-    that grows the span is multiplied on the right by the given elements
-    only, until no product grows it."""
-    if not elements:
-        return {"dim_start": 0, "dim_closure": 0, "closed": True}
-    span = Span(element.coeffs for element in elements)
+    class sums.  That subspace is the span of the words in them, and a word
+    one letter longer is one letter times a shorter word, so each vector that
+    grows the span is multiplied on the left by the class sums only, until
+    no product grows it.  A round walks every target p once: (v_C * w)(p)
+    sums w(p.t^-1) over the t in class C, read off p's row with t ordered by
+    class, as the factorization counts read it."""
+    _, ids, members = _partition(n, kind, flavor, mode)
+    inverses, ends = _segments(n, kind, flavor, mode)
+    bounds = list(zip((0, *ends), ends))
+    span = Span(dict.fromkeys(ranks, 1) for ranks in members)
     dim_start = span.dim
-    frontier = list(elements)
+    # vectors by rank, dense: first the class sums, then each product that grew the span
+    frontier = [tuple(int(i == c) for i in ids) for c in range(len(members))]
     while frontier:
-        fresh: list[AlgebraElement] = []
-        for w in frontier:
-            for g in elements:
-                product = w.convolve(g)
-                if span.add(product.coeffs):
+        values: list[list[list]] = [[] for _ in frontier]  # [w][p][C] = (v_C * w)(p)
+        for p in range(group_order(n, kind)):
+            read = _getter(inverses(_row(n, kind, p)))
+            for w, out in zip(frontier, values):
+                at_p = read(w)
+                out.append([sum(at_p[start:end]) for start, end in bounds])
+        fresh = []
+        for out in values:
+            for product in zip(*out):
+                if span.add({p: v for p, v in enumerate(product) if v}):
                     fresh.append(product)
         frontier = fresh
     return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
 
 
-def ideal_check(n: int, kind: str, flavor: str, outer: Sequence[AlgebraElement], mode: str = "set") -> dict:
-    """Do products between the outer elements and the class sums of the
-    statistic stay inside the span of those class sums, on both sides?  On
-    failure the witness names the inner class B, the position of the outer
-    element u in `outer`, and a class on which the product (u * v_B on the
-    left side, v_B * u on the right) is not constant, with two of its
-    windows and their values."""
-    classes = stat_classes(n, kind, flavor, mode)
-    inner = class_sums(n, kind, flavor, mode)
-    for index, u in enumerate(outer):
-        for key_b, v in inner.items():
-            for side, product in (("left", u.convolve(v)), ("right", v.convolve(u))):
-                escape = _nonconstant_class(product, classes)
-                if escape is not None:
-                    witness = {"B": _key_json(key_b), "outer_index": index, **escape}
-                    return {"ideal": False, "side": side, "witness": witness}
+def ideal_check(n: int, kind: str, flavor: str, outer_flavor: str, mode: str = "set") -> dict:
+    """Is the span of the class sums a two-sided ideal of the span of the
+    outer flavor's?  As (v_O * v_B)(p) counts the s.t = p with t in O and s
+    in B, it is exactly when the tallies by (outer class of t, class of s),
+    for the left side, and by (class of t, outer class of s), for the right,
+    agree across every class, both read off one row per target.  On failure
+    the witness is the least differing pair in key order, left side first:
+    the inner class B, the outer class, the class, its representative and
+    member, and the values there of u * v_B (left) or v_B * u (right)."""
+    def tallies(r: int) -> dict:
+        row = _row(n, kind, r)
+        left = _tally(n, kind, row, outer_flavor, flavor, mode)
+        right = _tally(n, kind, row, flavor, outer_flavor, mode)
+        return {**{("left", b, o): v for (o, b), v in left.items()},
+                **{("right", b, o): v for (b, o), v in right.items()}}
+
+    for key, base, r, diffs in _mismatches(n, kind, flavor, mode, tallies):
+        (side, key_b, key_o), values = min(diffs.items(), key=lambda item: (item[0][0], *map(_sort_key, item[0][1:])))
+        witness = {"B": _key_json(key_b), "outer_class": _key_json(key_o), "class": _key_json(key),
+                   "windows": _texts(n, kind, base, r), "values": [str(v) for v in values]}
+        return {"ideal": False, "side": side, "witness": witness}
     return {"ideal": True, "side": None, "witness": None}
 
 

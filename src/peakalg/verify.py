@@ -32,7 +32,6 @@ from .eulerian import (
     verify_rho_multiplicativity,
 )
 from .group_algebra import (
-    class_sums,
     closure_check,
     descent_algebra_containment,
     ideal_check,
@@ -320,8 +319,7 @@ def check_closure(bounds: Bounds) -> CheckResult:
         if not descent_algebra_containment(n, "B", "typeBPeak"):
             failures.append({"stage": "descent containment", "n": n})
     for n in range(1, bounds.cap(5) + 1):
-        outer = list(class_sums(n, "A", "leftPeak").values())
-        report = ideal_check(n, "A", "interiorPeak", outer)
+        report = ideal_check(n, "A", "interiorPeak", "leftPeak")
         if not report["ideal"]:
             failures.append({"stage": "ideal", "n": n, "witness": report})
     return _result("closure", not failures, "spans closed with Fibonacci dimensions; ideal and containment hold", failures,
@@ -368,8 +366,7 @@ def check_negatives(bounds: Bounds) -> CheckResult:
                                  "bound": report["n"]})
     grown = None
     if bounds.cap(4) == 4:
-        sums = list(class_sums(4, "A", "rightPeak", mode="number").values())
-        grown = multiplicative_closure(sums)
+        grown = multiplicative_closure(4, "A", "rightPeak", mode="number")
         if not grown["dim_closure"] < group_order(4, "A"):
             failures.append({"stage": "right-peak-count closure not proper", "report": grown})
     else:

@@ -120,6 +120,19 @@ def test_multiplicativity_report():
     assert verify_rho_multiplicativity(3)["sum_equals_identity"] is False
 
 
+def test_the_coefficients_sum_to_the_unit_of_the_peak_number_span():
+    # for n >= 2 the identity window has no class of its own, so the sum is
+    # not the identity, but it acts as one on the span of the class sums
+    for n in range(1, 7):
+        report = verify_rho_multiplicativity(n)
+        assert report["sum_is_unit"] is True, n
+        assert report["sum_equals_identity"] is (n == 1), n
+    for n in range(1, 5):
+        unit = sum(rho_idempotents(n), AlgebraElement.zero(n, "A"))
+        for v in class_sums(n, "A", "interiorPeak", "number").values():
+            assert unit.convolve(v) == v == v.convolve(unit), n
+
+
 def _dense_sum_equals_identity(n):
     """Whether the coefficients of rho sum to the identity, compared as lists
     over all n! windows."""

@@ -3,7 +3,9 @@ closure and duality checks."""
 
 import itertools
 import json
+import math
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -36,6 +38,7 @@ from peakalg.permutations import (
     fibonacci,
     group_order,
     rank,
+    rank_digits,
     stat_set,
     unrank,
 )
@@ -69,22 +72,6 @@ def test_convolution_brute_force():
         assert u.convolve(w).coeffs == {k: v for k, v in brute.items() if v}, (n, kind)
 
 
-def test_rows_beyond_the_budget_are_rebuilt(monkeypatch):
-    monkeypatch.setattr(group_algebra, "_ROW_BUDGET", 2 * 24)  # two rows of S_4
-    group_algebra._kept_rows.cache_clear()
-    try:
-        sums = list(class_sums(4, "A", "leftPeak").values())
-        for u, w in itertools.product(sums, repeat=2):
-            brute = {}
-            for rt, rs in itertools.product(u.coeffs, w.coeffs):
-                key = rank(compose(unrank(rs, 4, "A"), unrank(rt, 4, "A")))
-                brute[key] = brute.get(key, 0) + 1
-            assert u.convolve(w).coeffs == brute
-        assert len(group_algebra._kept_rows(4, "A")) == 2
-    finally:
-        group_algebra._kept_rows.cache_clear()
-
-
 def test_stat_keys_read_off_the_columns_match_stat_set():
     # every window against the per-element statistic, in both modes, for
     # every flavor; the empty and one-letter groups included
@@ -112,7 +99,7 @@ def test_unknown_kind_flavor_or_mode_is_refused():
 
 def test_product_rows_and_inverses_match_composing():
     # every entry of every row, the empty and the one-letter groups included,
-    # built in rank order and again in a shuffled order from no kept rows
+    # built in rank order and again in a shuffled order
     shuffle = random.Random(20261018).shuffle
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
         elements = list(enumerate_group(n, kind))
@@ -120,27 +107,40 @@ def test_product_rows_and_inverses_match_composing():
         expected = [tuple(rank(compose(p, q)) for q in elements) for p in elements]
         order = list(range(len(elements)))
         for shuffled in (False, True):
-            group_algebra._kept_rows.cache_clear()
             if shuffled:
                 shuffle(order)
             for r in order:
                 assert group_algebra._row(n, kind, r) == expected[r], (n, kind, r, shuffled)
         for r, p in enumerate(elements):
             assert inverses[r] == rank(p.inverse()), (n, kind, r)
-    group_algebra._kept_rows.cache_clear()
 
 
 def test_factor_getters_are_bounded_by_digits():
-    # besides the kept rows, a group holds one getter per (slot, nonzero
-    # digit): n(n-1)/2 Lehmer factors and, for B_n, n sign flips
+    # a group holds one getter per (slot, nonzero digit): n(n-1)/2 Lehmer
+    # factors and, for B_n, n sign flips
     for n, kind in ((6, "A"), (4, "B")):
-        group_algebra._kept_rows.cache_clear()
         group_algebra._factor.cache_clear()
         for r in range(group_order(n, kind)):
             group_algebra._row(n, kind, r)
         signs = n if kind == "B" else 0
         assert group_algebra._factor.cache_info().currsize == n * (n - 1) // 2 + signs
-    group_algebra._kept_rows.cache_clear()
+
+
+def test_the_kernel_keeps_no_rows():
+    # a walk builds each target's row and drops it: with the partition,
+    # segment and factor caches warm, an A_6 closure walk holds nothing after
+    group_algebra._segments(6, "A", "leftPeak", "set")
+    for r in range(group_order(6, "A")):
+        for slot, digit in enumerate(rank_digits(r, 6, "A")):
+            if digit:
+                group_algebra._factor(6, "A", slot, digit)
+    tracemalloc.start()
+    try:
+        closure_check(6, "A", "leftPeak")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held < 1 << 20, held
 
 
 def test_factorization_counts_match_composing_every_pair():
@@ -463,35 +463,29 @@ def test_interior_classes_form_an_ideal_of_the_left_span():
         outer = list(class_sums(n, "A", "leftPeak").values())
         outer_span = Span(v.coeffs for v in outer)
         assert all(outer_span.contains(v.coeffs) for v in inner)
-        assert ideal_check(n, "A", "interiorPeak", outer)["ideal"]
+        assert ideal_check(n, "A", "interiorPeak", "leftPeak")["ideal"]
 
 
 def test_interior_classes_are_not_an_ideal_of_everything():
-    elements = list(enumerate_group(3, "A"))
-    deltas = [AlgebraElement.delta(p) for p in elements]
-    report = ideal_check(3, "A", "interiorPeak", deltas)
-    assert not report["ideal"]
-    witness = report["witness"]
-    # recount the certificate with the oracle: the outer element is delta_g,
-    # the inner one the class sum v_B, multiplied on the reported side
-    g = oracle.window(str(elements[witness["outer_index"]]))
-
-    def at_g(w):
-        return int(w == g)
-
-    def in_b(w):
-        return int(oracle.statistic(w, "interiorPeak") == frozenset(witness["B"]))
-
-    left, right = (at_g, in_b) if report["side"] == "left" else (in_b, at_g)
-
-    def coefficient(p):
-        # (left * right)(p) sums left(t) * right(s) over s.t = p
-        return sum(left(t) * right(oracle.compose(p, oracle.inverse(t))) for t in oracle.group("A", 3))
-
-    windows = [oracle.window(w) for w in witness["windows"]]
-    assert all(oracle.statistic(w, "interiorPeak") == frozenset(witness["class"]) for w in windows)
-    assert witness["values"] == [str(coefficient(w)) for w in windows]
-    assert witness["values"][0] != witness["values"][1]
+    # neither of the descent span of S_4 nor of the type B peak span of B_3
+    for n, kind, outer, oracle_outer in ((4, "A", "descentA", "descent"), (3, "B", "typeBPeak", "typeBPeak")):
+        report = ideal_check(n, kind, "interiorPeak", outer)
+        assert not report["ideal"]
+        witness = report["witness"]
+        assert list(witness) == ["B", "outer_class", "class", "windows", "values"]
+        windows = [oracle.window(w) for w in witness["windows"]]
+        assert all(oracle.statistic(w, "interiorPeak") == frozenset(witness["class"]) for w in windows)
+        # recount with the oracle: the value of u * v_B (left side) at p counts
+        # the s.t = p with t in the outer class and s in B; v_B * u the reverse
+        inner_key, outer_key = frozenset(witness["B"]), frozenset(witness["outer_class"])
+        if report["side"] == "left":
+            values = [oracle.factorizations(w, kind, oracle_outer, "interiorPeak")[(outer_key, inner_key)]
+                      for w in windows]
+        else:
+            values = [oracle.factorizations(w, kind, "interiorPeak", oracle_outer)[(inner_key, outer_key)]
+                      for w in windows]
+        assert witness["values"] == [str(v) for v in values]
+        assert values[0] != values[1]
 
 
 # every statistic the checks ask about: the non-closing battery, the three
@@ -516,14 +510,13 @@ def test_constancy_on_classes_agrees_with_rational_span_membership():
                 closed = all(span.contains(u.convolve(w).coeffs) for u in sums for w in sums)
                 report = closure_check(n, kind, flavor, mode)
                 assert (report["closed"], report["dim"]) == (closed, span.dim), where
-                # outer elements: the descent class sums and one group element
-                outer = list(class_sums(n, kind, descent_flavor, mode).values())
-                outer.append(AlgebraElement.delta(unrank(group_order(n, kind) - 1, n, kind)))
+                # outer elements: the descent class sums
+                outer = class_sums(n, kind, descent_flavor, mode).values()
                 ideal = all(
                     span.contains(product.coeffs)
                     for u in outer for v in sums for product in (u.convolve(v), v.convolve(u))
                 )
-                assert ideal_check(n, kind, flavor, outer, mode)["ideal"] == ideal, where
+                assert ideal_check(n, kind, flavor, descent_flavor, mode)["ideal"] == ideal, where
                 verdicts["closed"].add(closed)
                 verdicts["ideal"].add(ideal)
             descents = Span(v.coeffs for v in class_sums(n, kind, descent_flavor).values())
@@ -542,14 +535,9 @@ def test_number_mode_closures():
 
 
 def test_right_count_closure_is_proper_at_four():
-    sums = list(class_sums(4, "A", "rightPeak", mode="number").values())
-    grown = multiplicative_closure(sums)
+    grown = multiplicative_closure(4, "A", "rightPeak", mode="number")
     assert grown["dim_start"] == 3
     assert grown["dim_start"] < grown["dim_closure"] < group_order(4, "A")
-
-
-def test_multiplicative_closure_of_nothing():
-    assert multiplicative_closure([]) == {"dim_start": 0, "dim_closure": 0, "closed": True}
 
 
 def _both_sided_closure(elements):
@@ -576,9 +564,83 @@ def test_one_sided_closure_matches_the_both_sided_rule():
     for kind, flavor in sorted({(kind, flavor) for kind, flavor, _ in BATTERY_STATISTICS}):
         for n in range(1, (5 if kind == "A" else 3) + 1):
             for mode in ("set", "number"):
-                sums = list(class_sums(n, kind, flavor, mode).values())
-                grown = multiplicative_closure(sums)
-                assert grown == _both_sided_closure(sums), (kind, flavor, n, mode)
+                grown = multiplicative_closure(n, kind, flavor, mode)
+                assert grown == _both_sided_closure(class_sums(n, kind, flavor, mode).values()), (kind, flavor, n, mode)
                 grew.add(grown["closed"])
     # the sweep meets spans that close and spans that grow
     assert grew == {True, False}
+
+
+# Convolving references: the ideal check and the multiplicative closure
+# decided from products of class sums by `convolve`, multiplied on the right,
+# and the closure's span kept by integer elimination, independently of
+# linalg.Span
+
+
+class _IntegerSpan:
+    """Rows of integers, each nonzero at its own pivot and zero at every
+    earlier row's; a vector is cleared at each pivot in turn by
+    cross-multiplying, and a residual is kept divided by its gcd."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def add(self, v):
+        r = {k: x for k, x in v.items() if x}
+        for pivot, row in self.rows.items():
+            c = r.get(pivot)
+            if c:
+                a = row[pivot]
+                r = {k: x for k in r.keys() | row.keys() if (x := a * r.get(k, 0) - c * row.get(k, 0))}
+        if r:
+            g = math.gcd(*r.values())
+            self.rows[min(r)] = {k: x // g for k, x in r.items()}
+        return bool(r)
+
+
+def _convolved_closure(elements):
+    span = _IntegerSpan()
+    dim_start = sum(span.add(g.coeffs) for g in elements)
+    frontier = list(elements)
+    while frontier:
+        fresh = []
+        for w in frontier:
+            for g in elements:
+                product = w.convolve(g)
+                if span.add(product.coeffs):
+                    fresh.append(product)
+        frontier = fresh
+    dim = len(span.rows)
+    return {"dim_start": dim_start, "dim_closure": dim, "closed": dim == dim_start}
+
+
+def _convolved_ideal(n, kind, flavor, outer_flavor, mode):
+    """Is every product of an outer class sum and a class sum, on either
+    side, constant on every class?"""
+    classes = stat_classes(n, kind, flavor, mode).values()
+    inner = class_sums(n, kind, flavor, mode).values()
+    outer = class_sums(n, kind, outer_flavor, mode).values()
+    return all(
+        len({product.coeffs.get(r, 0) for r in ranks}) == 1
+        for u in outer for v in inner for product in (u.convolve(v), v.convolve(u))
+        for ranks in classes
+    )
+
+
+def test_class_walks_match_the_convolving_references():
+    # ten statistics, each with every statistic of its kind as the outer one
+    statistics = _SPAN_STATISTICS + [("B", "interiorPeak")]
+    verdicts = {"closed": set(), "ideal": set()}
+    for kind, flavor in statistics:
+        for n in range(1, (5 if kind == "A" else 4) + 1):
+            for mode in ("set", "number"):
+                where = (kind, flavor, n, mode)
+                grown = multiplicative_closure(n, kind, flavor, mode)
+                assert grown == _convolved_closure(class_sums(n, kind, flavor, mode).values()), where
+                verdicts["closed"].add(grown["closed"])
+                for outer_kind, outer_flavor in statistics:
+                    if outer_kind == kind:
+                        ideal = ideal_check(n, kind, flavor, outer_flavor, mode)["ideal"]
+                        assert ideal == _convolved_ideal(n, kind, flavor, outer_flavor, mode), (where, outer_flavor)
+                        verdicts["ideal"].add(ideal)
+    assert verdicts == {"closed": {True, False}, "ideal": {True, False}}
