@@ -28,6 +28,11 @@ from typing import Any, Sequence
 Letter = Any
 
 
+def _check_size(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"an alphabet has k >= 0 base letters, got k={k}")
+
+
 class Alphabet:
     """A finite totally ordered alphabet with equality signs and weights."""
 
@@ -65,6 +70,7 @@ class Alphabet:
 
     @classmethod
     def prime(cls, k: int) -> "Alphabet":
+        _check_size(k)
         letters = [s * j for j in range(1, k + 1) for s in (-1, 1)]
         eps = [1 if v > 0 else -1 for v in letters]
         var_lists = [(abs(v),) for v in letters]
@@ -72,6 +78,7 @@ class Alphabet:
 
     @classmethod
     def left(cls, k: int) -> "Alphabet":
+        _check_size(k)
         letters = [0] + [s * j for j in range(1, k + 1) for s in (-1, 1)]
         eps = [1 if v >= 0 else -1 for v in letters]
         var_lists = [(abs(v),) for v in letters]
@@ -79,6 +86,7 @@ class Alphabet:
 
     @classmethod
     def plus_minus(cls, k: int) -> "Alphabet":
+        _check_size(k)
         letters: list[tuple[int, int]] = []
         for j in range(-k, 0):
             letters += [(j, 1), (j, -1)]

@@ -56,7 +56,7 @@ class _KeyCodes:
     the radix is one more, so digits never carry."""
 
     def __init__(self, alphabet: Alphabet, n: int) -> None:
-        most = max(vars_.count(v) for vars_ in alphabet.var_lists for v in vars_)
+        most = max((vars_.count(v) for vars_ in alphabet.var_lists for v in vars_), default=0)
         self.radix = n * most + 1
         self.weight = [sum(self.radix ** v for v in vars_) for vars_ in alphabet.var_lists]
         self.n_vars = alphabet.n_vars
@@ -336,10 +336,6 @@ def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> lis
     return out
 
 
-def poset_epp_count(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> int:
-    return len(poset_epp_maps(poset, alphabet))
-
-
 def signed_poset_epp_maps(poset: SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
     """poset_epp_maps under its former name for signed posets, which the
     benchmark's tracer still wraps."""
@@ -376,6 +372,17 @@ def census_product(left: Census, right: Census, width: int) -> Census:
     return out
 
 
+def census_sum(terms: Iterable[tuple[tuple[int, frozenset[int]], int]], alphabet: Alphabet) -> Census:
+    """The sum of times * chain_census(n, des, alphabet) over the terms
+    ((n, des), times): windows sharing a descent set share a census, so each
+    descent set's census enters once, times the number of its windows."""
+    total: Census = {}
+    for (n, des), times in terms:
+        for key, count in chain_census(n, des, alphabet).items():
+            total[key] = total.get(key, 0) + times * count
+    return total
+
+
 def factorization_census(
     p: GroupElement, first: Alphabet, second: Alphabet
 ) -> Census:
@@ -387,15 +394,13 @@ def factorization_census(
     sum enters one product with the census of tau."""
     n, _ = chain_rules(p, first)
     chain_rules(p, second)  # refuses a second alphabet that cannot host p
-    sigma_sides: dict[frozenset[int], Census] = {}
+    sigma_sides: dict[frozenset[int], list] = {}
     for (des_tau, des_sigma), times in factorization_counts(n, p.kind, rank(p), "descent" + p.kind).items():
-        side = sigma_sides.setdefault(des_tau, {})
-        for key, count in chain_census(n, des_sigma, second).items():
-            side[key] = side.get(key, 0) + times * count
+        sigma_sides.setdefault(des_tau, []).append(((n, des_sigma), times))
     width = first.n_vars + second.n_vars
     total: Census = {}
-    for des_tau, side in sigma_sides.items():
-        combined = census_product(chain_census(n, des_tau, first), side, width)
+    for des_tau, terms in sigma_sides.items():
+        combined = census_product(chain_census(n, des_tau, first), census_sum(terms, second), width)
         for key, count in combined.items():
             total[key] = total.get(key, 0) + count
     return total

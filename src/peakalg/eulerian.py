@@ -18,9 +18,8 @@ group rank where closure breaks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .alphabets import Alphabet
 from .enriched import epp_count
@@ -31,71 +30,62 @@ from .group_algebra import (
     multiplicative_closure,
     stat_classes,
 )
-from .linalg import Span
+from .linalg import SparseVector, Span, exact
 from .permutations import unrank
 
 
-@dataclass(frozen=True)
-class RationalPolynomial:
-    """Exact univariate polynomial, coefficients ascending, trailing nonzero."""
+class RationalPolynomial(SparseVector):
+    """Exact univariate polynomial: a sparse vector keyed by degree, built
+    from its coefficients in ascending order.  Its coefficients follow the
+    `linalg.exact` rule, and sums, multiples and equality are the vector's."""
 
-    coefficients: tuple[Fraction, ...]
+    __slots__ = ()
+    space = ()
 
-    def __post_init__(self) -> None:
-        coeffs = tuple(Fraction(c) for c in self.coefficients)
-        while coeffs and coeffs[-1] == 0:
-            coeffs = coeffs[:-1]
-        object.__setattr__(self, "coefficients", coeffs)
+    def __init__(self, coefficients: Iterable[Fraction | int] = ()):
+        super().__init__(dict(enumerate(coefficients)))
+
+    def _check_keys(self, keys: Iterable[int]) -> None:
+        pass  # every key is a position of the coefficient sequence
+
+    def _like(self, coeffs: Mapping[int, Fraction | int]) -> "RationalPolynomial":
+        return RationalPolynomial(coeffs.get(d, 0) for d in range(max(coeffs, default=-1) + 1))
 
     @classmethod
     def zero(cls) -> "RationalPolynomial":
-        return cls(())
+        return cls()
+
+    @property
+    def coefficients(self) -> tuple[Fraction | int, ...]:
+        """Ascending, up to the leading one."""
+        return tuple(self.coefficient(d) for d in range(self.degree + 1))
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return max(self.coeffs, default=-1)
 
-    def coefficient(self, d: int) -> Fraction:
-        if 0 <= d < len(self.coefficients):
-            return self.coefficients[d]
-        return Fraction(0)
+    def coefficient(self, d: int) -> Fraction | int:
+        return self.coeffs.get(d, 0)
 
-    def evaluate(self, x: Fraction | int) -> Fraction:
-        x = Fraction(x)
-        out = Fraction(0)
+    def evaluate(self, x: Fraction | int) -> Fraction | int:
+        out = 0
         for c in reversed(self.coefficients):
             out = out * x + c
-        return out
-
-    def __add__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        size = max(len(self.coefficients), len(other.coefficients))
-        return RationalPolynomial(
-            tuple(self.coefficient(d) + other.coefficient(d) for d in range(size))
-        )
-
-    def __sub__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        return self + other.scale(-1)
-
-    def scale(self, c: Fraction | int) -> "RationalPolynomial":
-        c = Fraction(c)
-        return RationalPolynomial(tuple(c * v for v in self.coefficients))
+        return exact(out)
 
     def __mul__(self, other: "RationalPolynomial") -> "RationalPolynomial":
-        if not self.coefficients or not other.coefficients:
-            return RationalPolynomial.zero()
-        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            for j, b in enumerate(other.coefficients):
-                out[i + j] += a * b
-        return RationalPolynomial(tuple(out))
+        self._compatible(other)
+        out: dict[int, Fraction | int] = {}
+        for i, a in self.coeffs.items():
+            for j, b in other.coeffs.items():
+                out[i + j] = out.get(i + j, 0) + a * b
+        return self._like(out)
 
     def substitute_scaled(self, factor: Fraction | int) -> "RationalPolynomial":
         """p(factor * x) as a polynomial in x."""
-        factor = Fraction(factor)
-        return RationalPolynomial(
-            tuple(c * factor**d for d, c in enumerate(self.coefficients))
-        )
+        factor = exact(factor)
+        return self._like({d: c * factor**d for d, c in self.coeffs.items()})
 
     @classmethod
     def interpolate(cls, points: Sequence[tuple[int, int | Fraction]]) -> "RationalPolynomial":
@@ -106,7 +96,7 @@ class RationalPolynomial:
             raise ValueError("interpolation nodes must be distinct")
         total = cls.zero()
         for i, (_, y) in enumerate(points):
-            term = cls((Fraction(y),))
+            term = cls((y,))
             for j, xj in enumerate(xs):
                 if j == i:
                     continue
@@ -265,6 +255,8 @@ def negative_battery(n_max: int = 6) -> list[dict]:
     closed through its bound is flagged, since every one of them is expected
     to fail.  The ordinary interior statistic is appended as a closed control.
     """
+    if n_max < 1:
+        raise ValueError(f"n_max must be at least 1, got {n_max}")
     reports = []
     for kind, flavor, mode in BATTERY_STATISTICS:
         bound = min(n_max, BATTERY_CAPS[kind])

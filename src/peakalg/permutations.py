@@ -154,6 +154,8 @@ class StatSet:
     members: frozenset[int]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"window size must be nonnegative, got {self.n}")
         lo, hi = ambient_interval(self.flavor, self.n)
         if not all(lo <= i <= hi for i in self.members):
             raise ValueError(
@@ -180,7 +182,7 @@ class StatSet:
         return "{" + ",".join(str(i) for i in sorted(self.members)) + "}"
 
 
-def _stat_set(p: GroupElement, flavor: str) -> StatSet:
+def stat_set(p: GroupElement, flavor: str) -> StatSet:
     """The flavor's set of p: peaks of the window padded with w(0) = w(n+1)
     = 0, or descents, clipped to the ambient interval; a signed flavor adds
     0 whenever w(1) < 0."""
@@ -200,34 +202,29 @@ def peak_set(p: GroupElement, flavor: str) -> StatSet:
     """The flavor's peak set of a (signed) permutation."""
     if flavor not in PEAK_FLAVORS:
         raise ValueError(f"not a peak flavor: {flavor}")
-    return _stat_set(p, flavor)
+    return stat_set(p, flavor)
 
 
 def descent_set(p: GroupElement, flavor: str) -> StatSet:
     """Positions i with w(i) > w(i+1); descentB adds 0 when w(1) < 0."""
     if flavor not in DESCENT_FLAVORS:
         raise ValueError(f"not a descent flavor: {flavor}")
-    return _stat_set(p, flavor)
-
-
-def stat_set(p: GroupElement, flavor: str) -> StatSet:
-    """peak_set or descent_set, dispatched on the flavor."""
-    if flavor in PEAK_FLAVORS:
-        return peak_set(p, flavor)
-    return descent_set(p, flavor)
+    return stat_set(p, flavor)
 
 
 # ---------------------------------------------------------------------------
 # Group enumeration with a stable rank/unrank order
 
 
-def _check_kind(kind: str) -> None:
+def _check_group(n: int, kind: str) -> None:
     if kind not in ELEMENT_TYPES:
         raise ValueError(f"unknown kind: {kind}")
+    if n < 0:
+        raise ValueError(f"group size must be nonnegative, got {n}")
 
 
 def group_order(n: int, kind: str) -> int:
-    _check_kind(kind)
+    _check_group(n, kind)
     order = 1
     for m in range(2, n + 1):
         order *= m
@@ -240,7 +237,7 @@ def windows(n: int, kind: str) -> tuple[tuple[int, ...], ...]:
     one definition of that order: windows by lexicographic order of their
     absolute values, and for kind 'B' each base window runs through all 2^n
     sign patterns, with position i flipping bit i-1 of an ascending counter."""
-    _check_kind(kind)
+    _check_group(n, kind)
     bases = itertools.permutations(range(1, n + 1))
     if kind == "A":
         return tuple(bases)
@@ -277,7 +274,7 @@ def rank_digits(r: int, n: int, kind: str) -> tuple[int, ...]:
     of the unsigned window, radices n down to 2 (digit i counts the later
     values below the one at position i+1), then for kind 'B' the n sign
     bits, bit i set when position i+1 is negative."""
-    _check_kind(kind)
+    _check_group(n, kind)
     signs: tuple[int, ...] = ()
     if kind == "B":
         r, mask = divmod(r, 1 << n)

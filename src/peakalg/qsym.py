@@ -267,11 +267,6 @@ def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | i
     return {key: value for key, value in out.items() if value}
 
 
-def evaluate_at_zero(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | int]:
-    """Truncated evaluation with the extra signed variable x_0 set to zero."""
-    return {key: value for key, value in evaluate(element, k).items() if key[0] == 0}
-
-
 def polynomial_product(
     p: Mapping[tuple[int, ...], Fraction | int], q: Mapping[tuple[int, ...], Fraction | int]
 ) -> dict[tuple[int, ...], Fraction | int]:

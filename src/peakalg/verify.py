@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 from .alphabets import Alphabet
 from .enriched import (
-    chain_census,
+    census_sum,
     chain_count,
     chain_rules,
     epp_census,
@@ -142,17 +142,6 @@ def _alphabet_for(kind: str, k: int) -> Alphabet:
     return Alphabet.plus_minus(k) if kind == "B" else Alphabet.prime(k)
 
 
-def _sum_census(descent_sets: Counter, alphabet: Alphabet) -> dict:
-    """The summed censuses of windows tallied by (n, descent set): windows
-    sharing a descent set share a census, so each descent set's census is
-    taken once, times the number of windows that have it."""
-    total: dict = {}
-    for (n, des), times in descent_sets.items():
-        for key, value in chain_census(n, des, alphabet).items():
-            total[key] = total.get(key, 0) + times * value
-    return {k: v for k, v in total.items() if v}
-
-
 def _bounded_poset(kind: str, n: int, rng: random.Random, k_probe: Alphabet, extension_cap: int = 1500, map_cap: int = 120_000):
     """Draw a random order, re-drawing with more retained covers whenever the
     extension count or the map count would make brute enumeration slow.
@@ -189,7 +178,7 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
                     direct = poset_epp_census(poset, alphabet)
                     seen["maps"] += sum(direct.values())
                     seen["extensions"] += sum(descent_sets.values())
-                    if direct != _sum_census(descent_sets, alphabet):
+                    if direct != census_sum(descent_sets.items(), alphabet):
                         failures.append({"kind": kind, "n": n, "trial": trial, "k": k})
     quoted = "; ".join(
         f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension censuses"
@@ -371,13 +360,10 @@ def check_negatives(bounds: Bounds) -> CheckResult:
             failures.append({"stage": "right-peak-count closure not proper", "report": grown})
     else:
         inconclusive.append("A:rightPeak:number (properness needs n=4)")
-    data = {"failures": failures, "inconclusive": inconclusive, "battery": reports,
-            "right_number_closure": grown}
-    if failures:
-        return CheckResult("negatives", False, f"{len(failures)} failure(s); first: {failures[0]}", data)
     witnesses = ", ".join(f"{r['statistic']}@n={r['n']}" for r in reports if not r["control"] and not r["closed"])
     note = f"; inconclusive at this bound: {len(inconclusive)}" if inconclusive else ""
-    return CheckResult("negatives", True, f"witnesses: {witnesses}; control closed{note}", data)
+    return _result("negatives", not failures, f"witnesses: {witnesses}; control closed{note}", failures,
+                   inconclusive=inconclusive, battery=reports, right_number_closure=grown)
 
 
 def check_oracles(bounds: Bounds) -> CheckResult:

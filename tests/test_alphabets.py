@@ -2,6 +2,8 @@
 
 import itertools
 
+import pytest
+
 from peakalg.alphabets import Alphabet, make_product_leq
 
 
@@ -12,6 +14,13 @@ def test_prime_letters():
         a = Alphabet.prime(k)
         assert len(a) == 2 * k
         assert all(a.epsilon(j) == 1 and a.epsilon(-j) == -1 for j in range(1, k + 1))
+
+
+def test_factories_refuse_negative_sizes():
+    for factory in (Alphabet.prime, Alphabet.left, Alphabet.plus_minus):
+        factory(0)  # k = 0 stays valid: counting polynomials interpolate there
+        with pytest.raises(ValueError, match="k >= 0"):
+            factory(-2)
 
 
 def test_left_letters():

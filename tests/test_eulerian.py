@@ -301,3 +301,9 @@ def test_battery_flags_a_short_sweep():
     assert by_stat["A:rightPeak:set"]["closed"]
     assert "flag" in by_stat["A:rightPeak:set"]
     assert not by_stat["B:leftPeak:set"]["closed"]
+
+
+def test_battery_refuses_a_bound_below_one():
+    # a sweep through no size would report a vacuously closed control
+    with pytest.raises(ValueError, match="at least 1"):
+        negative_battery(0)

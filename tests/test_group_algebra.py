@@ -246,14 +246,17 @@ def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch):
     for module in (group_algebra, eulerian, enriched):
         monkeypatch.setattr(module, "factorization_counts", counted)
     prime = Alphabet.prime(2)
-    # closure and duality walk every rank, a table every class representative,
-    # the idempotents report every window of S_4, a census its one window
+    # a passing closure and duality walk every rank, a table every class
+    # representative, the idempotents report every window of S_4, a census
+    # its one window
     for walk, expected in (
         (lambda: closure_check(3, "A", "interiorPeak"), group_order(3, "A")),
         (lambda: verify_duality(3, "B", "typeBPeak"), group_order(3, "B")),
         (lambda: structure_table(4, "A", "leftPeak", "number"), len(stat_classes(4, "A", "leftPeak", "number"))),
         (lambda: eulerian.verify_rho_multiplicativity(4), group_order(4, "A")),
         (lambda: enriched.factorization_census(Permutation((2, 3, 1)), prime, prime), 1),
+        # a failing closure stops at its first mismatching member: 3 of 384 ranks
+        (lambda: closure_check(4, "B", "typeBPeak"), 3),
     ):
         calls.clear()
         walk()
@@ -423,6 +426,12 @@ def test_closure_dimensions_are_fibonacci():
         assert report["closed"] and report["dim"] == fibonacci(n)
     report = closure_check(2, "B", "typeBPeak")
     assert report["closed"] and report["dim"] == fibonacci(3)
+
+
+def test_closure_refuses_a_negative_size():
+    # no group of size -1 exists to be closed in, in any dimension
+    with pytest.raises(ValueError, match="nonnegative"):
+        closure_check(-1, "A", "interiorPeak")
 
 
 def test_signed_closure_fails_at_three():

@@ -177,8 +177,14 @@ def test_stat_set_dispatch():
     p = Permutation((2, 1, 4, 3, 5))
     assert stat_set(p, "interiorPeak") == peak_set(p, "interiorPeak")
     assert stat_set(p, "descentA") == descent_set(p, "descentA")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown flavor"):
         stat_set(p, "noSuchFlavor")
+
+
+def test_stat_set_refuses_a_negative_size():
+    assert StatSet.of("leftPeak", 0, ()).members == frozenset()
+    with pytest.raises(ValueError, match="nonnegative"):
+        StatSet.of("interiorPeak", -1, ())
 
 
 def test_stat_set_validation():
@@ -217,6 +223,16 @@ def test_every_enumerated_peak_set_is_realized():
 def test_enumerate_stat_sets_descents():
     assert len(enumerate_stat_sets(4, "descentA")) == 8
     assert len(enumerate_stat_sets(3, "descentB")) == 8
+
+
+def test_negative_group_sizes_are_refused():
+    # n = 0 is the trivial group; a negative n names no group
+    assert group_order(0, "B") == 1 and windows(0, "A") == ((),)
+    for kind in ELEMENT_TYPES:
+        with pytest.raises(ValueError, match="nonnegative"):
+            group_order(-1, kind)
+        with pytest.raises(ValueError, match="nonnegative"):
+            windows(-1, kind)
 
 
 def test_sparse_subsets():
