@@ -40,8 +40,7 @@ _EXPORTS = {
     "alphabets": ("Alphabet",),
     "enriched": ("epp_census", "epp_count", "epp_maps", "factorization_census"),
     "qsym": (
-        "QSymElement", "evaluate", "f_to_m", "m_to_f", "peak_function", "peak_function_F",
-        "peak_function_b", "peak_function_b_F", "peak_series", "quasi_shuffle", "rank_of_span",
+        "QSymElement", "evaluate", "f_to_m", "m_to_f", "peak_series", "quasi_shuffle", "rank_of_span",
     ),
     "group_algebra": (
         "AlgebraElement", "StructureTable", "class_sums", "closure_check", "ideal_check",

@@ -182,7 +182,7 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
-    from .qsym import m_to_f, peak_series
+    from .qsym import m_to_f, peak_series, series_ranks
 
     flavor = _canonical_flavor(ns.flavor or "interior", "A")
     if flavor not in FIBONACCI_SHIFT:
@@ -190,8 +190,6 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     if ns.report_ranks:
         if ns.n is not None and ns.n_max is not None:
             raise ValueError("--n and --n-max both bound the rank report; pass one of them")
-        from .verify import series_ranks
-
         n_max = ns.n_max or ns.n or 7
         # a series is no group element, so the kind-A bound holds for every flavor
         _enforce_bound(n_max, "A", ns.allow_large)

@@ -74,6 +74,8 @@ class _KeyCodes:
 
 def chain_count(n: int, des: frozenset[int], alphabet: Alphabet) -> int:
     """Number of chain maps, by prefix-sum dynamic programming."""
+    if n < 0:
+        raise ValueError(f"chain length must be nonnegative, got {n}")
     size = len(alphabet)
     if n == 0:
         return 1
@@ -99,6 +101,8 @@ def chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
     """Monomial census of all chain maps, same DP as chain_count.  The DP
     runs once per (n, descent set) for each alphabet and its result is kept
     on the alphabet; every call returns a fresh copy."""
+    if n < 0:
+        raise ValueError(f"chain length must be nonnegative, got {n}")
     rules = (n, frozenset(des))
     stored = alphabet.censuses.get(rules)
     if stored is None:
@@ -142,6 +146,8 @@ def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
 
 def chain_tuples(n: int, des: frozenset[int], alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
     """All chain maps materialized as value tuples (g_1, ..., g_n)."""
+    if n < 0:
+        raise ValueError(f"chain length must be nonnegative, got {n}")
     size = len(alphabet)
     chain: list[int] = []
 
@@ -334,12 +340,6 @@ def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> lis
 
     _visit_maps(poset, alphabet, [0] * len(alphabet), leaf)
     return out
-
-
-def signed_poset_epp_maps(poset: SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
-    """poset_epp_maps under its former name for signed posets, which the
-    benchmark's tracer still wraps."""
-    return poset_epp_maps(poset, alphabet)
 
 
 def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> Census:

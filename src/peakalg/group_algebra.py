@@ -54,6 +54,7 @@ from .permutations import (
     GroupElement,
     ambient_interval,
     group_order,
+    inverse_window,
     rank,
     rank_digits,
     windows,
@@ -141,13 +142,7 @@ def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=None)
 def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
     index = _index(n, kind)
-    out = []
-    for window in index:
-        inverse = [0] * n
-        for i, v in enumerate(window, start=1):
-            inverse[abs(v) - 1] = i if v > 0 else -i
-        out.append(index[tuple(inverse)])
-    return tuple(out)
+    return tuple(index[inverse_window(window)] for window in index)
 
 
 class AlgebraElement(SparseVector):

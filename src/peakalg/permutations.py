@@ -25,7 +25,7 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul
-from typing import ClassVar, Iterable, Iterator
+from typing import ClassVar, Iterable, Iterator, Sequence
 
 
 def _parse_ints(text: str) -> tuple[int, ...]:
@@ -65,10 +65,7 @@ class _Window:
         return -self.window[-i - 1]
 
     def inverse(self) -> "_Window":
-        inv = [0] * self.n
-        for i, j in enumerate(self.window, start=1):
-            inv[abs(j) - 1] = i if j > 0 else -i
-        return type(self)(tuple(inv))
+        return type(self)(inverse_window(self.window))
 
     def __mul__(self, other: "_Window") -> "_Window":
         return compose(self, other)
@@ -105,6 +102,14 @@ class SignedPermutation(_Window):
 GroupElement = Permutation | SignedPermutation
 
 ELEMENT_TYPES = {"A": Permutation, "B": SignedPermutation}
+
+
+def inverse_window(window: tuple[int, ...]) -> tuple[int, ...]:
+    """The window of the inverse: w(i) = v sends |v| back to i, signed as v."""
+    inverse = [0] * len(window)
+    for i, v in enumerate(window, start=1):
+        inverse[abs(v) - 1] = i if v > 0 else -i
+    return tuple(inverse)
 
 
 def compose(a: GroupElement, b: GroupElement) -> GroupElement:
@@ -274,7 +279,9 @@ def rank_digits(r: int, n: int, kind: str) -> tuple[int, ...]:
     of the unsigned window, radices n down to 2 (digit i counts the later
     values below the one at position i+1), then for kind 'B' the n sign
     bits, bit i set when position i+1 is negative."""
-    _check_group(n, kind)
+    order = group_order(n, kind)
+    if not 0 <= r < order:
+        raise ValueError(f"rank {r} outside [0, {order - 1}] for {kind}_{n}")
     signs: tuple[int, ...] = ()
     if kind == "B":
         r, mask = divmod(r, 1 << n)
@@ -353,16 +360,18 @@ class Composition:
         return "(" + ",".join(str(p) for p in self.parts) + ")"
 
 
+def subsets(positions: Sequence[int]) -> Iterator[tuple[int, ...]]:
+    """Every subset of the increasing positions, by size, then
+    lexicographically: the one order of every subset enumeration."""
+    return itertools.chain.from_iterable(itertools.combinations(positions, size) for size in range(len(positions) + 1))
+
+
 def compositions(n: int, typeB: bool = False) -> list[Composition]:
-    """All 2^(n-1) compositions (or 2^n pseudo-compositions) of n."""
-    lo = 0 if typeB else 1
-    if n == 0:
-        return [Composition((), typeB)]
-    out = []
-    for size in range(n - lo + 1):
-        for members in itertools.combinations(range(lo, n), size):
-            out.append(Composition.from_subset(members, n, typeB))
-    return out
+    """All 2^(n-1) compositions (or 2^n pseudo-compositions) of n, in the
+    `subsets` order of their partial-sum sets."""
+    if n < 0:
+        raise ValueError(f"composition size must be nonnegative, got {n}")
+    return [Composition.from_subset(s, n, typeB) for s in subsets(range(0 if typeB else 1, n))]
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +380,8 @@ def compositions(n: int, typeB: bool = False) -> list[Composition]:
 
 def fibonacci(k: int) -> int:
     """f_0 = f_1 = 1, f_k = f_{k-1} + f_{k-2}."""
+    if k < 0:
+        raise ValueError(f"Fibonacci index must be nonnegative, got {k}")
     a, b = 1, 1
     for _ in range(k):
         a, b = b, a + b
@@ -383,27 +394,17 @@ FIBONACCI_SHIFT = {"interiorPeak": -1, "leftPeak": 0, "typeBPeak": 1}
 
 
 def sparse_subsets(lo: int, hi: int) -> list[frozenset[int]]:
-    """All subsets of [lo, hi] with no two consecutive elements."""
-    out = [frozenset()]
-    for i in range(lo, hi + 1):
-        out.extend(s | {i} for s in out.copy() if i - 1 not in s)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """All subsets of [lo, hi] with no two consecutive elements, in the
+    `subsets` order."""
+    return [frozenset(s) for s in subsets(range(lo, hi + 1)) if all(b - a > 1 for a, b in zip(s, s[1:]))]
 
 
 def enumerate_stat_sets(n: int, flavor: str) -> list[StatSet]:
     """The full combinatorial domain of the statistic: sparse subsets of the
     ambient interval for peak flavors, all subsets for descent flavors."""
     lo, hi = ambient_interval(flavor, n)
-    if flavor in PEAK_FLAVORS:
-        subsets = sparse_subsets(lo, hi)
-    else:
-        width = max(0, hi - lo + 1)
-        subsets = [
-            frozenset(i for i in range(lo, hi + 1) if (mask >> (i - lo)) & 1)
-            for mask in range(1 << width)
-        ]
-        subsets.sort(key=lambda s: (len(s), sorted(s)))
-    return [StatSet(flavor, n, s) for s in subsets]
+    members = sparse_subsets(lo, hi) if flavor in PEAK_FLAVORS else map(frozenset, subsets(range(lo, hi + 1)))
+    return [StatSet(flavor, n, s) for s in members]
 
 
 def enumerate_peak_sets(n: int, flavor: str) -> list[StatSet]:

@@ -89,10 +89,11 @@ class LabeledPoset(_Order):
 
     def linear_extensions(self) -> list[Permutation]:
         """All label orderings compatible with the poset, as windows: the
-        window lists the labels from bottom to top."""
+        window lists the labels from bottom to top.  The relation is stored
+        transitively closed, so a label's indegree counts every label below it."""
         above = {i: set() for i in self.labels}
         indegree = {i: 0 for i in self.labels}
-        for a, b in _reduce_to_covers(self.n, self.relation):
+        for a, b in self.relation:
             above[a].add(b)
             indegree[b] += 1
         out: list[Permutation] = []
@@ -131,14 +132,6 @@ def _extend_labeled(
             for b in above[label]:
                 indegree[b] += 1
             indegree[label] = 0
-
-
-def _reduce_to_covers(n: int, relation: frozenset[tuple[int, int]]) -> set[tuple[int, int]]:
-    return {
-        (a, b)
-        for a, b in relation
-        if not any((a, c) in relation and (c, b) in relation for c in range(1, n + 1))
-    }
 
 
 class SignedPoset(_Order):

@@ -11,7 +11,7 @@ be zero and exponentiates the extra variable x_0).  Refinement is computed
 through the subset dictionary: alpha refines beta iff the partial-sum set of
 beta is contained in that of alpha.
 
-The peak functions below expand the census generating functions of windows
+The peak series below expand the census generating functions of windows
 with a prescribed peak set; their truncated evaluations match the chain
 censuses of the enriched module, which is what the test suite checks.
 """
@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping
 
 from .linalg import SparseVector, Span
-from .permutations import Composition, StatSet
+from .permutations import FIBONACCI_SHIFT, Composition, StatSet, enumerate_stat_sets, fibonacci, subsets
 
 Coeffs = dict[Composition, Fraction | int]
 
@@ -96,30 +96,18 @@ class QSymElement(SparseVector):
 # inclusion-exclusion inverse.
 
 
-def _refinements(key: Composition) -> list[tuple[Composition, int]]:
-    """(beta, extra) for every refinement beta of key, where extra is the
-    number of added split points."""
-    n = key.degree
-    lo = 0 if key.typeB else 1
-    base = key.to_subset()
-    free = [i for i in range(lo, n) if i not in base]
-    out = []
-    for size in range(len(free) + 1):
-        for added in itertools.combinations(free, size):
-            beta = Composition.from_subset(base | set(added), n, key.typeB)
-            out.append((beta, size))
-    return out
-
-
 def _refine(element: QSymElement, source: str, target: str, sign: int) -> QSymElement:
-    """Send each key to the sum of its refinements, each with the coefficient
-    sign^(number of added split points)."""
+    """Send each key to the sum of its refinements beta, each with the
+    coefficient sign^(number of split points beta adds)."""
     if element.basis != source:
         raise ValueError(f"expected an element of the {source} basis, got the {element.basis} basis")
     out: Coeffs = {}
     for key, value in element.coeffs.items():
-        for beta, extra in _refinements(key):
-            out[beta] = out.get(beta, 0) + sign**extra * value
+        n, base = key.degree, key.to_subset()
+        free = [i for i in range(0 if key.typeB else 1, n) if i not in base]
+        for added in subsets(free):
+            beta = Composition.from_subset(base.union(added), n, key.typeB)
+            out[beta] = out.get(beta, 0) + sign ** len(added) * value
     return QSymElement(target, element.typeB, out)
 
 
@@ -134,11 +122,7 @@ def m_to_f(element: QSymElement) -> QSymElement:
 
 
 # ---------------------------------------------------------------------------
-# Peak functions
-
-
-def _validated_members(members: Iterable[int], n: int, flavor: str) -> frozenset[int]:
-    return StatSet.of(flavor, n, members).members
+# Peak series
 
 
 def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str = "M") -> QSymElement:
@@ -154,36 +138,19 @@ def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str 
     no peak at 0."""
     if basis not in ("M", "F"):
         raise ValueError(f"unknown basis: {basis}")
-    peaks = _validated_members(members, n, "typeBPeak" if typeB else "interiorPeak")
+    peaks = StatSet.of("typeBPeak" if typeB else "interiorPeak", n, members).members
     lowest = 0 if typeB else 1
     out: Coeffs = {}
-    for size in range(n - lowest + 1):
-        for chosen in itertools.combinations(range(lowest, n), size):
-            shifted = {i + 1 for i in chosen}
-            if basis == "M" and peaks <= set(chosen) | shifted:
-                coefficient = 2 ** (size + lowest)
-            elif basis == "F" and peaks <= set(chosen) ^ shifted:
-                coefficient = 2 ** (len(peaks) + lowest)
-            else:
-                continue
-            out[Composition.from_subset(chosen, n, typeB=typeB)] = coefficient
+    for chosen in subsets(range(lowest, n)):
+        shifted = {i + 1 for i in chosen}
+        if basis == "M" and peaks <= set(chosen) | shifted:
+            coefficient = 2 ** (len(chosen) + lowest)
+        elif basis == "F" and peaks <= set(chosen) ^ shifted:
+            coefficient = 2 ** (len(peaks) + lowest)
+        else:
+            continue
+        out[Composition.from_subset(chosen, n, typeB=typeB)] = coefficient
     return QSymElement(basis, typeB, out)
-
-
-def peak_function(members: Iterable[int], n: int) -> QSymElement:
-    return peak_series(members, n)
-
-
-def peak_function_F(members: Iterable[int], n: int) -> QSymElement:
-    return peak_series(members, n, basis="F")
-
-
-def peak_function_b(members: Iterable[int], n: int) -> QSymElement:
-    return peak_series(members, n, typeB=True)
-
-
-def peak_function_b_F(members: Iterable[int], n: int) -> QSymElement:
-    return peak_series(members, n, typeB=True, basis="F")
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +175,15 @@ def _quasi_shuffles(a: tuple[int, ...], b: tuple[int, ...]) -> dict[tuple[int, .
     return out
 
 
+def _head_tail(key: Composition) -> tuple[int, tuple[int, ...]]:
+    """(exponent of x_0, the parts that quasi-shuffle): a pseudo-composition's
+    first part (0 for the empty one) and the rest; 0 and every part of a
+    composition."""
+    if key.typeB and key.parts:
+        return key.parts[0], key.parts[1:]
+    return 0, key.parts
+
+
 def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
     """The M-basis product.  For the signed kind the mandatory first parts
     (the x_0 exponents) add, and the remaining parts quasi-shuffle."""
@@ -216,19 +192,13 @@ def quasi_shuffle(x: QSymElement, y: QSymElement) -> QSymElement:
         raise ValueError("quasi_shuffle works in the M basis")
     out: Coeffs = {}
     for ka, va in x.coeffs.items():
+        head_a, tail_a = _head_tail(ka)
         for kb, vb in y.coeffs.items():
+            head_b, tail_b = _head_tail(kb)
             value = va * vb
-            if x.typeB:
-                first_a = ka.parts[0] if ka.parts else 0
-                first_b = kb.parts[0] if kb.parts else 0
-                shuffles = _quasi_shuffles(ka.parts[1:] if ka.parts else (), kb.parts[1:] if kb.parts else ())
-                for tail, count in shuffles.items():
-                    key = Composition((first_a + first_b,) + tail, True)
-                    out[key] = out.get(key, 0) + value * count
-            else:
-                for parts, count in _quasi_shuffles(ka.parts, kb.parts).items():
-                    key = Composition(parts, False)
-                    out[key] = out.get(key, 0) + value * count
+            for tail, count in _quasi_shuffles(tail_a, tail_b).items():
+                key = Composition((head_a + head_b, *tail) if x.typeB else tail, x.typeB)
+                out[key] = out.get(key, 0) + value * count
     return QSymElement("M", x.typeB, out)
 
 
@@ -244,19 +214,25 @@ def rank_of_span(elements: Iterable[QSymElement]) -> int:
     return Span(e.coeffs for e in elements).dim
 
 
+def series_ranks(flavor: str, n: int) -> tuple[int, int, int]:
+    """(number of peak sets, rank of their peak series, the Fibonacci number
+    both should equal) for one flavor with a series, at size n."""
+    sets = enumerate_stat_sets(n, flavor)
+    series = [peak_series(s.members, n, typeB=flavor != "interiorPeak") for s in sets]
+    return len(sets), rank_of_span(series), fibonacci(n + FIBONACCI_SHIFT[flavor])
+
+
 def evaluate(element: QSymElement, k: int) -> dict[tuple[int, ...], Fraction | int]:
     """Truncated polynomial evaluation in k positive variables (plus x_0 for
     the signed kind).  Keys are exponent tuples indexed 0..k, matching the
     census keys of the enriched module."""
+    if k < 0:
+        raise ValueError(f"number of variables must be nonnegative, got {k}")
     if element.basis != "M":
         element = f_to_m(element)
     out: dict[tuple[int, ...], Fraction | int] = {}
     for key, value in element.coeffs.items():
-        parts = key.parts
-        if element.typeB:
-            head, tail = (parts[0], parts[1:]) if parts else (0, ())
-        else:
-            head, tail = 0, parts
+        head, tail = _head_tail(key)
         for support in itertools.combinations(range(1, k + 1), len(tail)):
             exponents = [0] * (k + 1)
             exponents[0] = head

@@ -57,7 +57,7 @@ from .qsym import (
     peak_series,
     polynomial_product,
     quasi_shuffle,
-    rank_of_span,
+    series_ranks,
 )
 
 
@@ -115,14 +115,6 @@ def check_examples(bounds: Bounds) -> CheckResult:
         if got != expected:
             failures.append({"window": str(window), "flavor": flavor, "got": sorted(got)})
     return _result("examples", not failures, "3 window examples reproduced", failures)
-
-
-def series_ranks(flavor: str, n: int) -> tuple[int, int, int]:
-    """(number of peak sets, rank of their peak series, the Fibonacci number
-    both should equal) for one flavor with a series, at size n."""
-    sets = enumerate_stat_sets(n, flavor)
-    series = [peak_series(s.members, n, typeB=flavor != "interiorPeak") for s in sets]
-    return len(sets), rank_of_span(series), fibonacci(n + FIBONACCI_SHIFT[flavor])
 
 
 def check_ranks(bounds: Bounds) -> CheckResult:

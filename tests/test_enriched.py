@@ -11,6 +11,8 @@ from peakalg.enriched import (
     census_of_maps,
     census_product,
     chain_census,
+    chain_count,
+    chain_tuples,
     epp_census,
     epp_count,
     epp_maps,
@@ -18,7 +20,6 @@ from peakalg.enriched import (
     factorization_census,
     poset_epp_census,
     poset_epp_maps,
-    signed_poset_epp_maps,
 )
 from peakalg.permutations import (
     Permutation,
@@ -304,7 +305,6 @@ def test_signed_poset_census_splits_over_extensions():
     for B, alphabet in cases:
         whole = {tuple(sorted(m.items())) for m in poset_epp_maps(B, alphabet)}
         assert len(poset_epp_maps(B, alphabet)) == len(whole)
-        assert signed_poset_epp_maps(B, alphabet) == poset_epp_maps(B, alphabet)
         pieces = []
         for e in B.linear_extensions():
             pieces.append({tuple(sorted(m.items())) for m in epp_maps(e, alphabet)})
@@ -442,3 +442,18 @@ def test_pairing_bijection_injective_at_four():
                     built.append(_paired(tau, s, t, prime))
         assert len(built) == len(set(built))
         assert set(built) == set(epp_values(p, product))
+
+
+def test_negative_chain_lengths_are_refused():
+    # every chain builder refuses a negative length instead of counting
+    # chains of it
+    for alphabet in (Alphabet.prime(2), Alphabet.plus_minus(1)):
+        with pytest.raises(ValueError, match="nonnegative"):
+            chain_count(-2, frozenset(), alphabet)
+        with pytest.raises(ValueError, match="nonnegative"):
+            chain_census(-2, frozenset(), alphabet)
+        with pytest.raises(ValueError, match="nonnegative"):
+            next(chain_tuples(-2, frozenset(), alphabet))
+        # length 0 stays valid: the one empty chain
+        assert chain_count(0, frozenset(), alphabet) == 1
+        assert chain_census(0, frozenset(), alphabet) == {(0,) * alphabet.n_vars: 1}

@@ -653,3 +653,18 @@ def test_class_walks_match_the_convolving_references():
                         assert ideal == _convolved_ideal(n, kind, flavor, outer_flavor, mode), (where, outer_flavor)
                         verdicts["ideal"].add(ideal)
     assert verdicts == {"closed": {True, False}, "ideal": {True, False}}
+
+
+def test_row_refuses_out_of_range_ranks():
+    for r, n, kind in [(6, 3, "A"), (48, 3, "B"), (-1, 3, "A")]:
+        with pytest.raises(ValueError, match="rank"):
+            group_algebra._row(n, kind, r)
+
+
+def test_factorization_counts_refuse_out_of_range_ranks():
+    # rank |G| is not read as the identity
+    with pytest.raises(ValueError, match="rank"):
+        factorization_counts(3, "A", 6, "interiorPeak")
+    with pytest.raises(ValueError, match="rank"):
+        factorization_counts(3, "B", -1, "typeBPeak")
+    assert sum(factorization_counts(3, "A", 5, "interiorPeak").values()) == 6

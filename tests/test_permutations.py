@@ -17,11 +17,13 @@ from peakalg.permutations import (
     enumerate_stat_sets,
     fibonacci,
     group_order,
+    inverse_window,
     peak_set,
     rank,
     rank_digits,
     sparse_subsets,
     stat_set,
+    subsets,
     StatSet,
     unrank,
     windows,
@@ -235,6 +237,22 @@ def test_negative_group_sizes_are_refused():
             windows(-1, kind)
 
 
+def test_subsets_run_by_size_then_lexicographically():
+    assert list(subsets([1, 2, 3])) == [(), (1,), (2,), (3,), (1, 2), (1, 3), (2, 3), (1, 2, 3)]
+    assert list(subsets(range(0))) == [()]
+    # every subset enumeration reads this one order
+    assert [c.to_subset() for c in compositions(3, True)] == [frozenset(s) for s in subsets([0, 1, 2])]
+    assert [s.members for s in enumerate_stat_sets(3, "descentB")] == [frozenset(s) for s in subsets([0, 1, 2])]
+
+
+def test_inverse_window_undoes_the_window():
+    assert inverse_window((-2, 3, 1)) == (3, -1, 2) and inverse_window(()) == ()
+    for n, kind in [(4, "A"), (3, "B")]:
+        for p in enumerate_group(n, kind):
+            assert p.inverse().window == inverse_window(p.window)
+            assert compose(p, p.inverse()) == ELEMENT_TYPES[kind].identity(n)
+
+
 def test_sparse_subsets():
     got = sparse_subsets(1, 3)
     assert got == [frozenset(), frozenset({1}), frozenset({2}), frozenset({3}), frozenset({1, 3})]
@@ -294,3 +312,32 @@ def test_windows_agree_with_the_oracle():
             if n <= n_pairs:
                 for p, q in itertools.product(windows, repeat=2):
                     assert compose(p, q).window == oracle.compose(p.window, q.window), (p, q)
+
+
+def test_rank_digits_refuse_out_of_range_ranks():
+    # a rank past either end of the group names no element, so it is refused
+    # rather than read with its top digit out of range
+    for r, n, kind in [(6, 3, "A"), (48, 3, "B"), (-1, 3, "A"), (100, 3, "A"), (1, 0, "B")]:
+        with pytest.raises(ValueError, match="rank"):
+            rank_digits(r, n, kind)
+    assert rank_digits(5, 3, "A") == (2, 1) and rank_digits(0, 0, "A") == ()
+
+
+def test_unrank_refuses_out_of_range_ranks():
+    # no wrapping round: rank |G| is not the identity, nor -1 the last element
+    for r, n, kind in [(6, 3, "A"), (48, 3, "B"), (-1, 3, "A")]:
+        with pytest.raises(ValueError, match="rank"):
+            unrank(r, n, kind)
+    assert unrank(47, 3, "B") == SignedPermutation((-3, -2, -1))
+
+
+def test_negative_sizes_are_refused():
+    with pytest.raises(ValueError, match="nonnegative"):
+        compositions(-1)
+    with pytest.raises(ValueError, match="nonnegative"):
+        compositions(-1, True)
+    with pytest.raises(ValueError, match="nonnegative"):
+        fibonacci(-3)
+    # size 0 stays valid: the empty composition, f_0 = 1
+    assert compositions(0) == [Composition(())] and compositions(0, True) == [Composition((), True)]
+    assert fibonacci(0) == 1

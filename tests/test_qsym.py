@@ -20,10 +20,6 @@ from peakalg.qsym import (
     evaluate,
     f_to_m,
     m_to_f,
-    peak_function,
-    peak_function_F,
-    peak_function_b,
-    peak_function_b_F,
     peak_series,
     polynomial_product,
     quasi_shuffle,
@@ -73,21 +69,23 @@ def test_kind_mixing_is_rejected():
 
 
 def test_peak_series_frozen():
-    assert peak_function([], 1) == M((1,)).scale(2)
-    assert peak_function([], 2) == M((2,)).scale(2) + M((1, 1)).scale(4)
-    assert peak_function_F([], 2) == (F((2,)) + F((1, 1))).scale(2)
-    assert peak_function_b([], 1) == M((1,), True) + M((0, 1), True).scale(2)
-    assert peak_function_b([0], 1) == M((0, 1), True).scale(2)
-    assert peak_function_b([], 0) == M((), True)
-    assert peak_function_b_F([], 1) == F((1,), True) + F((0, 1), True)
-    assert peak_function_b_F([0], 2) == (F((0, 2), True) + F((0, 1, 1), True)).scale(2)
+    assert peak_series([], 1) == M((1,)).scale(2)
+    assert peak_series([], 2) == M((2,)).scale(2) + M((1, 1)).scale(4)
+    assert peak_series([], 2, basis="F") == (F((2,)) + F((1, 1))).scale(2)
+    assert peak_series([], 1, typeB=True) == M((1,), True) + M((0, 1), True).scale(2)
+    assert peak_series([0], 1, typeB=True) == M((0, 1), True).scale(2)
+    assert peak_series([], 0, typeB=True) == M((), True)
+    assert peak_series([], 1, typeB=True, basis="F") == F((1,), True) + F((0, 1), True)
+    assert peak_series([0], 2, typeB=True, basis="F") == (F((0, 2), True) + F((0, 1, 1), True)).scale(2)
 
 
 def test_peak_series_rejects_invalid_sets():
     with pytest.raises(ValueError):
-        peak_function([1], 3)  # interior positions start at 2
+        peak_series([1], 3)  # interior positions start at 2
     with pytest.raises(ValueError):
-        peak_function_b([0, 1], 3)  # adjacent positions
+        peak_series([0, 1], 3, typeB=True)  # adjacent positions
+    with pytest.raises(ValueError):
+        peak_series([], 2, basis="X")
 
 
 def test_fundamental_forms_agree():
@@ -100,18 +98,6 @@ def test_fundamental_forms_agree():
                 series = peak_series(s.members, n, typeB)
                 assert series.basis == "M" and series.typeB == typeB
                 assert m_to_f(series) == peak_series(s.members, n, typeB, "F"), (flavor, n, s)
-
-
-def test_named_peak_series_are_the_builder():
-    for n in range(0, 5):
-        for s in enumerate_stat_sets(n, "interiorPeak"):
-            assert peak_function(s.members, n) == peak_series(s.members, n)
-            assert peak_function_F(s.members, n) == peak_series(s.members, n, basis="F")
-        for s in enumerate_stat_sets(n, "typeBPeak"):
-            assert peak_function_b(s.members, n) == peak_series(s.members, n, typeB=True)
-            assert peak_function_b_F(s.members, n) == peak_series(s.members, n, typeB=True, basis="F")
-    with pytest.raises(ValueError):
-        peak_series([], 2, basis="X")
 
 
 def test_quasi_shuffle_frozen():
@@ -147,15 +133,15 @@ def test_quasi_shuffle_matches_polynomial_product():
 
 def test_span_ranks_are_fibonacci():
     for n in range(1, 8):
-        elems = [peak_function(s.members, n) for s in enumerate_stat_sets(n, "interiorPeak")]
+        elems = [peak_series(s.members, n) for s in enumerate_stat_sets(n, "interiorPeak")]
         assert len(elems) == fibonacci(n - 1)
         assert rank_of_span(elems) == fibonacci(n - 1)
     for n in range(1, 6):
-        elems = [peak_function_b(s.members, n) for s in enumerate_stat_sets(n, "typeBPeak")]
+        elems = [peak_series(s.members, n, typeB=True) for s in enumerate_stat_sets(n, "typeBPeak")]
         assert len(elems) == fibonacci(n + 1)
         assert rank_of_span(elems) == fibonacci(n + 1)
     for n in range(1, 7):
-        elems = [peak_function_b(s.members, n) for s in enumerate_stat_sets(n, "leftPeak")]
+        elems = [peak_series(s.members, n, typeB=True) for s in enumerate_stat_sets(n, "leftPeak")]
         assert len(elems) == fibonacci(n)
         assert rank_of_span(elems) == fibonacci(n)
 
@@ -169,18 +155,18 @@ def test_evaluation_matches_the_chain_census():
         k = n + 1
         for p in enumerate_group(n, "A"):
             pe = peak_set(p, "interiorPeak")
-            assert evaluate(peak_function(pe.members, n), k) == _as_fractions(
+            assert evaluate(peak_series(pe.members, n), k) == _as_fractions(
                 epp_census(p, Alphabet.prime(k))
             )
             pl = peak_set(p, "leftPeak")
-            assert evaluate(peak_function_b(pl.members, n), k) == _as_fractions(
+            assert evaluate(peak_series(pl.members, n, typeB=True), k) == _as_fractions(
                 epp_census(p, Alphabet.left(k))
             )
     for n in range(1, 4):
         k = n + 1
         for p in enumerate_group(n, "B"):
             pb = peak_set(p, "typeBPeak")
-            assert evaluate(peak_function_b(pb.members, n), k) == _as_fractions(
+            assert evaluate(peak_series(pb.members, n, typeB=True), k) == _as_fractions(
                 epp_census(p, Alphabet.plus_minus(k))
             )
 
@@ -192,9 +178,9 @@ def test_zeroing_the_extra_variable():
         k = n + 1
         for s in enumerate_stat_sets(n, "typeBPeak"):
             reduced = sorted(s.members - {0, 1})
-            signed = evaluate(peak_function_b(s.members, n), k)
+            signed = evaluate(peak_series(s.members, n, typeB=True), k)
             lhs = {key: value for key, value in signed.items() if key[0] == 0}
-            rhs = evaluate(peak_function(reduced, n), k)
+            rhs = evaluate(peak_series(reduced, n), k)
             assert lhs == rhs, (n, s)
 
 
@@ -204,6 +190,15 @@ def test_monomial_evaluation_frozen():
     # a leading zero part leaves the bottom variable unused
     assert evaluate(M((0, 1), True), 1) == {(0, 1): Fraction(1)}
     assert evaluate(M((2, 1), True), 1) == {(2, 1): Fraction(1)}
+
+
+def test_evaluation_refuses_a_negative_number_of_variables():
+    with pytest.raises(ValueError, match="nonnegative"):
+        evaluate(M((1,)), -1)
+    # k = 0 stays valid: with no positive variable only terms whose parts
+    # all sit on x_0 survive
+    assert evaluate(M((1,)), 0) == {}
+    assert evaluate(M((), True) + M((2,), True), 0) == {(0,): 1, (2,): 1}
 
 
 def test_composition_keys_are_validated():
