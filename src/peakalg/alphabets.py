@@ -56,9 +56,11 @@ class Alphabet:
         self.index = {letter: i for i, letter in enumerate(self.letters)}
         if len(self.index) != len(self.letters):
             raise ValueError("duplicate letters")
-        # chain censuses over this alphabet by (n, descent set), kept by
-        # enriched.chain_census
-        self.censuses: dict[tuple[int, frozenset[int]], dict] = {}
+        # censuses built over this alphabet: chain censuses by (n, descent
+        # set), kept by enriched.chain_census, and factorization censuses by
+        # (second alphabet, n, count table), kept by
+        # enriched.factorization_census
+        self.censuses: dict[tuple, dict] = {}
 
     def __len__(self) -> int:
         return len(self.letters)

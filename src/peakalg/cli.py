@@ -5,15 +5,15 @@ renderings are derived from it, so the machine format is canonical (a large
 `structure` table renders that JSON text itself, from each key's text).  Each
 subcommand declares only the flags it reads and imports the modules it runs,
 so a `structure` or `closure` process loads no more than `permutations`,
-`group_algebra` and `linalg`.  Exit codes: 0 on success, 1
-when a requested verification fails, 2 on usage errors.  The kind, flavor
-and window of a query are resolved in one place: a signed flavor or a
-negative entry asks for kind B, and an explicit `--kind A` beside either is
-a usage error.  Every refused value (a size below 1 or over the default
-bound, a malformed window, an unknown flavor, a contradicting kind, a value
-the library refuses) prints the one machine-readable `"usage"` error record
-on stderr; an unknown or missing flag prints argparse's usage message
-instead.
+`group_algebra` and `linalg`, and a `peaks` process only `permutations`.
+Exit codes: 0 on success, 1 when a requested verification fails, 2 on usage
+errors.  The kind, flavor and window of a query are resolved in one place:
+a signed flavor or a negative entry asks for kind B, and an explicit
+`--kind A` beside either is a usage error.  Every refused value (a size
+below 1 or over the default bound, a malformed window, an unknown flavor, a
+contradicting kind, a value the library refuses) prints the one
+machine-readable `"usage"` error record on stderr; an unknown or missing
+flag prints argparse's usage message instead.
 """
 
 from __future__ import annotations
@@ -25,15 +25,8 @@ import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
-from .group_algebra import (
-    _key_json,
-    closure_check,
-    descent_algebra_containment,
-    ideal_check,
-    StructureTable,
-    structure_table,
-)
 from .permutations import (
     ELEMENT_TYPES,
     FIBONACCI_SHIFT,
@@ -44,6 +37,9 @@ from .permutations import (
     stat_set,
     _parse_ints,
 )
+
+if TYPE_CHECKING:
+    from .group_algebra import StructureTable
 
 DEFAULT_BOUNDS = {"A": 8, "B": 6}
 
@@ -228,6 +224,8 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
 def _structure_json(table: StructureTable) -> str:
     """json.dumps(table.to_payload(), indent=1), with each key's text
     rendered once instead of once per entry."""
+    from .group_algebra import _key_json
+
     # an entry's values sit three levels deep
     key = [json.dumps(_key_json(k), indent=1).replace("\n", "\n   ") for k in table.keys]
     entries = [f'  {{\n   "A": {key[a]},\n   "B": {key[b]},\n   "C": {key[c]},\n   "count": {v}\n  }}'
@@ -237,6 +235,8 @@ def _structure_json(table: StructureTable) -> str:
 
 
 def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .group_algebra import _key_json, structure_table
+
     kind, (flavor,), _ = _resolve(ns.kind, [ns.flavor])
     _require_n(ns, kind)
     table = structure_table(ns.n, kind, flavor, ns.mode)
@@ -249,6 +249,8 @@ def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_closure(ns: argparse.Namespace) -> tuple[Output, int]:
+    from .group_algebra import closure_check, descent_algebra_containment, ideal_check
+
     # the outer flavor of --ideal-in takes part in the kind rule as --flavor does
     kind, flavors, _ = _resolve(ns.kind, [ns.flavor, ns.ideal_in] if ns.ideal_in else [ns.flavor])
     flavor = flavors[0]

@@ -18,7 +18,7 @@ census is complete.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
@@ -221,8 +221,9 @@ def census_of_maps(maps: Iterable[dict[int, Letter]], alphabet: Alphabet) -> Cen
 
 
 # ---------------------------------------------------------------------------
-# Poset-shaped enumeration: a brute force over maps, the oracle side of the
-# census-additivity checks.  It shares no code with the chain DP above.
+# Poset-shaped maps: a count label by label, the direct side of the
+# census-additivity check, and a brute walk over the maps, its reference.
+# Neither shares code with the chain DP above.
 
 
 def _compile_relation(
@@ -283,77 +284,85 @@ def _compile_relation(
     return fixed, [list(t.items()) for t in tables]
 
 
-def _visit_maps(
-    poset: LabeledPoset | SignedPoset,
-    alphabet: Alphabet,
-    weight: list[int],
-    leaf: Callable[[int, list[int]], None],
-) -> None:
-    """Call leaf(key, letters) once per map f on 1..n satisfying the
-    relation: letters[m] is the letter index of f(m) and key the sum of
-    weight over letters[1..n]."""
-    fixed, checks = _compile_relation(poset, alphabet)
-    letters = [0] * (poset.n + 1)
-    if poset.n == 0:
-        leaf(0, letters)
-    else:
-        _extend_map(1, 0, fixed, checks, letters, weight, leaf)
-
-
 def _extend_map(
     m: int,
-    key: int,
     fixed: list[int],
     checks: list[list[tuple[int, list[int]]]],
     letters: list[int],
-    weight: list[int],
-    leaf: Callable[[int, list[int]], None],
+    names: tuple[Letter, ...],
+    out: list[dict[int, Letter]],
 ) -> None:
-    """Give label m each letter the relation allows after letters[1..m-1],
-    then go on to m + 1, or call leaf once m is the last label."""
+    """Give label m each letter the relation allows after letters[1..m-1]
+    and go on to m + 1; once every label has a letter, append the map."""
+    if m == len(letters):
+        out.append({label: names[x] for label, x in enumerate(letters[1:], start=1)})
+        return
     allowed = fixed[m]
     for j, table in checks[m]:
         allowed &= table[letters[j]]
-    last = m == len(letters) - 1
     while allowed:
         low = allowed & -allowed
         allowed ^= low
-        x = low.bit_length() - 1
-        letters[m] = x
-        if last:
-            leaf(key + weight[x], letters)
-        else:
-            _extend_map(m + 1, key + weight[x], fixed, checks, letters, weight, leaf)
+        letters[m] = low.bit_length() - 1
+        _extend_map(m + 1, fixed, checks, letters, names, out)
 
 
 def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
     """Maps f on the positive labels 1..n with, for every strict relation
     a < b of the poset, f(a) <=+ f(b) when a < b as integers and
     f(a) <=- f(b) otherwise.  For a signed poset the implied values
-    f(0) = zero letter and f(-m) = -f(m) enter the relation checks."""
+    f(0) = zero letter and f(-m) = -f(m) enter the relation checks.  A brute
+    walk over every map, the reference of `poset_epp_census`."""
+    fixed, checks = _compile_relation(poset, alphabet)
     out: list[dict[int, Letter]] = []
-    names = alphabet.letters
-    labels = range(1, poset.n + 1)
-
-    def leaf(key: int, letters: list[int]) -> None:
-        out.append({m: names[letters[m]] for m in labels})
-
-    _visit_maps(poset, alphabet, [0] * len(alphabet), leaf)
+    _extend_map(1, fixed, checks, [0] * (poset.n + 1), alphabet.letters, out)
     return out
 
 
 def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> Census:
     """census_of_maps(poset_epp_maps(poset, alphabet), alphabet), counted
-    map by map without materializing the maps.  A census key is kept as one
-    integer whose digits, in base radix, are its exponents."""
+    label by label without visiting the maps.  A layer maps a state, the
+    letters of the labels that a later label's check still reads, to the
+    census of the partial maps on 1..m that end in it; label m + 1 extends
+    each state by every letter its fixed mask and its tables allow there.
+    A census key is kept as one integer whose digits, in base radix, are its
+    exponents."""
+    fixed, checks = _compile_relation(poset, alphabet)
     codes = _KeyCodes(alphabet, poset.n)
-    counts: dict[int, int] = {}
-
-    def leaf(key: int, letters: list[int]) -> None:
-        counts[key] = counts.get(key, 0) + 1
-
-    _visit_maps(poset, alphabet, codes.weight, leaf)
-    return codes.decode(counts)
+    read_until = [0] * (poset.n + 1)  # the last label whose check reads label j
+    for m in range(1, poset.n + 1):
+        for j, _ in checks[m]:
+            read_until[j] = m
+    live: tuple[int, ...] = ()  # the labels whose letters a state holds, in order
+    layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
+    for m in range(1, poset.n + 1):
+        reads = [(live.index(j), table) for j, table in checks[m]]
+        kept = [i for i, j in enumerate(live) if read_until[j] > m]
+        held = read_until[m] > m
+        live = tuple(live[i] for i in kept) + ((m,) if held else ())
+        grown: dict[tuple[int, ...], dict[int, int]] = {}
+        while layer:  # each census is dropped once it has been extended
+            state, census = layer.popitem()
+            allowed = fixed[m]
+            for i, table in reads:
+                allowed &= table[state[i]]
+            base = tuple(state[i] for i in kept)
+            # letters that lead to one state and add one weight shift the
+            # census once, times their number
+            shifts: dict[tuple[tuple[int, ...], int], int] = {}
+            while allowed:
+                low = allowed & -allowed
+                allowed ^= low
+                x = low.bit_length() - 1
+                step = (base + (x,) if held else base, codes.weight[x])
+                shifts[step] = shifts.get(step, 0) + 1
+            for (target_state, weight), times in shifts.items():
+                target = grown.setdefault(target_state, {})
+                for key, count in census.items():
+                    target[key + weight] = target.get(key + weight, 0) + times * count
+        layer = grown
+    # no label is read past the last one, so every map ends in the empty state
+    return codes.decode(layer.get((), {}))
 
 
 # ---------------------------------------------------------------------------
@@ -383,19 +392,43 @@ def census_sum(terms: Iterable[tuple[tuple[int, frozenset[int]], int]], alphabet
     return total
 
 
+def count_table(p: GroupElement) -> frozenset[tuple[tuple[frozenset[int], frozenset[int]], int]]:
+    """The factorizations p = sigma * tau counted by descent-set pair
+    (Des tau, Des sigma), as a frozenset of (pair, count) items: windows of
+    one descent class have equal tables."""
+    return frozenset(factorization_counts(p.n, p.kind, rank(p), "descent" + p.kind).items())
+
+
+def _alphabet_key(alphabet: Alphabet) -> tuple:
+    """What the chain censuses over an alphabet depend on: equal for equal
+    alphabets, different for different ones."""
+    return alphabet.variant, alphabet.letters, alphabet.eps, alphabet.var_lists, alphabet.n_vars, alphabet.zero_index
+
+
 def factorization_census(
     p: GroupElement, first: Alphabet, second: Alphabet
 ) -> Census:
     """Sum over all factorizations p = sigma * tau of the product census of
     tau into the first alphabet and sigma into the second.  A census depends
     on its window only through the descent set, so the sum runs over the
-    factorization counts of p by descent-set pair (Des tau, Des sigma): for
-    each Des tau the censuses of its sigma sides are summed first, and that
-    sum enters one product with the census of tau."""
+    count table of p (`count_table`): for each Des tau the censuses of its
+    sigma sides are summed first, and that sum enters one product with the
+    census of tau.  The result is kept on the first alphabet, keyed by the
+    second alphabet, n and the count table, so windows with equal tables
+    build it once; every call returns a fresh copy."""
     n, _ = chain_rules(p, first)
     chain_rules(p, second)  # refuses a second alphabet that cannot host p
+    table = count_table(p)
+    slot = (_alphabet_key(second), n, table)
+    stored = first.censuses.get(slot)
+    if stored is None:
+        stored = first.censuses[slot] = _factorization_census(n, table, first, second)
+    return dict(stored)
+
+
+def _factorization_census(n: int, table: frozenset, first: Alphabet, second: Alphabet) -> Census:
     sigma_sides: dict[frozenset[int], list] = {}
-    for (des_tau, des_sigma), times in factorization_counts(n, p.kind, rank(p), "descent" + p.kind).items():
+    for (des_tau, des_sigma), times in table:
         sigma_sides.setdefault(des_tau, []).append(((n, des_sigma), times))
     width = first.n_vars + second.n_vars
     total: Census = {}

@@ -12,6 +12,7 @@ extensions' windows.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
@@ -49,6 +50,8 @@ class _Order:
     kind: ClassVar[str]
 
     def __post_init__(self) -> None:
+        if self.n < 0:
+            raise ValueError(f"an order has n >= 0 labels, got n={self.n}")
         labels = self.labels
         for a, b in self.relation:
             if a not in labels or b not in labels:
@@ -75,6 +78,50 @@ class _Order:
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relation
+
+    def extension_descents(self) -> Counter[frozenset[int]]:
+        """The linear extensions tallied by descent set, none of them listed:
+        Counter({descent set: number of extensions}), each descent set that
+        of a window `linear_extensions` returns (a signed one holds 0 when
+        w(1) < 0).
+
+        A forward count over (the |labels| placed, the last label placed):
+        the window grows at its top, with w(0) = 0 below it, so placing x
+        after the last label makes a descent exactly when last > x.  An
+        ordinary label may be placed once every label below it is; a signed
+        label x under the rule of `_extend_signed`: unless 0, -x, or a label
+        already decided (placed, or the negative of one placed) lies above
+        it."""
+        above: dict[int, set[int]] = {x: set() for x in self.labels}
+        for a, b in self.relation:
+            above[a].add(b)
+        # (x, bit of |x|, bits that must be placed before x, bits that must not)
+        placeable = []
+        for x in self.labels:
+            if self.kind == "A":
+                below = sum(1 << (a - 1) for a, b in self.relation if b == x)
+                placeable.append((x, 1 << (x - 1), below, 0))
+            elif x != 0 and -x not in above[x]:  # 0 above x puts -x above x too
+                placeable.append((x, 1 << (abs(x) - 1), 0, sum({1 << (abs(b) - 1) for b in above[x]})))
+        # (placed bits, last label) -> {descent bits: extensions}
+        layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
+        for position in range(self.n):
+            descent = 1 << position
+            grown: dict[tuple[int, int], dict[int, int]] = {}
+            for (placed, last), tally in layer.items():
+                for x, bit, before, not_before in placeable:
+                    if placed & bit or before & ~placed or not_before & placed:
+                        continue
+                    target = grown.setdefault((placed | bit, x), {})
+                    step = descent if last > x else 0
+                    for des, count in tally.items():
+                        target[des | step] = target.get(des | step, 0) + count
+            layer = grown
+        out: Counter[frozenset[int]] = Counter()
+        for tally in layer.values():
+            for des, count in tally.items():
+                out[frozenset(i for i in range(self.n) if des >> i & 1)] += count
+        return out
 
 
 class LabeledPoset(_Order):

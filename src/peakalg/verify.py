@@ -18,7 +18,7 @@ from .alphabets import Alphabet
 from .enriched import (
     census_sum,
     chain_count,
-    chain_rules,
+    count_table,
     epp_census,
     epp_count,
     factorization_census,
@@ -45,7 +45,6 @@ from .permutations import (
     SignedPermutation,
     compositions,
     enumerate_group,
-    enumerate_stat_sets,
     fibonacci,
     group_order,
     peak_set,
@@ -137,13 +136,14 @@ def _alphabet_for(kind: str, k: int) -> Alphabet:
 def _bounded_poset(kind: str, n: int, rng: random.Random, k_probe: Alphabet, extension_cap: int = 1500, map_cap: int = 120_000):
     """Draw a random order, re-drawing with more retained covers whenever the
     extension count or the map count would make brute enumeration slow.
-    Returns the order and its extensions tallied by (n, descent set)."""
+    Returns the order and its extensions tallied by (n, descent set); the
+    extensions are counted by descent set, never listed."""
     for keep in (0.6, 0.75, 0.9, 1.0):
         poset = random_poset(n, rng, keep) if kind == "A" else random_signed_poset(n, rng, keep)
-        extensions = poset.linear_extensions()
-        if len(extensions) > extension_cap:
+        tally = poset.extension_descents()
+        if sum(tally.values()) > extension_cap:
             continue
-        descent_sets = Counter(chain_rules(w, k_probe) for w in extensions)
+        descent_sets = Counter({(n, des): times for des, times in tally.items()})
         projected = sum(times * chain_count(size, des, k_probe) for (size, des), times in descent_sets.items())
         if projected <= map_cap:
             return poset, descent_sets
@@ -219,41 +219,56 @@ def check_formulas(bounds: Bounds) -> CheckResult:
     )
 
 
+# the (first, second) alphabet pairs of check_bipartite, by kind, as the
+# names of their `Alphabet` factory methods
+_BIPARTITE_PAIRS = {
+    "A": (("prime*prime", "prime", "prime"), ("left*prime", "left", "prime")),
+    "B": (("pm*pm", "plus_minus", "plus_minus"),),
+}
+
+
 def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
     """Pair-alphabet censuses factor through ordered factorizations: the
-    census over the up-down product alphabet equals the factorization sum."""
+    census over the up-down product alphabet equals the factorization sum,
+    for every window.  The alphabets are built for each pair and n, so the
+    censuses they keep are dropped when the sweep moves on."""
+    if k < 1:
+        raise ValueError(f"k must be at least 1, got {k}")
     n_a = bounds.cap(4)
     n_b = bounds.cap(3)
     failures = []
-    pm = Alphabet.plus_minus(k)
-    pairs = {
-        "A": [("prime*prime", Alphabet.prime(k), Alphabet.prime(k)), ("left*prime", Alphabet.left(k), Alphabet.prime(k))],
-        "B": [("pm*pm", pm, pm)],
-    }
-    examined = {label: {"windows": 0, "products": 0} for plan in pairs.values() for label, _, _ in plan}
+    examined = {label: {"windows": 0, "products": 0, "tables": 0}
+                for plan in _BIPARTITE_PAIRS.values() for label, _, _ in plan}
     for kind, n_max in (("A", n_a), ("B", n_b)):
         for n in range(1, n_max + 1):
-            # tau runs over the whole group, so every descent set is some Des tau,
-            # and factorization_census takes one census product per Des tau
-            descent_sets = len(enumerate_stat_sets(n, "descent" + kind))
-            for label, first, second in pairs[kind]:
+            for label, *names in _BIPARTITE_PAIRS[kind]:
+                alphabets = {name: getattr(Alphabet, name)(k) for name in names}
+                first, second = (alphabets[name] for name in names)
                 product = Alphabet.product(first, second)
                 seen = examined[label]
+                tables = set()
                 for w in enumerate_group(n, kind):
                     seen["windows"] += 1
-                    seen["products"] += descent_sets
+                    table = count_table(w)
+                    if table not in tables:
+                        # factorization_census builds each table's census once,
+                        # with one census product per Des tau of the table
+                        tables.add(table)
+                        seen["tables"] += 1
+                        seen["products"] += len({des_tau for (des_tau, _), _ in table})
                     if epp_census(w, product) != factorization_census(w, first, second):
                         failures.append({"pair": label, "window": str(w)})
     return _result(
         "bipartite", not failures,
         f"pair-alphabet census factorizations at k={k}, n<={n_a} (ordinary) / n<={n_b} (signed)",
-        failures, _quote_examined(examined, "products"), examined=examined,
+        failures, _quote_examined(examined, "products", "tables"), examined=examined,
     )
 
 
-def _quote_examined(examined: dict, counted: str) -> str:
-    """Per entry of `examined`: the windows compared and its other count."""
-    return "; ".join(f"{label}: {seen['windows']} windows, {seen[counted]} {counted}" for label, seen in examined.items())
+def _quote_examined(examined: dict, *counted: str) -> str:
+    """Per entry of `examined`: the windows compared and its other counts."""
+    return "; ".join(f"{label}: {seen['windows']} windows, " + ", ".join(f"{seen[c]} {c}" for c in counted)
+                     for label, seen in examined.items())
 
 
 _DUALITY_PLANS = (("A", "interiorPeak", 5), ("A", "leftPeak", 5), ("B", "typeBPeak", 4))

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from peakalg import enriched
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import (
     census_of_maps,
@@ -13,6 +14,7 @@ from peakalg.enriched import (
     chain_census,
     chain_count,
     chain_tuples,
+    count_table,
     epp_census,
     epp_count,
     epp_maps,
@@ -310,6 +312,60 @@ def test_signed_poset_census_splits_over_extensions():
             pieces.append({tuple(sorted(m.items())) for m in epp_maps(e, alphabet)})
         assert sum(len(piece) for piece in pieces) == len(whole)
         assert set().union(*pieces) == whole
+
+
+def test_layered_census_counts_what_the_map_walk_visits(monkeypatch):
+    # the direct census is counted label by label and walks no map; the
+    # brute walk lists the maps it counts and stays the reference
+    rng = random.Random(20261019)
+    product = Alphabet.product(Alphabet.prime(1), Alphabet.prime(2))
+    signed_product = Alphabet.product(Alphabet.plus_minus(1), Alphabet.plus_minus(1))
+    orders = [LabeledPoset.chain((3, 1, 4, 2)), LabeledPoset.from_covers(4, [(1, 3), (2, 3), (4, 3)]),
+              SignedPoset.from_covers(2, [(1, -1)]), SignedPoset.from_covers(3, [(0, 2), (-3, 1)]),
+              SignedPoset.chain((2, -3, 1))]
+    for n in range(0, 5):
+        for keep in (0.0, 0.4, 0.8):
+            orders += [random_poset(n, rng, keep), random_signed_poset(n, rng, keep)]
+    cases = []
+    for P in orders:
+        if P.kind == "A":
+            cases += [(P, a) for a in (Alphabet.prime(2), Alphabet.left(2), Alphabet.plus_minus(1), product)]
+        else:
+            cases += [(P, a) for a in (Alphabet.plus_minus(1), Alphabet.left(1))]
+            cases += [(P, signed_product)] if P.n <= 2 else []
+    expected = [census_of_maps(poset_epp_maps(P, alphabet), alphabet) for P, alphabet in cases]
+
+    def refuse(*args):
+        raise AssertionError("the census walked the maps")
+
+    monkeypatch.setattr(enriched, "_extend_map", refuse)
+    for (P, alphabet), census in zip(cases, expected):
+        assert poset_epp_census(P, alphabet) == census, (P, alphabet.variant)
+
+
+def test_factorization_censuses_are_kept_per_table_and_second_alphabet(monkeypatch):
+    # windows of one descent class share a count table, so the second one
+    # takes no census product; each second alphabet (here of another size,
+    # and of another variant with as many variables) gets a census of its
+    # own, and the kept census is handed out as a copy
+    calls = []
+    original = enriched.census_product
+    monkeypatch.setattr(enriched, "census_product", lambda *args: calls.append(1) or original(*args))
+    first = Alphabet.prime(2)
+    w, same_class = Permutation((2, 1, 3)), Permutation((3, 1, 2))
+    assert count_table(w) == count_table(same_class) != count_table(Permutation((1, 3, 2)))
+    census = factorization_census(w, first, Alphabet.prime(2))
+    products = len(calls)
+    assert products == 4  # one per descent set of tau
+    assert factorization_census(same_class, first, Alphabet.prime(2)) == census
+    assert len(calls) == products
+    for second in (Alphabet.prime(1), Alphabet.left(2)):
+        for p in (w, same_class):
+            assert factorization_census(p, first, second) == _composed_factorization_census(p, first, second)
+    before = dict(census)
+    census.clear()
+    factorization_census(w, first, Alphabet.prime(2))[next(iter(before))] += 1
+    assert factorization_census(same_class, first, Alphabet.prime(2)) == before
 
 
 def test_census_product_offsets_variables():

@@ -80,8 +80,14 @@ def test_a_process_loads_only_the_modules_its_command_runs():
 
 def test_the_rank_report_loads_no_verification_module():
     # the peak-series ranks live in qsym, so the report loads neither verify
-    # nor the enriched, eulerian, posets and alphabets modules verify imports
+    # nor the enriched, eulerian, posets and alphabets modules verify imports,
+    # nor the group algebra
     _, code, after_report, _ = _probe("qsym --flavor typeB --report-ranks --format json")
     assert code == 0
-    assert after_report == ["peakalg", "peakalg.cli", "peakalg.group_algebra", "peakalg.linalg",
-                            "peakalg.permutations", "peakalg.qsym"]
+    assert after_report == ["peakalg", "peakalg.cli", "peakalg.linalg", "peakalg.permutations", "peakalg.qsym"]
+
+
+def test_the_statistics_of_a_window_load_only_the_permutations():
+    _, code, after_peaks, _ = _probe("peaks --window 2,1,3 --flavor typeB --format json")
+    assert code == 0
+    assert after_peaks == ["peakalg", "peakalg.cli", "peakalg.permutations"]

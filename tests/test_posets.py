@@ -2,6 +2,7 @@
 
 import gc
 import random
+from collections import Counter
 
 import pytest
 
@@ -232,3 +233,55 @@ def test_linear_extensions_leave_no_reference_cycles():
     assert len(P.linear_extensions()) == 8 and len(B.linear_extensions()) == 18
     assert _garbage_left_by(P.linear_extensions) == 0
     assert _garbage_left_by(B.linear_extensions) == 0
+
+
+def _descent_tally(extensions, kind):
+    return Counter(descent_set(w, "descent" + kind).members for w in extensions)
+
+
+def test_extension_descents_count_what_the_listings_list():
+    # hand-picked orders: antichains, chains, signed relations through 0 and
+    # labels below their own negative, then seeded random orders of both kinds
+    orders = [
+        LabeledPoset.antichain(0), SignedPoset.antichain(0),
+        LabeledPoset.antichain(4), SignedPoset.antichain(3),
+        LabeledPoset.chain((3, 1, 4, 2)), SignedPoset.chain((2, -3, 1)),
+        LabeledPoset.from_covers(3, [(3, 1), (3, 2)]),
+        SignedPoset.from_covers(2, [(1, 0), (1, -2)]),
+        SignedPoset.from_covers(3, [(0, 2), (-3, 1)]),
+        SignedPoset.from_covers(2, [(1, -1)]),
+        SignedPoset.from_covers(3, [(2, -2), (-3, 1)]),
+    ]
+    rng = random.Random(20261019)
+    for n in range(0, 6):
+        for keep in (0.0, 0.3, 0.6, 0.9):
+            for _ in range(3):
+                orders += [random_poset(n, rng, keep), random_signed_poset(n, rng, keep)]
+    for P in orders:
+        tally = P.extension_descents()
+        assert tally == _descent_tally(P.linear_extensions(), P.kind), P
+        assert tally == _descent_tally(P.linear_extensions_filter(), P.kind), P
+
+
+def test_the_empty_order_has_one_empty_extension():
+    for P in (LabeledPoset(0, frozenset()), SignedPoset(0, frozenset())):
+        assert [w.window for w in P.linear_extensions()] == [()]
+        assert P.extension_descents() == Counter({frozenset(): 1})
+
+
+def test_an_order_of_negative_size_is_refused():
+    for n in (-1, -2):
+        with pytest.raises(ValueError, match="n >= 0"):
+            LabeledPoset(n, frozenset())
+
+
+def test_a_signed_order_of_negative_size_is_refused():
+    # it used to construct, with no linear extension at all
+    with pytest.raises(ValueError, match="n >= 0"):
+        SignedPoset(-2, frozenset())
+
+
+def test_random_orders_of_negative_size_are_refused():
+    for draw in (random_poset, random_signed_poset):
+        with pytest.raises(ValueError, match="n >= 0"):
+            draw(-2, random.Random(1))

@@ -10,7 +10,7 @@ from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
 from peakalg import enriched, eulerian, verify
 from peakalg.permutations import descent_set, enumerate_group, peak_set
-from peakalg.posets import random_poset, random_signed_poset
+from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
     Bounds,
@@ -185,6 +185,20 @@ def test_extensions_check_refuses_to_draw_nothing():
             check_extensions(Bounds(n_max=2), posets_per_n=posets_per_n, k_max=k_max)
 
 
+def test_extensions_check_lists_no_extension_and_walks_no_map(monkeypatch):
+    # the extensions are tallied by descent set and the direct census is
+    # counted label by label, so the check passes with both listings refused
+    def refuse(*args):
+        raise AssertionError("listed")
+
+    monkeypatch.setattr(LabeledPoset, "linear_extensions", refuse)
+    monkeypatch.setattr(SignedPoset, "linear_extensions", refuse)
+    monkeypatch.setattr(enriched, "_extend_map", refuse)
+    result = check_extensions(Bounds(n_max=4), posets_per_n=3)
+    assert result.passed
+    assert all(seen["orders"] == 4 * 3 and seen["maps"] > 0 for seen in result.data["examined"].values())
+
+
 def test_a_wrong_series_fails_every_window_of_its_peak_set(monkeypatch):
     # each series is evaluated once per size; a wrong one must still be
     # reported once per window that has its peak set, and nowhere else
@@ -224,16 +238,26 @@ def test_formulas_check_reports_what_it_examined(monkeypatch):
 
 
 def test_bipartite_check_reports_what_it_examined(monkeypatch):
-    # the quoted product count is the number of census_product calls made
+    # the quoted product count is the number of census_product calls made:
+    # windows of one descent class share a count table, whose census is
+    # built once, with one product per descent set of tau
     calls = []
     original = enriched.census_product
     monkeypatch.setattr(enriched, "census_product", lambda *args: calls.append(1) or original(*args))
     result = check_bipartite(Bounds(n_max=3))
     assert result.passed
     examined = result.data["examined"]
-    ordinary = {"windows": 1 + 2 + 6, "products": 1 * 1 + 2 * 2 + 6 * 4}
+    ordinary = {"windows": 1 + 2 + 6, "products": 1 * 1 + 2 * 2 + 4 * 4, "tables": 1 + 2 + 4}
     assert examined == {"prime*prime": ordinary, "left*prime": ordinary,
-                        "pm*pm": {"windows": 2 + 8 + 48, "products": 2 * 2 + 8 * 4 + 48 * 8}}
+                        "pm*pm": {"windows": 2 + 8 + 48, "products": 2 * 2 + 4 * 4 + 8 * 8, "tables": 2 + 4 + 8}}
     assert len(calls) == sum(seen["products"] for seen in examined.values())
     for label, seen in examined.items():
-        assert f"{label}: {seen['windows']} windows, {seen['products']} products" in result.details
+        assert f"{label}: {seen['windows']} windows, {seen['products']} products, {seen['tables']} tables" in result.details
+
+
+def test_bipartite_check_refuses_to_compare_nothing():
+    # at k = 0 every alphabet has no letter and every census is empty, so
+    # the check would pass on nothing
+    for k in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            check_bipartite(Bounds(n_max=2), k=k)
