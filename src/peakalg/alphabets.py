@@ -56,11 +56,11 @@ class Alphabet:
         self.index = {letter: i for i, letter in enumerate(self.letters)}
         if len(self.index) != len(self.letters):
             raise ValueError("duplicate letters")
-        # censuses built over this alphabet: chain censuses by (n, descent
-        # set), kept by enriched.chain_census, and factorization censuses by
-        # (second alphabet, n, count table), kept by
-        # enriched.factorization_census
-        self.censuses: dict[tuple, dict] = {}
+        # coded censuses (enriched.CodedCensus) built over this alphabet:
+        # chain censuses by (n, descent set), kept by
+        # enriched.coded_chain_census, and factorization censuses by (second
+        # alphabet, n, count table), kept by enriched.coded_factorization_census
+        self.censuses: dict[tuple, Any] = {}
 
     def __len__(self) -> int:
         return len(self.letters)

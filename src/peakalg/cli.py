@@ -52,11 +52,11 @@ FLAVOR_ALIASES = {
 }
 
 
-def _enforce_bound(n: int, kind: str, allow_large: bool) -> None:
+def _enforce_bound(n: int, kind: str, allow_large: bool, name: str = "n") -> None:
     limit = DEFAULT_BOUNDS[kind]
     if n > limit and not allow_large:
         raise ValueError(
-            f"n={n} exceeds the default bound {limit} for kind {kind}; "
+            f"{name}={n} exceeds the default bound {limit} for kind {kind}; "
             "pass --allow-large to acknowledge the cost"
         )
 
@@ -162,6 +162,9 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
     from .enriched import epp_census
 
     kind, _, window = _resolve(ns.kind, [], ns.window)
+    # bounded before any alphabet is built: the census grows with both sizes
+    _enforce_bound(window.n, kind, ns.allow_large)
+    _enforce_bound(ns.k, "A", ns.allow_large, "k")
     name = ns.alphabet or ("plusMinus" if kind == "B" else "prime")
     census = epp_census(window, getattr(Alphabet, _ALPHABETS[name])(ns.k))
     entries = [
@@ -428,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--file", required=True, help="poset file ('-' for stdin), lines 'a<b'")
     p.add_argument("--signed", action="store_true")
 
-    p = command("census", _cmd_census, [kind], "enriched-map census of a window")
+    p = command("census", _cmd_census, [kind, large], "enriched-map census of a window")
     p.add_argument("--window", required=True)
     p.add_argument("--alphabet", choices=tuple(_ALPHABETS), default=None)
     p.add_argument("--k", type=int, default=2, help="alphabet size parameter")

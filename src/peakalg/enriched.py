@@ -11,14 +11,20 @@ alphabet, and every chain builder below takes exactly those three.
 The census of a window records, for each monomial exponent vector, how many
 chain maps produce it; the exponent of variable v counts chain values of
 weight v.  By construction the census depends on the window only through its
-descent set.  Inside the chain DP and the poset census a key is one integer
-whose base-radix digits are the exponents, decoded to a tuple once the
-census is complete.
+descent set.
+
+Inside this module a census is kept coded (`CodedCensus`): a key is one
+integer whose base-radix digits are its exponents, in a code system fixed by
+the alphabet and the number of values n.  The chain DP and the poset census
+build coded censuses, sums and products combine them, and the verification
+checks compare them, code system included.  The public census functions
+decode on return, into a fresh dict keyed by exponent tuples.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from dataclasses import dataclass, field
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
@@ -48,18 +54,40 @@ def _equality_gate(alphabet: Alphabet, minus: bool) -> list[bool]:
     return [e > 0 for e in alphabet.eps]
 
 
+@dataclass(frozen=True)
 class _KeyCodes:
-    """Census keys of maps on n values kept as integers inside the census
-    builders: the exponents of a key are its digits in base radix, so that
-    adding a letter's weight to a key is one integer addition.  An exponent
-    is at most n times the most often one letter names one variable, and
-    the radix is one more, so digits never carry."""
+    """A code system for census keys: a key of n_vars exponents is coded as
+    the integer whose base-radix digits, lowest first, are its exponents, so
+    that adding a letter's weight to a key is one integer addition.  Systems
+    are equal when their radix and variable count are; `weight` holds the
+    code of each letter of the alphabet the system was made for."""
 
-    def __init__(self, alphabet: Alphabet, n: int) -> None:
-        most = max((vars_.count(v) for vars_ in alphabet.var_lists for v in vars_), default=0)
-        self.radix = n * most + 1
-        self.weight = [sum(self.radix ** v for v in vars_) for vars_ in alphabet.var_lists]
-        self.n_vars = alphabet.n_vars
+    radix: int
+    n_vars: int
+    weight: tuple[int, ...] = field(default=(), compare=False)
+
+    @classmethod
+    def of(cls, alphabet: Alphabet, n: int) -> "_KeyCodes":
+        """The system of maps on n values into alphabet.  An exponent is at
+        most n times the most often one letter names one variable (taken as
+        one for an alphabet with no letters), and the radix is one more, so
+        digits never carry."""
+        most = max((vars_.count(v) for vars_ in alphabet.var_lists for v in vars_), default=1)
+        radix = n * most + 1
+        return cls(radix, alphabet.n_vars, tuple(sum(radix ** v for v in vars_) for vars_ in alphabet.var_lists))
+
+    def encode(self, key: tuple[int, ...]) -> int | None:
+        """The code of key, or None when it has none in this system: a key of
+        another length, or an exponent outside [0, radix), which would carry
+        into the next digit and alias another key."""
+        if len(key) != self.n_vars:
+            return None
+        code = 0
+        for exponent in reversed(key):
+            if not 0 <= exponent < self.radix:
+                return None
+            code = code * self.radix + exponent
+        return code
 
     def decode(self, counts: dict[int, int]) -> Census:
         census: Census = {}
@@ -70,6 +98,31 @@ class _KeyCodes:
                 exponents.append(digit)
             census[tuple(exponents)] = count
         return census
+
+
+class CodedCensus(NamedTuple):
+    """A census in integer form: the count of each key code of one code
+    system.  Coded censuses are equal when their systems and counts are."""
+
+    codes: _KeyCodes
+    counts: dict[int, int]
+
+    def decode(self) -> Census:
+        return self.codes.decode(self.counts)
+
+
+def encode_census(census: Mapping[tuple[int, ...], int], alphabet: Alphabet, n: int) -> CodedCensus | None:
+    """census, keyed by exponent tuples, in the code system of maps on n
+    values into alphabet; None when one of its keys has no code there, so
+    that it equals no census of that system."""
+    codes = _KeyCodes.of(alphabet, n)
+    counts: dict[int, int] = {}
+    for key, count in census.items():
+        code = codes.encode(key)
+        if code is None:
+            return None
+        counts[code] = count
+    return CodedCensus(codes, counts)
 
 
 def chain_count(n: int, des: frozenset[int], alphabet: Alphabet) -> int:
@@ -98,23 +151,29 @@ def chain_count(n: int, des: frozenset[int], alphabet: Alphabet) -> int:
 
 
 def chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
-    """Monomial census of all chain maps, same DP as chain_count.  The DP
-    runs once per (n, descent set) for each alphabet and its result is kept
-    on the alphabet; every call returns a fresh copy."""
+    """Monomial census of all chain maps, same DP as chain_count, decoded
+    from `coded_chain_census` into a fresh dict on every call."""
+    return coded_chain_census(n, des, alphabet).decode()
+
+
+def coded_chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> CodedCensus:
+    """The coded census of the chain maps.  The DP runs once per (n, descent
+    set) for each alphabet and its result is kept on the alphabet; this
+    returns the kept census itself, which callers must not change."""
     if n < 0:
         raise ValueError(f"chain length must be nonnegative, got {n}")
     rules = (n, frozenset(des))
     stored = alphabet.censuses.get(rules)
     if stored is None:
         stored = alphabet.censuses[rules] = _chain_census(n, des, alphabet)
-    return dict(stored)
+    return stored
 
 
-def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
+def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> CodedCensus:
     size = len(alphabet)
-    codes = _KeyCodes(alphabet, n)
+    codes = _KeyCodes.of(alphabet, n)
     if n == 0:
-        return codes.decode({0: 1})
+        return CodedCensus(codes, {0: 1})
     if alphabet.zero_index is not None:
         state: list[dict[int, int]] = [{} for _ in range(size)]
         state[alphabet.zero_index] = {0: 1}
@@ -141,7 +200,7 @@ def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
     for partial in state:
         for key, count in partial.items():
             total[key] = total.get(key, 0) + count
-    return codes.decode(total)
+    return CodedCensus(codes, total)
 
 
 def chain_tuples(n: int, des: frozenset[int], alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
@@ -184,6 +243,10 @@ def epp_count(p: GroupElement, alphabet: Alphabet) -> int:
 
 def epp_census(p: GroupElement, alphabet: Alphabet) -> Census:
     return chain_census(*chain_rules(p, alphabet), alphabet)
+
+
+def coded_epp_census(p: GroupElement, alphabet: Alphabet) -> CodedCensus:
+    return coded_chain_census(*chain_rules(p, alphabet), alphabet)
 
 
 def epp_values(p: GroupElement, alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
@@ -321,14 +384,18 @@ def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> lis
 
 def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> Census:
     """census_of_maps(poset_epp_maps(poset, alphabet), alphabet), counted
-    label by label without visiting the maps.  A layer maps a state, the
-    letters of the labels that a later label's check still reads, to the
-    census of the partial maps on 1..m that end in it; label m + 1 extends
-    each state by every letter its fixed mask and its tables allow there.
-    A census key is kept as one integer whose digits, in base radix, are its
-    exponents."""
+    without visiting the maps: `coded_poset_census`, decoded."""
+    return coded_poset_census(poset, alphabet).decode()
+
+
+def coded_poset_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> CodedCensus:
+    """The coded census of the maps of `poset_epp_maps`, counted label by
+    label.  A layer maps a state, the letters of the labels that a later
+    label's check still reads, to the coded census of the partial maps on
+    1..m that end in it; label m + 1 extends each state by every letter its
+    fixed mask and its tables allow there."""
     fixed, checks = _compile_relation(poset, alphabet)
-    codes = _KeyCodes(alphabet, poset.n)
+    codes = _KeyCodes.of(alphabet, poset.n)
     read_until = [0] * (poset.n + 1)  # the last label whose check reads label j
     for m in range(1, poset.n + 1):
         for j, _ in checks[m]:
@@ -362,34 +429,43 @@ def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> C
                     target[key + weight] = target.get(key + weight, 0) + times * count
         layer = grown
     # no label is read past the last one, so every map ends in the empty state
-    return codes.decode(layer.get((), {}))
+    return CodedCensus(codes, layer.get((), {}))
 
 
 # ---------------------------------------------------------------------------
 # Bipartite censuses
 
 
-def census_product(left: Census, right: Census, width: int) -> Census:
-    """Combine a census over the first variables with one over the rest, width
-    variables in all: keys concatenate, counts multiply."""
-    out: Census = {}
-    for key_a, count_a in left.items():
-        for key_b, count_b in right.items():
+def census_product(left: CodedCensus, right: CodedCensus) -> CodedCensus:
+    """Combine a coded census over the first variables with one over the
+    rest: the codes of the right census are shifted past the left's digits
+    and added, counts multiply.  Both must share one radix, or a shifted code
+    would name other exponents."""
+    radix = left.codes.radix
+    if right.codes.radix != radix:
+        raise ValueError(f"census codes of radix {radix} and {right.codes.radix} do not combine")
+    shift = radix ** left.codes.n_vars
+    shifted = [(key * shift, count) for key, count in right.counts.items()]
+    out: dict[int, int] = {}
+    for key_a, count_a in left.counts.items():
+        for key_b, count_b in shifted:
             key = key_a + key_b
-            assert len(key) == width
             out[key] = out.get(key, 0) + count_a * count_b
-    return out
+    return CodedCensus(_KeyCodes(radix, left.codes.n_vars + right.codes.n_vars), out)
 
 
-def census_sum(terms: Iterable[tuple[tuple[int, frozenset[int]], int]], alphabet: Alphabet) -> Census:
-    """The sum of times * chain_census(n, des, alphabet) over the terms
-    ((n, des), times): windows sharing a descent set share a census, so each
-    descent set's census enters once, times the number of its windows."""
-    total: Census = {}
-    for (n, des), times in terms:
-        for key, count in chain_census(n, des, alphabet).items():
+def census_sum(n: int, terms: Iterable[tuple[frozenset[int], int]], alphabet: Alphabet) -> CodedCensus:
+    """The coded sum of times * chain_census(n, des, alphabet) over the terms
+    (des, times): windows sharing a descent set share a census, so each
+    descent set's census enters once, times the number of its windows.  The
+    sum keeps the code system of the censuses it adds."""
+    codes = None
+    total: dict[int, int] = {}
+    for des, times in terms:
+        codes, counts = coded_chain_census(n, des, alphabet)
+        for key, count in counts.items():
             total[key] = total.get(key, 0) + times * count
-    return total
+    return CodedCensus(_KeyCodes.of(alphabet, n) if codes is None else codes, total)
 
 
 def count_table(p: GroupElement) -> frozenset[tuple[tuple[frozenset[int], frozenset[int]], int]]:
@@ -409,13 +485,19 @@ def factorization_census(
     p: GroupElement, first: Alphabet, second: Alphabet
 ) -> Census:
     """Sum over all factorizations p = sigma * tau of the product census of
-    tau into the first alphabet and sigma into the second.  A census depends
-    on its window only through the descent set, so the sum runs over the
-    count table of p (`count_table`): for each Des tau the censuses of its
-    sigma sides are summed first, and that sum enters one product with the
-    census of tau.  The result is kept on the first alphabet, keyed by the
-    second alphabet, n and the count table, so windows with equal tables
-    build it once; every call returns a fresh copy."""
+    tau into the first alphabet and sigma into the second:
+    `coded_factorization_census`, decoded into a fresh dict."""
+    return coded_factorization_census(p, first, second).decode()
+
+
+def coded_factorization_census(p: GroupElement, first: Alphabet, second: Alphabet) -> CodedCensus:
+    """The coded factorization census.  A census depends on its window only
+    through the descent set, so the sum runs over the count table of p
+    (`count_table`): for each Des tau the censuses of its sigma sides are
+    summed first, and that sum enters one product with the census of tau.
+    The result is kept on the first alphabet, keyed by the second alphabet,
+    n and the count table, so windows with equal tables build it once; this
+    returns the kept census itself, which callers must not change."""
     n, _ = chain_rules(p, first)
     chain_rules(p, second)  # refuses a second alphabet that cannot host p
     table = count_table(p)
@@ -423,17 +505,19 @@ def factorization_census(
     stored = first.censuses.get(slot)
     if stored is None:
         stored = first.censuses[slot] = _factorization_census(n, table, first, second)
-    return dict(stored)
+    return stored
 
 
-def _factorization_census(n: int, table: frozenset, first: Alphabet, second: Alphabet) -> Census:
+def _factorization_census(n: int, table: frozenset, first: Alphabet, second: Alphabet) -> CodedCensus:
     sigma_sides: dict[frozenset[int], list] = {}
     for (des_tau, des_sigma), times in table:
-        sigma_sides.setdefault(des_tau, []).append(((n, des_sigma), times))
-    width = first.n_vars + second.n_vars
-    total: Census = {}
+        sigma_sides.setdefault(des_tau, []).append((des_sigma, times))
+    total: CodedCensus | None = None
     for des_tau, terms in sigma_sides.items():
-        combined = census_product(chain_census(n, des_tau, first), census_sum(terms, second), width)
-        for key, count in combined.items():
-            total[key] = total.get(key, 0) + count
+        combined = census_product(coded_chain_census(n, des_tau, first), census_sum(n, terms, second))
+        if total is None:  # a count table is never empty: p = p * identity
+            total = combined
+            continue
+        for key, count in combined.counts.items():
+            total.counts[key] = total.counts.get(key, 0) + count
     return total

@@ -13,17 +13,30 @@ beta is contained in that of alpha.
 
 The peak series below expand the census generating functions of windows
 with a prescribed peak set; their truncated evaluations match the chain
-censuses of the enriched module, which is what the test suite checks.
+censuses of the enriched module.  The test suite checks this on
+exponent-tuple keys, and `verify.check_formulas` on integer-coded keys: it
+codes each evaluation once, in the code system of the censuses it is
+compared with (`enriched.encode_census`).  The series of one size share
+their keys, the compositions of that size, built once.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Mapping
 
 from .linalg import SparseVector, Span
-from .permutations import FIBONACCI_SHIFT, Composition, StatSet, enumerate_stat_sets, fibonacci, subsets
+from .permutations import (
+    FIBONACCI_SHIFT,
+    Composition,
+    StatSet,
+    compositions,
+    enumerate_stat_sets,
+    fibonacci,
+    subsets,
+)
 
 Coeffs = dict[Composition, Fraction | int]
 
@@ -125,6 +138,13 @@ def m_to_f(element: QSymElement) -> QSymElement:
 # Peak series
 
 
+@lru_cache(maxsize=None)
+def _compositions(n: int, typeB: bool) -> tuple[Composition, ...]:
+    """compositions(n, typeB), built once per size and kind: the peak series
+    of one size take their keys from it, in its `subsets` order."""
+    return tuple(compositions(n, typeB))
+
+
 def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str = "M") -> QSymElement:
     """The census series shared by all windows with the given peak set.
 
@@ -135,13 +155,15 @@ def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str 
     Signed (typeB, over pseudo-compositions): E ranges inside [0, n-1] and
     each exponent drops by one, 2^|E| and 2^|peaks|.  Signed sets avoiding 0
     are exactly the series of windows whose leftmost-anchored peak set has
-    no peak at 0."""
+    no peak at 0.  The key of a subset E is the composition whose partial
+    sums are E, read from the compositions of n, which list the subsets in
+    the same order."""
     if basis not in ("M", "F"):
         raise ValueError(f"unknown basis: {basis}")
     peaks = StatSet.of("typeBPeak" if typeB else "interiorPeak", n, members).members
     lowest = 0 if typeB else 1
     out: Coeffs = {}
-    for chosen in subsets(range(lowest, n)):
+    for chosen, key in zip(subsets(range(lowest, n)), _compositions(n, typeB), strict=True):
         shifted = {i + 1 for i in chosen}
         if basis == "M" and peaks <= set(chosen) | shifted:
             coefficient = 2 ** (len(chosen) + lowest)
@@ -149,7 +171,7 @@ def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str 
             coefficient = 2 ** (len(peaks) + lowest)
         else:
             continue
-        out[Composition.from_subset(chosen, n, typeB=typeB)] = coefficient
+        out[key] = coefficient
     return QSymElement(basis, typeB, out)
 
 

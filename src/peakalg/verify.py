@@ -10,7 +10,6 @@ through `Bounds.n_max`.
 from __future__ import annotations
 
 import random
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -18,11 +17,12 @@ from .alphabets import Alphabet
 from .enriched import (
     census_sum,
     chain_count,
+    coded_epp_census,
+    coded_factorization_census,
+    coded_poset_census,
     count_table,
-    epp_census,
+    encode_census,
     epp_count,
-    factorization_census,
-    poset_epp_census,
 )
 from .eulerian import (
     BATTERY_CAPS,
@@ -136,18 +136,17 @@ def _alphabet_for(kind: str, k: int) -> Alphabet:
 def _bounded_poset(kind: str, n: int, rng: random.Random, k_probe: Alphabet, extension_cap: int = 1500, map_cap: int = 120_000):
     """Draw a random order, re-drawing with more retained covers whenever the
     extension count or the map count would make brute enumeration slow.
-    Returns the order and its extensions tallied by (n, descent set); the
+    Returns the order and its extensions tallied by descent set; the
     extensions are counted by descent set, never listed."""
     for keep in (0.6, 0.75, 0.9, 1.0):
         poset = random_poset(n, rng, keep) if kind == "A" else random_signed_poset(n, rng, keep)
         tally = poset.extension_descents()
         if sum(tally.values()) > extension_cap:
             continue
-        descent_sets = Counter({(n, des): times for des, times in tally.items()})
-        projected = sum(times * chain_count(size, des, k_probe) for (size, des), times in descent_sets.items())
+        projected = sum(times * chain_count(n, des, k_probe) for des, times in tally.items())
         if projected <= map_cap:
-            return poset, descent_sets
-    return poset, descent_sets  # keep=1.0 is a chain: one extension, tallied above, always small
+            return poset, tally
+    return poset, tally  # keep=1.0 is a chain: one extension, tallied above, always small
 
 
 def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> CheckResult:
@@ -167,10 +166,10 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
                 poset, descent_sets = _bounded_poset(kind, n, rng, alphabets[-1])
                 seen["orders"] += 1
                 for k, alphabet in enumerate(alphabets, start=1):
-                    direct = poset_epp_census(poset, alphabet)
-                    seen["maps"] += sum(direct.values())
+                    direct = coded_poset_census(poset, alphabet)
+                    seen["maps"] += sum(direct.counts.values())
                     seen["extensions"] += sum(descent_sets.values())
-                    if direct != census_sum(descent_sets.items(), alphabet):
+                    if direct != census_sum(n, descent_sets.items(), alphabet):
                         failures.append({"kind": kind, "n": n, "trial": trial, "k": k})
     quoted = "; ".join(
         f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension censuses"
@@ -186,7 +185,8 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
 def check_formulas(bounds: Bounds) -> CheckResult:
     """The subset-expansion of each peak series evaluates, in n+1 variables,
     to the brute census of every window with that peak set.  Each series is
-    evaluated once per size and compared with every window of its set."""
+    evaluated and coded once per size and compared with the coded census of
+    every window of its set."""
     n_a = bounds.cap(5)
     n_b = bounds.cap(4)
     failures = []
@@ -195,10 +195,11 @@ def check_formulas(bounds: Bounds) -> CheckResult:
     def compare(label: str, w, members: frozenset[int], typeB: bool, alphabet: Alphabet, evaluated: dict) -> None:
         seen = examined[label]
         if (members, typeB) not in evaluated:
-            evaluated[members, typeB] = evaluate(peak_series(members, w.n, typeB=typeB), w.n + 1)
+            series = evaluate(peak_series(members, w.n, typeB=typeB), w.n + 1)
+            evaluated[members, typeB] = encode_census(series, alphabet, w.n)
             seen["series"] += 1
         seen["windows"] += 1
-        if evaluated[members, typeB] != epp_census(w, alphabet):
+        if evaluated[members, typeB] != coded_epp_census(w, alphabet):
             failures.append({"flavor": label, "window": str(w)})
 
     for n in range(1, n_a + 1):
@@ -251,12 +252,12 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
                     seen["windows"] += 1
                     table = count_table(w)
                     if table not in tables:
-                        # factorization_census builds each table's census once,
+                        # coded_factorization_census builds each table's census once,
                         # with one census product per Des tau of the table
                         tables.add(table)
                         seen["tables"] += 1
                         seen["products"] += len({des_tau for (des_tau, _), _ in table})
-                    if epp_census(w, product) != factorization_census(w, first, second):
+                    if coded_epp_census(w, product) != coded_factorization_census(w, first, second):
                         failures.append({"pair": label, "window": str(w)})
     return _result(
         "bipartite", not failures,

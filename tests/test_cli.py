@@ -324,6 +324,89 @@ def test_structure_output_is_frozen_in_every_format(capsys, query):
         assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (query, fmt)
 
 
+# sha256 of the exact stdout of `census` and `qsym` in each format
+CENSUS_QSYM_DIGESTS = {
+    ("census", "--window", "2,1,3", "--k", "2"): {
+        "json": "e8f325a960f4fc79f0719ce22bacbd134e1adf8f31d2af58e9f610eadc2d7152",
+        "csv": "f85471f896c936a443eafa4f94b347bc1191e9cf122c231abc810b41959cadff",
+        "text": "892d6211c4b7e1845e02535fe5db450240eb4629795110bd12e0b44d08120b02",
+    },
+    ("census", "--window", "3,1,4,2", "--alphabet", "left", "--k", "3"): {
+        "json": "7ad86bb5262460f7faca84b1e6e15015ac7661b6b9374ffb8ad37ae313b1d5fb",
+        "csv": "664cc736de82e89aac87774419eeedb55842a4452513949251c5ece7ac20ece5",
+        "text": "0bd91088b8da66cb42f590e8601008d9aef2276f9fdc945141b9952809e6e0ed",
+    },
+    ("census", "--window", "-2,3,-1", "--k", "2"): {
+        "json": "0a5c5e0bb810c9006fa5b94d310f4fcc02d337f61f244d7e973c827375ce37f7",
+        "csv": "201e621ef7532e59e48792f7ead9e4c579644076461e6532aac387f0b2dea326",
+        "text": "e1a21547b646406d736442c2d314930425ac8cde8480312e9b8cc75860f8eb3f",
+    },
+    ("qsym", "--flavor", "interior", "--n", "5", "--members", "{2,4}"): {
+        "json": "8b092665d82b438152b16f2260044d94257bededbfba4cf1f6295fd93e6b2f58",
+        "csv": "145faa607b3d773eecf104983f2f705c4db86b283127a28d096c998810ac9f60",
+        "text": "0237f8548d8c6b17194ae02a5c4fa5a3d796335a4deb0dfefd67e7df4619a36c",
+    },
+    ("qsym", "--flavor", "typeB", "--n", "3", "--members", "{0,2}"): {
+        "json": "784d3e6254531ff854fbceae1aaeb63d13d0048ec052521e0638e12c3298ca6a",
+        "csv": "2adc9d563ad854bb6364da71e5a81a03a3db349cfd0a224375bfbc57a976f16a",
+        "text": "0f6dd71c4a3eea6ae5162a82ef8a666171a91ad9c122605d3377cc3fead657a4",
+    },
+    ("qsym", "--flavor", "left", "--n", "4", "--members", "{1,3}", "--basis", "F"): {
+        "json": "76c5836965b0d2cf9a97787af645dcc31efe6844970d5d1d14a9c8c4ae713ac3",
+        "csv": "3f903bdd9056adea993102d976570178108cf340db2c7b0d18140bbcd1031690",
+        "text": "81925e0bf20a7e04c188858d28a9ee1a53ef8ff3e91461f90dd5bbe5f157e6fc",
+    },
+    ("qsym", "--flavor", "left", "--report-ranks", "--n-max", "6"): {
+        "json": "21d099293b4bea5bb255c78512d4d845dda34f13d960bdc32654c766d0a8e646",
+        "csv": "db388d7b7c64a445eeede54b501ea70c3f678b95685f3652c4f6d53311fe99e0",
+        "text": "faf1994ebd5d93003d2c3a92d9411a0630370a608a00624ad34ab6b4f0bf1880",
+    },
+    ("qsym", "--flavor", "typeB", "--report-ranks", "--n", "5"): {
+        "json": "ff6d06f4c943b1b7030f48c722e8188ec4096e009ef64b11f5c4157c2b713b06",
+        "csv": "2a7dd5e128fa8fdf5bb996f57a768d06b2605ffc8819629317b4ccea2c32ab6a",
+        "text": "ca549f11dfd98a7cfd120fc0b09b8b961346a6459837ffdc7bc03d6939e182b7",
+    },
+}
+
+
+@pytest.mark.parametrize("query", list(CENSUS_QSYM_DIGESTS), ids=" ".join)
+def test_census_and_qsym_output_is_frozen_in_every_format(capsys, query):
+    for fmt, digest in CENSUS_QSYM_DIGESTS[query].items():
+        code = main([*query, "--format", fmt])
+        out = capsys.readouterr().out
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest), (query, fmt)
+
+
+def test_census_is_held_to_the_default_bounds(capsys, monkeypatch):
+    # the window length to its kind's bound and k to the kind A bound, both
+    # checked before any alphabet is built
+    import peakalg.alphabets
+
+    built = []
+    original = peakalg.alphabets.Alphabet.__init__
+
+    def counted(self, *args, **kw):
+        built.append(args[0])
+        original(self, *args, **kw)
+
+    monkeypatch.setattr(peakalg.alphabets.Alphabet, "__init__", counted)
+    for argv, message in (
+        (("--window", "1,2,3,4,5,6,7,8,9", "--k", "2"), "n=9 exceeds the default bound 8 for kind A"),
+        (("--window", "-1,2,3,4,5,6,7", "--k", "1"), "n=7 exceeds the default bound 6 for kind B"),
+        (("--window", "2,1", "--k", "9"), "k=9 exceeds the default bound 8 for kind A"),
+        (("--window", "-2,1", "--k", "9"), "k=9 exceeds the default bound 8 for kind A"),
+    ):
+        code, out, err = run(capsys, "census", *argv)
+        assert (code, out, built) == (2, "", []), argv
+        assert json.loads(err)["error"]["message"].startswith(message)
+    for argv in (("--window", "2,1", "--k", "8"), ("--window", "-1,2,3,4,5,6", "--k", "1"),
+                 ("--window", "2,1", "--k", "9", "--allow-large"),
+                 ("--window", "1,2,3,4,5,6,7,8,9", "--k", "1", "--allow-large")):
+        code, out, _ = run(capsys, "census", *argv, "--format", "json")
+        assert code == 0 and json.loads(out)["total"] > 0, argv
+    assert len(built) == 4
+
+
 def _key_order(key):
     # statistic keys sort by size, then members; a number-mode key by value
     return (key,) if isinstance(key, int) else (len(key), key)
@@ -540,7 +623,7 @@ def test_rank_report_reads_n_as_its_bound(capsys):
 @pytest.mark.parametrize("argv", [
     ("verify", "--n", "3"),
     ("peaks", "--window", "2,1,3", "--seed", "1"),
-    ("census", "--window", "2,1,3", "--allow-large"),
+    ("census", "--window", "2,1,3", "--n", "3"),
     ("idempotents", "--n", "3", "--kind", "B"),
     ("negatives", "--k", "2"),
     ("orderpoly", "--n", "7", "--kind", "B"),

@@ -9,6 +9,8 @@ import pytest
 from peakalg import enriched
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import (
+    CodedCensus,
+    _KeyCodes,
     census_of_maps,
     census_product,
     chain_census,
@@ -369,9 +371,71 @@ def test_factorization_censuses_are_kept_per_table_and_second_alphabet(monkeypat
 
 
 def test_census_product_offsets_variables():
-    a = {(0, 1): 2}
-    b = {(0, 0, 1): 3}
-    assert census_product(a, b, width=5) == {(0, 1, 0, 0, 1): 6}
+    # the variables of the second census follow those of the first: its
+    # codes are shifted past the first census's digits
+    first, second = _KeyCodes(3, 2), _KeyCodes(3, 3)
+    a = CodedCensus(first, {first.encode((0, 1)): 2})
+    b = CodedCensus(second, {second.encode((0, 0, 1)): 3})
+    product = census_product(a, b)
+    assert product.codes == _KeyCodes(3, 5)
+    assert product.decode() == {(0, 1, 0, 0, 1): 6}
+
+
+def test_coded_censuses_of_different_systems_differ():
+    # equal counts under equal codes mean equal censuses only inside one
+    # code system: the code 2 is x_1 in base 2 and x_0^2 in base 3
+    census = enriched.coded_epp_census(Permutation((1,)), Alphabet.prime(1))
+    assert census.codes == _KeyCodes(2, 2) and census.counts == {2: 2}
+    assert census.decode() == {(0, 1): 2}
+    for other in (_KeyCodes(3, 2), _KeyCodes(2, 3)):
+        assert CodedCensus(other, dict(census.counts)) != census
+
+
+def test_census_products_need_one_radix():
+    # codes of different radixes name different exponents, so their product
+    # is refused, under python -O too
+    with pytest.raises(ValueError, match="radix"):
+        census_product(CodedCensus(_KeyCodes(3, 2), {1: 1}), CodedCensus(_KeyCodes(4, 2), {1: 1}))
+    # a letter naming one variable twice makes a larger radix than prime's
+    doubled = Alphabet("doubled", [1, 2], [1, 1], [(1, 1), (1,)], 2, None, None)
+    assert _KeyCodes.of(doubled, 2).radix == 5 != _KeyCodes.of(Alphabet.prime(1), 2).radix
+    for first, second in ((doubled, Alphabet.prime(1)), (Alphabet.prime(1), doubled)):
+        with pytest.raises(ValueError, match="radix"):
+            factorization_census(Permutation((2, 1)), first, second)
+
+
+def _round_trip_alphabets():
+    pm = Alphabet.plus_minus(1)
+    nested = Alphabet.product(Alphabet.product(Alphabet.prime(1), Alphabet.left(1)), Alphabet.prime(1))
+    return [(Alphabet.prime(2), "A"), (Alphabet.left(2), "A"), (Alphabet.plus_minus(2), "B"),
+            (nested, "A"), (Alphabet.product(pm, pm), "B")]
+
+
+def test_key_codes_round_trip():
+    for alphabet, kind in _round_trip_alphabets():
+        for n in range(0, 4):
+            codes = _KeyCodes.of(alphabet, n)
+            for p in enumerate_group(n, kind):
+                census = census_of_maps(epp_maps(p, alphabet), alphabet)
+                coded = {codes.encode(key): count for key, count in census.items()}
+                assert None not in coded and len(coded) == len(census)
+                assert codes.decode(coded) == census, (p, alphabet.variant)
+
+
+def test_key_codes_never_carry():
+    # a key with no code here, of another length or with an exponent outside
+    # [0, radix), gets none, instead of the code of another key
+    for alphabet, _ in _round_trip_alphabets():
+        codes = _KeyCodes.of(alphabet, 2)
+        width, radix = alphabet.n_vars, codes.radix
+        zero = (0,) * width
+        assert codes.encode(zero) == 0
+        assert codes.encode(zero[:-1]) is None and codes.encode(zero + (0,)) is None
+        for i in range(width):
+            top = zero[:i] + (radix - 1,) + zero[i + 1:]
+            assert codes.encode(top) == (radix - 1) * radix ** i
+            assert codes.encode(zero[:i] + (radix,) + zero[i + 1:]) is None
+            assert codes.encode(zero[:i] + (-1,) + zero[i + 1:]) is None
 
 
 def test_bipartite_census_identity():
@@ -392,15 +456,14 @@ def test_bipartite_census_identity():
 
 
 def _composed_factorization_census(p, first, second):
-    """The factorization sum written out: every tau, sigma = p . tau^-1."""
-    kind = p.kind
-    width = first.n_vars + second.n_vars
+    """The factorization sum written out: every tau, sigma = p . tau^-1, the
+    keys of tau's census followed by those of sigma's."""
     total = {}
-    for tau in enumerate_group(p.n, kind):
+    for tau in enumerate_group(p.n, p.kind):
         sigma = compose(p, tau.inverse())
-        combined = census_product(epp_census(tau, first), epp_census(sigma, second), width)
-        for key, count in combined.items():
-            total[key] = total.get(key, 0) + count
+        for key_a, count_a in epp_census(tau, first).items():
+            for key_b, count_b in epp_census(sigma, second).items():
+                total[key_a + key_b] = total.get(key_a + key_b, 0) + count_a * count_b
     return total
 
 

@@ -139,7 +139,7 @@ def test_bounded_orders_match_a_count_per_extension():
     # the projected map count is taken once per descent set; counting every
     # extension on its own projects the same count, so the same orders are
     # drawn (a small map cap makes re-draws happen), each returned with its
-    # extensions tallied by (n, descent set)
+    # extensions tallied by descent set
     redraws = []
 
     def drawn_one_by_one(kind, n, rng, probe, map_cap):
@@ -149,7 +149,7 @@ def test_bounded_orders_match_a_count_per_extension():
             if len(extensions) <= 1500 and sum(epp_count(w, probe) for w in extensions) <= map_cap:
                 break
             redraws.append((kind, n))
-        return poset, Counter((n, descent_set(w, "descent" + kind).members) for w in extensions)
+        return poset, Counter(descent_set(w, "descent" + kind).members for w in extensions)
 
     for kind, probe in (("A", Alphabet.prime(3)), ("B", Alphabet.plus_minus(3))):
         for n in range(1, 6):
@@ -217,6 +217,28 @@ def test_a_wrong_series_fails_every_window_of_its_peak_set(monkeypatch):
     assert len(windows) > 1
     assert not result.passed
     assert result.data["failures"] == [{"flavor": "interior", "window": str(w)} for w in windows]
+
+
+def test_a_carried_key_fails_the_formulas_check(monkeypatch):
+    # the check compares integer-coded keys; a key (..., 0, x, ...) written
+    # as (..., radix, x - 1, ...) would get the same code from an encoder
+    # that lets a digit carry, so it must get none and fail every window of
+    # its peak set
+    original = verify.evaluate
+    wrong = verify.peak_series(frozenset(), 2)
+    radix = 3  # maps on 2 values into prime(3): every exponent is at most 2
+
+    def carried(element, k):
+        values = original(element, k)
+        if element == wrong:
+            key = next(key for key in values if key[1] == 0 and key[2] > 0)
+            values[key[:1] + (radix, key[2] - 1) + key[3:]] = values.pop(key)
+        return values
+
+    monkeypatch.setattr(verify, "evaluate", carried)
+    result = check_formulas(Bounds(n_max=2))
+    assert not result.passed
+    assert result.data["failures"] == [{"flavor": "interior", "window": str(w)} for w in enumerate_group(2, "A")]
 
 
 def test_formulas_check_reports_what_it_examined(monkeypatch):
