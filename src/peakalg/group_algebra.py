@@ -52,6 +52,7 @@ from .permutations import (
     PEAK_FLAVORS,
     SIGNED_FLAVORS,
     GroupElement,
+    _check_signed_flavor,
     ambient_interval,
     group_order,
     inverse_window,
@@ -217,8 +218,10 @@ StatKey = frozenset[int] | int
 def _stat_codes(n: int, kind: str, flavor: str) -> tuple[int, ...]:
     """The flavor's set of every window in rank order as a bit code (bit i
     set when i is a member), read off the value columns by the rules of
-    `permutations.stat_set`, one position at a time."""
+    `permutations.stat_set`, one position at a time.  A signed flavor
+    refuses kind A."""
     lo, hi = ambient_interval(flavor, n)
+    _check_signed_flavor(kind, flavor)
     w = _values(n, kind)
     codes = iter(w[0])  # all zero
     for i in range(max(lo, 1), hi + 1):

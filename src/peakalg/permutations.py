@@ -142,6 +142,13 @@ FLAVORS = PEAK_FLAVORS + DESCENT_FLAVORS
 SIGNED_FLAVORS = ("typeBPeak", "descentB")
 
 
+def _check_signed_flavor(kind: str, flavor: str) -> None:
+    """A signed flavor reads w(1) < 0, which no window of S_n has: refuse it
+    on kind A rather than answer as though it were the ordinary flavor."""
+    if kind == "A" and flavor in SIGNED_FLAVORS:
+        raise ValueError(f"{flavor} is a signed flavor: it reads B_n, not S_n")
+
+
 def ambient_interval(flavor: str, n: int) -> tuple[int, int]:
     """Inclusive (lo, hi) range of positions the flavor may contain."""
     try:
@@ -190,9 +197,10 @@ class StatSet:
 def stat_set(p: GroupElement, flavor: str) -> StatSet:
     """The flavor's set of p: peaks of the window padded with w(0) = w(n+1)
     = 0, or descents, clipped to the ambient interval; a signed flavor adds
-    0 whenever w(1) < 0."""
+    0 whenever w(1) < 0.  A signed flavor refuses an ordinary window."""
     w, n = p.window, p.n
     lo, hi = ambient_interval(flavor, n)
+    _check_signed_flavor(p.kind, flavor)
     if flavor in PEAK_FLAVORS:
         values = (0,) + w + (0,)
         members = {i for i in range(max(lo, 1), hi + 1) if values[i - 1] < values[i] > values[i + 1]}

@@ -4,8 +4,9 @@ extensions, and the zig-zag posets that encode descent classes.
 Input line format: one strict relation per line, "a<b".  Signed posets use
 labels in {-n..n} and automatically receive the symmetric closure
 (a < b implies -b < -a).  Both kinds share one implementation of the label
-check, the closure and the constructors; an order's `kind` attribute ("A"
-for LabeledPoset, "B" for SignedPoset) matches the kind of its linear
+check, the closure, the constructors and the placement rule that both lists
+and counts the linear extensions; an order's `kind` attribute ("A" for
+LabeledPoset, "B" for SignedPoset) matches the kind of its linear
 extensions' windows.
 """
 
@@ -16,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import ClassVar, Iterable, Sequence
 
-from .permutations import Permutation, SignedPermutation
+from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation
 
 
 def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -43,7 +44,7 @@ def _check_strict_order(pairs: set[tuple[int, int]]) -> None:
 @dataclass(frozen=True)
 class _Order:
     """A strict partial order of either kind, stored transitively closed; a
-    subclass adds its `kind` and its linear extensions."""
+    subclass adds its `kind`, its constructors and its filter oracle."""
 
     n: int
     relation: frozenset[tuple[int, int]]
@@ -79,30 +80,46 @@ class _Order:
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relation
 
+    def _placeable(self) -> list[tuple[int, int, int, int]]:
+        """The placement rule of both kinds, as (x, bit of |x|, bits that must
+        be placed before x, bits that must not), listed by |x| with x before
+        -x.  The window grows at its top, with w(0) = 0 below it, and takes x
+        only while |x| is not placed.  An ordinary label may be placed once
+        every label below it is.  A signed label x may be placed unless 0, -x, or a
+        label already decided (placed, or the negative of one placed) lies
+        above it: by central symmetry d < -x iff x < -d, and decided labels
+        come in pairs d, -d, so checking x against them suffices."""
+        above: dict[int, set[int]] = {x: set() for x in self.labels}
+        for a, b in self.relation:
+            above[a].add(b)
+        rule = []
+        for m in range(1, self.n + 1):
+            if self.kind == "A":
+                below = sum(1 << (a - 1) for a in self.labels if m in above[a])
+                rule.append((m, 1 << (m - 1), below, 0))
+            else:  # 0 above x puts -x above x too
+                rule += [(x, 1 << (m - 1), 0, sum({1 << (abs(b) - 1) for b in above[x]}))
+                         for x in (m, -m) if -x not in above[x]]
+        return rule
+
+    def linear_extensions(self) -> list[Permutation] | list[SignedPermutation]:
+        """Every linear extension, as the window of the labels above 0 from
+        bottom to top (for a signed order the mirror half is implied), in
+        the depth-first order of `_placeable`."""
+        out: list[tuple[int, ...]] = []
+        _extend(self._placeable(), self.n, 0, [], out)
+        return list(map(ELEMENT_TYPES[self.kind], out))
+
     def extension_descents(self) -> Counter[frozenset[int]]:
         """The linear extensions tallied by descent set, none of them listed:
         Counter({descent set: number of extensions}), each descent set that
         of a window `linear_extensions` returns (a signed one holds 0 when
         w(1) < 0).
 
-        A forward count over (the |labels| placed, the last label placed):
-        the window grows at its top, with w(0) = 0 below it, so placing x
-        after the last label makes a descent exactly when last > x.  An
-        ordinary label may be placed once every label below it is; a signed
-        label x under the rule of `_extend_signed`: unless 0, -x, or a label
-        already decided (placed, or the negative of one placed) lies above
-        it."""
-        above: dict[int, set[int]] = {x: set() for x in self.labels}
-        for a, b in self.relation:
-            above[a].add(b)
-        # (x, bit of |x|, bits that must be placed before x, bits that must not)
-        placeable = []
-        for x in self.labels:
-            if self.kind == "A":
-                below = sum(1 << (a - 1) for a, b in self.relation if b == x)
-                placeable.append((x, 1 << (x - 1), below, 0))
-            elif x != 0 and -x not in above[x]:  # 0 above x puts -x above x too
-                placeable.append((x, 1 << (abs(x) - 1), 0, sum({1 << (abs(b) - 1) for b in above[x]})))
+        A forward count over (the |labels| placed, the last label placed),
+        each label placed under the rule of `_placeable`: placing x after
+        the last label makes a descent exactly when last > x."""
+        placeable = self._placeable()
         # (placed bits, last label) -> {descent bits: extensions}
         layer: dict[tuple[int, int], dict[int, int]] = {(0, 0): {0: 1}}
         for position in range(self.n):
@@ -124,6 +141,22 @@ class _Order:
         return out
 
 
+def _extend(
+    placeable: list[tuple[int, int, int, int]], n: int, placed: int, window: list[int], out: list[tuple[int, ...]]
+) -> None:
+    """Append to out every completion of window to n labels, each next label
+    taken from `_Order._placeable` in its order."""
+    if len(window) == n:
+        out.append(tuple(window))
+        return
+    for x, bit, before, not_before in placeable:
+        if placed & bit or before & ~placed or not_before & placed:
+            continue
+        window.append(x)
+        _extend(placeable, n, placed | bit, window, out)
+        window.pop()
+
+
 class LabeledPoset(_Order):
     """A strict partial order on the labels 1..n."""
 
@@ -133,19 +166,6 @@ class LabeledPoset(_Order):
     def chain(cls, labels: Sequence[int]) -> "LabeledPoset":
         covers = frozenset(zip(labels, labels[1:]))
         return cls(len(labels), covers)
-
-    def linear_extensions(self) -> list[Permutation]:
-        """All label orderings compatible with the poset, as windows: the
-        window lists the labels from bottom to top.  The relation is stored
-        transitively closed, so a label's indegree counts every label below it."""
-        above = {i: set() for i in self.labels}
-        indegree = {i: 0 for i in self.labels}
-        for a, b in self.relation:
-            above[a].add(b)
-            indegree[b] += 1
-        out: list[Permutation] = []
-        _extend_labeled(self.n, above, indegree, [], out)
-        return out
 
     def linear_extensions_filter(self) -> list[Permutation]:
         """Oracle variant: filter all n! windows by the extension criterion
@@ -158,27 +178,6 @@ class LabeledPoset(_Order):
             if all(pos[a] < pos[b] for a, b in self.relation):
                 out.append(Permutation(w))
         return out
-
-
-def _extend_labeled(
-    n: int, above: dict[int, set[int]], indegree: dict[int, int], window: list[int], out: list[Permutation]
-) -> None:
-    """Append to out every extension of window by the labels still in
-    indegree, each placed once nothing left below it."""
-    if len(window) == n:
-        out.append(Permutation(tuple(window)))
-        return
-    for label in sorted(indegree):
-        if indegree[label] == 0:
-            del indegree[label]
-            for b in above[label]:
-                indegree[b] -= 1
-            window.append(label)
-            _extend_labeled(n, above, indegree, window, out)
-            window.pop()
-            for b in above[label]:
-                indegree[b] += 1
-            indegree[label] = 0
 
 
 class SignedPoset(_Order):
@@ -194,19 +193,6 @@ class SignedPoset(_Order):
         labels = (0,) + tuple(window)
         return cls(len(window), frozenset(zip(labels, labels[1:])))
 
-    def linear_extensions(self) -> list[SignedPermutation]:
-        """All centrally symmetric total orders extending the poset.
-
-        Each is returned as the window (w(1), ..., w(n)) of labels sitting
-        above 0, bottom to top; the mirror half is implied.
-        """
-        above: dict[int, set[int]] = {x: set() for x in self.labels}
-        for a, b in self.relation:
-            above[a].add(b)
-        out: list[SignedPermutation] = []
-        _extend_signed(self.n, above, set(), {0}, [], out)
-        return out
-
     def linear_extensions_filter(self) -> list[SignedPermutation]:
         """Oracle variant: filter all of B_n by the extension criterion."""
         from .permutations import enumerate_group
@@ -218,32 +204,6 @@ class SignedPoset(_Order):
             if all(pos[a] < pos[b] for a, b in self.relation):
                 out.append(p)
         return out
-
-
-def _extend_signed(
-    n: int, above: dict[int, set[int]], used: set[int], decided: set[int], window: list[int],
-    out: list[SignedPermutation],
-) -> None:
-    """Append to out every extension of window by x or -x for each m = |x|
-    not yet used, x becoming the current maximum and -x the minimum."""
-    if len(window) == n:
-        out.append(SignedPermutation(tuple(window)))
-        return
-    for m in range(1, n + 1):
-        if m in used:
-            continue
-        for x in (m, -m):
-            # By central symmetry d < -x iff x < -d, and decided labels come
-            # in pairs d, -d, so checking x against the decided labels suffices.
-            if -x in above[x] or not above[x].isdisjoint(decided):
-                continue
-            used.add(m)
-            window.append(x)
-            decided.update((x, -x))
-            _extend_signed(n, above, used, decided, window, out)
-            decided.difference_update((x, -x))
-            window.pop()
-            used.remove(m)
 
 
 def zigzag_poset(pi: Permutation, members: Iterable[int]) -> LabeledPoset:
@@ -288,10 +248,9 @@ def _thinned_chain(window: list[int], rng: random.Random, keep: float, floor: tu
 
 
 def random_poset(n: int, rng: random.Random, keep: float = 0.6) -> LabeledPoset:
-    """A random poset built by thinning the cover chain of a random window.
-
-    Keeping each cover with probability `keep` bounds the number of linear
-    extensions, which keeps brute-force map enumeration affordable.
+    """A random poset built by thinning the cover chain of a random window:
+    each cover is kept with probability `keep`, so keep=0 gives the
+    antichain, keep=1 a chain, and the window is always a linear extension.
     """
     return LabeledPoset.from_covers(n, _thinned_chain(list(range(1, n + 1)), rng, keep, ()))
 

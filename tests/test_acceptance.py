@@ -61,10 +61,11 @@ def test_criterion_02_fibonacci_ranks_through_seven():
 def test_criterion_03_census_additivity_over_extensions():
     result = check_extensions(FULL)
     assert result.passed, _message(result)
-    # the random orders are drawn from a fixed seed; these counts pin the draws
+    # the random orders are drawn once each from a fixed seed; these counts
+    # pin the draws
     assert result.data["examined"] == {
         "A": {"orders": 150, "extensions": 10764, "maps": 249408},
-        "B": {"orders": 150, "extensions": 35946, "maps": 1243537},
+        "B": {"orders": 150, "extensions": 308739, "maps": 11875182},
     }
 
 

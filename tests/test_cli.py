@@ -15,7 +15,7 @@ import pytest
 import peakalg
 from peakalg.cli import _structure_json, main
 from peakalg.group_algebra import StructureTable, class_sums, structure_table
-from peakalg.permutations import FLAVORS
+from peakalg.permutations import FLAVORS, SIGNED_FLAVORS
 
 
 def run(capsys, *argv):
@@ -413,11 +413,11 @@ def _key_order(key):
 
 
 def test_structure_json_is_json_dumps_of_the_payload():
-    # the rendered text against the pure-Python encoder, for every flavor and
-    # both modes; the payload's entries are the nonzero counts in key order
+    # the rendered text against the pure-Python encoder, for every flavor the
+    # kind answers and both modes; the payload's entries are the nonzero counts in key order
     for kind, n_max in (("A", 5), ("B", 3)):
         for n in range(n_max + 1):
-            for flavor in FLAVORS:
+            for flavor in (f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS):
                 for mode in ("set", "number"):
                     table = structure_table(n, kind, flavor, mode)
                     payload = table.to_payload()

@@ -31,6 +31,7 @@ from peakalg.group_algebra import (
 from peakalg.linalg import Span
 from peakalg.permutations import (
     FLAVORS,
+    SIGNED_FLAVORS,
     Permutation,
     SignedPermutation,
     compose,
@@ -72,12 +73,17 @@ def test_convolution_brute_force():
         assert u.convolve(w).coeffs == {k: v for k, v in brute.items() if v}, (n, kind)
 
 
+def _flavors(kind):
+    """The flavors a group of this kind is asked for: a signed flavor reads B_n."""
+    return [flavor for flavor in FLAVORS if kind == "B" or flavor not in SIGNED_FLAVORS]
+
+
 def test_stat_keys_read_off_the_columns_match_stat_set():
     # every window against the per-element statistic, in both modes, for
-    # every flavor; the empty and one-letter groups included
+    # every flavor the kind answers; the empty and one-letter groups included
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
         elements = list(enumerate_group(n, kind))
-        for flavor in FLAVORS:
+        for flavor in _flavors(kind):
             members = [stat_set(p, flavor).members for p in elements]
             for mode, expected in (("set", members), ("number", list(map(len, members)))):
                 keys, ids, classes = group_algebra._partition(n, kind, flavor, mode)
@@ -95,6 +101,26 @@ def test_unknown_kind_flavor_or_mode_is_refused():
             group_algebra._partition(*args)
         with pytest.raises(ValueError, match=message):
             stat_classes(*args)
+
+
+def test_a_signed_flavor_is_refused_on_kind_a():
+    # every class question reads the statistic's codes, which refuse a signed
+    # flavor on S_n instead of answering as though it were an ordinary one
+    for flavor in SIGNED_FLAVORS:
+        for question in (
+            lambda: closure_check(3, "A", flavor),
+            lambda: ideal_check(3, "A", flavor, "leftPeak"),
+            lambda: ideal_check(3, "A", "interiorPeak", flavor),
+            lambda: verify_duality(3, "A", flavor),
+            lambda: structure_table(3, "A", flavor, "set"),
+            lambda: factorization_counts(3, "A", 0, flavor, "number"),
+            lambda: class_sums(0, "A", flavor, "set"),
+            lambda: stat_classes(2, "A", flavor, "number"),
+        ):
+            with pytest.raises(ValueError, match=f"{flavor} is a signed flavor"):
+                question()
+    # the same flavors still answer on B_n
+    assert closure_check(2, "B", "typeBPeak")["closed"]
 
 
 def test_product_rows_and_inverses_match_composing():
@@ -149,7 +175,7 @@ def test_factorization_counts_match_composing_every_pair():
         pairs = {}  # rank of s.t -> [(t, s)]
         for s, t in itertools.product(elements, repeat=2):
             pairs.setdefault(rank(compose(s, t)), []).append((t, s))
-        for flavor in FLAVORS:
+        for flavor in _flavors(kind):
             for mode in ("set", "number"):
                 def key(q):
                     members = stat_set(q, flavor).members
@@ -173,7 +199,7 @@ def _zip_tally(target, flavor, mode):
 
 def test_factorization_counts_match_a_pairwise_tally():
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
-        for flavor in FLAVORS:
+        for flavor in _flavors(kind):
             for mode in ("set", "number"):
                 for target in enumerate_group(n, kind):
                     counts = factorization_counts(n, kind, rank(target), flavor, mode)
@@ -377,7 +403,7 @@ def test_count_comparison_matches_the_dense_deciders():
     for n, kind in [(n, "A") for n in range(1, 6)] + [(n, "B") for n in range(1, 5)]:
         elements = list(enumerate_group(n, kind))
         rank_of = {str(p): r for r, p in enumerate(elements)}
-        for flavor in FLAVORS:
+        for flavor in _flavors(kind):
             for mode in ("set", "number"):
                 where = (n, kind, flavor, mode)
                 duality = verify_duality(n, kind, flavor, mode)

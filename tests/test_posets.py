@@ -215,6 +215,27 @@ def test_signed_relation_below_own_negative():
     assert len(windows) == 4
 
 
+def test_linear_extensions_come_in_placement_order():
+    # `peakalg extensions` prints this order: depth first, each next label
+    # tried by |x| with x before -x; the signed orders include a relation
+    # through 0 and labels below their own negative
+    pinned = [
+        (LabeledPoset.from_covers(3, [(3, 1), (3, 2)]), [(3, 1, 2), (3, 2, 1)]),
+        (LabeledPoset.from_covers(4, [(1, 3), (2, 3), (4, 2)]), [(1, 4, 2, 3), (4, 1, 2, 3), (4, 2, 1, 3)]),
+        (SignedPoset.antichain(1), [(1,), (-1,)]),
+        (SignedPoset.from_covers(2, [(0, 1), (-2, 1)]), [(1, 2), (2, 1), (-2, 1)]),
+        (SignedPoset.from_covers(2, [(1, -1)]), [(-1, 2), (-1, -2), (2, -1), (-2, -1)]),
+        (SignedPoset.from_covers(2, [(1, 0), (1, -2)]), [(-1, -2), (2, -1), (-2, -1)]),
+        (SignedPoset.from_covers(3, [(2, -2), (-3, 1)]), [
+            (1, -2, 3), (1, 3, -2), (-1, -2, 3), (-1, 3, -2), (-2, 1, 3), (-2, -1, 3),
+            (-2, 3, 1), (-2, -3, 1), (3, 1, -2), (3, -2, 1), (-3, 1, -2), (-3, -2, 1),
+        ]),
+    ]
+    for P, windows in pinned:
+        assert [e.window for e in P.linear_extensions()] == windows, P
+        assert sorted(e.window for e in P.linear_extensions_filter()) == sorted(windows), P
+
+
 def _garbage_left_by(call):
     """The number of collectable objects, that is objects in reference
     cycles, that call leaves behind."""

@@ -1,15 +1,14 @@
 """The bundled verification suite: bounded runs and report shapes."""
 
 import random
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from peakalg.alphabets import Alphabet
-from peakalg.enriched import epp_count
+from peakalg.enriched import poset_epp_maps
 from peakalg import enriched, eulerian, verify
-from peakalg.permutations import descent_set, enumerate_group, peak_set
+from peakalg.permutations import enumerate_group, peak_set
 from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
@@ -25,7 +24,6 @@ from peakalg.verify import (
     check_negatives,
     check_ranks,
     run_suite,
-    _bounded_poset,
 )
 
 
@@ -135,30 +133,27 @@ def test_bounds_reject_n_max_below_one():
             Bounds(n_max=n_max)
 
 
-def test_bounded_orders_match_a_count_per_extension():
-    # the projected map count is taken once per descent set; counting every
-    # extension on its own projects the same count, so the same orders are
-    # drawn (a small map cap makes re-draws happen), each returned with its
-    # extensions tallied by descent set
-    redraws = []
-
-    def drawn_one_by_one(kind, n, rng, probe, map_cap):
-        for keep in (0.6, 0.75, 0.9, 1.0):
-            poset = random_poset(n, rng, keep) if kind == "A" else random_signed_poset(n, rng, keep)
-            extensions = poset.linear_extensions()
-            if len(extensions) <= 1500 and sum(epp_count(w, probe) for w in extensions) <= map_cap:
-                break
-            redraws.append((kind, n))
-        return poset, Counter(descent_set(w, "descent" + kind).members for w in extensions)
-
-    for kind, probe in (("A", Alphabet.prime(3)), ("B", Alphabet.plus_minus(3))):
-        for n in range(1, 6):
-            ours, reference = random.Random(n), random.Random(n)
-            for _ in range(8):
-                expected = drawn_one_by_one(kind, n, reference, probe, 3000)
-                assert _bounded_poset(kind, n, ours, probe, map_cap=3000) == expected
-            assert ours.random() == reference.random()
-    assert {kind for kind, _ in redraws} == {"A", "B"}
+def test_extensions_check_replays_its_draws():
+    # each order is drawn once from the seeded generator; a fresh generator
+    # replays the draws, and the filter oracle and the brute map walk recount
+    # what the check examined
+    bounds = Bounds(n_max=4)
+    result = check_extensions(bounds, posets_per_n=5, k_max=3)
+    assert result.passed
+    rng = random.Random(bounds.seed)
+    expected = {}
+    for kind, draw in (("A", random_poset), ("B", random_signed_poset)):
+        seen = expected[kind] = {"orders": 0, "extensions": 0, "maps": 0}
+        for n in range(1, 5):
+            for _ in range(5):
+                P = draw(n, rng)
+                seen["orders"] += 1
+                extensions = len(P.linear_extensions_filter())
+                for k in range(1, 4):
+                    alphabet = Alphabet.plus_minus(k) if kind == "B" else Alphabet.prime(k)
+                    seen["extensions"] += extensions
+                    seen["maps"] += len(poset_epp_maps(P, alphabet))
+    assert result.data["examined"] == expected
 
 
 def test_extensions_check_reports_what_it_examined():
