@@ -88,22 +88,23 @@ class RationalPolynomial(SparseVector):
         return self._like({d: c * factor**d for d, c in self.coeffs.items()})
 
     @classmethod
-    def interpolate(cls, points: Sequence[tuple[int, int | Fraction]]) -> "RationalPolynomial":
-        """The unique polynomial of degree < len(points) through the points
-        (Lagrange form, exact arithmetic)."""
+    def interpolate(cls, points: Sequence[tuple[Fraction | int, Fraction | int]]) -> "RationalPolynomial":
+        """The unique polynomial of degree < len(points) through the points,
+        in exact arithmetic: Newton's divided differences, expanded by
+        Horner's rule."""
         xs = [Fraction(x) for x, _ in points]
         if len(set(xs)) != len(xs):
             raise ValueError("interpolation nodes must be distinct")
-        total = cls.zero()
-        for i, (_, y) in enumerate(points):
-            term = cls((y,))
-            for j, xj in enumerate(xs):
-                if j == i:
-                    continue
-                scale = Fraction(1, xs[i] - xj)
-                term = term * cls((-xj * scale, scale))
-            total = total + term
-        return total
+        # after pass k, entry i >= k is the divided difference [x_{i-k} .. x_i]
+        diffs = [Fraction(y) for _, y in points]
+        for k in range(1, len(xs)):
+            for i in range(len(xs) - 1, k - 1, -1):
+                diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
+        # p = d_0 + (x - x_0)(d_1 + (x - x_1)(d_2 + ...)), from the inside out
+        poly = cls.zero()
+        for d, x in zip(reversed(diffs), reversed(xs)):
+            poly = poly * cls((-x, 1)) + cls((d,))
+        return poly
 
 
 # ---------------------------------------------------------------------------

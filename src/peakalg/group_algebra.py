@@ -13,8 +13,11 @@ statistic is read as bit codes, and rows of product ranks, row(x)[j] the
 rank of x composed with the j-th element.  A rank's digits (its Lehmer
 digits, then for kind B its sign bits) name one factor each, and row(x . f)
 is row(x) read at the entries of row(f), so a row is the identity's row
-taken through one cached getter per nonzero digit.  Element objects are
-built on demand, for `support` and the window text of a certificate.
+taken through one cached getter per nonzero digit.  The partial rows of the
+last rank built stay on a prefix stack, one per digit slot and for one group
+only, so at most 2n-1 rows: the next rank starts from the partial row of the
+longest digit prefix the two share.  Element objects are built on demand,
+for `support` and the window text of a certificate.
 
 Each statistic, per (n, kind, flavor, mode), has one cached partition of
 the group: its keys in order of first appearance, the class id of every
@@ -29,9 +32,10 @@ closure, duality, ideal and audit checks decide membership by comparing
 exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
 number of factorizations of p by class pair, each compares every class
 member's tallies against its class representative's.  Every check is a walk
-over the target windows that builds each target's row once and keeps none;
-`AlgebraElement.convolve` is the public product, and no check calls it.
-Failures come with an explicit certificate, so reports can show a witness.
+over the target windows that builds each target's row once and keeps only
+the prefix stack; `AlgebraElement.convolve` is the public product, and no
+check calls it.  Failures come with an explicit certificate, so reports can
+show a witness.
 `multiplicative_closure`, whose products leave the class-sum span, hands
 their coefficient mappings to `linalg.Span` as they are.
 """
@@ -128,15 +132,36 @@ def _identity_row(n: int, kind: str) -> tuple[int, ...]:
     return tuple(range(group_order(n, kind)))
 
 
+# The prefix stack: the group `_row` last walked, the digits of the last rank
+# it built, and the row after each of their slots.  It is a cache: a row is
+# the same whatever the stack held before.
+_prefix: tuple[tuple[int, str] | None, tuple[int, ...], list[tuple[int, ...]]] = (None, (), [])
+
+
 def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
     """row[j] = rank of elements[r] composed with elements[j].  The element is
     the product of the factors of its digits, so its row is the identity's
-    row taken through the getter of each nonzero digit in turn.  The row is
-    built for its caller and kept by no one."""
-    row = _identity_row(n, kind)
-    for slot, digit in enumerate(rank_digits(r, n, kind)):
-        if digit:
-            row = _factor(n, kind, slot, digit)(row)
+    row taken through the getter of each nonzero digit in turn.  The partial
+    rows of the last rank built are kept, one per digit slot and for one
+    group only, so at most 2n-1 rows: a rank starts from the partial row of
+    the longest digit prefix it shares with that rank, and applies the
+    getters of its remaining digits only."""
+    global _prefix
+    digits = rank_digits(r, n, kind)
+    group, built, rows = _prefix
+    shared = 0
+    if group == (n, kind):
+        for digit, old in zip(digits, built):
+            if digit != old:
+                break
+            shared += 1
+    rows = rows[:shared]  # a copy: the stack changes only once the row is built
+    row = rows[-1] if rows else _identity_row(n, kind)
+    for slot in range(shared, len(digits)):
+        if digits[slot]:
+            row = _factor(n, kind, slot, digits[slot])(row)
+        rows.append(row)
+    _prefix = ((n, kind), digits, rows)
     return row
 
 

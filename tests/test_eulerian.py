@@ -2,6 +2,7 @@
 idempotents, and the closure battery."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -49,6 +50,38 @@ def test_polynomial_interpolation():
     assert r.coefficients == (F(0), F(0), F(2))
     line = RationalPolynomial.interpolate([(0, 1), (1, 2)])
     assert line.coefficients == (F(1), F(1))
+
+
+def _lagrange(points):
+    """The reference interpolant: a sum of Lagrange basis products."""
+    xs = [Fraction(x) for x, _ in points]
+    if len(set(xs)) != len(xs):
+        raise ValueError("interpolation nodes must be distinct")
+    total = RationalPolynomial.zero()
+    for i, (_, y) in enumerate(points):
+        term = RationalPolynomial((y,))
+        for j, xj in enumerate(xs):
+            if j != i:
+                scale = Fraction(1, xs[i] - xj)
+                term = term * RationalPolynomial((-xj * scale, scale))
+        total = total + term
+    return total
+
+
+def test_interpolation_matches_the_lagrange_form():
+    # distinct nodes, negative and fractional, in no order, and rational values
+    rng = random.Random(20261019)
+    nodes = list(dict.fromkeys(F(a, b) for a in range(-12, 13) for b in (1, 2, 3, 5)))
+    for size in range(10):
+        for _ in range(8):
+            points = [(x, F(rng.randint(-40, 40), rng.randint(1, 7))) for x in rng.sample(nodes, size)]
+            assert RationalPolynomial.interpolate(points) == _lagrange(points), points
+    assert RationalPolynomial.interpolate([]) == _lagrange([]) == RationalPolynomial.zero()
+    assert RationalPolynomial.interpolate([(F(-3, 2), F(7, 4))]).coefficients == (F(7, 4),)
+    assert RationalPolynomial.interpolate([(5, 0)]) == RationalPolynomial.zero()
+    for points in ([(1, 2), (1, 3)], [(F(1, 2), 0), (-1, 1), (F(2, 4), 5)]):
+        with pytest.raises(ValueError, match="distinct"):
+            RationalPolynomial.interpolate(points)
 
 
 def test_polynomial_argument_scaling():

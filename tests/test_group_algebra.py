@@ -169,6 +169,39 @@ def test_the_kernel_keeps_no_rows():
     assert held < 1 << 20, held
 
 
+def test_the_prefix_stack_holds_one_row_per_digit_slot_of_one_group():
+    # after A_6 and then B_4, each walked in shuffled rank order, the kernel
+    # holds the partial rows of the last B_4 rank alone, one per digit slot
+    # (n - 1 Lehmer slots and n sign slots), each the row of its digit prefix
+    shuffle = random.Random(20261019).shuffle
+    for n, kind in ((6, "A"), (4, "B")):
+        order = list(range(group_order(n, kind)))
+        shuffle(order)
+        for r in order:
+            group_algebra._row(n, kind, r)
+    group, digits, rows = group_algebra._prefix
+    assert group == (4, "B") and digits == rank_digits(order[-1], 4, "B")
+    assert len(rows) == 2 * 4 - 1
+    elements = list(enumerate_group(4, "B"))
+    for k, row in enumerate(rows):
+        prefix = (*digits[:k + 1], *[0] * (len(digits) - k - 1))
+        (p,) = [p for r, p in enumerate(elements) if rank_digits(r, 4, "B") == prefix]
+        assert row == tuple(rank(compose(p, q)) for q in elements), k
+
+
+def test_rows_of_the_groups_with_no_digit_or_one_digit():
+    # S_0, S_1 and B_0 have no digit and B_1 one sign digit; walking them
+    # in turn, with B_3 between, switches the stack's group at every step,
+    # and each walk goes up and back, so the next starts where its digits
+    # agree with the last rank built (rank 0)
+    for n, kind in ((0, "A"), (1, "A"), (1, "B"), (0, "B"), (3, "B"), (1, "B"), (0, "A"), (1, "A")):
+        elements = list(enumerate_group(n, kind))
+        for r in [*range(len(elements)), *reversed(range(len(elements)))]:
+            assert group_algebra._row(n, kind, r) == tuple(rank(compose(elements[r], q)) for q in elements), (n, kind, r)
+        assert group_algebra._prefix[0] == (n, kind)
+        assert len(group_algebra._prefix[2]) == len(rank_digits(0, n, kind))
+
+
 def test_factorization_counts_match_composing_every_pair():
     for n, kind in [(n, "A") for n in range(5)] + [(n, "B") for n in range(4)]:
         elements = list(enumerate_group(n, kind))
