@@ -12,19 +12,27 @@ columns and rows, indexed by rank: the window tuples of
 statistic is read as bit codes, and rows of product ranks, row(x)[j] the
 rank of x composed with the j-th element.  A rank's digits (its Lehmer
 digits, then for kind B its sign bits) name one factor each, and row(x . f)
-is row(x) read at the entries of row(f), so a row is the identity's row
-taken through one cached getter per nonzero digit.  The partial rows of the
-last rank built stay on a prefix stack, one per digit slot and for one group
-only, so at most 2n-1 rows: the next rank starts from the partial row of the
-longest digit prefix the two share.  Element objects are built on demand,
-for `support` and the window text of a certificate.
+is row(x) read at the entries of row(f); so is any vector indexed by rank
+read at row(x . f).  A row is therefore the identity's row taken through one
+cached getter per nonzero digit, and a statistic's class-id row, the class
+id of x composed with every element, is its class ids taken through the
+same getters, with no rank row between.  A walk keeps one prefix stack per
+vector it takes through the getters (the rank row, or the class ids of one
+statistic), for the last group walked only: the partial rows of the last
+rank built, one per digit slot, so at most 2n-1 rows a stack.  The next rank
+starts from the partial row of the longest digit prefix the two share, and
+the sign digits are taken most significant first, so a walk in rank order
+applies one getter per row.  Element objects are built on demand, for
+`support` and the window text of a certificate.
 
 Each statistic, per (n, kind, flavor, mode), has one cached partition of
 the group: its keys in order of first appearance, the class id of every
 rank, and the ranks of each class; every class question reads it.  A tally
-reads the ranks of target . t^-1 off the target's row, with t ordered by the
-classes of one statistic, and counts their class ids under another, class
-segment by segment; `factorization_counts` is its one-statistic case.
+gathers, off the target's class-id row under one statistic, the class ids
+of target . t^-1 with t ordered by the classes of another, and counts them
+class segment by class segment: with one `bytes.count` per (segment, class)
+when the counted statistic has few classes, else one Counter per segment.
+`factorization_counts` is its one-statistic case.
 
 The classes of a statistic partition the group, so an element lies in the
 span of its class sums exactly when it is constant on every class, and the
@@ -32,9 +40,10 @@ closure, duality, ideal and audit checks decide membership by comparing
 exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
 number of factorizations of p by class pair, each compares every class
 member's tallies against its class representative's.  Every check is a walk
-over the target windows that builds each target's row once and keeps only
-the prefix stack; `AlgebraElement.convolve` is the public product, and no
-check calls it.  Failures come with an explicit certificate, so reports can
+over the target windows that builds each target's class-id rows once and
+keeps only the prefix stacks; the rank row serves `AlgebraElement.convolve`,
+the public product, which no check calls, and `multiplicative_closure`.
+Failures come with an explicit certificate, so reports can
 show a witness.
 `multiplicative_closure`, whose products leave the class-sum span, hands
 their coefficient mappings to `linalg.Span` as they are.
@@ -109,17 +118,17 @@ def _columns(n: int, kind: str) -> tuple[Callable, ...]:
 
 @lru_cache(maxsize=None)
 def _factor(n: int, kind: str, slot: int, digit: int) -> Callable[[Sequence], tuple]:
-    """The getter of the factor f of one nonzero digit of `rank_digits`:
+    """The getter of the factor f of one nonzero digit of `_walk_digits`:
     applied to the row of x it gives the row of x.f, as row(x.f)[j] =
     row(x)[row(f)[j]].  Lehmer slot k < n-1 gives q_{k+1}(d), which fixes
     1..k, sends position k+1 to k+1+d and lists the other values in
-    increasing order; sign slot n-1+i flips position i+1.  Row(f) is the one
+    increasing order; sign slot n-1+i flips position n-i.  Row(f) is the one
     row read off the window -> rank dict entry by entry."""
     window = list(range(1, n + 1))
     if slot < n - 1:
         window.insert(slot, window.pop(slot + digit))
     else:
-        window[slot - (n - 1)] *= -1
+        window[2 * n - 2 - slot] *= -1
     image = (0, *window, *(-v for v in reversed(window)))
     composed = zip(*(column(image) for column in _columns(n, kind)))
     return _getter(tuple(map(_index(n, kind).__getitem__, composed)))
@@ -132,37 +141,68 @@ def _identity_row(n: int, kind: str) -> tuple[int, ...]:
     return tuple(range(group_order(n, kind)))
 
 
-# The prefix stack: the group `_row` last walked, the digits of the last rank
-# it built, and the row after each of their slots.  It is a cache: a row is
-# the same whatever the stack held before.
-_prefix: tuple[tuple[int, str] | None, tuple[int, ...], list[tuple[int, ...]]] = (None, (), [])
-
-
-def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
-    """row[j] = rank of elements[r] composed with elements[j].  The element is
-    the product of the factors of its digits, so its row is the identity's
-    row taken through the getter of each nonzero digit in turn.  The partial
-    rows of the last rank built are kept, one per digit slot and for one
-    group only, so at most 2n-1 rows: a rank starts from the partial row of
-    the longest digit prefix it shares with that rank, and applies the
-    getters of its remaining digits only."""
-    global _prefix
+def _walk_digits(n: int, kind: str, r: int) -> tuple[int, ...]:
+    """The digits of rank r in the order a walk applies them: the Lehmer
+    digits of `rank_digits`, most significant first, then for kind B the
+    sign bits, most significant (position n) first, so that the digits a
+    walk in rank order changes come last.  Sign flips commute, so the
+    element is the same product in either order."""
     digits = rank_digits(r, n, kind)
-    group, built, rows = _prefix
+    if kind == "B":
+        split = max(n - 1, 0)
+        digits = (*digits[:split], *reversed(digits[split:]))
+    return digits
+
+
+# The prefix stacks of the group `_walk` last walked, one per vector it takes
+# through the getters (None for the rank row, (flavor, mode) for the class ids
+# of a statistic): the walk digits of the last rank built and the partial row
+# after each of their slots.  They are a cache: a row is the same whatever
+# the stacks held before.
+_stacks: tuple[tuple[int, str] | None, dict] = (None, {})
+
+
+def _walk(n: int, kind: str, vector, base: Sequence, r: int) -> tuple:
+    """`base`, a vector indexed by rank, read at the row of rank r: entry j
+    is base[rank of elements[r] composed with elements[j]].  As row(x.f) =
+    row(x) read at the entries of row(f) for any vector read at the row, it
+    is `base` taken through the getter of each nonzero digit of r in turn.
+    The partial rows of the last rank built are kept on the stack of
+    `vector`, the key of `base`, one per digit slot and for one group only,
+    so at most 2n-1 rows: a rank starts from the partial row of the longest
+    digit prefix it shares with that rank, and applies the getters of its
+    remaining digits only."""
+    global _stacks
+    digits = _walk_digits(n, kind, r)
+    group, stacks = _stacks
+    if group != (n, kind):
+        _stacks = group, stacks = (n, kind), {}
+    built, rows = stacks.get(vector, ((), []))
     shared = 0
-    if group == (n, kind):
-        for digit, old in zip(digits, built):
-            if digit != old:
-                break
-            shared += 1
+    for digit, old in zip(digits, built):
+        if digit != old:
+            break
+        shared += 1
     rows = rows[:shared]  # a copy: the stack changes only once the row is built
-    row = rows[-1] if rows else _identity_row(n, kind)
+    row = rows[-1] if rows else base
     for slot in range(shared, len(digits)):
         if digits[slot]:
             row = _factor(n, kind, slot, digits[slot])(row)
         rows.append(row)
-    _prefix = ((n, kind), digits, rows)
+    stacks[vector] = (digits, rows)
     return row
+
+
+def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
+    """row[j] = rank of elements[r] composed with elements[j]: the
+    identity's row walked to rank r."""
+    return _walk(n, kind, None, _identity_row(n, kind), r)
+
+
+def _class_row(n: int, kind: str, flavor: str, mode: str, r: int) -> tuple[int, ...]:
+    """The class id of elements[r] composed with elements[j], for every j:
+    the statistic's class ids walked to rank r, with no rank row between."""
+    return _walk(n, kind, (flavor, mode), _partition(n, kind, flavor, mode).ids, r)
 
 
 @lru_cache(maxsize=None)
@@ -362,38 +402,59 @@ def _key_json(key: StatKey):
 
 @lru_cache(maxsize=None)
 def _segments(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequence], tuple], tuple[int, ...]]:
-    """A getter reading off a target's row the ranks of target.t^-1 for every
-    t, with t ordered by class (classes in order of first appearance, each
-    in rank order), and the end of each class's segment in that order."""
+    """A getter reading off a target's row, or any vector read at it, the
+    entries of target.t^-1 for every t, with t ordered by class (classes in
+    order of first appearance, each in rank order), and the end of each
+    class's segment in that order."""
     members = _partition(n, kind, flavor, mode).members
     inverse = _inverse_ranks(n, kind)
     return _getter([inverse[t] for ranks in members for t in ranks]), tuple(accumulate(map(len, members)))
 
 
-def _tally(
-    n: int, kind: str, row: tuple[int, ...], t_flavor: str, s_flavor: str, mode: str
-) -> dict[tuple[StatKey, StatKey], int]:
-    """Count the factorizations s.t = target, given the target's row, by the
-    pair (class of t under t_flavor, class of s under s_flavor)."""
+# A statistic s with at most this many classes has its gathered class ids
+# counted as bytes, one `bytes.count` per (t segment, s class); above it, one
+# Counter per t segment is faster (and bytes hold ids below 256 only).  Per
+# row, bytes won at 13 classes and lost at 20 and more, at S_5..S_7 and B_4, B_5.
+BYTES_CLASSES = 15
+
+
+@lru_cache(maxsize=None)
+def _counter(n: int, kind: str, t_flavor: str, s_flavor: str, mode: str) -> Callable[[tuple], dict]:
+    """The tally of one statistic pair, decided once: it takes a target's
+    class-id row under s_flavor, gathers the class ids of target.t^-1 with t
+    ordered by the classes of t_flavor, and counts them by the pair (class
+    of t, class of s), nonzero counts only."""
     t_keys = _partition(n, kind, t_flavor, mode).keys
-    s_keys, s_ids, _ = _partition(n, kind, s_flavor, mode)
-    inverses, ends = _segments(n, kind, t_flavor, mode)
-    # t pairs with s = target . t^-1, whose rank is row[rank of t^-1]; the
-    # class ids of the s sides, t's class segment by segment
-    ids = _getter(inverses(row))(s_ids)
-    counts: dict[tuple[StatKey, StatKey], int] = {}
-    start = 0
-    for key_t, end in zip(t_keys, ends):
-        for id_s, count in Counter(ids[start:end]).items():
-            counts[(key_t, s_keys[id_s])] = count
-        start = end
-    return counts
+    s_keys = _partition(n, kind, s_flavor, mode).keys
+    read, ends = _segments(n, kind, t_flavor, mode)
+    bounds = list(zip(t_keys, (0, *ends), ends))
+    if len(s_keys) <= BYTES_CLASSES:
+        cells = [(id_s, start, end, (key_t, key_s))
+                 for key_t, start, end in bounds for id_s, key_s in enumerate(s_keys)]
+
+        def count(row: tuple) -> dict:
+            tally = bytes(read(row)).count
+            return {pair: c for id_s, start, end, pair in cells if (c := tally(id_s, start, end))}
+    else:
+        def count(row: tuple) -> dict:
+            ids = read(row)
+            return {(key_t, s_keys[id_s]): c
+                    for key_t, start, end in bounds for id_s, c in Counter(ids[start:end]).items()}
+    return count
+
+
+def _tally(n: int, kind: str, r: int, t_flavor: str, s_flavor: str, mode: str) -> dict[tuple[StatKey, StatKey], int]:
+    """Count the factorizations s.t = target, the target given by rank, by
+    the pair (class of t under t_flavor, class of s under s_flavor).  t pairs
+    with s = target.t^-1, so the class ids of the s sides are one gather off
+    the target's class-id row under s_flavor."""
+    return _counter(n, kind, t_flavor, s_flavor, mode)(_class_row(n, kind, s_flavor, mode, r))
 
 
 def factorization_counts(n: int, kind: str, r: int, flavor: str, mode: str = "set") -> dict[tuple[StatKey, StatKey], int]:
     """For the window of rank r, count ordered factorizations s.t = window by
     the statistic pair (statistic of t, statistic of s)."""
-    return _tally(n, kind, _row(n, kind, r), flavor, flavor, mode)
+    return _tally(n, kind, r, flavor, flavor, mode)
 
 
 def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> StructureTable:
@@ -471,8 +532,8 @@ def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") ->
     one letter longer is one letter times a shorter word, so each vector that
     grows the span is multiplied on the left by the class sums only, until
     no product grows it.  A round walks every target p once: (v_C * w)(p)
-    sums w(p.t^-1) over the t in class C, read off p's row with t ordered by
-    class, as the factorization counts read it."""
+    sums w(p.t^-1) over the t in class C, read off p's rank row with t
+    ordered by class, as a tally orders it."""
     _, ids, members = _partition(n, kind, flavor, mode)
     inverses, ends = _segments(n, kind, flavor, mode)
     bounds = list(zip((0, *ends), ends))
@@ -501,14 +562,13 @@ def ideal_check(n: int, kind: str, flavor: str, outer_flavor: str, mode: str = "
     outer flavor's?  As (v_O * v_B)(p) counts the s.t = p with t in O and s
     in B, it is exactly when the tallies by (outer class of t, class of s),
     for the left side, and by (class of t, outer class of s), for the right,
-    agree across every class, both read off one row per target.  On failure
-    the witness is the least differing pair in key order, left side first:
-    the inner class B, the outer class, the class, its representative and
-    member, and the values there of u * v_B (left) or v_B * u (right)."""
+    agree across every class, read off the target's two class-id rows.  On
+    failure the witness is the least differing pair in key order, left side
+    first: the inner class B, the outer class, the class, its representative
+    and member, and the values there of u * v_B (left) or v_B * u (right)."""
     def tallies(r: int) -> dict:
-        row = _row(n, kind, r)
-        left = _tally(n, kind, row, outer_flavor, flavor, mode)
-        right = _tally(n, kind, row, flavor, outer_flavor, mode)
+        left = _tally(n, kind, r, outer_flavor, flavor, mode)
+        right = _tally(n, kind, r, flavor, outer_flavor, mode)
         return {**{("left", b, o): v for (o, b), v in left.items()},
                 **{("right", b, o): v for (b, o), v in right.items()}}
 

@@ -169,37 +169,101 @@ def test_the_kernel_keeps_no_rows():
     assert held < 1 << 20, held
 
 
+def _element_of_walk_digits(n, kind, digits):
+    """The element whose digits, in the order a walk applies them, are these."""
+    (r,) = [r for r in range(group_order(n, kind)) if group_algebra._walk_digits(n, kind, r) == digits]
+    return unrank(r, n, kind)
+
+
 def test_the_prefix_stack_holds_one_row_per_digit_slot_of_one_group():
-    # after A_6 and then B_4, each walked in shuffled rank order, the kernel
-    # holds the partial rows of the last B_4 rank alone, one per digit slot
-    # (n - 1 Lehmer slots and n sign slots), each the row of its digit prefix
+    # after A_6 and then B_4, each walked in shuffled rank order with the rank
+    # row and one statistic's class-id row interleaved, the kernel holds the
+    # two stacks of the last B_4 rank alone, one partial row per digit slot
+    # (n - 1 Lehmer slots and n sign slots), each its vector read at the row
+    # of its digit prefix
     shuffle = random.Random(20261019).shuffle
-    for n, kind in ((6, "A"), (4, "B")):
+    for n, kind, flavor in ((6, "A", "interiorPeak"), (4, "B", "typeBPeak")):
         order = list(range(group_order(n, kind)))
         shuffle(order)
         for r in order:
             group_algebra._row(n, kind, r)
-    group, digits, rows = group_algebra._prefix
-    assert group == (4, "B") and digits == rank_digits(order[-1], 4, "B")
-    assert len(rows) == 2 * 4 - 1
+            group_algebra._class_row(n, kind, flavor, "set", r)
+    group, stacks = group_algebra._stacks
+    assert group == (4, "B") and set(stacks) == {None, ("typeBPeak", "set")}
     elements = list(enumerate_group(4, "B"))
-    for k, row in enumerate(rows):
-        prefix = (*digits[:k + 1], *[0] * (len(digits) - k - 1))
-        (p,) = [p for r, p in enumerate(elements) if rank_digits(r, 4, "B") == prefix]
-        assert row == tuple(rank(compose(p, q)) for q in elements), k
+    ids = group_algebra._partition(4, "B", "typeBPeak", "set").ids
+    for vector, base in ((None, range(len(elements))), (("typeBPeak", "set"), ids)):
+        digits, rows = stacks[vector]
+        assert digits == group_algebra._walk_digits(4, "B", order[-1])
+        assert len(rows) == 2 * 4 - 1
+        for k, row in enumerate(rows):
+            p = _element_of_walk_digits(4, "B", (*digits[:k + 1], *[0] * (len(digits) - k - 1)))
+            assert row == tuple(base[rank(compose(p, q))] for q in elements), (vector, k)
 
 
 def test_rows_of_the_groups_with_no_digit_or_one_digit():
     # S_0, S_1 and B_0 have no digit and B_1 one sign digit; walking them
-    # in turn, with B_3 between, switches the stack's group at every step,
+    # in turn, with B_3 between, switches the stacks' group at every step,
     # and each walk goes up and back, so the next starts where its digits
-    # agree with the last rank built (rank 0)
+    # agree with the last rank built (rank 0); the rank row and a class-id
+    # row are read at every rank
     for n, kind in ((0, "A"), (1, "A"), (1, "B"), (0, "B"), (3, "B"), (1, "B"), (0, "A"), (1, "A")):
         elements = list(enumerate_group(n, kind))
+        ids = group_algebra._partition(n, kind, "leftPeak", "set").ids
         for r in [*range(len(elements)), *reversed(range(len(elements)))]:
-            assert group_algebra._row(n, kind, r) == tuple(rank(compose(elements[r], q)) for q in elements), (n, kind, r)
-        assert group_algebra._prefix[0] == (n, kind)
-        assert len(group_algebra._prefix[2]) == len(rank_digits(0, n, kind))
+            products = [rank(compose(elements[r], q)) for q in elements]
+            assert group_algebra._row(n, kind, r) == tuple(products), (n, kind, r)
+            assert group_algebra._class_row(n, kind, "leftPeak", "set", r) == tuple(ids[j] for j in products), (n, kind, r)
+        group, stacks = group_algebra._stacks
+        assert group == (n, kind) and set(stacks) == {None, ("leftPeak", "set")}
+        for digits, rows in stacks.values():
+            assert len(digits) == len(rows) == len(rank_digits(0, n, kind))
+
+
+def test_a_walk_in_rank_order_applies_one_getter_per_row(monkeypatch):
+    # the digits a walk in rank order changes come last, B_n's sign bits
+    # included: from r to r+1 one digit grows and the later ones return to
+    # 0, so each stack applies one getter per rank after rank 0
+    calls = []
+    factor = group_algebra._factor
+
+    def counted(*args):
+        calls.append(args)
+        return factor(*args)
+
+    monkeypatch.setattr(group_algebra, "_factor", counted)
+    for n, kind in ((5, "B"), (6, "A")):
+        group_algebra._row(0, kind, 0)  # a fresh group: empty stacks
+        calls.clear()
+        order = group_order(n, kind)
+        for r in range(order):
+            group_algebra._row(n, kind, r)
+            group_algebra._class_row(n, kind, "leftPeak", "number", r)
+        assert len(calls) == 2 * (order - 1), (n, kind, len(calls))
+
+
+def test_class_id_rows_read_the_ids_at_the_rank_rows():
+    # every rank, in rank order and in shuffled order, with two statistics'
+    # class-id rows interleaved as the ideal check reads them
+    shuffle = random.Random(20261020).shuffle
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
+        first, second = _flavors(kind)[-2:]
+        statistics = [(first, "set"), (second, "number")]
+        ids = {statistic: group_algebra._partition(n, kind, *statistic).ids for statistic in statistics}
+        order = list(range(group_order(n, kind)))
+        for shuffled in (False, True):
+            if shuffled:
+                shuffle(order)
+            for r in order:
+                row = group_algebra._row(n, kind, r)
+                for statistic in statistics:
+                    expected = tuple(ids[statistic][j] for j in row)
+                    assert group_algebra._class_row(n, kind, *statistic, r) == expected, (n, kind, r, statistic, shuffled)
+    # the walk ended at B_4: no stack of A_6 (exteriorPeak, descentA by
+    # number), or of any other group, is left
+    group, stacks = group_algebra._stacks
+    assert group == (4, "B") and set(stacks) == {None, ("descentA", "set"), ("descentB", "number")}
+    assert all(len(row) == group_order(4, "B") for _, rows in stacks.values() for row in rows)
 
 
 def test_factorization_counts_match_composing_every_pair():
@@ -219,24 +283,63 @@ def test_factorization_counts_match_composing_every_pair():
                     assert factorization_counts(n, kind, rank(target), flavor, mode) == brute, (target, flavor, mode)
 
 
-def _zip_tally(target, flavor, mode):
-    """Factorization counts tallied pair by pair over the kernel's row and
-    inverse ranks, one integer code per (class of t, class of s)."""
-    n, kind = target.n, target.kind
-    keys, ids, _ = group_algebra._partition(n, kind, flavor, mode)
-    width = len(keys)
-    row = group_algebra._row(n, kind, rank(target))
-    codes = Counter([width * id_t + ids[row[j]] for id_t, j in zip(ids, group_algebra._inverse_ranks(n, kind))])
-    return {(keys[code // width], keys[code % width]): count for code, count in codes.items()}
+def _s_sides(n, kind, r):
+    """The ranks of target.t^-1, t in rank order, for the target of rank r,
+    read off the kernel's rank row at the inverse ranks."""
+    row = group_algebra._row(n, kind, r)
+    return [row[i] for i in group_algebra._inverse_ranks(n, kind)]
+
+
+def _pairwise_tally(n, kind, s_sides, t_flavor, s_flavor, mode):
+    """Factorization counts s.t = target tallied pair by pair: t pairs with
+    s = target.t^-1, the s sides given by `_s_sides`; counted by one integer
+    code per (class of t, class of s)."""
+    t_keys, t_ids, _ = group_algebra._partition(n, kind, t_flavor, mode)
+    s_keys, s_ids, _ = group_algebra._partition(n, kind, s_flavor, mode)
+    width = len(s_keys)
+    codes = Counter([width * a + s_ids[s] for a, s in zip(t_ids, s_sides)])
+    return {(t_keys[code // width], s_keys[code % width]): count for code, count in codes.items()}
 
 
 def test_factorization_counts_match_a_pairwise_tally():
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
         for flavor in _flavors(kind):
             for mode in ("set", "number"):
-                for target in enumerate_group(n, kind):
-                    counts = factorization_counts(n, kind, rank(target), flavor, mode)
-                    assert counts == _zip_tally(target, flavor, mode), (target, flavor, mode)
+                for r in range(group_order(n, kind)):
+                    counts = factorization_counts(n, kind, r, flavor, mode)
+                    expected = _pairwise_tally(n, kind, _s_sides(n, kind, r), flavor, flavor, mode)
+                    assert counts == expected, (n, kind, r, flavor, mode)
+
+
+def test_tallies_of_two_statistics_match_a_pairwise_tally():
+    # every ordered pair of flavors, both modes; the descent sets of A_5 and
+    # the signed descent sets of B_4, 16 classes each, are the s statistics
+    # counted on the Counter side, the rest as bytes
+    for n, kind in [(n, "A") for n in range(6)] + [(n, "B") for n in range(5)]:
+        for r in range(group_order(n, kind)):
+            s_sides = _s_sides(n, kind, r)
+            for t_flavor, s_flavor in itertools.product(_flavors(kind), repeat=2):
+                for mode in ("set", "number"):
+                    counts = group_algebra._tally(n, kind, r, t_flavor, s_flavor, mode)
+                    expected = _pairwise_tally(n, kind, s_sides, t_flavor, s_flavor, mode)
+                    assert counts == expected, (n, kind, r, t_flavor, s_flavor, mode)
+
+
+@pytest.mark.parametrize("limit", [group_algebra.BYTES_CLASSES, 32])
+def test_many_class_tallies_match_a_pairwise_tally(monkeypatch, limit):
+    # the descent sets of A_6 (32 classes) on the side the limit gives them,
+    # Counter at the library's limit and bytes at 32, and those of A_7 (64
+    # classes, Counter on both) at a seeded sample of ranks
+    monkeypatch.setattr(group_algebra, "BYTES_CLASSES", limit)
+    group_algebra._counter.cache_clear()
+    try:
+        for n, ranks in ((6, range(720)), (7, random.Random(20261020).sample(range(5040), 120))):
+            assert len(group_algebra._partition(n, "A", "descentA", "set").keys) == 1 << (n - 1)
+            for r in ranks:
+                counts = factorization_counts(n, "A", r, "descentA")
+                assert counts == _pairwise_tally(n, "A", _s_sides(n, "A", r), "descentA", "descentA", "set"), (n, r)
+    finally:
+        group_algebra._counter.cache_clear()
 
 
 def test_identity_is_the_unit():
