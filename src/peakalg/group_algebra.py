@@ -16,23 +16,28 @@ is row(x) read at the entries of row(f); so is any vector indexed by rank
 read at row(x . f).  A row is therefore the identity's row taken through one
 cached getter per nonzero digit, and a statistic's class-id row, the class
 id of x composed with every element, is its class ids taken through the
-same getters, with no rank row between.  A walk keeps one prefix stack per
-vector it takes through the getters (the rank row, or the class ids of one
-statistic), for the last group walked only: the partial rows of the last
-rank built, one per digit slot, so at most 2n-1 rows a stack.  The next rank
-starts from the partial row of the longest digit prefix the two share, and
-the sign digits are taken most significant first, so a walk in rank order
-applies one getter per row.  Element objects are built on demand, for
-`support` and the window text of a certificate.
+same getters, with no rank row between.  A frame lists the elements in
+another order, and the same holds there with the getter of f permuting
+positions: a tally walks its vector in the counting order of its t
+statistic (see `_Frame`), so the walked row is already class segment by
+class segment.  A walk keeps one prefix stack per vector and frame it walks
+(the rank row or the class ids of one statistic, in rank order or in a
+statistic's frame), for the last group walked only: the partial rows of the
+last rank built, one per digit slot, so at most 2n-1 rows a stack.  The
+next rank starts from the partial row of the longest digit prefix the two
+share, and the sign digits are taken most significant first, so a walk in
+rank order applies one getter per row.  Element objects are built on
+demand, for `support` and the window text of a certificate.
 
 Each statistic, per (n, kind, flavor, mode), has one cached partition of
 the group: its keys in order of first appearance, the class id of every
 rank, and the ranks of each class; every class question reads it.  A tally
-gathers, off the target's class-id row under one statistic, the class ids
-of target . t^-1 with t ordered by the classes of another, and counts them
-class segment by class segment: with one `bytes.count` per (segment, class)
-when the counted statistic has few classes, else one Counter per segment.
-`factorization_counts` is its one-statistic case.
+counts, off the target's class-id row under one statistic walked in the
+frame of another, the class ids of target . t^-1 with t ordered by the
+classes of the other, class segment by class segment: with one
+`bytes.count` per (segment, class) when the counted statistic has few
+classes, else one Counter per segment.  `factorization_counts` is its
+one-statistic case.
 
 The classes of a statistic partition the group, so an element lies in the
 span of its class sums exactly when it is constant on every class, and the
@@ -42,9 +47,13 @@ number of factorizations of p by class pair, each compares every class
 member's tallies against its class representative's.  Every check is a walk
 over the target windows that builds each target's class-id rows once and
 keeps only the prefix stacks; the rank row serves `AlgebraElement.convolve`,
-the public product, which no check calls, and `multiplicative_closure`.
-Failures come with an explicit certificate, so reports can
-show a witness.
+the public product, which no check calls, and `multiplicative_closure`,
+which walks it in its statistic's frame.  `closure_check`,
+`representative_audit` and `verify_duality` are three views of one walk
+record per statistic, advanced lazily: the first two read it until its first
+mismatch, the third to its end, so no window is walked twice and a failing
+closure still stops at its first mismatch.  Failures come with an explicit
+certificate, so reports can show a witness.
 `multiplicative_closure`, whose products leave the class-sum span, hands
 their coefficient mappings to `linalg.Span` as they are.
 """
@@ -55,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import accumulate, chain, repeat
 from operator import and_, gt, itemgetter, lshift, lt, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -117,13 +126,20 @@ def _columns(n: int, kind: str) -> tuple[Callable, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factor(n: int, kind: str, slot: int, digit: int) -> Callable[[Sequence], tuple]:
+def _factor(n: int, kind: str, slot: int, digit: int, frame: tuple[str, str] | None) -> Callable[[Sequence], tuple]:
     """The getter of the factor f of one nonzero digit of `_walk_digits`:
-    applied to the row of x it gives the row of x.f, as row(x.f)[j] =
-    row(x)[row(f)[j]].  Lehmer slot k < n-1 gives q_{k+1}(d), which fixes
-    1..k, sends position k+1 to k+1+d and lists the other values in
-    increasing order; sign slot n-1+i flips position n-i.  Row(f) is the one
-    row read off the window -> rank dict entry by entry."""
+    applied to the row of x it gives the row of x.f.  Lehmer slot k < n-1
+    gives q_{k+1}(d), which fixes 1..k, sends position k+1 to k+1+d and lists
+    the other values in increasing order; sign slot n-1+i flips position n-i.
+    In rank order (frame None), row(x.f)[j] = row(x)[row(f)[j]], and row(f)
+    is the one row read off the window -> rank dict entry by entry.  In the
+    frame of a statistic, whose m-th element is e_m, row(x.f)[m] =
+    row(x)[pi(m)], pi(m) the position of f.e_m: the rank-order row of f read
+    at the frame's order, then the frame's positions read at that."""
+    if frame is not None:
+        read, positions, _ = _frame(n, kind, *frame)
+        plain = _factor(n, kind, slot, digit, None)(_identity_row(n, kind))  # row(f)
+        return _getter(_getter(read(plain))(positions))
     window = list(range(1, n + 1))
     if slot < n - 1:
         window.insert(slot, window.pop(slot + digit))
@@ -154,55 +170,87 @@ def _walk_digits(n: int, kind: str, r: int) -> tuple[int, ...]:
     return digits
 
 
-# The prefix stacks of the group `_walk` last walked, one per vector it takes
-# through the getters (None for the rank row, (flavor, mode) for the class ids
-# of a statistic): the walk digits of the last rank built and the partial row
-# after each of their slots.  They are a cache: a row is the same whatever
-# the stacks held before.
+class _Frame(NamedTuple):
+    """The counting order of a tally whose t side is classed by one
+    statistic: its m-th element is e_m = t_m^-1, t_m the m-th element of the
+    statistic's classes (classes in order of first appearance, each in rank
+    order).  `read` takes a vector indexed by rank to its entries at the e_m,
+    `positions[rank of e_m]` is m, and `ends` closes each class's segment."""
+
+    read: Callable[[Sequence], tuple]
+    positions: tuple[int, ...]
+    ends: tuple[int, ...]
+
+
+@lru_cache(maxsize=None)
+def _frame(n: int, kind: str, flavor: str, mode: str) -> _Frame:
+    members = _partition(n, kind, flavor, mode).members
+    order = _getter(tuple(chain.from_iterable(members)))(_inverse_ranks(n, kind))
+    positions = [0] * len(order)
+    for m, r in enumerate(order):  # measured faster than a sort or a dict, 4 against 11-14 ms at B_6
+        positions[r] = m
+    return _Frame(_getter(order), tuple(positions), tuple(accumulate(map(len, members))))
+
+
+@lru_cache(maxsize=None)
+def _base(n: int, kind: str, vector: tuple[str, str] | None, frame: tuple[str, str] | None) -> tuple:
+    """The vector a walk starts from, the row of the identity: the identity's
+    rank row (vector None) or a statistic's class ids, read in the frame."""
+    base = _identity_row(n, kind) if vector is None else _partition(n, kind, *vector).ids
+    return base if frame is None else _frame(n, kind, *frame).read(base)
+
+
+# The prefix stacks of the group `_walk` last walked, one per (vector, frame)
+# it walks: the walk digits of the last rank built and the partial row after
+# each of their slots.  They are a cache: a row is the same whatever the
+# stacks held before.
 _stacks: tuple[tuple[int, str] | None, dict] = (None, {})
 
 
-def _walk(n: int, kind: str, vector, base: Sequence, r: int) -> tuple:
-    """`base`, a vector indexed by rank, read at the row of rank r: entry j
-    is base[rank of elements[r] composed with elements[j]].  As row(x.f) =
-    row(x) read at the entries of row(f) for any vector read at the row, it
-    is `base` taken through the getter of each nonzero digit of r in turn.
-    The partial rows of the last rank built are kept on the stack of
-    `vector`, the key of `base`, one per digit slot and for one group only,
-    so at most 2n-1 rows: a rank starts from the partial row of the longest
-    digit prefix it shares with that rank, and applies the getters of its
-    remaining digits only."""
+def _walk(n: int, kind: str, vector: tuple[str, str] | None, frame: tuple[str, str] | None, r: int) -> tuple:
+    """A vector indexed by rank, the rank itself (vector None) or the class
+    id of a statistic (vector (flavor, mode)), read at elements[r] composed
+    with every element of the frame, in rank order (frame None) or in the
+    counting order of a statistic (frame (flavor, mode), see `_Frame`).  As
+    the row of x.f is the row of x read through the getter of f in that
+    frame, it is the `_base` of the vector taken through the getter of each
+    nonzero digit of r in turn.  The partial rows of the last rank built are
+    kept on the stack of (vector, frame), one per digit slot and for one
+    group only, so at most 2n-1 rows: a rank starts from the partial row of
+    the longest digit prefix it shares with that rank, and applies the
+    getters of its remaining digits only."""
     global _stacks
     digits = _walk_digits(n, kind, r)
     group, stacks = _stacks
     if group != (n, kind):
         _stacks = group, stacks = (n, kind), {}
-    built, rows = stacks.get(vector, ((), []))
+    built, rows = stacks.get((vector, frame), ((), []))
     shared = 0
     for digit, old in zip(digits, built):
         if digit != old:
             break
         shared += 1
     rows = rows[:shared]  # a copy: the stack changes only once the row is built
-    row = rows[-1] if rows else base
+    row = rows[-1] if rows else _base(n, kind, vector, frame)
     for slot in range(shared, len(digits)):
         if digits[slot]:
-            row = _factor(n, kind, slot, digits[slot])(row)
+            row = _factor(n, kind, slot, digits[slot], frame)(row)
         rows.append(row)
-    stacks[vector] = (digits, rows)
+    stacks[vector, frame] = (digits, rows)
     return row
 
 
-def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
-    """row[j] = rank of elements[r] composed with elements[j]: the
-    identity's row walked to rank r."""
-    return _walk(n, kind, None, _identity_row(n, kind), r)
+def _row(n: int, kind: str, r: int, frame: tuple[str, str] | None = None) -> tuple[int, ...]:
+    """The rank of elements[r] composed with every element of the frame: in
+    rank order, row[j] = rank of elements[r] composed with elements[j]."""
+    return _walk(n, kind, None, frame, r)
 
 
-def _class_row(n: int, kind: str, flavor: str, mode: str, r: int) -> tuple[int, ...]:
-    """The class id of elements[r] composed with elements[j], for every j:
+def _class_row(n: int, kind: str, flavor: str, mode: str, r: int,
+               frame: tuple[str, str] | None = None) -> tuple[int, ...]:
+    """The class id of elements[r] composed with every element of the frame:
     the statistic's class ids walked to rank r, with no rank row between."""
-    return _walk(n, kind, (flavor, mode), _partition(n, kind, flavor, mode).ids, r)
+    return _walk(n, kind, (flavor, mode), frame, r)
 
 
 @lru_cache(maxsize=None)
@@ -400,18 +448,7 @@ def _key_json(key: StatKey):
     return key if isinstance(key, int) else sorted(key)
 
 
-@lru_cache(maxsize=None)
-def _segments(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequence], tuple], tuple[int, ...]]:
-    """A getter reading off a target's row, or any vector read at it, the
-    entries of target.t^-1 for every t, with t ordered by class (classes in
-    order of first appearance, each in rank order), and the end of each
-    class's segment in that order."""
-    members = _partition(n, kind, flavor, mode).members
-    inverse = _inverse_ranks(n, kind)
-    return _getter([inverse[t] for ranks in members for t in ranks]), tuple(accumulate(map(len, members)))
-
-
-# A statistic s with at most this many classes has its gathered class ids
+# A statistic s with at most this many classes has its walked class ids
 # counted as bytes, one `bytes.count` per (t segment, s class); above it, one
 # Counter per t segment is faster (and bytes hold ids below 256 only).  Per
 # row, bytes won at 13 classes and lost at 20 and more, at S_5..S_7 and B_4, B_5.
@@ -421,34 +458,35 @@ BYTES_CLASSES = 15
 @lru_cache(maxsize=None)
 def _counter(n: int, kind: str, t_flavor: str, s_flavor: str, mode: str) -> Callable[[tuple], dict]:
     """The tally of one statistic pair, decided once: it takes a target's
-    class-id row under s_flavor, gathers the class ids of target.t^-1 with t
-    ordered by the classes of t_flavor, and counts them by the pair (class
-    of t, class of s), nonzero counts only."""
+    class-id row under s_flavor walked in the frame of t_flavor, the class
+    ids of target.t^-1 with t ordered by the classes of t_flavor, and counts
+    them by the pair (class of t, class of s), nonzero counts only."""
     t_keys = _partition(n, kind, t_flavor, mode).keys
     s_keys = _partition(n, kind, s_flavor, mode).keys
-    read, ends = _segments(n, kind, t_flavor, mode)
+    ends = _frame(n, kind, t_flavor, mode).ends
     bounds = list(zip(t_keys, (0, *ends), ends))
     if len(s_keys) <= BYTES_CLASSES:
         cells = [(id_s, start, end, (key_t, key_s))
                  for key_t, start, end in bounds for id_s, key_s in enumerate(s_keys)]
 
         def count(row: tuple) -> dict:
-            tally = bytes(read(row)).count
+            tally = bytes(row).count
             return {pair: c for id_s, start, end, pair in cells if (c := tally(id_s, start, end))}
     else:
         def count(row: tuple) -> dict:
-            ids = read(row)
             return {(key_t, s_keys[id_s]): c
-                    for key_t, start, end in bounds for id_s, c in Counter(ids[start:end]).items()}
+                    for key_t, start, end in bounds for id_s, c in Counter(row[start:end]).items()}
     return count
 
 
 def _tally(n: int, kind: str, r: int, t_flavor: str, s_flavor: str, mode: str) -> dict[tuple[StatKey, StatKey], int]:
     """Count the factorizations s.t = target, the target given by rank, by
     the pair (class of t under t_flavor, class of s under s_flavor).  t pairs
-    with s = target.t^-1, so the class ids of the s sides are one gather off
-    the target's class-id row under s_flavor."""
-    return _counter(n, kind, t_flavor, s_flavor, mode)(_class_row(n, kind, s_flavor, mode, r))
+    with s = target.t^-1, so the target's class-id row under s_flavor,
+    walked in the frame of t_flavor, is the class of each s side with t
+    running class by class, and each class segment of t is counted off it
+    as it stands."""
+    return _counter(n, kind, t_flavor, s_flavor, mode)(_class_row(n, kind, s_flavor, mode, r, (t_flavor, mode)))
 
 
 def factorization_counts(n: int, kind: str, r: int, flavor: str, mode: str = "set") -> dict[tuple[StatKey, StatKey], int]:
@@ -468,16 +506,12 @@ def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> Struct
     return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=tuple(sorted_keys(keys)), counts=counts)
 
 
-def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[int], dict] | None = None):
+def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[int], dict]):
     """Walk the classes in order of first appearance, each in rank order, and
     for every member whose counts differ from its class representative's (the
     minimal-rank member) yield (class, representative rank, member rank,
-    {pair: (representative's count, member's count)}).  The counts of a rank
-    are its factorization counts unless `counts_of` reads others.  As
-    (v_A * v_B)(p) = N_p(A, B), the factorization counts yield nothing
-    exactly when the class sums span a closed algebra with well-defined
-    structure constants."""
-    counts_of = counts_of or (lambda r: factorization_counts(n, kind, r, flavor, mode))
+    {pair: (representative's count, member's count)}), the counts of a rank
+    read by `counts_of`."""
     keys, _, members = _partition(n, kind, flavor, mode)
     for key, ranks in zip(keys, members):
         base = counts_of(ranks[0])
@@ -491,20 +525,77 @@ def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[
                 }
 
 
+class _WalkRecord:
+    """What the walk of one statistic's factorization counts has read so far:
+    the suspended walk (None once it has ended), its first mismatch, and per
+    pair (A, B) the earliest mismatching window, (rank, class, representative
+    rank, member's count - representative's), the minimal rank over the
+    mismatches read.  It holds one entry per class pair at most, whatever
+    the number of mismatching windows."""
+
+    __slots__ = ("walk", "first", "earliest")
+
+    def __init__(self, walk):
+        self.walk = walk
+        self.first = None
+        self.earliest: dict[tuple[StatKey, StatKey], tuple] = {}
+
+    def read(self, to_end: bool) -> None:
+        """Advance the walk until it has read a first mismatch, or to its end."""
+        earliest = self.earliest
+        while self.walk is not None and (to_end or self.first is None):
+            mismatch = next(self.walk, None)
+            if mismatch is None:
+                self.walk = None
+                break
+            key, base, r, diffs = mismatch
+            self.first = self.first or mismatch
+            for pair, (expected, count) in diffs.items():
+                if pair not in earliest or r < earliest[pair][0]:
+                    earliest[pair] = (r, key, base, count - expected)
+
+
+# The walk records of the process, one per (n, kind, flavor, mode), read by
+# `closure_check`, `representative_audit` and `verify_duality`.  Like the
+# kernel's caches they live for the process; a record whose walk raises is
+# dropped, so the next read starts cold.
+_records: dict[tuple[int, str, str, str], _WalkRecord] = {}
+
+
+def _walk_record(n: int, kind: str, flavor: str, mode: str, to_end: bool) -> _WalkRecord:
+    """The one walk of the statistic's factorization counts, read until its
+    first mismatch or, if to_end, to its end.  As (v_A * v_B)(p) = N_p(A, B),
+    it reads no mismatch exactly when the class sums span a closed algebra
+    with well-defined structure constants."""
+    where = (n, kind, flavor, mode)
+    record = _records.get(where)
+    if record is None:
+        walk = _mismatches(n, kind, flavor, mode, lambda r: factorization_counts(n, kind, r, flavor, mode))
+        record = _records[where] = _WalkRecord(walk)
+    try:
+        record.read(to_end)
+    except BaseException:
+        del _records[where]
+        raise
+    return record
+
+
 def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Check that factorization counts by statistic pair agree across every
     member of every class, not just the chosen representative.  Returns a
     report with the first disagreeing pair of windows if one exists."""
-    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
-        return {
-            "consistent": False,
-            "class": _key_json(key),
-            "windows": _texts(n, kind, base, r),
-            "differences": {
-                str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
-            },
-        }
-    return {"consistent": True}
+    first = _walk_record(n, kind, flavor, mode, to_end=False).first
+    if first is None:
+        return {"consistent": True}
+    key, base, r, diffs = first
+    return {
+        "consistent": False,
+        "class": _key_json(key),
+        "windows": _texts(n, kind, base, r),
+        "differences": {
+            str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
+        },
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -518,12 +609,14 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     (A, B) that differs, the class, the representative and the member, and
     the values of v_A * v_B at those two windows."""
     dim = len(_partition(n, kind, flavor, mode).keys)
-    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
-        (key_a, key_b), values = min(diffs.items(), key=_entry_order)
-        certificate = {"A": _key_json(key_a), "B": _key_json(key_b), "class": _key_json(key),
-                       "windows": _texts(n, kind, base, r), "values": [str(v) for v in values]}
-        return {"closed": False, "dim": dim, "certificate": certificate}
-    return {"closed": True, "dim": dim, "certificate": None}
+    first = _walk_record(n, kind, flavor, mode, to_end=False).first
+    if first is None:
+        return {"closed": True, "dim": dim, "certificate": None}
+    key, base, r, diffs = first
+    (key_a, key_b), values = min(diffs.items(), key=_entry_order)
+    certificate = {"A": _key_json(key_a), "B": _key_json(key_b), "class": _key_json(key),
+                   "windows": _texts(n, kind, base, r), "values": [str(v) for v in values]}
+    return {"closed": False, "dim": dim, "certificate": certificate}
 
 
 def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
@@ -532,10 +625,11 @@ def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") ->
     one letter longer is one letter times a shorter word, so each vector that
     grows the span is multiplied on the left by the class sums only, until
     no product grows it.  A round walks every target p once: (v_C * w)(p)
-    sums w(p.t^-1) over the t in class C, read off p's rank row with t
-    ordered by class, as a tally orders it."""
+    sums w(p.t^-1) over the t in class C, read off p's rank row walked in
+    the statistic's frame, which lists the p.t^-1 class by class, as a tally
+    counts them."""
     _, ids, members = _partition(n, kind, flavor, mode)
-    inverses, ends = _segments(n, kind, flavor, mode)
+    ends = _frame(n, kind, flavor, mode).ends
     bounds = list(zip((0, *ends), ends))
     span = Span(dict.fromkeys(ranks, 1) for ranks in members)
     dim_start = span.dim
@@ -544,7 +638,7 @@ def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") ->
     while frontier:
         values: list[list[list]] = [[] for _ in frontier]  # [w][p][C] = (v_C * w)(p)
         for p in range(group_order(n, kind)):
-            read = _getter(inverses(_row(n, kind, p)))
+            read = _getter(_row(n, kind, p, (flavor, mode)))
             for w, out in zip(frontier, values):
                 at_p = read(w)
                 out.append([sum(at_p[start:end]) for start, end in bounds])
@@ -600,15 +694,11 @@ def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     minimal-rank member, as in `structure_table`).  Mismatches are reported,
     not raised, one per pair (A, B) in key order, at the minimal-rank window
     where the two sides differ, with its class, representative and difference."""
-    first: dict[tuple[StatKey, StatKey], tuple] = {}
-    for key, base, r, diffs in _mismatches(n, kind, flavor, mode):
-        for pair, (expected, count) in diffs.items():
-            if pair not in first or r < first[pair][0]:
-                first[pair] = (r, key, base, count - expected)
+    earliest = _walk_record(n, kind, flavor, mode, to_end=True).earliest
     mismatches = [
         {"A": _key_json(key_a), "B": _key_json(key_b), "window": window, "class": _key_json(key),
          "representative": representative, "difference": str(difference)}
-        for (key_a, key_b), (r, key, base, difference) in sorted(first.items(), key=_entry_order)
+        for (key_a, key_b), (r, key, base, difference) in sorted(earliest.items(), key=_entry_order)
         for window, representative in [_texts(n, kind, r, base)]
     ]
     return {"consistent": not mismatches, "mismatches": mismatches}

@@ -279,7 +279,7 @@ def check_duality(bounds: Bounds) -> CheckResult:
             if not report["consistent"]:
                 failures.append({"kind": kind, "flavor": flavor, "n": n, "stage": "products",
                                  "first": report["mismatches"][0]})
-                # the audit reads the same mismatches, so a consistent report implies a clean audit
+                # the audit views the same walk record, so a consistent report implies a clean audit
                 audit = representative_audit(n, kind, flavor)
                 failures.append({"kind": kind, "flavor": flavor, "n": n, "stage": "audit",
                                  "witness": {key: audit[key] for key in ("class", "windows", "differences")}})

@@ -8,6 +8,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from operator import itemgetter
 
 import pytest
 
@@ -143,26 +144,49 @@ def test_product_rows_and_inverses_match_composing():
 
 def test_factor_getters_are_bounded_by_digits():
     # a group holds one getter per (slot, nonzero digit): n(n-1)/2 Lehmer
-    # factors and, for B_n, n sign flips
-    for n, kind in ((6, "A"), (4, "B")):
+    # factors and, for B_n, n sign flips; each frame walked adds one more per
+    # (slot, nonzero digit), two frames interleaved as the ideal check reads them
+    for n, kind, frames in ((6, "A", (("leftPeak", "set"), ("descentA", "number"))),
+                            (4, "B", (("typeBPeak", "set"), ("interiorPeak", "number")))):
         group_algebra._factor.cache_clear()
         for r in range(group_order(n, kind)):
             group_algebra._row(n, kind, r)
-        signs = n if kind == "B" else 0
-        assert group_algebra._factor.cache_info().currsize == n * (n - 1) // 2 + signs
+        factors = n * (n - 1) // 2 + (n if kind == "B" else 0)
+        assert group_algebra._factor.cache_info().currsize == factors
+        for r in range(group_order(n, kind)):
+            for frame in frames:
+                group_algebra._class_row(n, kind, *frames[0], r, frame)
+        assert group_algebra._factor.cache_info().currsize == factors * (1 + len(frames))
 
 
-def test_the_kernel_keeps_no_rows():
+@pytest.fixture
+def fresh_walks():
+    """Cold walk records and prefix stacks, before and after the test and
+    whenever the test calls it: a record lives for the process, so a count
+    read under a patched function must not reach a later verdict, and a walk
+    that should read every window must not start from an earlier record."""
+    def clear():
+        group_algebra._records.clear()
+        group_algebra._stacks = (None, {})
+
+    clear()
+    yield clear
+    clear()
+
+
+def test_the_kernel_keeps_no_rows(fresh_walks):
     # a walk builds each target's row and drops it: with the partition,
-    # segment and factor caches warm, an A_6 closure walk holds nothing after
-    group_algebra._segments(6, "A", "leftPeak", "set")
+    # frame and factor caches warm, an A_6 closure walk holds nothing after
+    frame = ("leftPeak", "set")
+    group_algebra._base(6, "A", frame, frame)
     for r in range(group_order(6, "A")):
-        for slot, digit in enumerate(rank_digits(r, 6, "A")):
+        for slot, digit in enumerate(group_algebra._walk_digits(6, "A", r)):
             if digit:
-                group_algebra._factor(6, "A", slot, digit)
+                group_algebra._factor(6, "A", slot, digit, frame)
+    group_algebra._counter(6, "A", "leftPeak", "leftPeak", "set")
     tracemalloc.start()
     try:
-        closure_check(6, "A", "leftPeak")
+        assert closure_check(6, "A", "leftPeak")["closed"]
         held, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -189,11 +213,11 @@ def test_the_prefix_stack_holds_one_row_per_digit_slot_of_one_group():
             group_algebra._row(n, kind, r)
             group_algebra._class_row(n, kind, flavor, "set", r)
     group, stacks = group_algebra._stacks
-    assert group == (4, "B") and set(stacks) == {None, ("typeBPeak", "set")}
+    assert group == (4, "B") and set(stacks) == {(None, None), (("typeBPeak", "set"), None)}
     elements = list(enumerate_group(4, "B"))
     ids = group_algebra._partition(4, "B", "typeBPeak", "set").ids
     for vector, base in ((None, range(len(elements))), (("typeBPeak", "set"), ids)):
-        digits, rows = stacks[vector]
+        digits, rows = stacks[vector, None]
         assert digits == group_algebra._walk_digits(4, "B", order[-1])
         assert len(rows) == 2 * 4 - 1
         for k, row in enumerate(rows):
@@ -215,7 +239,7 @@ def test_rows_of_the_groups_with_no_digit_or_one_digit():
             assert group_algebra._row(n, kind, r) == tuple(products), (n, kind, r)
             assert group_algebra._class_row(n, kind, "leftPeak", "set", r) == tuple(ids[j] for j in products), (n, kind, r)
         group, stacks = group_algebra._stacks
-        assert group == (n, kind) and set(stacks) == {None, ("leftPeak", "set")}
+        assert group == (n, kind) and set(stacks) == {(None, None), (("leftPeak", "set"), None)}
         for digits, rows in stacks.values():
             assert len(digits) == len(rows) == len(rank_digits(0, n, kind))
 
@@ -262,8 +286,45 @@ def test_class_id_rows_read_the_ids_at_the_rank_rows():
     # the walk ended at B_4: no stack of A_6 (exteriorPeak, descentA by
     # number), or of any other group, is left
     group, stacks = group_algebra._stacks
-    assert group == (4, "B") and set(stacks) == {None, ("descentA", "set"), ("descentB", "number")}
+    assert group == (4, "B") and set(stacks) == {(None, None), (("descentA", "set"), None), (("descentB", "number"), None)}
     assert all(len(row) == group_order(4, "B") for _, rows in stacks.values() for row in rows)
+
+
+def test_framed_class_rows_match_an_independent_reference():
+    # in the frame of statistic T, the class-id row under S of the target p
+    # lists the class under S of p.t^-1, t running over T's classes in order
+    # of first appearance, each in rank order; the reference reads it off the
+    # rank-order row at the inverses' ranks.  Every ordered flavor pair and
+    # both modes, every rank in rank order and in shuffled order, the two
+    # framed rows of a pair interleaved as the ideal check reads them
+    shuffle = random.Random(20261021).shuffle
+    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
+        elements = list(enumerate_group(n, kind))
+        inverse = [rank(p.inverse()) for p in elements]
+        order = list(range(len(elements)))
+        for mode in ("set", "number"):
+            classes = {flavor: stat_classes(n, kind, flavor, mode) for flavor in _flavors(kind)}
+            ids = {flavor: [None] * len(elements) for flavor in classes}
+            for flavor, c in classes.items():
+                for i, ranks in enumerate(c.values()):
+                    for t in ranks:
+                        ids[flavor][t] = i
+            # the inverses of t in T's class order, as a getter; itemgetter
+            # returns a bare value at one index, so the one-element groups
+            # read a one-element slice
+            inverses = {flavor: [inverse[t] for ranks in c.values() for t in ranks] for flavor, c in classes.items()}
+            read = {flavor: itemgetter(*at) if len(at) > 1 else itemgetter(slice(0, 1)) for flavor, at in inverses.items()}
+            for shuffled in (False, True):
+                if shuffled:
+                    shuffle(order)
+                for r in order:
+                    row = group_algebra._row(n, kind, r)
+                    at_row = {flavor: tuple(map(ids[flavor].__getitem__, row)) for flavor in classes}
+                    for first, second in itertools.combinations_with_replacement(_flavors(kind), 2):
+                        for t_flavor, s_flavor in dict.fromkeys(((first, second), (second, first))):
+                            expected = read[t_flavor](at_row[s_flavor])
+                            framed = group_algebra._class_row(n, kind, s_flavor, mode, r, (t_flavor, mode))
+                            assert framed == expected, (n, kind, r, t_flavor, s_flavor, mode, shuffled)
 
 
 def test_factorization_counts_match_composing_every_pair():
@@ -395,7 +456,7 @@ def test_stat_classes_view_one_cached_partition():
     assert group_algebra._partition.cache_info().misses == 1
 
 
-def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch):
+def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch, fresh_walks):
     # a counting wrapper bound in every namespace that imports the function,
     # as the benchmark's tracer binds its wrappers
     original = group_algebra.factorization_counts
@@ -420,9 +481,66 @@ def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch):
         # a failing closure stops at its first mismatching member: 3 of 384 ranks
         (lambda: closure_check(4, "B", "typeBPeak"), 3),
     ):
+        fresh_walks()
         calls.clear()
         walk()
         assert len(calls) == expected
+
+
+def _counted_factorization_counts(monkeypatch):
+    """The ranks read through the public factorization counts from now on."""
+    original = group_algebra.factorization_counts
+    ranks = []
+
+    def counted(n, kind, r, *args):
+        ranks.append(r)
+        return original(n, kind, r, *args)
+
+    monkeypatch.setattr(group_algebra, "factorization_counts", counted)
+    return ranks
+
+
+def test_closure_duality_and_audit_share_one_lazy_walk(monkeypatch, fresh_walks):
+    # from cold records: the failing B_4 closure reads 3 ranks, the duality
+    # report then reads exactly the other 381, and the audit and the closure
+    # read none; every report is the one a cold walk gives
+    where = (4, "B", "typeBPeak")
+    views = {"closure": closure_check, "duality": verify_duality, "audit": representative_audit}
+    cold = {}
+    for name, view in views.items():
+        fresh_walks()
+        cold[name] = view(*where)
+    fresh_walks()
+    ranks = _counted_factorization_counts(monkeypatch)
+    for name, expected in (("closure", 3), ("duality", 381), ("audit", 0), ("closure", 0)):
+        before = list(ranks)
+        assert views[name](*where) == cold[name], name
+        assert len(ranks) - len(before) == expected, (name, len(ranks) - len(before))
+    assert sorted(ranks) == list(range(group_order(4, "B")))
+    # a walk that raises keeps no record: the next one starts cold
+    monkeypatch.setattr(group_algebra, "factorization_counts", lambda *args: 1 / 0)
+    with pytest.raises(ZeroDivisionError):
+        closure_check(3, "B", "typeBPeak")
+    assert (3, "B", "typeBPeak", "set") not in group_algebra._records
+    monkeypatch.undo()
+    ranks = _counted_factorization_counts(monkeypatch)
+    assert not closure_check(3, "B", "typeBPeak")["closed"] and ranks
+
+
+def test_the_walk_record_holds_one_entry_per_class_pair(fresh_walks):
+    # after the whole B_4 walk the record keeps the earliest mismatch of each
+    # pair (A, B) and the first mismatch, not the windows where counts differ
+    verify_duality(4, "B", "typeBPeak")
+    record = group_algebra._records[4, "B", "typeBPeak", "set"]
+    assert record.walk is None
+    dim = len(stat_classes(4, "B", "typeBPeak"))
+    assert 0 < len(record.earliest) <= dim * dim
+    key, base, r, diffs = record.first
+    assert 0 < len(diffs) <= dim * dim
+    counts = lambda r: factorization_counts(4, "B", r, "typeBPeak")
+    walked = list(group_algebra._mismatches(4, "B", "typeBPeak", "set", counts))
+    assert record.first == walked[0]
+    assert len(record.earliest) < sum(map(len, (diffs for *_, diffs in walked)))
 
 
 def test_frozen_structure_constant():
