@@ -25,13 +25,14 @@ from .alphabets import Alphabet
 from .enriched import epp_count
 from .group_algebra import (
     AlgebraElement,
+    _index,
     closure_check,
     factorization_counts,
     multiplicative_closure,
     stat_classes,
 )
 from .linalg import SparseVector, Span, exact
-from .permutations import unrank
+from .permutations import unrank, windows
 
 
 class RationalPolynomial(SparseVector):
@@ -181,19 +182,34 @@ def verify_rho_multiplicativity(n: int) -> dict:
     whether the peak-number class sums commute: v_i * v_j = v_j * v_i exactly
     when N_p(i, j) = N_p(j, i) at every window p.
 
+    With w0 the reversal, t.w0 is the window of t reversed, which has the
+    interior peak count of t, and s.t = p exactly when s.(t.w0) = p.w0, so
+    N_{p.w0}(i, j) = N_p(i, j) and p.w0 has the profile of p.  One window of
+    each reversal pair {p, p.w0} is tallied, the one of lesser rank, and the
+    report says how many (`windows_tallied`, ceil(n!/2)) and how many
+    distinct profiles they gave (`profiles`).
+
     The class sums have disjoint supports, so the allowed-degree
     coefficients span the same space as the class sums exactly when their
     rows of peak-count coefficients form a square matrix of full rank."""
+    index = _index(n, "A")
+    group = windows(n, "A")
+    tallied = [(peaks, r) for peaks, ranks in stat_classes(n, "A", "interiorPeak", "number").items()
+               for r in ranks if r <= index[group[r][::-1]]]
+    profiles = {(peaks, frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
+                for peaks, r in tallied}
+    return {**_rho_report(n, profiles), "windows_tallied": len(tallied), "profiles": len(profiles)}
+
+
+def _rho_report(n: int, profiles: set[tuple[int, frozenset]]) -> dict:
+    """The verdicts of `verify_rho_multiplicativity`, read off a set of
+    (peak count, factorization counts by peak-count pair) profiles that
+    holds the profile of every window."""
     by_count = rho_by_peak_count(n)
     degrees = [d for d, c in enumerate(by_count) if any(c.values())]
     allowed = parity_degrees(n)
     rows = Span(by_count[d] for d in allowed)
     parity_ok = all(d in allowed for d in degrees)
-    profiles = {
-        (peaks, frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
-        for peaks, ranks in stat_classes(n, "A", "interiorPeak", "number").items()
-        for r in ranks
-    }
     failing = set()
     for peaks, counts in profiles:
         for a in degrees:

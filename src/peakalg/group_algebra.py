@@ -79,7 +79,6 @@ from .permutations import (
     group_order,
     inverse_window,
     rank,
-    rank_digits,
     windows,
 )
 
@@ -157,17 +156,31 @@ def _identity_row(n: int, kind: str) -> tuple[int, ...]:
     return tuple(range(group_order(n, kind)))
 
 
+@lru_cache(maxsize=None)
+def _radices(n: int, kind: str) -> tuple[int, tuple[int, ...]]:
+    """The group order and the radices of `_walk_digits`, least significant
+    first: for kind B the n sign bits, then the Lehmer radices 2..n."""
+    signs = (2,) * n if kind == "B" else ()
+    return group_order(n, kind), (*signs, *range(2, n + 1))
+
+
 def _walk_digits(n: int, kind: str, r: int) -> tuple[int, ...]:
     """The digits of rank r in the order a walk applies them: the Lehmer
     digits of `rank_digits`, most significant first, then for kind B the
     sign bits, most significant (position n) first, so that the digits a
     walk in rank order changes come last.  Sign flips commute, so the
-    element is the same product in either order."""
-    digits = rank_digits(r, n, kind)
-    if kind == "B":
-        split = max(n - 1, 0)
-        digits = (*digits[:split], *reversed(digits[split:]))
-    return digits
+    element is the same product in either order.  As r is the Lehmer rank
+    times 2^n plus the sign mask, these are the digits of r itself in the
+    mixed radix of `_radices`."""
+    order, radices = _radices(n, kind)
+    if not 0 <= r < order:
+        raise ValueError(f"rank {r} outside [0, {order - 1}] for {kind}_{n}")
+    digits = []
+    for radix in radices:
+        r, digit = divmod(r, radix)
+        digits.append(digit)
+    digits.reverse()
+    return tuple(digits)
 
 
 class _Frame(NamedTuple):

@@ -314,11 +314,15 @@ def check_closure(bounds: Bounds) -> CheckResult:
 def check_idempotents(bounds: Bounds) -> CheckResult:
     """The generating polynomial is multiplicative, its coefficients are
     orthogonal idempotents matching the peak-number span, and wrong-parity
-    coefficients vanish; every stage is read from one report per size."""
+    coefficients vanish; every stage is read from one report per size.
+    `examined` quotes, per size, the windows each report tallied (one of
+    each reversal pair) and the distinct profiles they gave."""
     n_max = bounds.cap(6)
     failures = []
+    examined = {}
     for n in range(1, n_max + 1):
         report = verify_rho_multiplicativity(n)
+        examined[n] = {key: report[key] for key in ("windows_tallied", "profiles")}
         if not report["multiplicative"]:
             failures.append({"n": n, "stage": "multiplicativity", "report": {
                 "parity_ok": report["parity_ok"], "mismatches": report["mismatches"]}})
@@ -327,7 +331,10 @@ def check_idempotents(bounds: Bounds) -> CheckResult:
             failures.append({"n": n, "stage": "span"})
         if not report["commutative"]:
             failures.append({"n": n, "stage": "commutativity"})
-    return _result("idempotents", not failures, f"orthogonal idempotents and matching spans, n<={n_max}", failures)
+    quoted = "one window per reversal pair: " + "; ".join(
+        f"n={n}: {seen['windows_tallied']} windows, {seen['profiles']} profiles" for n, seen in examined.items())
+    return _result("idempotents", not failures, f"orthogonal idempotents and matching spans, n<={n_max}", failures,
+                   quoted, examined=examined)
 
 
 def check_negatives(bounds: Bounds) -> CheckResult:

@@ -73,6 +73,15 @@ def factorizations(p, kind, first, second=None):
     return Counter((of_t[t], of_s[compose(p, t_inv)]) for t, t_inv in _inverses(kind, n))
 
 
+def peak_number_factorizations(p):
+    """Counts of the factorizations s.t = p in S_n by the interior peak
+    counts (of t, of s)."""
+    counts = Counter()
+    for (peaks_t, peaks_s), times in factorizations(p, "A", "interiorPeak").items():
+        counts[len(peaks_t), len(peaks_s)] += times
+    return counts
+
+
 def products_constant(kind, n, first, second, on):
     """Is every product v_A * v_B (A a class of `first`, B of `second`)
     constant on the classes of `on`, i.e. in the span of their sums?"""

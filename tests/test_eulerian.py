@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from peakalg import eulerian
+from peakalg import eulerian, group_algebra
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import epp_count
 from peakalg.eulerian import (
@@ -22,9 +22,11 @@ from peakalg.eulerian import (
     rho_idempotents,
     verify_rho_multiplicativity,
 )
-from peakalg.group_algebra import AlgebraElement, class_sums, closure_check
+from peakalg.group_algebra import AlgebraElement, class_sums, closure_check, factorization_counts
 from peakalg.linalg import Span
 from peakalg.permutations import Permutation, enumerate_group, peak_set, rank, unrank
+
+import peak_oracle as oracle
 
 F = Fraction
 
@@ -151,6 +153,40 @@ def test_multiplicativity_report():
     assert verify_rho_multiplicativity(1)["sum_equals_identity"] is True
     assert verify_rho_multiplicativity(2)["sum_equals_identity"] is False
     assert verify_rho_multiplicativity(3)["sum_equals_identity"] is False
+
+
+def test_the_oracle_recounts_reversal_keeping_the_peak_number_counts():
+    # N_{p.w0} = N_p, w0 the reversal, recounted by composing windows
+    for n in range(1, 6):
+        for p in oracle.group("A", n):
+            assert oracle.peak_number_factorizations(p) == oracle.peak_number_factorizations(p[::-1]), p
+
+
+def test_the_report_tallies_one_window_per_reversal_pair(monkeypatch):
+    # the report read off the profiles of every window equals the one
+    # tallied off half of them, key by key; the tally runs n!/2 times
+    tallied = []
+    original = group_algebra._tally
+
+    def counted(n, kind, r, *statistics):
+        tallied.append(r)
+        return original(n, kind, r, *statistics)
+
+    monkeypatch.setattr(group_algebra, "_tally", counted)
+    for n in range(1, 7):
+        tallied.clear()
+        report = verify_rho_multiplicativity(n)
+        assert len(tallied) == len(set(tallied)) == report["windows_tallied"] == max(math.factorial(n) // 2, 1), n
+        every = {
+            (len(peak_set(p, "interiorPeak").members),
+             frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
+            for r, p in enumerate(enumerate_group(n, "A"))
+        }
+        full = eulerian._rho_report(n, every)
+        assert report["profiles"] == len(every)
+        assert set(report) == {*full, "windows_tallied", "profiles"}, n
+        for key, value in full.items():
+            assert report[key] == value, (n, key)
 
 
 def test_the_coefficients_sum_to_the_unit_of_the_peak_number_span():

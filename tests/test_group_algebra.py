@@ -470,13 +470,13 @@ def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch, fre
         monkeypatch.setattr(module, "factorization_counts", counted)
     prime = Alphabet.prime(2)
     # a passing closure and duality walk every rank, a table every class
-    # representative, the idempotents report every window of S_4, a census
-    # its one window
+    # representative, the idempotents report one window of each reversal pair
+    # of S_4, a census its one window
     for walk, expected in (
         (lambda: closure_check(3, "A", "interiorPeak"), group_order(3, "A")),
         (lambda: verify_duality(3, "B", "typeBPeak"), group_order(3, "B")),
         (lambda: structure_table(4, "A", "leftPeak", "number"), len(stat_classes(4, "A", "leftPeak", "number"))),
-        (lambda: eulerian.verify_rho_multiplicativity(4), group_order(4, "A")),
+        (lambda: eulerian.verify_rho_multiplicativity(4), group_order(4, "A") // 2),
         (lambda: enriched.factorization_census(Permutation((2, 3, 1)), prime, prime), 1),
         # a failing closure stops at its first mismatching member: 3 of 384 ranks
         (lambda: closure_check(4, "B", "typeBPeak"), 3),
@@ -948,3 +948,25 @@ def test_factorization_counts_refuse_out_of_range_ranks():
     with pytest.raises(ValueError, match="rank"):
         factorization_counts(3, "B", -1, "typeBPeak")
     assert sum(factorization_counts(3, "A", 5, "interiorPeak").values()) == 6
+
+
+def test_walk_digits_are_the_rank_digits_with_the_sign_bits_reversed():
+    # r read in the mixed radix of `_radices` gives the Lehmer digits of
+    # `rank_digits`, then its sign bits most significant first; S_0, S_1,
+    # B_0 and B_1 are among the groups
+    groups = [*((n, "A") for n in range(7)), *((n, "B") for n in range(5))]
+    for n, kind in groups:
+        split = max(n - 1, 0)
+        for r in range(group_order(n, kind)):
+            digits = rank_digits(r, n, kind)
+            assert group_algebra._walk_digits(n, kind, r) == (*digits[:split], *reversed(digits[split:])), (n, kind, r)
+
+
+def test_reversing_a_window_keeps_its_peak_number_factorization_counts():
+    # s.t = p exactly when s.(t.w0) = p.w0, t.w0 being t's window reversed,
+    # which keeps t's interior peak count: N_{p.w0} = N_p by peak-count pair
+    for n in range(1, 7):
+        for r, p in enumerate(enumerate_group(n, "A")):
+            reversed_rank = rank(Permutation(p.window[::-1]))
+            assert factorization_counts(n, "A", r, "interiorPeak", "number") == \
+                factorization_counts(n, "A", reversed_rank, "interiorPeak", "number"), p
