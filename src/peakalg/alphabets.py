@@ -58,8 +58,11 @@ class Alphabet:
             raise ValueError("duplicate letters")
         # coded censuses (enriched.CodedCensus) built over this alphabet:
         # chain censuses by (n, descent set), kept by
-        # enriched.coded_chain_census, and factorization censuses by (second
-        # alphabet, n, count table), kept by enriched.coded_factorization_census
+        # enriched.coded_chain_census, with the chain DP's state after each
+        # descent-set prefix by ("prefix states", n), which later censuses of
+        # that n extend; and factorization censuses by (second alphabet, n,
+        # count table), kept by enriched.coded_factorization_census.  All of
+        # them are dropped with the alphabet.
         self.censuses: dict[tuple, Any] = {}
 
     def __len__(self) -> int:

@@ -19,6 +19,15 @@ the alphabet and the number of values n.  The chain DP and the poset census
 build coded censuses, sums and products combine them, and the verification
 checks compare them, code system included.  The public census functions
 decode on return, into a fresh dict keyed by exponent tuples.
+
+The chain DP goes along the positions; its state after a step, the census
+of the chains ending at each letter, depends on the descent set only
+through its members before that step.  So the descent sets of one n share
+the steps of their common prefix: the state of every prefix is kept on the
+alphabet, a census extends the longest prefix already stepped, each
+(n, prefix) step runs once per alphabet, and the last step adds straight
+into the census.  Kept states are never changed, and they live, with the
+censuses, exactly as long as the alphabet.
 """
 
 from __future__ import annotations
@@ -157,9 +166,13 @@ def chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
 
 
 def coded_chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> CodedCensus:
-    """The coded census of the chain maps.  The DP runs once per (n, descent
-    set) for each alphabet and its result is kept on the alphabet; this
-    returns the kept census itself, which callers must not change."""
+    """The coded census of the chain maps.  The DP state after a step
+    depends on the descent set only through its members before that step,
+    so the censuses of one alphabet and n share the steps of their common
+    descent-set prefix: each (n, prefix) step runs once per alphabet
+    (`_chain_census`).  The census of each (n, descent set) is kept on the
+    alphabet beside the prefix states, and both live as long as it does;
+    this returns the kept census itself, which callers must not change."""
     if n < 0:
         raise ValueError(f"chain length must be nonnegative, got {n}")
     rules = (n, frozenset(des))
@@ -169,38 +182,91 @@ def coded_chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Coded
     return stored
 
 
+class _ChainSteps(NamedTuple):
+    """The chain DP of one alphabet and n: the code system, the equality
+    gate of a plain step and of a descent step, and the state reached by
+    each descent-set prefix, keyed by its tuple of step flags (is step i a
+    descent).  A state holds, per letter, the coded census of the chains
+    ending at that letter; no stored state is ever changed."""
+
+    codes: _KeyCodes
+    gates: tuple[list[bool], list[bool]]
+    states: dict[tuple[bool, ...], list[dict[int, int]]]
+
+
+def _chain_steps(n: int, alphabet: Alphabet) -> _ChainSteps:
+    """The kept DP of alphabet and n, made on first use with only the start
+    state stored: anchored at the zero letter, or a free first value."""
+    slot = ("prefix states", n)
+    steps = alphabet.censuses.get(slot)
+    if steps is None:
+        codes = _KeyCodes.of(alphabet, n)
+        if alphabet.zero_index is not None:
+            start: list[dict[int, int]] = [{} for _ in alphabet.letters]
+            start[alphabet.zero_index] = {0: 1}
+        else:
+            start = [{weight: 1} for weight in codes.weight]
+        gates = (_equality_gate(alphabet, False), _equality_gate(alphabet, True))
+        steps = alphabet.censuses[slot] = _ChainSteps(codes, gates, {(): start})
+    return steps
+
+
 def _chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> CodedCensus:
-    size = len(alphabet)
-    codes = _KeyCodes.of(alphabet, n)
+    """Extend the longest stored prefix of the descent set's step flags,
+    storing the state of every prefix it passes; the last step adds into
+    the census total instead."""
     if n == 0:
-        return CodedCensus(codes, {0: 1})
-    if alphabet.zero_index is not None:
-        state: list[dict[int, int]] = [{} for _ in range(size)]
-        state[alphabet.zero_index] = {0: 1}
-        first = 0
-    else:
-        state = [{weight: 1} for weight in codes.weight]
-        first = 1
-    for i in range(first, n):
-        gate = _equality_gate(alphabet, i in des)
-        new: list[dict[int, int]] = []
-        running: dict[int, int] = {}
-        for j, weight in enumerate(codes.weight):
-            # chains ending below letter j, plus those ending at j when the
-            # step may repeat it, each extended by one value at j
-            current = {key + weight: count for key, count in running.items()}
-            if gate[j]:
-                for key, count in state[j].items():
-                    current[key + weight] = current.get(key + weight, 0) + count
-            new.append(current)
-            for key, count in state[j].items():
-                running[key] = running.get(key, 0) + count
-        state = new
+        return CodedCensus(_KeyCodes.of(alphabet, 0), {0: 1})
+    codes, gates, states = _chain_steps(n, alphabet)
+    first = 0 if alphabet.zero_index is not None else 1
+    flags = tuple(i in des for i in range(first, n))
+    if not flags:  # one free value: a chain per letter
+        total: dict[int, int] = {}
+        for weight in codes.weight:
+            total[weight] = total.get(weight, 0) + 1
+        return CodedCensus(codes, total)
+    depth = len(flags) - 1
+    while flags[:depth] not in states:
+        depth -= 1
+    state = states[flags[:depth]]
+    for i in range(depth, len(flags) - 1):
+        state = states[flags[:i + 1]] = _chain_step(state, gates[flags[i]], codes.weight)
+    return CodedCensus(codes, _chain_total(state, gates[flags[-1]], codes.weight))
+
+
+def _chain_step(state: list[dict[int, int]], gate: list[bool], weights: tuple[int, ...]) -> list[dict[int, int]]:
+    """One DP step, into a new state: the chains ending at letter j are
+    those ending below j, plus those ending at j when the gate lets the step
+    repeat it, each extended by one value at j."""
+    new: list[dict[int, int]] = []
+    running: dict[int, int] = {}  # the chains ending below letter j, or at it once it may repeat
+    for counts, repeat, weight in zip(state, gate, weights):
+        if repeat:
+            _add_into(running, counts)
+        new.append({key + weight: count for key, count in running.items()})
+        if not repeat:
+            _add_into(running, counts)
+    return new
+
+
+def _chain_total(state: list[dict[int, int]], gate: list[bool], weights: tuple[int, ...]) -> dict[int, int]:
+    """The last DP step, summed over the letters as it goes: the census of
+    the chains that `_chain_step` would end at every letter."""
     total: dict[int, int] = {}
-    for partial in state:
-        for key, count in partial.items():
-            total[key] = total.get(key, 0) + count
-    return CodedCensus(codes, total)
+    running: dict[int, int] = {}
+    for counts, repeat, weight in zip(state, gate, weights):
+        if repeat:
+            _add_into(running, counts)
+        for key, count in running.items():
+            total[key + weight] = total.get(key + weight, 0) + count
+        if not repeat:
+            _add_into(running, counts)
+    return total
+
+
+def _add_into(total: dict[int, int], counts: dict[int, int]) -> None:
+    for key, count in counts.items():
+        total[key] = total.get(key, 0) + count
 
 
 def chain_tuples(n: int, des: frozenset[int], alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:

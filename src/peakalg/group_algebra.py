@@ -65,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import accumulate, chain, repeat
-from operator import and_, gt, itemgetter, lshift, lt, or_
+from operator import add, and_, gt, itemgetter, lshift, lt, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseVector, Span
@@ -77,7 +77,6 @@ from .permutations import (
     _check_signed_flavor,
     ambient_interval,
     group_order,
-    inverse_window,
     rank,
     windows,
 )
@@ -268,8 +267,23 @@ def _class_row(n: int, kind: str, flavor: str, mode: str, r: int,
 
 @lru_cache(maxsize=None)
 def _inverse_ranks(n: int, kind: str) -> tuple[int, ...]:
-    index = _index(n, kind)
-    return tuple(index[inverse_window(window)] for window in index)
+    """The rank of the inverse of every element, in rank order, with no loop
+    over the windows in Python.  Kind A: position i of the inverse holds the
+    position of value i, read per value with `tuple.index`.  Kind B: a rank
+    is the Lehmer rank of |w| times 2^n plus the sign mask, so the inverse's
+    is the inverse rank of |w| in A_n times 2^n plus the sign bit of each
+    position i moved to bit |w(i)| - 1, read per column off a value table."""
+    if n == 0:
+        return (0,)
+    if kind == "B":
+        # indexed by the value w(i), negative values from the end
+        bits = (0,) * (n + 1) + tuple(1 << v for v in reversed(range(n)))
+        masks = map(sum, zip(*(map(bits.__getitem__, column) for column in _values(n, "B")[1:n + 1])))
+        bases = chain.from_iterable(repeat(r << n, 1 << n) for r in _inverse_ranks(n, "A"))
+        return tuple(map(add, bases, masks))
+    group = windows(n, "A")
+    inverses = zip(*(map(add, map(tuple.index, group, repeat(value)), repeat(1)) for value in range(1, n + 1)))
+    return tuple(map(_index(n, "A").__getitem__, inverses))
 
 
 class AlgebraElement(SparseVector):

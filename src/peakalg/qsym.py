@@ -17,7 +17,8 @@ censuses of the enriched module.  The test suite checks this on
 exponent-tuple keys, and `verify.check_formulas` on integer-coded keys: it
 codes each evaluation once, in the code system of the censuses it is
 compared with (`enriched.encode_census`).  The series of one size share
-their keys, the compositions of that size, built once.
+their keys, the compositions of that size, built once beside the bitmasks
+that decide which of them a peak set's series holds.
 """
 
 from __future__ import annotations
@@ -139,10 +140,17 @@ def m_to_f(element: QSymElement) -> QSymElement:
 
 
 @lru_cache(maxsize=None)
-def _compositions(n: int, typeB: bool) -> tuple[Composition, ...]:
-    """compositions(n, typeB), built once per size and kind: the peak series
-    of one size take their keys from it, in its `subsets` order."""
-    return tuple(compositions(n, typeB))
+def _subset_terms(n: int, typeB: bool) -> tuple[tuple[Composition, int, int, int], ...]:
+    """Per subset E of the positions of a size-n peak series, in `subsets`
+    order: the composition whose partial sums are E (the compositions of n
+    list their partial-sum sets in the same order), and E's cover
+    E union (E+1), its boundary E symmetric-difference (E+1) and its size,
+    the sets as bitmasks over positions.  Built once per size and kind."""
+    terms = []
+    for chosen, key in zip(subsets(range(0 if typeB else 1, n)), compositions(n, typeB), strict=True):
+        mask = sum(1 << i for i in chosen)
+        terms.append((key, mask | mask << 1, mask ^ mask << 1, len(chosen)))
+    return tuple(terms)
 
 
 def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str = "M") -> QSymElement:
@@ -155,23 +163,18 @@ def peak_series(members: Iterable[int], n: int, typeB: bool = False, basis: str 
     Signed (typeB, over pseudo-compositions): E ranges inside [0, n-1] and
     each exponent drops by one, 2^|E| and 2^|peaks|.  Signed sets avoiding 0
     are exactly the series of windows whose leftmost-anchored peak set has
-    no peak at 0.  The key of a subset E is the composition whose partial
-    sums are E, read from the compositions of n, which list the subsets in
-    the same order."""
+    no peak at 0.  Containment is read off the bitmasks of `_subset_terms`."""
     if basis not in ("M", "F"):
         raise ValueError(f"unknown basis: {basis}")
     peaks = StatSet.of("typeBPeak" if typeB else "interiorPeak", n, members).members
     lowest = 0 if typeB else 1
-    out: Coeffs = {}
-    for chosen, key in zip(subsets(range(lowest, n)), _compositions(n, typeB), strict=True):
-        shifted = {i + 1 for i in chosen}
-        if basis == "M" and peaks <= set(chosen) | shifted:
-            coefficient = 2 ** (len(chosen) + lowest)
-        elif basis == "F" and peaks <= set(chosen) ^ shifted:
-            coefficient = 2 ** (len(peaks) + lowest)
-        else:
-            continue
-        out[key] = coefficient
+    mask = sum(1 << p for p in peaks)
+    terms = _subset_terms(n, typeB)
+    if basis == "M":
+        out = {key: 2 ** (size + lowest) for key, cover, _, size in terms if not mask & ~cover}
+    else:
+        coefficient = 2 ** (len(peaks) + lowest)
+        out = {key: coefficient for key, _, boundary, _ in terms if not mask & ~boundary}
     return QSymElement(basis, typeB, out)
 
 

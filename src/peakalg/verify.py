@@ -220,7 +220,8 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
     """Pair-alphabet censuses factor through ordered factorizations: the
     census over the up-down product alphabet equals the factorization sum,
     for every window.  The alphabets are built for each pair and n, so the
-    censuses they keep are dropped when the sweep moves on."""
+    censuses and chain-DP prefix states they keep are dropped when the sweep
+    moves on."""
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
     n_a = bounds.cap(4)
@@ -374,12 +375,13 @@ def check_oracles(bounds: Bounds) -> CheckResult:
     quasi-shuffle product against truncated evaluation."""
     n_max = bounds.cap(5)
     failures = []
+    primes = {k: Alphabet.prime(k) for k in range(2, n_max + 3)}
     for n in range(1, n_max + 1):
         polys = {i: order_polynomial(i, n) for i in realized_peak_counts(n)}
         for w in enumerate_group(n, "A"):
             i = len(peak_set(w, "interiorPeak").members)
             for k in (n + 1, n + 2):
-                if polys[i].evaluate(k) != epp_count(w, Alphabet.prime(k)):
+                if polys[i].evaluate(k) != epp_count(w, primes[k]):
                     failures.append({"stage": "order polynomial", "window": str(w), "k": k})
     k = 3
     for typeB in (False, True):

@@ -16,6 +16,7 @@ from peakalg.enriched import (
     chain_census,
     chain_count,
     chain_tuples,
+    coded_chain_census,
     count_table,
     epp_census,
     epp_count,
@@ -268,6 +269,112 @@ def test_chain_census_keys_at_the_radix_bound():
                 assert census == census_of_maps(epp_maps(p, alphabet), alphabet), (p, alphabet.var_lists)
                 if kind == "A" and not descent_set(p, "descentA").members:
                     assert max(max(key) for key in census) == n
+
+
+def _reference_chain_census(n, des, alphabet):
+    """The chain DP run afresh for one descent set: the per-letter state of
+    every step, then a pass over the letters that sums the last one."""
+    codes = _KeyCodes.of(alphabet, n)
+    if n == 0:
+        return CodedCensus(codes, {0: 1})
+    if alphabet.zero_index is not None:
+        state = [{} for _ in alphabet.letters]
+        state[alphabet.zero_index] = {0: 1}
+        first = 0
+    else:
+        state = [{weight: 1} for weight in codes.weight]
+        first = 1
+    for i in range(first, n):
+        gate = [e < 0 if i in des else e > 0 for e in alphabet.eps]
+        new, running = [], {}
+        for j, weight in enumerate(codes.weight):
+            current = {key + weight: count for key, count in running.items()}
+            if gate[j]:
+                for key, count in state[j].items():
+                    current[key + weight] = current.get(key + weight, 0) + count
+            new.append(current)
+            for key, count in state[j].items():
+                running[key] = running.get(key, 0) + count
+        state = new
+    total = {}
+    for partial in state:
+        for key, count in partial.items():
+            total[key] = total.get(key, 0) + count
+    return CodedCensus(codes, total)
+
+
+def _prefix_sweep_alphabets():
+    """Fresh alphabets for the shared-DP sweeps: the three base variants at
+    k <= 3 and two products, one of them able to host signed windows."""
+    makers = [lambda k=k, make=make: make(k) for make in (Alphabet.prime, Alphabet.left, Alphabet.plus_minus)
+              for k in (1, 2, 3)]
+    makers.append(lambda: Alphabet.product(Alphabet.left(2), Alphabet.prime(2)))
+    makers.append(lambda: Alphabet.product(Alphabet.plus_minus(1), Alphabet.plus_minus(1)))
+    return makers
+
+
+def _descent_sets(alphabet, n_a=5, n_b=4):
+    """Every descent set of S_n for n <= n_a and, on an alphabet that hosts
+    signed windows, of B_n for n <= n_b, as (n, set) requests."""
+    requests = {(n, frozenset(s)) for n in range(n_a + 1) for s in itertools.chain.from_iterable(
+        itertools.combinations(range(1, n), size) for size in range(n))}
+    if enriched.supports_signed(alphabet):
+        requests |= {(n, frozenset(s)) for n in range(n_b + 1) for s in itertools.chain.from_iterable(
+            itertools.combinations(range(n), size) for size in range(n + 1))}
+    return sorted(requests, key=lambda request: (request[0], sorted(request[1])))
+
+
+def test_shared_prefix_censuses_match_the_per_census_dp():
+    # prefix states built in one request order serve every later request:
+    # a seeded shuffle on one alphabet object, the reverse order on another
+    shuffle = random.Random(20261020).shuffle
+    for make in _prefix_sweep_alphabets():
+        requests = _descent_sets(make())
+        shuffled, backwards = list(requests), requests[::-1]
+        shuffle(shuffled)
+        for order in (shuffled, backwards):
+            alphabet = make()
+            for n, des in order:
+                assert coded_chain_census(n, des, alphabet) == _reference_chain_census(n, des, alphabet), (
+                    alphabet, n, sorted(des))
+
+
+def test_each_prefix_step_runs_once_and_no_kept_census_changes(monkeypatch):
+    # a step is named by the state it extends and its gate (descent or not):
+    # over a sweep of every descent set of each n, each such step runs once,
+    # one per prefix of the step flags, and no kept state or census changes
+    steps, totals, made = [], [], []
+    step, total = enriched._chain_step, enriched._chain_total
+
+    def counted_step(state, gate, weights):
+        steps.append((id(state), id(gate)))
+        new = step(state, gate, weights)
+        made.append((new, [dict(counts) for counts in new]))
+        return new
+
+    def counted_total(state, gate, weights):
+        totals.append((id(state), id(gate)))
+        return total(state, gate, weights)
+
+    monkeypatch.setattr(enriched, "_chain_step", counted_step)
+    monkeypatch.setattr(enriched, "_chain_total", counted_total)
+    for make in _prefix_sweep_alphabets():
+        alphabet = make()
+        first = 0 if alphabet.zero_index is not None else 1
+        returned = []
+        for n in range(0, 6):
+            del steps[:], totals[:]
+            sets = [frozenset(s) for size in range(n - first + 1)
+                    for s in itertools.combinations(range(first, n), size)]
+            for des in reversed(sets):
+                census = coded_chain_census(n, des, alphabet)
+                returned.append((census, dict(census.counts)))
+            m = n - first if n else 0  # DP steps: a first value free of any anchor is none
+            assert len(totals) == len(set(totals)) == (2 ** m if m else 0), (alphabet, n)
+            assert len(steps) == len(set(steps)) == (2 ** m - 2 if m else 0), (alphabet, n)
+        assert all(census.counts == counts for census, counts in returned), alphabet
+        assert all(new == copies for new, copies in made), alphabet
+        del made[:]
 
 
 def test_stored_chain_censuses_are_copies():

@@ -39,10 +39,12 @@ from peakalg.permutations import (
     enumerate_group,
     fibonacci,
     group_order,
+    inverse_window,
     rank,
     rank_digits,
     stat_set,
     unrank,
+    windows,
 )
 
 import peak_oracle as oracle
@@ -140,6 +142,15 @@ def test_product_rows_and_inverses_match_composing():
                 assert group_algebra._row(n, kind, r) == expected[r], (n, kind, r, shuffled)
         for r, p in enumerate(elements):
             assert inverses[r] == rank(p.inverse()), (n, kind, r)
+
+
+def test_inverse_ranks_match_inverting_each_window():
+    # the column-wise inverse ranks against inverting window by window, at
+    # every rank of A_n for n <= 7 and B_n for n <= 6, n = 0 and 1 included
+    for n, kind in [(n, "A") for n in range(8)] + [(n, "B") for n in range(7)]:
+        index = {window: r for r, window in enumerate(windows(n, kind))}
+        expected = tuple(index[inverse_window(window)] for window in index)
+        assert group_algebra._inverse_ranks(n, kind) == expected, (n, kind)
 
 
 def test_factor_getters_are_bounded_by_digits():

@@ -88,6 +88,32 @@ def test_peak_series_rejects_invalid_sets():
         peak_series([], 2, basis="X")
 
 
+def _subset_set_series(members, n, typeB, basis):
+    """The peak series summed subset by subset, each subset's cover and
+    boundary built as Python sets."""
+    lowest = 0 if typeB else 1
+    peaks = set(members)
+    out = {}
+    for key in compositions(n, typeB):
+        chosen = key.to_subset()
+        shifted = {i + 1 for i in chosen}
+        if basis == "M" and peaks <= set(chosen) | shifted:
+            out[key] = 2 ** (len(chosen) + lowest)
+        elif basis == "F" and peaks <= set(chosen) ^ shifted:
+            out[key] = 2 ** (len(peaks) + lowest)
+    return QSymElement(basis, typeB, out)
+
+
+def test_peak_series_match_the_subset_set_form():
+    # every peak set of both kinds at n <= 7, in both bases
+    for typeB, flavor in ((False, "interiorPeak"), (True, "typeBPeak")):
+        for n in range(0, 8):
+            for s in enumerate_stat_sets(n, flavor):
+                for basis in ("M", "F"):
+                    expected = _subset_set_series(s.members, n, typeB, basis)
+                    assert peak_series(s.members, n, typeB, basis) == expected, (flavor, n, s, basis)
+
+
 def test_fundamental_forms_agree():
     # every interior peak set with n <= 6 and every type B peak set with
     # n <= 5, the left peak sets among them
