@@ -25,14 +25,15 @@ from .alphabets import Alphabet
 from .enriched import epp_count
 from .group_algebra import (
     AlgebraElement,
-    _index,
+    _cells,
+    _partition,
     closure_check,
     factorization_counts,
     multiplicative_closure,
     stat_classes,
 )
 from .linalg import SparseVector, Span, exact
-from .permutations import unrank, windows
+from .permutations import unrank
 
 
 class RationalPolynomial(SparseVector):
@@ -182,22 +183,19 @@ def verify_rho_multiplicativity(n: int) -> dict:
     whether the peak-number class sums commute: v_i * v_j = v_j * v_i exactly
     when N_p(i, j) = N_p(j, i) at every window p.
 
-    With w0 the reversal, t.w0 is the window of t reversed, which has the
-    interior peak count of t, and s.t = p exactly when s.(t.w0) = p.w0, so
-    N_{p.w0}(i, j) = N_p(i, j) and p.w0 has the profile of p.  One window of
-    each reversal pair {p, p.w0} is tallied, the one of lesser rank, and the
-    report says how many (`windows_tallied`, ceil(n!/2)) and how many
-    distinct profiles they gave (`profiles`).
+    The interior peak classes are unions of descent classes, so by Solomon's
+    theorem N_p is constant on each descent class, and one window of each is
+    tallied, its least rank (`group_algebra._cells`).  The report says how
+    many (`windows_tallied`, 2^(n-1)) and how many distinct profiles they
+    gave (`profiles`).
 
     The class sums have disjoint supports, so the allowed-degree
     coefficients span the same space as the class sums exactly when their
     rows of peak-count coefficients form a square matrix of full rank."""
-    index = _index(n, "A")
-    group = windows(n, "A")
-    tallied = [(peaks, r) for peaks, ranks in stat_classes(n, "A", "interiorPeak", "number").items()
-               for r in ranks if r <= index[group[r][::-1]]]
-    profiles = {(peaks, frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
-                for peaks, r in tallied}
+    keys, ids, _ = _partition(n, "A", "interiorPeak", "number")
+    tallied = _cells(n, "A", "interiorPeak")[1]
+    profiles = {(keys[ids[r]], frozenset(factorization_counts(n, "A", r, "interiorPeak", "number").items()))
+                for r in tallied}
     return {**_rho_report(n, profiles), "windows_tallied": len(tallied), "profiles": len(profiles)}
 
 

@@ -10,52 +10,40 @@ all ordered factorizations s . t = p.  The kernel holds a group as windows,
 columns and rows, indexed by rank: the window tuples of
 `permutations.windows`, their value columns w(0..n+1), off which every
 statistic is read as bit codes, and rows of product ranks, row(x)[j] the
-rank of x composed with the j-th element.  A rank's digits (its Lehmer
-digits, then for kind B its sign bits) name one factor each, and row(x . f)
-is row(x) read at the entries of row(f); so is any vector indexed by rank
-read at row(x . f).  A row is therefore the identity's row taken through one
-cached getter per nonzero digit, and a statistic's class-id row, the class
-id of x composed with every element, is its class ids taken through the
-same getters, with no rank row between.  A frame lists the elements in
-another order, and the same holds there with the getter of f permuting
-positions: a tally walks its vector in the counting order of its t
-statistic (see `_Frame`), so the walked row is already class segment by
-class segment.  A walk keeps one prefix stack per vector and frame it walks
-(the rank row or the class ids of one statistic, in rank order or in a
-statistic's frame), for the last group walked only: the partial rows of the
-last rank built, one per digit slot, so at most 2n-1 rows a stack.  The
-next rank starts from the partial row of the longest digit prefix the two
-share, and the sign digits are taken most significant first, so a walk in
-rank order applies one getter per row.  Element objects are built on
-demand, for `support` and the window text of a certificate.
+rank of x composed with the j-th element.  A rank's digits
+(`permutations.rank_digits`: its Lehmer digits, then for kind B its sign
+bits) name one factor each, and row(x . f) is row(x) read at the entries of
+row(f); so is any vector indexed by rank read at row(x . f).  A row is
+therefore the identity's row taken through one cached getter per nonzero
+digit, and a statistic's class-id row, the class id of x composed with
+every element, is its class ids taken through the same getters, with no
+rank row between.  Element objects are built on demand, for `support` and
+the window text of a certificate.
 
 Each statistic, per (n, kind, flavor, mode), has one cached partition of
 the group: its keys in order of first appearance, the class id of every
 rank, and the ranks of each class; every class question reads it.  A tally
-counts, off the target's class-id row under one statistic walked in the
-frame of another, the class ids of target . t^-1 with t ordered by the
-classes of the other, class segment by class segment: with one
-`bytes.count` per (segment, class) when the counted statistic has few
-classes, else one Counter per segment.  `factorization_counts` is its
-one-statistic case.
+counts the factorizations s . t = target by (class of t, class of s) in one
+Counter of codes, each the sum of a cached class code of t, read at the
+inverse ranks, and the class id of s, read off the target's class-id row in
+rank order.  `factorization_counts` is its one-statistic case.
 
 The classes of a statistic partition the group, so an element lies in the
 span of its class sums exactly when it is constant on every class, and the
 closure, duality, ideal and audit checks decide membership by comparing
 exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
-number of factorizations of p by class pair, each compares every class
-member's tallies against its class representative's.  Every check is a walk
-over the target windows that builds each target's class-id rows once and
-keeps only the prefix stacks; the rank row serves `AlgebraElement.convolve`,
-the public product, which no check calls, and `multiplicative_closure`,
-which walks it in its statistic's frame.  `closure_check`,
-`representative_audit` and `verify_duality` are three views of one walk
-record per statistic, advanced lazily: the first two read it until its first
-mismatch, the third to its end, so no window is walked twice and a failing
-closure still stops at its first mismatch.  Failures come with an explicit
-certificate, so reports can show a witness.
-`multiplicative_closure`, whose products leave the class-sum span, hands
-their coefficient mappings to `linalg.Span` as they are.
+number of factorizations of p by class pair, each compares the tallies of
+class members against their class representative's.  They read one window
+per cell (`_cells`).  When the classes of every statistic asked about are
+unions of descent classes, the cells are the descent classes: by Solomon's
+theorem the descent class sums span a subalgebra, so every product of class
+sums is constant on each of them.  Otherwise every window is its own cell.
+A pass therefore assumes the theorem for the windows it did not read; a
+failure is a pair of windows read, and assumes nothing.  Failures come with
+an explicit certificate, so reports can show a witness.
+`multiplicative_closure` keeps its span in the same cell coordinates: its
+products leave the class-sum span but stay constant on every cell, and it
+hands their coefficient mappings to `linalg.Span` as they are.
 """
 
 from __future__ import annotations
@@ -64,7 +52,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from operator import add, and_, gt, itemgetter, lshift, lt, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -78,6 +66,7 @@ from .permutations import (
     ambient_interval,
     group_order,
     rank,
+    rank_digits,
     windows,
 )
 
@@ -124,25 +113,18 @@ def _columns(n: int, kind: str) -> tuple[Callable, ...]:
 
 
 @lru_cache(maxsize=None)
-def _factor(n: int, kind: str, slot: int, digit: int, frame: tuple[str, str] | None) -> Callable[[Sequence], tuple]:
-    """The getter of the factor f of one nonzero digit of `_walk_digits`:
-    applied to the row of x it gives the row of x.f.  Lehmer slot k < n-1
-    gives q_{k+1}(d), which fixes 1..k, sends position k+1 to k+1+d and lists
-    the other values in increasing order; sign slot n-1+i flips position n-i.
-    In rank order (frame None), row(x.f)[j] = row(x)[row(f)[j]], and row(f)
-    is the one row read off the window -> rank dict entry by entry.  In the
-    frame of a statistic, whose m-th element is e_m, row(x.f)[m] =
-    row(x)[pi(m)], pi(m) the position of f.e_m: the rank-order row of f read
-    at the frame's order, then the frame's positions read at that."""
-    if frame is not None:
-        read, positions, _ = _frame(n, kind, *frame)
-        plain = _factor(n, kind, slot, digit, None)(_identity_row(n, kind))  # row(f)
-        return _getter(_getter(read(plain))(positions))
+def _factor(n: int, kind: str, slot: int, digit: int) -> Callable[[Sequence], tuple]:
+    """The getter of the factor f of one nonzero digit of `rank_digits`:
+    applied to the row of x it gives the row of x.f, row(x.f)[j] =
+    row(x)[row(f)[j]], and row(f) is the one row read off the window -> rank
+    dict entry by entry.  Lehmer slot k < n-1 gives q_{k+1}(d), which fixes
+    1..k, sends position k+1 to k+1+d and lists the other values in
+    increasing order; sign slot n-1+i flips position i+1."""
     window = list(range(1, n + 1))
     if slot < n - 1:
         window.insert(slot, window.pop(slot + digit))
     else:
-        window[2 * n - 2 - slot] *= -1
+        window[slot - (n - 1)] *= -1
     image = (0, *window, *(-v for v in reversed(window)))
     composed = zip(*(column(image) for column in _columns(n, kind)))
     return _getter(tuple(map(_index(n, kind).__getitem__, composed)))
@@ -155,114 +137,22 @@ def _identity_row(n: int, kind: str) -> tuple[int, ...]:
     return tuple(range(group_order(n, kind)))
 
 
-@lru_cache(maxsize=None)
-def _radices(n: int, kind: str) -> tuple[int, tuple[int, ...]]:
-    """The group order and the radices of `_walk_digits`, least significant
-    first: for kind B the n sign bits, then the Lehmer radices 2..n."""
-    signs = (2,) * n if kind == "B" else ()
-    return group_order(n, kind), (*signs, *range(2, n + 1))
+def _walk(n: int, kind: str, vector: Sequence[int], r: int) -> tuple:
+    """A vector indexed by rank read at the row of elements[r]: entry j is
+    its entry at the rank of elements[r] composed with elements[j].  The
+    element is the product of the factors of its digits in `rank_digits`
+    order (the sign flips commute), and the row of x.f is the row of x read
+    through the getter of f, so this is the vector taken through the getter
+    of each nonzero digit of r in turn."""
+    for slot, digit in enumerate(rank_digits(r, n, kind)):
+        if digit:
+            vector = _factor(n, kind, slot, digit)(vector)
+    return vector
 
 
-def _walk_digits(n: int, kind: str, r: int) -> tuple[int, ...]:
-    """The digits of rank r in the order a walk applies them: the Lehmer
-    digits of `rank_digits`, most significant first, then for kind B the
-    sign bits, most significant (position n) first, so that the digits a
-    walk in rank order changes come last.  Sign flips commute, so the
-    element is the same product in either order.  As r is the Lehmer rank
-    times 2^n plus the sign mask, these are the digits of r itself in the
-    mixed radix of `_radices`."""
-    order, radices = _radices(n, kind)
-    if not 0 <= r < order:
-        raise ValueError(f"rank {r} outside [0, {order - 1}] for {kind}_{n}")
-    digits = []
-    for radix in radices:
-        r, digit = divmod(r, radix)
-        digits.append(digit)
-    digits.reverse()
-    return tuple(digits)
-
-
-class _Frame(NamedTuple):
-    """The counting order of a tally whose t side is classed by one
-    statistic: its m-th element is e_m = t_m^-1, t_m the m-th element of the
-    statistic's classes (classes in order of first appearance, each in rank
-    order).  `read` takes a vector indexed by rank to its entries at the e_m,
-    `positions[rank of e_m]` is m, and `ends` closes each class's segment."""
-
-    read: Callable[[Sequence], tuple]
-    positions: tuple[int, ...]
-    ends: tuple[int, ...]
-
-
-@lru_cache(maxsize=None)
-def _frame(n: int, kind: str, flavor: str, mode: str) -> _Frame:
-    members = _partition(n, kind, flavor, mode).members
-    order = _getter(tuple(chain.from_iterable(members)))(_inverse_ranks(n, kind))
-    positions = [0] * len(order)
-    for m, r in enumerate(order):  # measured faster than a sort or a dict, 4 against 11-14 ms at B_6
-        positions[r] = m
-    return _Frame(_getter(order), tuple(positions), tuple(accumulate(map(len, members))))
-
-
-@lru_cache(maxsize=None)
-def _base(n: int, kind: str, vector: tuple[str, str] | None, frame: tuple[str, str] | None) -> tuple:
-    """The vector a walk starts from, the row of the identity: the identity's
-    rank row (vector None) or a statistic's class ids, read in the frame."""
-    base = _identity_row(n, kind) if vector is None else _partition(n, kind, *vector).ids
-    return base if frame is None else _frame(n, kind, *frame).read(base)
-
-
-# The prefix stacks of the group `_walk` last walked, one per (vector, frame)
-# it walks: the walk digits of the last rank built and the partial row after
-# each of their slots.  They are a cache: a row is the same whatever the
-# stacks held before.
-_stacks: tuple[tuple[int, str] | None, dict] = (None, {})
-
-
-def _walk(n: int, kind: str, vector: tuple[str, str] | None, frame: tuple[str, str] | None, r: int) -> tuple:
-    """A vector indexed by rank, the rank itself (vector None) or the class
-    id of a statistic (vector (flavor, mode)), read at elements[r] composed
-    with every element of the frame, in rank order (frame None) or in the
-    counting order of a statistic (frame (flavor, mode), see `_Frame`).  As
-    the row of x.f is the row of x read through the getter of f in that
-    frame, it is the `_base` of the vector taken through the getter of each
-    nonzero digit of r in turn.  The partial rows of the last rank built are
-    kept on the stack of (vector, frame), one per digit slot and for one
-    group only, so at most 2n-1 rows: a rank starts from the partial row of
-    the longest digit prefix it shares with that rank, and applies the
-    getters of its remaining digits only."""
-    global _stacks
-    digits = _walk_digits(n, kind, r)
-    group, stacks = _stacks
-    if group != (n, kind):
-        _stacks = group, stacks = (n, kind), {}
-    built, rows = stacks.get((vector, frame), ((), []))
-    shared = 0
-    for digit, old in zip(digits, built):
-        if digit != old:
-            break
-        shared += 1
-    rows = rows[:shared]  # a copy: the stack changes only once the row is built
-    row = rows[-1] if rows else _base(n, kind, vector, frame)
-    for slot in range(shared, len(digits)):
-        if digits[slot]:
-            row = _factor(n, kind, slot, digits[slot], frame)(row)
-        rows.append(row)
-    stacks[vector, frame] = (digits, rows)
-    return row
-
-
-def _row(n: int, kind: str, r: int, frame: tuple[str, str] | None = None) -> tuple[int, ...]:
-    """The rank of elements[r] composed with every element of the frame: in
-    rank order, row[j] = rank of elements[r] composed with elements[j]."""
-    return _walk(n, kind, None, frame, r)
-
-
-def _class_row(n: int, kind: str, flavor: str, mode: str, r: int,
-               frame: tuple[str, str] | None = None) -> tuple[int, ...]:
-    """The class id of elements[r] composed with every element of the frame:
-    the statistic's class ids walked to rank r, with no rank row between."""
-    return _walk(n, kind, (flavor, mode), frame, r)
+def _row(n: int, kind: str, r: int) -> tuple[int, ...]:
+    """row[j] = rank of elements[r] composed with elements[j]."""
+    return _walk(n, kind, _identity_row(n, kind), r)
 
 
 @lru_cache(maxsize=None)
@@ -475,45 +365,24 @@ def _key_json(key: StatKey):
     return key if isinstance(key, int) else sorted(key)
 
 
-# A statistic s with at most this many classes has its walked class ids
-# counted as bytes, one `bytes.count` per (t segment, s class); above it, one
-# Counter per t segment is faster (and bytes hold ids below 256 only).  Per
-# row, bytes won at 13 classes and lost at 20 and more, at S_5..S_7 and B_4, B_5.
-BYTES_CLASSES = 15
-
-
 @lru_cache(maxsize=None)
-def _counter(n: int, kind: str, t_flavor: str, s_flavor: str, mode: str) -> Callable[[tuple], dict]:
-    """The tally of one statistic pair, decided once: it takes a target's
-    class-id row under s_flavor walked in the frame of t_flavor, the class
-    ids of target.t^-1 with t ordered by the classes of t_flavor, and counts
-    them by the pair (class of t, class of s), nonzero counts only."""
-    t_keys = _partition(n, kind, t_flavor, mode).keys
-    s_keys = _partition(n, kind, s_flavor, mode).keys
-    ends = _frame(n, kind, t_flavor, mode).ends
-    bounds = list(zip(t_keys, (0, *ends), ends))
-    if len(s_keys) <= BYTES_CLASSES:
-        cells = [(id_s, start, end, (key_t, key_s))
-                 for key_t, start, end in bounds for id_s, key_s in enumerate(s_keys)]
-
-        def count(row: tuple) -> dict:
-            tally = bytes(row).count
-            return {pair: c for id_s, start, end, pair in cells if (c := tally(id_s, start, end))}
-    else:
-        def count(row: tuple) -> dict:
-            return {(key_t, s_keys[id_s]): c
-                    for key_t, start, end in bounds for id_s, c in Counter(row[start:end]).items()}
-    return count
+def _inverse_codes(n: int, kind: str, flavor: str, mode: str, width: int) -> tuple[int, ...]:
+    """width times the class id of the inverse of every element, in rank order."""
+    ids = _partition(n, kind, flavor, mode).ids
+    return tuple(width * ids[i] for i in _inverse_ranks(n, kind))
 
 
 def _tally(n: int, kind: str, r: int, t_flavor: str, s_flavor: str, mode: str) -> dict[tuple[StatKey, StatKey], int]:
     """Count the factorizations s.t = target, the target given by rank, by
-    the pair (class of t under t_flavor, class of s under s_flavor).  t pairs
-    with s = target.t^-1, so the target's class-id row under s_flavor,
-    walked in the frame of t_flavor, is the class of each s side with t
-    running class by class, and each class segment of t is counted off it
-    as it stands."""
-    return _counter(n, kind, t_flavor, s_flavor, mode)(_class_row(n, kind, s_flavor, mode, r, (t_flavor, mode)))
+    the pair (class of t under t_flavor, class of s under s_flavor).  With
+    t = elements[j]^-1, s = target.elements[j], whose class is entry j of the
+    target's class-id row under s_flavor; each pair is counted as the code
+    width * (class id of t) + (class id of s), in one Counter."""
+    t_keys = _partition(n, kind, t_flavor, mode).keys
+    s_keys, s_ids, _ = _partition(n, kind, s_flavor, mode)
+    width = len(s_keys)
+    codes = Counter(map(add, _inverse_codes(n, kind, t_flavor, mode, width), _walk(n, kind, s_ids, r)))
+    return {(t_keys[code // width], s_keys[code % width]): count for code, count in codes.items()}
 
 
 def factorization_counts(n: int, kind: str, r: int, flavor: str, mode: str = "set") -> dict[tuple[StatKey, StatKey], int]:
@@ -533,85 +402,73 @@ def structure_table(n: int, kind: str, flavor: str, mode: str = "set") -> Struct
     return StructureTable(n=n, kind=kind, flavor=flavor, mode=mode, keys=tuple(sorted_keys(keys)), counts=counts)
 
 
-def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[int], dict]):
-    """Walk the classes in order of first appearance, each in rank order, and
-    for every member whose counts differ from its class representative's (the
-    minimal-rank member) yield (class, representative rank, member rank,
-    {pair: (representative's count, member's count)}), the counts of a rank
-    read by `counts_of`."""
-    keys, _, members = _partition(n, kind, flavor, mode)
-    for key, ranks in zip(keys, members):
+# ---------------------------------------------------------------------------
+# Cells: the windows a class question reads
+
+
+def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
+    """Every peak class sum is a sum of descent class sums, hence lies in the
+    span of the descent classes: the peak set is constant on every descent
+    class, so pairing the two sets' bit codes makes no more distinct pairs
+    than there are descent sets."""
+    descents = _stat_codes(n, kind, "descent" + kind)
+    return len(set(zip(descents, _stat_codes(n, kind, flavor)))) == len(set(descents))
+
+
+@lru_cache(maxsize=None)
+def _cells(n: int, kind: str, *flavors: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The cells of a class question on these flavors, as (the cell id of
+    every rank, the least rank of each cell, ascending): the descent classes
+    when the classes of every flavor are unions of them, else single windows.
+    Each cell lies in one class of every flavor.  By Solomon's theorem the
+    descent class sums span a subalgebra, so in the first case every product
+    of class sums, and every factorization count N_p(A, B), is constant on
+    each cell."""
+    if all(descent_algebra_containment(n, kind, flavor) for flavor in flavors):
+        _, ids, members = _partition(n, kind, "descent" + kind, "set")
+        return ids, tuple(ranks[0] for ranks in members)
+    ranks = _identity_row(n, kind)
+    return ranks, ranks
+
+
+def _mismatches(n: int, kind: str, flavor: str, mode: str, counts_of: Callable[[int], dict], *others: str):
+    """Read the counts (by `counts_of`) of the least rank of every cell of
+    the flavors (`_cells`), class by class in order of first appearance, and
+    for each whose counts differ from its class representative's (the
+    class's minimal rank, the least of its own cell) yield (class,
+    representative rank, member rank, {pair: (representative's count,
+    member's count)})."""
+    keys, ids, _ = _partition(n, kind, flavor, mode)
+    classes: dict[int, list[int]] = {}
+    for r in _cells(n, kind, flavor, *others)[1]:
+        classes.setdefault(ids[r], []).append(r)
+    for c, ranks in classes.items():
         base = counts_of(ranks[0])
         for r in ranks[1:]:
             counts = counts_of(r)
             if counts != base:
-                yield key, ranks[0], r, {
+                yield keys[c], ranks[0], r, {
                     pair: (base.get(pair, 0), counts.get(pair, 0))
                     for pair in base.keys() | counts.keys()
                     if base.get(pair, 0) != counts.get(pair, 0)
                 }
 
 
-class _WalkRecord:
-    """What the walk of one statistic's factorization counts has read so far:
-    the suspended walk (None once it has ended), its first mismatch, and per
-    pair (A, B) the earliest mismatching window, (rank, class, representative
-    rank, member's count - representative's), the minimal rank over the
-    mismatches read.  It holds one entry per class pair at most, whatever
-    the number of mismatching windows."""
-
-    __slots__ = ("walk", "first", "earliest")
-
-    def __init__(self, walk):
-        self.walk = walk
-        self.first = None
-        self.earliest: dict[tuple[StatKey, StatKey], tuple] = {}
-
-    def read(self, to_end: bool) -> None:
-        """Advance the walk until it has read a first mismatch, or to its end."""
-        earliest = self.earliest
-        while self.walk is not None and (to_end or self.first is None):
-            mismatch = next(self.walk, None)
-            if mismatch is None:
-                self.walk = None
-                break
-            key, base, r, diffs = mismatch
-            self.first = self.first or mismatch
-            for pair, (expected, count) in diffs.items():
-                if pair not in earliest or r < earliest[pair][0]:
-                    earliest[pair] = (r, key, base, count - expected)
-
-
-# The walk records of the process, one per (n, kind, flavor, mode), read by
-# `closure_check`, `representative_audit` and `verify_duality`.  Like the
-# kernel's caches they live for the process; a record whose walk raises is
-# dropped, so the next read starts cold.
-_records: dict[tuple[int, str, str, str], _WalkRecord] = {}
-
-
-def _walk_record(n: int, kind: str, flavor: str, mode: str, to_end: bool) -> _WalkRecord:
-    """The one walk of the statistic's factorization counts, read until its
-    first mismatch or, if to_end, to its end.  As (v_A * v_B)(p) = N_p(A, B),
-    it reads no mismatch exactly when the class sums span a closed algebra
-    with well-defined structure constants."""
-    where = (n, kind, flavor, mode)
-    record = _records.get(where)
-    if record is None:
-        walk = _mismatches(n, kind, flavor, mode, lambda r: factorization_counts(n, kind, r, flavor, mode))
-        record = _records[where] = _WalkRecord(walk)
-    try:
-        record.read(to_end)
-    except BaseException:
-        del _records[where]
-        raise
-    return record
+def _factorization_mismatches(n: int, kind: str, flavor: str, mode: str):
+    """The `_mismatches` of the statistic's factorization counts.  As (v_A *
+    v_B)(p) = N_p(A, B), it yields none exactly when the class sums span a
+    closed algebra with well-defined structure constants (assuming Solomon's
+    theorem for the windows a descent cell stands for)."""
+    return _mismatches(n, kind, flavor, mode, lambda r: factorization_counts(n, kind, r, flavor, mode))
 
 
 def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
-    """Check that factorization counts by statistic pair agree across every
-    member of every class, not just the chosen representative.  Returns a
-    report with the first disagreeing pair of windows if one exists."""
-    first = _walk_record(n, kind, flavor, mode, to_end=False).first
+    """Check that factorization counts by statistic pair agree across the
+    members of every class, not just the chosen representative: one window
+    per cell (`_cells`), so a pass assumes Solomon's theorem for the windows
+    a descent cell stands for.  Returns a report with the first disagreeing
+    pair of windows if one exists, which assumes nothing."""
+    first = next(_factorization_mismatches(n, kind, flavor, mode), None)
     if first is None:
         return {"consistent": True}
     key, base, r, diffs = first
@@ -630,13 +487,15 @@ def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> d
 
 
 def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
-    """Is the span of the class sums closed under convolution?  The report
-    carries the span dimension and, on failure, a certificate from the first
-    member whose counts differ from its representative's: the least pair
-    (A, B) that differs, the class, the representative and the member, and
-    the values of v_A * v_B at those two windows."""
+    """Is the span of the class sums closed under convolution?  It reads
+    one window per cell (`_cells`), so a pass assumes Solomon's theorem for
+    the windows a descent cell stands for.  The report carries the span
+    dimension and, on failure, a certificate from the first member whose
+    counts differ from its representative's: the least pair (A, B) that
+    differs, the class, the representative and the member, and the values
+    of v_A * v_B at those two windows.  A failure assumes nothing."""
     dim = len(_partition(n, kind, flavor, mode).keys)
-    first = _walk_record(n, kind, flavor, mode, to_end=False).first
+    first = next(_factorization_mismatches(n, kind, flavor, mode), None)
     if first is None:
         return {"closed": True, "dim": dim, "certificate": None}
     key, base, r, diffs = first
@@ -646,35 +505,41 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     return {"closed": False, "dim": dim, "certificate": certificate}
 
 
+@lru_cache(maxsize=None)
+def _inverse_classes(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequence], tuple], ...]:
+    """Per class C, the getter of the positions j with elements[j]^-1 in C:
+    read off a vector walked to the rank of p, it gives the vector at the
+    p.t^-1, t in C."""
+    inverses = _inverse_ranks(n, kind)
+    return tuple(_getter([inverses[t] for t in ranks]) for ranks in _partition(n, kind, flavor, mode).members)
+
+
 def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Dimension of the smallest convolution-closed subspace containing the
     class sums.  That subspace is the span of the words in them, and a word
     one letter longer is one letter times a shorter word, so each vector that
     grows the span is multiplied on the left by the class sums only, until
-    no product grows it.  A round walks every target p once: (v_C * w)(p)
-    sums w(p.t^-1) over the t in class C, read off p's rank row walked in
-    the statistic's frame, which lists the p.t^-1 class by class, as a tally
-    counts them."""
+    no product grows it.  Every word is constant on each cell (`_cells`), so
+    vectors are kept in cell coordinates, by their value on each cell, and a
+    round reads the least rank p of each cell: (v_C * w)(p) sums w(p.t^-1)
+    over the t in class C, read off p's cell-id row."""
     _, ids, members = _partition(n, kind, flavor, mode)
-    ends = _frame(n, kind, flavor, mode).ends
-    bounds = list(zip((0, *ends), ends))
-    span = Span(dict.fromkeys(ranks, 1) for ranks in members)
+    cell_ids, firsts = _cells(n, kind, flavor)
+    sides = _inverse_classes(n, kind, flavor, mode)
+    # the vectors by cell: first the class sums, then each product that grew the span
+    frontier = [tuple(int(ids[p] == c) for p in firsts) for c in range(len(members))]
+    span = Span(dict(filter(itemgetter(1), enumerate(w))) for w in frontier)
     dim_start = span.dim
-    # vectors by rank, dense: first the class sums, then each product that grew the span
-    frontier = [tuple(int(i == c) for i in ids) for c in range(len(members))]
     while frontier:
-        values: list[list[list]] = [[] for _ in frontier]  # [w][p][C] = (v_C * w)(p)
-        for p in range(group_order(n, kind)):
-            read = _getter(_row(n, kind, p, (flavor, mode)))
+        values = [[[] for _ in members] for _ in frontier]  # [w][C][cell] = (v_C * w)(least rank of the cell)
+        for p in firsts:
+            row = _walk(n, kind, cell_ids, p)
+            at_sides = [side(row) for side in sides]  # per class C, the cells of the p.t^-1, t in C
             for w, out in zip(frontier, values):
-                at_p = read(w)
-                out.append([sum(at_p[start:end]) for start, end in bounds])
-        fresh = []
-        for out in values:
-            for product in zip(*out):
-                if span.add({p: v for p, v in enumerate(product) if v}):
-                    fresh.append(product)
-        frontier = fresh
+                for cells, column in zip(at_sides, out):
+                    column.append(sum(map(w.__getitem__, cells)))
+        frontier = [product for out in values for product in out
+                    if span.add(dict(filter(itemgetter(1), enumerate(product))))]
     return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
 
 
@@ -683,31 +548,24 @@ def ideal_check(n: int, kind: str, flavor: str, outer_flavor: str, mode: str = "
     outer flavor's?  As (v_O * v_B)(p) counts the s.t = p with t in O and s
     in B, it is exactly when the tallies by (outer class of t, class of s),
     for the left side, and by (class of t, outer class of s), for the right,
-    agree across every class, read off the target's two class-id rows.  On
-    failure the witness is the least differing pair in key order, left side
-    first: the inner class B, the outer class, the class, its representative
-    and member, and the values there of u * v_B (left) or v_B * u (right)."""
+    agree across every class, read at one window per cell of both flavors
+    (`_cells`; a pass assumes Solomon's theorem for the windows a descent
+    cell stands for).  On failure the witness is the least differing pair in
+    key order, left side first: the inner class B, the outer class, the
+    class, its representative and member, and the values there of u * v_B
+    (left) or v_B * u (right)."""
     def tallies(r: int) -> dict:
         left = _tally(n, kind, r, outer_flavor, flavor, mode)
         right = _tally(n, kind, r, flavor, outer_flavor, mode)
         return {**{("left", b, o): v for (o, b), v in left.items()},
                 **{("right", b, o): v for (b, o), v in right.items()}}
 
-    for key, base, r, diffs in _mismatches(n, kind, flavor, mode, tallies):
+    for key, base, r, diffs in _mismatches(n, kind, flavor, mode, tallies, outer_flavor):
         (side, key_b, key_o), values = min(diffs.items(), key=lambda item: (item[0][0], *map(_sort_key, item[0][1:])))
         witness = {"B": _key_json(key_b), "outer_class": _key_json(key_o), "class": _key_json(key),
                    "windows": _texts(n, kind, base, r), "values": [str(v) for v in values]}
         return {"ideal": False, "side": side, "witness": witness}
     return {"ideal": True, "side": None, "witness": None}
-
-
-def descent_algebra_containment(n: int, kind: str, flavor: str) -> bool:
-    """Every peak class sum is a sum of descent class sums, hence lies in the
-    span of the descent classes: the peak set is constant on every descent
-    class, so pairing the two sets' bit codes makes no more distinct pairs
-    than there are descent sets."""
-    descents = _stat_codes(n, kind, "descent" + kind)
-    return len(set(zip(descents, _stat_codes(n, kind, flavor)))) == len(set(descents))
 
 
 # ---------------------------------------------------------------------------
@@ -718,10 +576,16 @@ def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Compare every product v_A * v_B against the tabulated expansion
     sum_C count(A,B,C) v_C, window by window: at p the two sides are N_p(A, B)
     and the count of the class representative the constant is read from (its
-    minimal-rank member, as in `structure_table`).  Mismatches are reported,
-    not raised, one per pair (A, B) in key order, at the minimal-rank window
-    where the two sides differ, with its class, representative and difference."""
-    earliest = _walk_record(n, kind, flavor, mode, to_end=True).earliest
+    minimal-rank member, as in `structure_table`).  It reads one window per
+    cell (`_cells`), so consistency assumes Solomon's theorem for the windows
+    a descent cell stands for.  Mismatches are reported, not raised, one per
+    pair (A, B) in key order, at the minimal-rank window read where the two
+    sides differ, with its class, representative and difference."""
+    earliest: dict[tuple[StatKey, StatKey], tuple] = {}
+    for key, base, r, diffs in _factorization_mismatches(n, kind, flavor, mode):
+        for pair, (expected, count) in diffs.items():
+            if pair not in earliest or r < earliest[pair][0]:
+                earliest[pair] = (r, key, base, count - expected)
     mismatches = [
         {"A": _key_json(key_a), "B": _key_json(key_b), "window": window, "class": _key_json(key),
          "representative": representative, "difference": str(difference)}

@@ -280,7 +280,7 @@ def check_duality(bounds: Bounds) -> CheckResult:
             if not report["consistent"]:
                 failures.append({"kind": kind, "flavor": flavor, "n": n, "stage": "products",
                                  "first": report["mismatches"][0]})
-                # the audit views the same walk record, so a consistent report implies a clean audit
+                # the audit reads the same windows, so a consistent report implies a clean audit
                 audit = representative_audit(n, kind, flavor)
                 failures.append({"kind": kind, "flavor": flavor, "n": n, "stage": "audit",
                                  "witness": {key: audit[key] for key in ("class", "windows", "differences")}})
@@ -317,7 +317,7 @@ def check_idempotents(bounds: Bounds) -> CheckResult:
     orthogonal idempotents matching the peak-number span, and wrong-parity
     coefficients vanish; every stage is read from one report per size.
     `examined` quotes, per size, the windows each report tallied (one of
-    each reversal pair) and the distinct profiles they gave."""
+    each descent class) and the distinct profiles they gave."""
     n_max = bounds.cap(6)
     failures = []
     examined = {}
@@ -332,7 +332,7 @@ def check_idempotents(bounds: Bounds) -> CheckResult:
             failures.append({"n": n, "stage": "span"})
         if not report["commutative"]:
             failures.append({"n": n, "stage": "commutativity"})
-    quoted = "one window per reversal pair: " + "; ".join(
+    quoted = "one window per descent class: " + "; ".join(
         f"n={n}: {seen['windows_tallied']} windows, {seen['profiles']} profiles" for n, seen in examined.items())
     return _result("idempotents", not failures, f"orthogonal idempotents and matching spans, n<={n_max}", failures,
                    quoted, examined=examined)

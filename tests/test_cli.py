@@ -515,8 +515,8 @@ def test_idempotents(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["report"]["multiplicative"] is True
-    # one window of each reversal pair of S_3 is tallied, giving one profile per peak count
-    assert payload["report"]["windows_tallied"] == 3 and payload["report"]["profiles"] == 2
+    # one window of each descent class of S_3 is tallied, giving one profile per peak count
+    assert payload["report"]["windows_tallied"] == 4 and payload["report"]["profiles"] == 2
     assert [s["peak_count"] for s in payload["idempotents"]] == [0, 1]
     # rho divides, so the coefficients print as reduced fractions
     windows = ["1,2,3", "1,3,2", "2,1,3", "2,3,1", "3,1,2", "3,2,1"]

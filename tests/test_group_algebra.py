@@ -1,6 +1,7 @@
 """Convolution algebra over window groups: class sums, structure tables,
 closure and duality checks."""
 
+import functools
 import itertools
 import json
 import math
@@ -8,7 +9,6 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from operator import itemgetter
 
 import pytest
 
@@ -41,7 +41,6 @@ from peakalg.permutations import (
     group_order,
     inverse_window,
     rank,
-    rank_digits,
     stat_set,
     unrank,
     windows,
@@ -128,20 +127,26 @@ def test_a_signed_flavor_is_refused_on_kind_a():
 
 def test_product_rows_and_inverses_match_composing():
     # every entry of every row, the empty and the one-letter groups included,
-    # built in rank order and again in a shuffled order
+    # built in rank order and again in a shuffled order; each expected entry
+    # composes the two window tuples, (p.q)(i) = p(q(i)) with p(-j) = -p(j),
+    # and looks the product up by window
     shuffle = random.Random(20261018).shuffle
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
-        elements = list(enumerate_group(n, kind))
+        group = windows(n, kind)
+        index = {window: r for r, window in enumerate(group)}
         inverses = group_algebra._inverse_ranks(n, kind)
-        expected = [tuple(rank(compose(p, q)) for q in elements) for p in elements]
-        order = list(range(len(elements)))
+        expected = []
+        for p in group:
+            value = (0, *p, *(-v for v in reversed(p)))  # p(j) at index j, negative j from the end
+            expected.append(tuple(index[tuple(map(value.__getitem__, q))] for q in group))
+        order = list(range(len(group)))
         for shuffled in (False, True):
             if shuffled:
                 shuffle(order)
             for r in order:
                 assert group_algebra._row(n, kind, r) == expected[r], (n, kind, r, shuffled)
-        for r, p in enumerate(elements):
-            assert inverses[r] == rank(p.inverse()), (n, kind, r)
+        for r, p in enumerate(group):
+            assert inverses[r] == index[inverse_window(p)], (n, kind, r)
 
 
 def test_inverse_ranks_match_inverting_each_window():
@@ -155,46 +160,21 @@ def test_inverse_ranks_match_inverting_each_window():
 
 def test_factor_getters_are_bounded_by_digits():
     # a group holds one getter per (slot, nonzero digit): n(n-1)/2 Lehmer
-    # factors and, for B_n, n sign flips; each frame walked adds one more per
-    # (slot, nonzero digit), two frames interleaved as the ideal check reads them
-    for n, kind, frames in ((6, "A", (("leftPeak", "set"), ("descentA", "number"))),
-                            (4, "B", (("typeBPeak", "set"), ("interiorPeak", "number")))):
+    # factors and, for B_n, n sign flips, whatever vector is walked through them
+    for n, kind in ((6, "A"), (4, "B")):
         group_algebra._factor.cache_clear()
+        ids = group_algebra._partition(n, kind, "leftPeak", "set").ids
         for r in range(group_order(n, kind)):
             group_algebra._row(n, kind, r)
+            group_algebra._walk(n, kind, ids, r)
         factors = n * (n - 1) // 2 + (n if kind == "B" else 0)
         assert group_algebra._factor.cache_info().currsize == factors
-        for r in range(group_order(n, kind)):
-            for frame in frames:
-                group_algebra._class_row(n, kind, *frames[0], r, frame)
-        assert group_algebra._factor.cache_info().currsize == factors * (1 + len(frames))
 
 
-@pytest.fixture
-def fresh_walks():
-    """Cold walk records and prefix stacks, before and after the test and
-    whenever the test calls it: a record lives for the process, so a count
-    read under a patched function must not reach a later verdict, and a walk
-    that should read every window must not start from an earlier record."""
-    def clear():
-        group_algebra._records.clear()
-        group_algebra._stacks = (None, {})
-
-    clear()
-    yield clear
-    clear()
-
-
-def test_the_kernel_keeps_no_rows(fresh_walks):
+def test_the_kernel_keeps_no_rows():
     # a walk builds each target's row and drops it: with the partition,
-    # frame and factor caches warm, an A_6 closure walk holds nothing after
-    frame = ("leftPeak", "set")
-    group_algebra._base(6, "A", frame, frame)
-    for r in range(group_order(6, "A")):
-        for slot, digit in enumerate(group_algebra._walk_digits(6, "A", r)):
-            if digit:
-                group_algebra._factor(6, "A", slot, digit, frame)
-    group_algebra._counter(6, "A", "leftPeak", "leftPeak", "set")
+    # cell, code and factor caches warm, an A_6 closure holds nothing after
+    closure_check(6, "A", "leftPeak")
     tracemalloc.start()
     try:
         assert closure_check(6, "A", "leftPeak")["closed"]
@@ -204,138 +184,30 @@ def test_the_kernel_keeps_no_rows(fresh_walks):
     assert held < 1 << 20, held
 
 
-def _element_of_walk_digits(n, kind, digits):
-    """The element whose digits, in the order a walk applies them, are these."""
-    (r,) = [r for r in range(group_order(n, kind)) if group_algebra._walk_digits(n, kind, r) == digits]
-    return unrank(r, n, kind)
-
-
-def test_the_prefix_stack_holds_one_row_per_digit_slot_of_one_group():
-    # after A_6 and then B_4, each walked in shuffled rank order with the rank
-    # row and one statistic's class-id row interleaved, the kernel holds the
-    # two stacks of the last B_4 rank alone, one partial row per digit slot
-    # (n - 1 Lehmer slots and n sign slots), each its vector read at the row
-    # of its digit prefix
-    shuffle = random.Random(20261019).shuffle
-    for n, kind, flavor in ((6, "A", "interiorPeak"), (4, "B", "typeBPeak")):
-        order = list(range(group_order(n, kind)))
-        shuffle(order)
-        for r in order:
-            group_algebra._row(n, kind, r)
-            group_algebra._class_row(n, kind, flavor, "set", r)
-    group, stacks = group_algebra._stacks
-    assert group == (4, "B") and set(stacks) == {(None, None), (("typeBPeak", "set"), None)}
-    elements = list(enumerate_group(4, "B"))
-    ids = group_algebra._partition(4, "B", "typeBPeak", "set").ids
-    for vector, base in ((None, range(len(elements))), (("typeBPeak", "set"), ids)):
-        digits, rows = stacks[vector, None]
-        assert digits == group_algebra._walk_digits(4, "B", order[-1])
-        assert len(rows) == 2 * 4 - 1
-        for k, row in enumerate(rows):
-            p = _element_of_walk_digits(4, "B", (*digits[:k + 1], *[0] * (len(digits) - k - 1)))
-            assert row == tuple(base[rank(compose(p, q))] for q in elements), (vector, k)
-
-
 def test_rows_of_the_groups_with_no_digit_or_one_digit():
-    # S_0, S_1 and B_0 have no digit and B_1 one sign digit; walking them
-    # in turn, with B_3 between, switches the stacks' group at every step,
-    # and each walk goes up and back, so the next starts where its digits
-    # agree with the last rank built (rank 0); the rank row and a class-id
-    # row are read at every rank
-    for n, kind in ((0, "A"), (1, "A"), (1, "B"), (0, "B"), (3, "B"), (1, "B"), (0, "A"), (1, "A")):
+    # S_0, S_1 and B_0 have no digit and B_1 one sign digit; the rank row
+    # and a class-id row are read at every rank
+    for n, kind in ((0, "A"), (1, "A"), (1, "B"), (0, "B")):
         elements = list(enumerate_group(n, kind))
         ids = group_algebra._partition(n, kind, "leftPeak", "set").ids
-        for r in [*range(len(elements)), *reversed(range(len(elements)))]:
+        for r in range(len(elements)):
             products = [rank(compose(elements[r], q)) for q in elements]
             assert group_algebra._row(n, kind, r) == tuple(products), (n, kind, r)
-            assert group_algebra._class_row(n, kind, "leftPeak", "set", r) == tuple(ids[j] for j in products), (n, kind, r)
-        group, stacks = group_algebra._stacks
-        assert group == (n, kind) and set(stacks) == {(None, None), (("leftPeak", "set"), None)}
-        for digits, rows in stacks.values():
-            assert len(digits) == len(rows) == len(rank_digits(0, n, kind))
-
-
-def test_a_walk_in_rank_order_applies_one_getter_per_row(monkeypatch):
-    # the digits a walk in rank order changes come last, B_n's sign bits
-    # included: from r to r+1 one digit grows and the later ones return to
-    # 0, so each stack applies one getter per rank after rank 0
-    calls = []
-    factor = group_algebra._factor
-
-    def counted(*args):
-        calls.append(args)
-        return factor(*args)
-
-    monkeypatch.setattr(group_algebra, "_factor", counted)
-    for n, kind in ((5, "B"), (6, "A")):
-        group_algebra._row(0, kind, 0)  # a fresh group: empty stacks
-        calls.clear()
-        order = group_order(n, kind)
-        for r in range(order):
-            group_algebra._row(n, kind, r)
-            group_algebra._class_row(n, kind, "leftPeak", "number", r)
-        assert len(calls) == 2 * (order - 1), (n, kind, len(calls))
+            assert group_algebra._walk(n, kind, ids, r) == tuple(ids[j] for j in products), (n, kind, r)
 
 
 def test_class_id_rows_read_the_ids_at_the_rank_rows():
-    # every rank, in rank order and in shuffled order, with two statistics'
-    # class-id rows interleaved as the ideal check reads them
-    shuffle = random.Random(20261020).shuffle
+    # every rank, with two statistics' class ids walked as the ideal check
+    # walks them
     for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
         first, second = _flavors(kind)[-2:]
         statistics = [(first, "set"), (second, "number")]
         ids = {statistic: group_algebra._partition(n, kind, *statistic).ids for statistic in statistics}
-        order = list(range(group_order(n, kind)))
-        for shuffled in (False, True):
-            if shuffled:
-                shuffle(order)
-            for r in order:
-                row = group_algebra._row(n, kind, r)
-                for statistic in statistics:
-                    expected = tuple(ids[statistic][j] for j in row)
-                    assert group_algebra._class_row(n, kind, *statistic, r) == expected, (n, kind, r, statistic, shuffled)
-    # the walk ended at B_4: no stack of A_6 (exteriorPeak, descentA by
-    # number), or of any other group, is left
-    group, stacks = group_algebra._stacks
-    assert group == (4, "B") and set(stacks) == {(None, None), (("descentA", "set"), None), (("descentB", "number"), None)}
-    assert all(len(row) == group_order(4, "B") for _, rows in stacks.values() for row in rows)
-
-
-def test_framed_class_rows_match_an_independent_reference():
-    # in the frame of statistic T, the class-id row under S of the target p
-    # lists the class under S of p.t^-1, t running over T's classes in order
-    # of first appearance, each in rank order; the reference reads it off the
-    # rank-order row at the inverses' ranks.  Every ordered flavor pair and
-    # both modes, every rank in rank order and in shuffled order, the two
-    # framed rows of a pair interleaved as the ideal check reads them
-    shuffle = random.Random(20261021).shuffle
-    for n, kind in [(n, "A") for n in range(7)] + [(n, "B") for n in range(5)]:
-        elements = list(enumerate_group(n, kind))
-        inverse = [rank(p.inverse()) for p in elements]
-        order = list(range(len(elements)))
-        for mode in ("set", "number"):
-            classes = {flavor: stat_classes(n, kind, flavor, mode) for flavor in _flavors(kind)}
-            ids = {flavor: [None] * len(elements) for flavor in classes}
-            for flavor, c in classes.items():
-                for i, ranks in enumerate(c.values()):
-                    for t in ranks:
-                        ids[flavor][t] = i
-            # the inverses of t in T's class order, as a getter; itemgetter
-            # returns a bare value at one index, so the one-element groups
-            # read a one-element slice
-            inverses = {flavor: [inverse[t] for ranks in c.values() for t in ranks] for flavor, c in classes.items()}
-            read = {flavor: itemgetter(*at) if len(at) > 1 else itemgetter(slice(0, 1)) for flavor, at in inverses.items()}
-            for shuffled in (False, True):
-                if shuffled:
-                    shuffle(order)
-                for r in order:
-                    row = group_algebra._row(n, kind, r)
-                    at_row = {flavor: tuple(map(ids[flavor].__getitem__, row)) for flavor in classes}
-                    for first, second in itertools.combinations_with_replacement(_flavors(kind), 2):
-                        for t_flavor, s_flavor in dict.fromkeys(((first, second), (second, first))):
-                            expected = read[t_flavor](at_row[s_flavor])
-                            framed = group_algebra._class_row(n, kind, s_flavor, mode, r, (t_flavor, mode))
-                            assert framed == expected, (n, kind, r, t_flavor, s_flavor, mode, shuffled)
+        for r in range(group_order(n, kind)):
+            row = group_algebra._row(n, kind, r)
+            for statistic in statistics:
+                expected = tuple(ids[statistic][j] for j in row)
+                assert group_algebra._walk(n, kind, ids[statistic], r) == expected, (n, kind, r, statistic)
 
 
 def test_factorization_counts_match_composing_every_pair():
@@ -384,9 +256,8 @@ def test_factorization_counts_match_a_pairwise_tally():
 
 
 def test_tallies_of_two_statistics_match_a_pairwise_tally():
-    # every ordered pair of flavors, both modes; the descent sets of A_5 and
-    # the signed descent sets of B_4, 16 classes each, are the s statistics
-    # counted on the Counter side, the rest as bytes
+    # every ordered pair of flavors, both modes, every rank; the descent sets
+    # of A_5 and the signed descent sets of B_4 have 16 classes each
     for n, kind in [(n, "A") for n in range(6)] + [(n, "B") for n in range(5)]:
         for r in range(group_order(n, kind)):
             s_sides = _s_sides(n, kind, r)
@@ -395,23 +266,6 @@ def test_tallies_of_two_statistics_match_a_pairwise_tally():
                     counts = group_algebra._tally(n, kind, r, t_flavor, s_flavor, mode)
                     expected = _pairwise_tally(n, kind, s_sides, t_flavor, s_flavor, mode)
                     assert counts == expected, (n, kind, r, t_flavor, s_flavor, mode)
-
-
-@pytest.mark.parametrize("limit", [group_algebra.BYTES_CLASSES, 32])
-def test_many_class_tallies_match_a_pairwise_tally(monkeypatch, limit):
-    # the descent sets of A_6 (32 classes) on the side the limit gives them,
-    # Counter at the library's limit and bytes at 32, and those of A_7 (64
-    # classes, Counter on both) at a seeded sample of ranks
-    monkeypatch.setattr(group_algebra, "BYTES_CLASSES", limit)
-    group_algebra._counter.cache_clear()
-    try:
-        for n, ranks in ((6, range(720)), (7, random.Random(20261020).sample(range(5040), 120))):
-            assert len(group_algebra._partition(n, "A", "descentA", "set").keys) == 1 << (n - 1)
-            for r in ranks:
-                counts = factorization_counts(n, "A", r, "descentA")
-                assert counts == _pairwise_tally(n, "A", _s_sides(n, "A", r), "descentA", "descentA", "set"), (n, r)
-    finally:
-        group_algebra._counter.cache_clear()
 
 
 def test_identity_is_the_unit():
@@ -454,20 +308,23 @@ def test_stat_classes_partition_the_group():
 
 
 def test_stat_classes_view_one_cached_partition():
-    # every class question on one statistic builds its partition once; the
-    # classes handed out are tuples, so no caller can alter the cached ranks
+    # every class question on one statistic builds its partition once, and
+    # the descent partition its cells read once; the classes handed out are
+    # tuples, so no caller can alter the cached ranks
     group_algebra._partition.cache_clear()
+    group_algebra._cells.cache_clear()
     structure_table(4, "B", "typeBPeak")
     closure_check(4, "B", "typeBPeak")
+    verify_duality(4, "B", "typeBPeak")
     classes = stat_classes(4, "B", "typeBPeak")
-    assert group_algebra._partition.cache_info().misses == 1
+    assert group_algebra._partition.cache_info().misses == 2
     assert all(type(ranks) is tuple for ranks in classes.values())
     classes.clear()  # the dict itself is the caller's own
     assert sum(map(len, stat_classes(4, "B", "typeBPeak").values())) == group_order(4, "B")
-    assert group_algebra._partition.cache_info().misses == 1
+    assert group_algebra._partition.cache_info().misses == 2
 
 
-def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch, fresh_walks):
+def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch):
     # a counting wrapper bound in every namespace that imports the function,
     # as the benchmark's tracer binds its wrappers
     original = group_algebra.factorization_counts
@@ -480,78 +337,110 @@ def test_every_class_walk_calls_the_public_factorization_counts(monkeypatch, fre
     for module in (group_algebra, eulerian, enriched):
         monkeypatch.setattr(module, "factorization_counts", counted)
     prime = Alphabet.prime(2)
-    # a passing closure and duality walk every rank, a table every class
-    # representative, the idempotents report one window of each reversal pair
-    # of S_4, a census its one window
+    # a passing closure and duality read one window per descent class, a
+    # table every class representative, the idempotents report one window
+    # per descent class of S_4, a census its one window
     for walk, expected in (
-        (lambda: closure_check(3, "A", "interiorPeak"), group_order(3, "A")),
-        (lambda: verify_duality(3, "B", "typeBPeak"), group_order(3, "B")),
+        (lambda: closure_check(3, "A", "interiorPeak"), 4),
+        (lambda: verify_duality(3, "B", "typeBPeak"), 8),
         (lambda: structure_table(4, "A", "leftPeak", "number"), len(stat_classes(4, "A", "leftPeak", "number"))),
-        (lambda: eulerian.verify_rho_multiplicativity(4), group_order(4, "A") // 2),
+        (lambda: eulerian.verify_rho_multiplicativity(4), 8),
         (lambda: enriched.factorization_census(Permutation((2, 3, 1)), prime, prime), 1),
-        # a failing closure stops at its first mismatching member: 3 of 384 ranks
+        # a failing closure stops at its first mismatching cell: 3 of 16 cells
         (lambda: closure_check(4, "B", "typeBPeak"), 3),
     ):
-        fresh_walks()
         calls.clear()
         walk()
         assert len(calls) == expected
+    # B exteriorPeak is no union of descent classes, so every window is a
+    # cell: its failing closure reads the windows the every-window walk
+    # reads, up to the same first mismatch
+    calls.clear()
+    closure_check(3, "B", "exteriorPeak")
+    read = []
+    counts = lambda r: read.append(r) or original(3, "B", r, "exteriorPeak")
+    next(_every_window_mismatches(3, "B", "exteriorPeak", "set", counts))
+    assert [args[2] for args in calls] == read and len(read) < group_order(3, "B")
 
 
-def _counted_factorization_counts(monkeypatch):
-    """The ranks read through the public factorization counts from now on."""
-    original = group_algebra.factorization_counts
-    ranks = []
-
-    def counted(n, kind, r, *args):
-        ranks.append(r)
-        return original(n, kind, r, *args)
-
-    monkeypatch.setattr(group_algebra, "factorization_counts", counted)
-    return ranks
-
-
-def test_closure_duality_and_audit_share_one_lazy_walk(monkeypatch, fresh_walks):
-    # from cold records: the failing B_4 closure reads 3 ranks, the duality
-    # report then reads exactly the other 381, and the audit and the closure
-    # read none; every report is the one a cold walk gives
-    where = (4, "B", "typeBPeak")
-    views = {"closure": closure_check, "duality": verify_duality, "audit": representative_audit}
-    cold = {}
-    for name, view in views.items():
-        fresh_walks()
-        cold[name] = view(*where)
-    fresh_walks()
-    ranks = _counted_factorization_counts(monkeypatch)
-    for name, expected in (("closure", 3), ("duality", 381), ("audit", 0), ("closure", 0)):
-        before = list(ranks)
-        assert views[name](*where) == cold[name], name
-        assert len(ranks) - len(before) == expected, (name, len(ranks) - len(before))
-    assert sorted(ranks) == list(range(group_order(4, "B")))
-    # a walk that raises keeps no record: the next one starts cold
-    monkeypatch.setattr(group_algebra, "factorization_counts", lambda *args: 1 / 0)
-    with pytest.raises(ZeroDivisionError):
-        closure_check(3, "B", "typeBPeak")
-    assert (3, "B", "typeBPeak", "set") not in group_algebra._records
-    monkeypatch.undo()
-    ranks = _counted_factorization_counts(monkeypatch)
-    assert not closure_check(3, "B", "typeBPeak")["closed"] and ranks
+def _every_window_mismatches(n, kind, flavor, mode, counts_of, *others):
+    """The reference walk, blind to cells: every member of every class, in
+    rank order, against the class representative."""
+    keys, _, members = group_algebra._partition(n, kind, flavor, mode)
+    for key, ranks in zip(keys, members):
+        base = counts_of(ranks[0])
+        for r in ranks[1:]:
+            counts = counts_of(r)
+            if counts != base:
+                yield key, ranks[0], r, {
+                    pair: (base.get(pair, 0), counts.get(pair, 0))
+                    for pair in base.keys() | counts.keys()
+                    if base.get(pair, 0) != counts.get(pair, 0)
+                }
 
 
-def test_the_walk_record_holds_one_entry_per_class_pair(fresh_walks):
-    # after the whole B_4 walk the record keeps the earliest mismatch of each
-    # pair (A, B) and the first mismatch, not the windows where counts differ
-    verify_duality(4, "B", "typeBPeak")
-    record = group_algebra._records[4, "B", "typeBPeak", "set"]
-    assert record.walk is None
-    dim = len(stat_classes(4, "B", "typeBPeak"))
-    assert 0 < len(record.earliest) <= dim * dim
-    key, base, r, diffs = record.first
-    assert 0 < len(diffs) <= dim * dim
-    counts = lambda r: factorization_counts(4, "B", r, "typeBPeak")
-    walked = list(group_algebra._mismatches(4, "B", "typeBPeak", "set", counts))
-    assert record.first == walked[0]
-    assert len(record.earliest) < sum(map(len, (diffs for *_, diffs in walked)))
+def _single_window_cells(n, kind, *flavors):
+    ranks = tuple(range(group_order(n, kind)))
+    return ranks, ranks
+
+
+def _class_reports(n, kind, flavor, mode):
+    """The class questions on the statistic that read factorization
+    tallies, ideal checks against every flavor of the kind included."""
+    return {
+        "closure": closure_check(n, kind, flavor, mode),
+        "audit": representative_audit(n, kind, flavor, mode),
+        "duality": verify_duality(n, kind, flavor, mode),
+        "ideal": {outer: ideal_check(n, kind, flavor, outer, mode) for outer in _flavors(kind)},
+    }
+
+
+def test_questions_read_at_one_window_per_cell_match_the_every_window_walk(monkeypatch):
+    # every flavor, the descent flavors and B exteriorPeak (whose cells are
+    # single windows) included, both modes, A n <= 6 and B n <= 4: each
+    # report, certificates included, equals the one the every-window walk
+    # gives; the multiplicative closure kept by cell equals the one kept by
+    # rank, and the idempotents report its every-window self.  Where every
+    # window is already a cell, the closure is its own reference.
+    cases = [(n, kind, flavor, mode) for kind, top in (("A", 6), ("B", 4)) for n in range(top + 1)
+             for flavor in _flavors(kind) for mode in ("set", "number")]
+    celled = {where for where in cases if group_algebra._cells(*where[:3]) != _single_window_cells(*where[:2])}
+    read = {where: _class_reports(*where) for where in cases}
+    grown = {where: multiplicative_closure(*where) for where in celled}
+    rho = {n: eulerian.verify_rho_multiplicativity(n) for n in range(1, 7)}
+    monkeypatch.setattr(group_algebra, "_mismatches", _every_window_mismatches)
+    for module in (group_algebra, eulerian):
+        monkeypatch.setattr(module, "_cells", _single_window_cells)
+    # each window's tallies are read once across the reference reports
+    monkeypatch.setattr(group_algebra, "_tally", functools.lru_cache(maxsize=None)(group_algebra._tally))
+    verdicts = set()
+    for where in cases:
+        reference = _class_reports(*where)
+        assert read[where] == reference, where
+        verdicts.add((reference["closure"]["closed"], reference["duality"]["consistent"]))
+    assert verdicts == {(True, True), (False, False)}
+    for where in celled:
+        assert grown[where] == multiplicative_closure(*where), where
+    # from n = 3 on, only B rightPeak and exteriorPeak are no unions of descent classes
+    assert {where[1:3] for where in cases if where not in celled and where[0] > 2} == {("B", "rightPeak"), ("B", "exteriorPeak")}
+    for n, report in rho.items():
+        every = eulerian.verify_rho_multiplicativity(n)
+        assert every.pop("windows_tallied") == math.factorial(n) and report.pop("windows_tallied") == 2 ** (n - 1)
+        assert report == every, n
+
+
+def test_counts_by_descent_pair_are_constant_on_each_descent_class():
+    # the theorem the cells rest on (Solomon: the descent class sums span a
+    # subalgebra), at the sizes the tests read: the factorization counts of
+    # p by the descent sets of (t, s) are the same at every p of one descent
+    # class.  Recounted by the oracle at A n <= 4 and B n <= 3, and by the
+    # library at A n <= 6 and B n <= 4
+    assert all(oracle.closes(kind, n, "descent") for kind, top in (("A", 4), ("B", 3)) for n in range(1, top + 1))
+    for kind, top in (("A", 6), ("B", 4)):
+        for n in range(top + 1):
+            for ranks in stat_classes(n, kind, "descent" + kind).values():
+                counts = factorization_counts(n, kind, ranks[0], "descent" + kind)
+                assert all(factorization_counts(n, kind, r, "descent" + kind) == counts for r in ranks), (kind, n)
 
 
 def test_frozen_structure_constant():
@@ -959,18 +848,6 @@ def test_factorization_counts_refuse_out_of_range_ranks():
     with pytest.raises(ValueError, match="rank"):
         factorization_counts(3, "B", -1, "typeBPeak")
     assert sum(factorization_counts(3, "A", 5, "interiorPeak").values()) == 6
-
-
-def test_walk_digits_are_the_rank_digits_with_the_sign_bits_reversed():
-    # r read in the mixed radix of `_radices` gives the Lehmer digits of
-    # `rank_digits`, then its sign bits most significant first; S_0, S_1,
-    # B_0 and B_1 are among the groups
-    groups = [*((n, "A") for n in range(7)), *((n, "B") for n in range(5))]
-    for n, kind in groups:
-        split = max(n - 1, 0)
-        for r in range(group_order(n, kind)):
-            digits = rank_digits(r, n, kind)
-            assert group_algebra._walk_digits(n, kind, r) == (*digits[:split], *reversed(digits[split:])), (n, kind, r)
 
 
 def test_reversing_a_window_keeps_its_peak_number_factorization_counts():

@@ -108,20 +108,20 @@ def test_idempotents_check_reports_a_coefficient_that_vanished(monkeypatch):
 
 
 def test_idempotents_check_reports_what_it_examined():
-    # per size, the windows tallied (one of each reversal pair of S_n) and
+    # per size, the windows tallied (one of each descent class of S_n) and
     # the distinct (peak count, counts) profiles they gave
     result = check_idempotents(Bounds(n_max=5))
     assert result.passed
     assert result.data["examined"] == {
         1: {"windows_tallied": 1, "profiles": 1},
-        2: {"windows_tallied": 1, "profiles": 1},
-        3: {"windows_tallied": 3, "profiles": 2},
-        4: {"windows_tallied": 12, "profiles": 2},
-        5: {"windows_tallied": 60, "profiles": 3},
+        2: {"windows_tallied": 2, "profiles": 1},
+        3: {"windows_tallied": 4, "profiles": 2},
+        4: {"windows_tallied": 8, "profiles": 2},
+        5: {"windows_tallied": 16, "profiles": 3},
     }
-    assert result.details.endswith("; one window per reversal pair: n=1: 1 windows, 1 profiles; "
-                                   "n=2: 1 windows, 1 profiles; n=3: 3 windows, 2 profiles; "
-                                   "n=4: 12 windows, 2 profiles; n=5: 60 windows, 3 profiles")
+    assert result.details.endswith("; one window per descent class: n=1: 1 windows, 1 profiles; "
+                                   "n=2: 2 windows, 1 profiles; n=3: 4 windows, 2 profiles; "
+                                   "n=4: 8 windows, 2 profiles; n=5: 16 windows, 3 profiles")
 
 
 def test_negatives_check_is_inconclusive_at_a_short_bound():
