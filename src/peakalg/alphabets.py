@@ -61,8 +61,10 @@ class Alphabet:
         # enriched.coded_chain_census, with the chain DP's state after each
         # descent-set prefix by ("prefix states", n), which later censuses of
         # that n extend; and factorization censuses by (second alphabet, n,
-        # count table), kept by enriched.coded_factorization_census.  All of
-        # them are dropped with the alphabet.
+        # count table), kept by enriched.coded_factorization_census; and,
+        # under "relation masks", the allowed-letter masks of each shape of
+        # poset relation, kept by enriched._compile_relation.  All of them
+        # are dropped with the alphabet.
         self.censuses: dict[tuple, Any] = {}
 
     def __len__(self) -> int:

@@ -33,7 +33,7 @@ censuses, exactly as long as the alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
@@ -350,66 +350,82 @@ def census_of_maps(maps: Iterable[dict[int, Letter]], alphabet: Alphabet) -> Cen
 
 
 # ---------------------------------------------------------------------------
-# Poset-shaped maps: a count label by label, the direct side of the
-# census-additivity check, and a brute walk over the maps, its reference.
-# Neither shares code with the chain DP above.
+# Poset-shaped maps: a count over the cover relations, the direct side of the
+# census-additivity check, and a brute walk over the maps on the whole closed
+# relation, its reference.  Neither shares code with the chain DP above.
+
+
+def _pair_masks(alphabet: Alphabet, shape: tuple[int, int, bool]) -> list[int]:
+    """The allowed-letter masks of a relation a < b of one shape (end of a,
+    end of b, whether a < b as integers).  An end is 0 for label 0, +-1 for
+    the label checked last, +-2 for the other, signed as the label: entry y
+    is the mask of the letters x of the label checked last for which
+    f(a) <=+ f(b) (a < b) or f(a) <=- f(b) (a > b) holds when the other
+    label has letter y, with f(0) the zero letter and f(-m) = -f(m)."""
+    end_a, end_b, less = shape
+    letters = range(len(alphabet))
+    positive = [e > 0 for e in alphabet.eps]
+    if end_a < 0 or end_b < 0:
+        neg = [alphabet.index[alphabet.negate(letter)] for letter in alphabet.letters]
+
+    def value(end: int, x: int, y: int) -> int:
+        if end == 0:
+            return alphabet.zero_index
+        letter = x if abs(end) == 1 else y
+        return letter if end > 0 else neg[letter]
+
+    masks = []
+    for y in letters:
+        bits = 0
+        for x in letters:
+            fa, fb = value(end_a, x, y), value(end_b, x, y)
+            if fa < fb or (fa == fb and positive[fa] == less):
+                bits |= 1 << x
+        masks.append(bits)
+    return masks
 
 
 def _compile_relation(
-    poset: LabeledPoset | SignedPoset, alphabet: Alphabet
+    poset: LabeledPoset | SignedPoset, alphabet: Alphabet, pairs: Iterable[tuple[int, int]], order: Sequence[int]
 ) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
-    """The relation of a labeled or signed poset as allowed-letter bitmasks
-    over letter indices.
+    """The strict relations `pairs` of a labeled or signed poset as
+    allowed-letter bitmasks over letter indices, for labels that receive
+    letters in `order`, a permutation of 1..n.
 
-    Labels 1..n receive letters in increasing order, and a strict relation
-    a < b is checked when its larger |label| m receives one: f(a) <=+ f(b)
-    when a < b as integers, f(a) <=- f(b) otherwise, with f(0) the zero
-    letter and f(-m) = -f(m).  Returns, per m, the mask of letters that m
-    may take whatever came before (the relations inside {0, m, -m}), and the
-    pairs (j, table) for the smaller labels j that m is related to: given
-    the letter y of j, m may take the letters of table[y].
+    A relation a < b asks f(a) <=+ f(b) when a < b as integers and
+    f(a) <=- f(b) otherwise, with f(0) the zero letter and f(-m) = -f(m),
+    and it is checked when the later of |a| and |b| in the order receives
+    its letter.  Returns, per label m, the mask of letters that m may take
+    whatever came before (the relations inside {0, m, -m}), and the pairs
+    (j, table) for the labels j before m that m is related to: given the
+    letter y of j, m may take the letters of table[y].  The masks depend
+    only on the alphabet and the pair's shape (`_pair_masks`), so they are
+    kept on the alphabet.
     """
-    n, size = poset.n, len(alphabet)
-    neg: list[int] = []
-    if poset.kind == "B":
-        if not supports_signed(alphabet):
-            raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
-        neg = [alphabet.index[alphabet.negate(letter)] for letter in alphabet.letters]
-    positive = [e > 0 for e in alphabet.eps]
-    letters = range(size)
-
-    def value(label: int, x: int) -> int:
-        # the letter of f(label) when f(|label|) has letter x
-        if label == 0:
-            return alphabet.zero_index
-        return x if label > 0 else neg[x]
-
-    def mask(a: int, b: int, m: int, y: int) -> int:
-        # the letters x of label m for which a < b holds when the other
-        # label of the pair has letter y
-        bits = 0
-        for x in letters:
-            fa = value(a, x if abs(a) == m else y)
-            fb = value(b, x if abs(b) == m else y)
-            if fa < fb or (fa == fb and positive[fa] == (a < b)):
-                bits |= 1 << x
-        return bits
-
-    fixed = [(1 << size) - 1] * (n + 1)
+    n = poset.n
+    if poset.kind == "B" and not supports_signed(alphabet):
+        raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
+    kept = alphabet.censuses.setdefault("relation masks", {})
+    position = [0] * (n + 1)
+    for t, m in enumerate(order):
+        position[m] = t
+    fixed = [(1 << len(alphabet)) - 1] * (n + 1)
     tables: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    shapes: dict[tuple[bool, ...], list[int]] = {}
-    for a, b in poset.relation:
-        m, j = max(abs(a), abs(b)), min(abs(a), abs(b))
-        if j in (0, m):
-            fixed[m] &= mask(a, b, m, 0)
+    for a, b in pairs:
+        if a and b and abs(a) != abs(b):
+            m, j = sorted((abs(a), abs(b)), key=position.__getitem__, reverse=True)
+        else:  # inside {0, m, -m}
+            m = j = abs(a) or abs(b)
+        ends = tuple(((label > 0) - (label < 0)) * (1 if abs(label) == m else 2) for label in (a, b))
+        shape = (*ends, a < b)
+        masks = kept.get(shape)
+        if masks is None:
+            masks = kept[shape] = _pair_masks(alphabet, shape)
+        if j == m:
+            fixed[m] &= masks[0]
             continue
-        # the table depends on the labels only through these signs
-        shape = (abs(a) == m, a > 0, b > 0, a < b)
-        if shape not in shapes:
-            shapes[shape] = [mask(a, b, m, y) for y in letters]
-        table = shapes[shape]
         previous = tables[m].get(j)
-        tables[m][j] = table if previous is None else [p & t for p, t in zip(previous, table)]
+        tables[m][j] = masks if previous is None else [p & t for p, t in zip(previous, masks)]
     return fixed, [list(t.items()) for t in tables]
 
 
@@ -441,8 +457,10 @@ def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> lis
     a < b of the poset, f(a) <=+ f(b) when a < b as integers and
     f(a) <=- f(b) otherwise.  For a signed poset the implied values
     f(0) = zero letter and f(-m) = -f(m) enter the relation checks.  A brute
-    walk over every map, the reference of `poset_epp_census`."""
-    fixed, checks = _compile_relation(poset, alphabet)
+    walk over every map, labels 1..n in turn, checking the whole closed
+    relation: the reference of `poset_epp_census`, which checks only the
+    covers, in another order."""
+    fixed, checks = _compile_relation(poset, alphabet, poset.relation, range(1, poset.n + 1))
     out: list[dict[int, Letter]] = []
     _extend_map(1, fixed, checks, [0] * (poset.n + 1), alphabet.letters, out)
     return out
@@ -456,22 +474,28 @@ def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> C
 
 def coded_poset_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> CodedCensus:
     """The coded census of the maps of `poset_epp_maps`, counted label by
-    label.  A layer maps a state, the letters of the labels that a later
-    label's check still reads, to the coded census of the partial maps on
-    1..m that end in it; label m + 1 extends each state by every letter its
-    fixed mask and its tables allow there."""
-    fixed, checks = _compile_relation(poset, alphabet)
+    label over the covers of the order alone.  That is exact: for covers
+    a < c < b, f(a) <= f(c) <= f(b), and f(a) = f(b) = x forces f(c) = x,
+    so a < c < b as integers when x is positive and a > c > b when it is
+    negative, and f(a) <=+- f(b) follows.  Labels take letters in the
+    order's `label_order`, each cover checked by the later of its labels.
+    A layer maps a state, the letters of the labels that a later label's
+    check still reads, to the coded census of the partial maps on the
+    labels placed that end in it; the next label extends each state by
+    every letter its fixed mask and its tables allow there."""
+    order = poset.label_order
+    fixed, checks = _compile_relation(poset, alphabet, poset.covers, order)
     codes = _KeyCodes.of(alphabet, poset.n)
-    read_until = [0] * (poset.n + 1)  # the last label whose check reads label j
-    for m in range(1, poset.n + 1):
+    read_until = [0] * (poset.n + 1)  # the last step whose check reads label j
+    for t, m in enumerate(order):
         for j, _ in checks[m]:
-            read_until[j] = m
+            read_until[j] = t
     live: tuple[int, ...] = ()  # the labels whose letters a state holds, in order
     layer: dict[tuple[int, ...], dict[int, int]] = {(): {0: 1}}
-    for m in range(1, poset.n + 1):
+    for t, m in enumerate(order):
         reads = [(live.index(j), table) for j, table in checks[m]]
-        kept = [i for i, j in enumerate(live) if read_until[j] > m]
-        held = read_until[m] > m
+        kept = [i for i, j in enumerate(live) if read_until[j] > t]
+        held = read_until[m] > t
         live = tuple(live[i] for i in kept) + ((m,) if held else ())
         grown: dict[tuple[int, ...], dict[int, int]] = {}
         while layer:  # each census is dropped once it has been extended

@@ -15,6 +15,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
 from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation
@@ -79,6 +80,49 @@ class _Order:
 
     def less(self, a: int, b: int) -> bool:
         return (a, b) in self.relation
+
+    @cached_property
+    def covers(self) -> frozenset[tuple[int, int]]:
+        """The cover relation of the stored order: the pairs a < b with no
+        label between them (for a signed order, over {-n..n} with 0, so a
+        cover may go through 0 or join x and -x).  Its transitive closure is
+        the stored relation; kept on the order once taken."""
+        above: dict[int, set[int]] = {x: set() for x in self.labels}
+        below: dict[int, set[int]] = {x: set() for x in self.labels}
+        for a, b in self.relation:
+            above[a].add(b)
+            below[b].add(a)
+        return frozenset((a, b) for a, b in self.relation if above[a].isdisjoint(below[b]))
+
+    @cached_property
+    def label_order(self) -> tuple[int, ...]:
+        """The labels 1..n in a greedy order of low width: two labels are
+        linked when a cover joins x and y with |x| and |y| the two labels (a
+        cover through 0 or from x to -x links none), a placed label is live
+        while a label linked to it is not placed yet, and each next label is
+        the unplaced one that leaves the fewest labels live, ties going to
+        the one with the fewest unplaced links, then to the smaller label
+        (so a chain, entered at an end, keeps one label live).  Kept on the
+        order once taken."""
+        links = [0] * (self.n + 1)
+        for a, b in self.covers:
+            if a and b and abs(a) != abs(b):
+                links[abs(a)] |= 1 << abs(b)
+                links[abs(b)] |= 1 << abs(a)
+        order: list[int] = []
+        placed = 0
+
+        def cost(m: int) -> tuple[int, int, int]:
+            # the labels live once m is placed next, then the labels m still
+            # waits for, then m itself
+            after = placed | 1 << m
+            return sum(1 for j in (*order, m) if links[j] & ~after), (links[m] & ~after).bit_count(), m
+
+        while len(order) < self.n:
+            best = min((m for m in range(1, self.n + 1) if not placed >> m & 1), key=cost)
+            order.append(best)
+            placed |= 1 << best
+        return tuple(order)
 
     def _placeable(self) -> list[tuple[int, int, int, int]]:
         """The placement rule of both kinds, as (x, bit of |x|, bits that must

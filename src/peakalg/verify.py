@@ -137,8 +137,9 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
     censuses of its linear extensions, for random orders of both kinds.  Each
     order is drawn once, at the default keep, from one generator seeded by
     `bounds.seed`; its extensions are tallied by descent set and its census
-    counted label by label, so neither the extensions nor the maps are
-    listed, and `examined` counts both, the extensions once per alphabet."""
+    counted label by label over its covers, in its `label_order`, so
+    neither the extensions nor the maps are listed, and `examined` counts
+    both, the extensions once per alphabet."""
     if posets_per_n < 1 or k_max < 1:
         raise ValueError(f"posets_per_n and k_max must be at least 1, got {posets_per_n} and {k_max}")
     n_max = bounds.cap(6)

@@ -17,6 +17,7 @@ from peakalg.enriched import (
     chain_count,
     chain_tuples,
     coded_chain_census,
+    coded_poset_census,
     count_table,
     epp_census,
     epp_count,
@@ -34,7 +35,7 @@ from peakalg.permutations import (
     enumerate_group,
     peak_set,
 )
-from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset
+from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset, zigzag_poset
 
 
 def test_frozen_counts():
@@ -450,6 +451,100 @@ def test_layered_census_counts_what_the_map_walk_visits(monkeypatch):
     monkeypatch.setattr(enriched, "_extend_map", refuse)
     for (P, alphabet), census in zip(cases, expected):
         assert poset_epp_census(P, alphabet) == census, (P, alphabet.variant)
+
+
+def _reference_poset_census(poset, alphabet):
+    """The layered census over the whole closed relation, labels 1..n in
+    turn: a relation a < b is checked when its larger |label| m gets its
+    letter, through a mask of the letters m may take per letter of the
+    other label, and a layer maps the letters of the labels that a later
+    check still reads to the coded census of the partial maps ending there."""
+    n, size, eps = poset.n, len(alphabet), alphabet.eps
+    codes = _KeyCodes.of(alphabet, n)
+    neg = [alphabet.index[alphabet.negate(letter)] for letter in alphabet.letters] if poset.kind == "B" else []
+
+    def value(label, x):  # the letter of f(label) when f(|label|) has letter x
+        return alphabet.zero_index if label == 0 else x if label > 0 else neg[x]
+
+    def mask(a, b, m, y):  # the letters of m that a < b allows when the other label has letter y
+        bits = 0
+        for x in range(size):
+            fa, fb = value(a, x if abs(a) == m else y), value(b, x if abs(b) == m else y)
+            if fa < fb or (fa == fb and (eps[fa] > 0) == (a < b)):
+                bits |= 1 << x
+        return bits
+
+    fixed = [(1 << size) - 1] * (n + 1)
+    reads = [[] for _ in range(n + 1)]  # (j, table) for the smaller labels j of m's relations
+    for a, b in poset.relation:
+        m, j = max(abs(a), abs(b)), min(abs(a), abs(b))
+        if j in (0, m):
+            fixed[m] &= mask(a, b, m, 0)
+        else:
+            reads[m].append((j, [mask(a, b, m, y) for y in range(size)]))
+    read_until = [0] * (n + 1)
+    for m in range(1, n + 1):
+        for j, _ in reads[m]:
+            read_until[j] = m
+    live = ()
+    layer = {(): {0: 1}}
+    for m in range(1, n + 1):
+        at = [(live.index(j), table) for j, table in reads[m]]
+        kept = [i for i, j in enumerate(live) if read_until[j] > m]
+        held = read_until[m] > m
+        grown = {}
+        for state, census in layer.items():
+            allowed = fixed[m]
+            for i, table in at:
+                allowed &= table[state[i]]
+            base = tuple(state[i] for i in kept)
+            for x in range(size):
+                if allowed >> x & 1:
+                    target = grown.setdefault(base + (x,) if held else base, {})
+                    for key, count in census.items():
+                        target[key + codes.weight[x]] = target.get(key + codes.weight[x], 0) + count
+        live = tuple(live[i] for i in kept) + ((m,) if held else ())
+        layer = grown
+    return CodedCensus(codes, layer.get((), {}))
+
+
+def _census_alphabets(kind, n):
+    """prime or plusMinus at k <= 3, left(2), a product, and for n <= 5 the
+    signed product, of 25 letters, which hosts both kinds of order."""
+    alphabets = [Alphabet.prime(k) for k in (1, 2, 3)] if kind == "A" else [Alphabet.plus_minus(k) for k in (1, 2, 3)]
+    alphabets += [Alphabet.left(2), Alphabet.product(Alphabet.prime(1), Alphabet.prime(2))] if kind == "A" else [
+        Alphabet.left(2)]
+    return alphabets + ([Alphabet.product(Alphabet.plus_minus(1), Alphabet.plus_minus(1))] if n <= 5 else [])
+
+
+def test_cover_census_matches_the_label_order_census_on_seeded_orders():
+    # one alphabet object serves every order of its kind, so masks kept on
+    # it by one order's shapes are read by the next order's
+    rng = random.Random(20261020)
+    for kind, draw in (("A", random_poset), ("B", random_signed_poset)):
+        alphabets = _census_alphabets(kind, 0)
+        for n in range(0, 10):
+            for keep in (0.3, 0.6, 0.9):
+                poset = draw(n, rng, keep)
+                for alphabet in alphabets if n <= 5 else alphabets[:-1]:
+                    assert coded_poset_census(poset, alphabet) == _reference_poset_census(poset, alphabet), (
+                        poset, alphabet, poset.label_order)
+
+
+def test_cover_census_matches_the_label_order_census_on_small_and_shaped_orders():
+    orders = [LabeledPoset.antichain(0), LabeledPoset.antichain(1), LabeledPoset.antichain(4),
+              LabeledPoset.chain((3, 1, 4, 2)), LabeledPoset.chain((1, 2, 3, 4, 5)),
+              zigzag_poset(Permutation((2, 5, 1, 4, 3, 6)), {2, 3, 5}),
+              SignedPoset.antichain(0), SignedPoset.antichain(1), SignedPoset.antichain(3),
+              SignedPoset.from_covers(1, [(1, -1)]), SignedPoset.from_covers(1, [(0, -1)]),
+              SignedPoset.from_covers(2, [(0, 1), (0, -2)]), SignedPoset.from_covers(2, [(2, 0), (-1, 0)]),
+              SignedPoset.from_covers(3, [(2, -2), (-3, 1), (0, 3)]),
+              SignedPoset.from_covers(3, [(-1, 1), (1, 2), (0, -3)]),
+              SignedPoset.chain((2, -3, 1)), SignedPoset.chain((-1, -2, 3, -4))]
+    for poset in orders:
+        for alphabet in _census_alphabets(poset.kind, poset.n):
+            assert coded_poset_census(poset, alphabet) == _reference_poset_census(poset, alphabet), (
+                poset, alphabet)
 
 
 def test_factorization_censuses_are_kept_per_table_and_second_alphabet(monkeypatch):

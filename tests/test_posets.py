@@ -306,3 +306,76 @@ def test_random_orders_of_negative_size_are_refused():
     for draw in (random_poset, random_signed_poset):
         with pytest.raises(ValueError, match="n >= 0"):
             draw(-2, random.Random(1))
+
+
+def _shaped_and_seeded_orders():
+    rng = random.Random(20261021)
+    orders = [LabeledPoset.antichain(0), LabeledPoset.antichain(3), LabeledPoset.chain((3, 1, 4, 2)),
+              LabeledPoset.from_covers(4, [(1, 3), (2, 3), (1, 4), (3, 4)]),
+              zigzag_poset(Permutation((2, 4, 1, 3, 5)), {1, 3}),
+              SignedPoset.antichain(2), SignedPoset.from_covers(2, [(1, -1)]),
+              SignedPoset.from_covers(2, [(0, 1), (-2, 1)]), SignedPoset.from_covers(3, [(2, -2), (-3, 1), (0, 3)]),
+              SignedPoset.chain((2, -3, 1))]
+    for n in range(1, 8):
+        orders += [random_poset(n, rng, keep) for keep in (0.4, 0.8)]
+        orders += [random_signed_poset(n, rng, keep) for keep in (0.4, 0.8)]
+    return orders
+
+
+def _closure(pairs):
+    closed = set(pairs)
+    while True:
+        longer = {(a, d) for a, b in closed for c, d in closed if b == c} - closed
+        if not longer:
+            return closed
+        closed |= longer
+
+
+def test_covers_close_to_the_relation_and_none_is_implied_by_two_others():
+    through_zero = 0
+    for order in _shaped_and_seeded_orders():
+        covers = order.covers
+        assert covers <= order.relation and _closure(covers) == order.relation, order
+        for a, b in covers:
+            assert not any((a, c) in covers and (c, b) in covers for c in order.labels), (order, (a, b))
+        # a pair a < c < b of the relation is never a cover
+        assert not any((a, c) in order.relation and (c, b) in order.relation for a, b in covers for c in order.labels)
+        through_zero += sum(0 in pair for pair in covers)
+    assert through_zero > 0
+    assert SignedPoset.chain((2, -1)).covers == {(0, 2), (2, -1), (-2, 0), (1, -2)}
+    assert SignedPoset.from_covers(1, [(1, -1)]).covers == {(1, -1)}
+    assert SignedPoset.chain((-1,)).covers == {(0, -1), (1, 0)}  # 1 < -1 goes through 0
+
+
+def _live_counts(order):
+    """The number of labels live after each step of `label_order`: placed,
+    with a cover to an unplaced label (a cover through 0 or from x to -x
+    joins no two labels)."""
+    links = {frozenset((abs(a), abs(b))) for a, b in order.covers if a and b and abs(a) != abs(b)}
+    counts, placed = [], set()
+    for m in order.label_order:
+        placed.add(m)
+        counts.append(sum(1 for j in placed if any(j in link and not link <= placed for link in links)))
+    return counts
+
+
+def test_label_order_is_a_deterministic_permutation_of_the_labels():
+    for order in _shaped_and_seeded_orders():
+        assert sorted(order.label_order) == list(range(1, order.n + 1)), order
+        again = type(order)(order.n, order.relation)  # an equal order, taken afresh
+        assert again.label_order == order.label_order and again is not order
+    # an end of the chain first, the smaller one, then along it
+    assert LabeledPoset.chain((3, 1, 4, 2)).label_order == (2, 4, 1, 3)
+    assert LabeledPoset.from_covers(3, [(2, 1), (2, 3)]).label_order == (1, 2, 3)
+    assert LabeledPoset.antichain(3).label_order == (1, 2, 3)
+
+
+def test_label_order_keeps_one_label_live_on_chains():
+    rng = random.Random(20261022)
+    for n in range(0, 9):
+        for _ in range(3):
+            window = list(range(1, n + 1))
+            rng.shuffle(window)
+            signed = [v if rng.random() < 0.5 else -v for v in window]
+            for chain in (LabeledPoset.chain(window), SignedPoset.chain(signed)):
+                assert max(_live_counts(chain), default=0) <= 1, chain
