@@ -1,11 +1,11 @@
 """Command-line surface.
 
 Every subcommand computes a JSON-serializable payload first; text and CSV
-renderings are derived from it, so the machine format is canonical (a large
-`structure` table renders that JSON text itself, from each key's text).  Each
-subcommand declares only the flags it reads and imports the modules it runs,
-so a `structure` or `closure` process loads no more than `permutations`,
-`group_algebra` and `linalg`, and a `peaks` process only `permutations`.
+renderings are derived from it, so the machine format is canonical: the
+payload as `json.dumps` writes it, on one line.  Each subcommand declares
+only the flags it reads and imports the modules it runs, so a `structure` or
+`closure` process loads no more than `permutations`, `group_algebra` and
+`linalg`, and a `peaks` process only `permutations`.
 Exit codes: 0 on success, 1 when a requested verification fails, 2 on usage
 errors.  The kind, flavor and window of a query are resolved in one place:
 a signed flavor or a negative entry asks for kind B, and an explicit
@@ -24,8 +24,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from dataclasses import dataclass
 
 from .permutations import (
     ELEMENT_TYPES,
@@ -37,9 +36,6 @@ from .permutations import (
     stat_set,
     _parse_ints,
 )
-
-if TYPE_CHECKING:
-    from .group_algebra import StructureTable
 
 DEFAULT_BOUNDS = {"A": 8, "B": 6}
 
@@ -69,7 +65,7 @@ def _require_n(ns: argparse.Namespace, kind: str) -> None:
 
 @dataclass
 class Output:
-    payload: dict | str  # a str is the payload's JSON text, rendered already
+    payload: dict
     rows: list[dict]
     text: str
 
@@ -224,19 +220,6 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     return Output(payload, rows, text), 0
 
 
-def _structure_json(table: StructureTable) -> str:
-    """json.dumps(table.to_payload(), indent=1), with each key's text
-    rendered once instead of once per entry."""
-    from .group_algebra import _key_json
-
-    # an entry's values sit three levels deep
-    key = [json.dumps(_key_json(k), indent=1).replace("\n", "\n   ") for k in table.keys]
-    entries = [f'  {{\n   "A": {key[a]},\n   "B": {key[b]},\n   "C": {key[c]},\n   "count": {v}\n  }}'
-               for (a, b, c), v in table.sorted_entries()]
-    head = json.dumps(replace(table, counts={}).to_payload(), indent=1).removesuffix("[]\n}")
-    return head + ("[\n" + ",\n".join(entries) + "\n ]\n}" if entries else "[]\n}")
-
-
 def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
     from .group_algebra import _key_json, structure_table
 
@@ -244,7 +227,7 @@ def _cmd_structure(ns: argparse.Namespace) -> tuple[Output, int]:
     _require_n(ns, kind)
     table = structure_table(ns.n, kind, flavor, ns.mode)
     if ns.fmt == "json":  # a large table is rendered only in the format asked for
-        return Output(_structure_json(table), [], ""), 0
+        return Output(table.to_payload(), [], ""), 0
     key = [json.dumps(_key_json(k)) for k in table.keys]
     rows = [{"A": key[a], "B": key[b], "C": key[c], "count": v} for (a, b, c), v in table.sorted_entries()]
     text = "\n".join(f"A={r['A']} B={r['B']} C={r['C']}: {r['count']}" for r in rows)
@@ -385,7 +368,7 @@ def _cmd_verify(ns: argparse.Namespace) -> tuple[Output, int]:
 
 def _render(output: Output, fmt: str) -> str:
     if fmt == "json":
-        return output.payload if isinstance(output.payload, str) else json.dumps(output.payload, indent=1, default=str)
+        return json.dumps(output.payload, default=str)
     if fmt == "csv":
         buffer = io.StringIO()
         if output.rows:

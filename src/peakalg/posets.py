@@ -4,10 +4,10 @@ extensions, and the zig-zag posets that encode descent classes.
 Input line format: one strict relation per line, "a<b".  Signed posets use
 labels in {-n..n} and automatically receive the symmetric closure
 (a < b implies -b < -a).  Both kinds share one implementation of the label
-check, the closure, the constructors and the placement rule that both lists
-and counts the linear extensions; an order's `kind` attribute ("A" for
-LabeledPoset, "B" for SignedPoset) matches the kind of its linear
-extensions' windows.
+check, the closure, the constructors, the placement rule that both lists
+and counts the linear extensions, and the filter oracle; an order's `kind`
+attribute ("A" for LabeledPoset, "B" for SignedPoset) matches the kind of
+its linear extensions' windows.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
-from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation
+from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation, enumerate_group
 
 
 def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
@@ -45,7 +45,7 @@ def _check_strict_order(pairs: set[tuple[int, int]]) -> None:
 @dataclass(frozen=True)
 class _Order:
     """A strict partial order of either kind, stored transitively closed; a
-    subclass adds its `kind`, its constructors and its filter oracle."""
+    subclass adds its `kind` and its `chain` constructor."""
 
     n: int
     relation: frozenset[tuple[int, int]]
@@ -154,6 +154,19 @@ class _Order:
         _extend(self._placeable(), self.n, 0, [], out)
         return list(map(ELEMENT_TYPES[self.kind], out))
 
+    def linear_extensions_filter(self) -> list[Permutation] | list[SignedPermutation]:
+        """Oracle variant, independent of `_placeable`: filter the whole group,
+        in rank order, by the extension criterion, each window read as the
+        word -w(n) < ... < -w(1) < 0 < w(1) < ... < w(n) (an ordinary order
+        relates only labels above 0)."""
+        out = []
+        for p in enumerate_group(self.n, self.kind):
+            word = [-v for v in reversed(p.window)] + [0] + list(p.window)
+            pos = {v: i for i, v in enumerate(word)}
+            if all(pos[a] < pos[b] for a, b in self.relation):
+                out.append(p)
+        return out
+
     def extension_descents(self) -> Counter[frozenset[int]]:
         """The linear extensions tallied by descent set, none of them listed:
         Counter({descent set: number of extensions}), each descent set that
@@ -211,18 +224,6 @@ class LabeledPoset(_Order):
         covers = frozenset(zip(labels, labels[1:]))
         return cls(len(labels), covers)
 
-    def linear_extensions_filter(self) -> list[Permutation]:
-        """Oracle variant: filter all n! windows by the extension criterion
-        (i < j in the poset implies i appears before j in the window)."""
-        import itertools
-
-        out = []
-        for w in itertools.permutations(range(1, self.n + 1)):
-            pos = {v: i for i, v in enumerate(w)}
-            if all(pos[a] < pos[b] for a, b in self.relation):
-                out.append(Permutation(w))
-        return out
-
 
 class SignedPoset(_Order):
     """A strict partial order on {-n..n} that is centrally symmetric:
@@ -236,18 +237,6 @@ class SignedPoset(_Order):
         """The total signed order 0 < w(1) < w(2) < ... < w(n)."""
         labels = (0,) + tuple(window)
         return cls(len(window), frozenset(zip(labels, labels[1:])))
-
-    def linear_extensions_filter(self) -> list[SignedPermutation]:
-        """Oracle variant: filter all of B_n by the extension criterion."""
-        from .permutations import enumerate_group
-
-        out = []
-        for p in enumerate_group(self.n, "B"):
-            order = [-v for v in reversed(p.window)] + [0] + list(p.window)
-            pos = {v: i for i, v in enumerate(order)}
-            if all(pos[a] < pos[b] for a, b in self.relation):
-                out.append(p)
-        return out
 
 
 def zigzag_poset(pi: Permutation, members: Iterable[int]) -> LabeledPoset:

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import peakalg
-from peakalg.cli import _structure_json, main
+from peakalg.cli import main
 from peakalg.group_algebra import StructureTable, class_sums, structure_table
 from peakalg.permutations import FLAVORS, SIGNED_FLAVORS
 
@@ -298,17 +298,17 @@ def test_structure_frozen_constant(capsys):
 # sha256 of the exact stdout of `structure` in each format
 STRUCTURE_DIGESTS = {
     ("interior", "A", "4", "set"): {
-        "json": "8268700459cf250f6c213b520d33f6986fd3c82e903583bcb53f486e0a9580f8",
+        "json": "f95edbe2a151d4122e5dbc158f09c89b4ea9a0db5468295ecea9b88643f8228f",
         "csv": "91c99901c9f12b74789f8cd768e38cc3169cfcfe1999bb6b6f798a1495c5fe4f",
         "text": "e3351d85c6abaec4c2b97044eb7fe8e1f4be8f7e9d884bf0129e0cdbb0aa50b6",
     },
     ("typeB", "B", "3", "set"): {
-        "json": "965d541af4ec88c2ae4fc9a00f92aae04fabd8f67e43518d4f71d9eb8c9ba822",
+        "json": "ddf1eda7c7ffddd38d059870636f5bb822409be7a5838d5649fe27e4157538f3",
         "csv": "a4e6aed0d1e462fc0a9fbf6cce9994d774cf06b800620e0a494d42eb88d2d70b",
         "text": "7b2625af135a7b040e0c49a98a2ff5ce55e187f450b4944c0bcd18efa1d4ae0e",
     },
     ("left", "A", "4", "number"): {
-        "json": "91d05127a727711d8ff2cf3a91141f50af37947bd074e229972e1a00b1c522ec",
+        "json": "6baf8cc59ecabf2ccac86e1175114c01569d82562f86557137ad1e76750c671a",
         "csv": "a8637029b2414b06d53a850b8c3200d862bbb6e64f7fc4ab5a7e3f1f25a52857",
         "text": "65936d127fd261db82ac445053d323d6b37362a80290205861bad2932674b848",
     },
@@ -327,42 +327,42 @@ def test_structure_output_is_frozen_in_every_format(capsys, query):
 # sha256 of the exact stdout of `census` and `qsym` in each format
 CENSUS_QSYM_DIGESTS = {
     ("census", "--window", "2,1,3", "--k", "2"): {
-        "json": "e8f325a960f4fc79f0719ce22bacbd134e1adf8f31d2af58e9f610eadc2d7152",
+        "json": "064356636a5ea019eab45ca5b008c86359f78648ac3e465652ec2cd7ff3a4829",
         "csv": "f85471f896c936a443eafa4f94b347bc1191e9cf122c231abc810b41959cadff",
         "text": "892d6211c4b7e1845e02535fe5db450240eb4629795110bd12e0b44d08120b02",
     },
     ("census", "--window", "3,1,4,2", "--alphabet", "left", "--k", "3"): {
-        "json": "7ad86bb5262460f7faca84b1e6e15015ac7661b6b9374ffb8ad37ae313b1d5fb",
+        "json": "378962e66b8923422a73d9700b5a96fbfe7507d4a60d4320fbd7c9fae953bd13",
         "csv": "664cc736de82e89aac87774419eeedb55842a4452513949251c5ece7ac20ece5",
         "text": "0bd91088b8da66cb42f590e8601008d9aef2276f9fdc945141b9952809e6e0ed",
     },
     ("census", "--window", "-2,3,-1", "--k", "2"): {
-        "json": "0a5c5e0bb810c9006fa5b94d310f4fcc02d337f61f244d7e973c827375ce37f7",
+        "json": "00973a5dbe62e3736fa9ecd6d7f45f26abf68fc2be60d9bc361f691bf4ca0a23",
         "csv": "201e621ef7532e59e48792f7ead9e4c579644076461e6532aac387f0b2dea326",
         "text": "e1a21547b646406d736442c2d314930425ac8cde8480312e9b8cc75860f8eb3f",
     },
     ("qsym", "--flavor", "interior", "--n", "5", "--members", "{2,4}"): {
-        "json": "8b092665d82b438152b16f2260044d94257bededbfba4cf1f6295fd93e6b2f58",
+        "json": "88a20999f01f0d2479eb329d42e89461b3f60eb7b03ca7411d8696b3f595caca",
         "csv": "145faa607b3d773eecf104983f2f705c4db86b283127a28d096c998810ac9f60",
         "text": "0237f8548d8c6b17194ae02a5c4fa5a3d796335a4deb0dfefd67e7df4619a36c",
     },
     ("qsym", "--flavor", "typeB", "--n", "3", "--members", "{0,2}"): {
-        "json": "784d3e6254531ff854fbceae1aaeb63d13d0048ec052521e0638e12c3298ca6a",
+        "json": "6b81541c6feac838f4a3ead49babd0455b6f8a86d2f0604dfcae8a6b01d670a5",
         "csv": "2adc9d563ad854bb6364da71e5a81a03a3db349cfd0a224375bfbc57a976f16a",
         "text": "0f6dd71c4a3eea6ae5162a82ef8a666171a91ad9c122605d3377cc3fead657a4",
     },
     ("qsym", "--flavor", "left", "--n", "4", "--members", "{1,3}", "--basis", "F"): {
-        "json": "76c5836965b0d2cf9a97787af645dcc31efe6844970d5d1d14a9c8c4ae713ac3",
+        "json": "d372eea7d1ac3f0ed27b4dc11bc63b50e87c5a2d315a5b9a61d190e115c3fc85",
         "csv": "3f903bdd9056adea993102d976570178108cf340db2c7b0d18140bbcd1031690",
         "text": "81925e0bf20a7e04c188858d28a9ee1a53ef8ff3e91461f90dd5bbe5f157e6fc",
     },
     ("qsym", "--flavor", "left", "--report-ranks", "--n-max", "6"): {
-        "json": "21d099293b4bea5bb255c78512d4d845dda34f13d960bdc32654c766d0a8e646",
+        "json": "be700a9285719328ea4ced10c05ec03e2ab6797bc13be9fa69ff28eef3d8014e",
         "csv": "db388d7b7c64a445eeede54b501ea70c3f678b95685f3652c4f6d53311fe99e0",
         "text": "faf1994ebd5d93003d2c3a92d9411a0630370a608a00624ad34ab6b4f0bf1880",
     },
     ("qsym", "--flavor", "typeB", "--report-ranks", "--n", "5"): {
-        "json": "ff6d06f4c943b1b7030f48c722e8188ec4096e009ef64b11f5c4157c2b713b06",
+        "json": "ed184f537c7ce095548f7dcd4190d2055cf713fb09d0297595da6cdeb88af46a",
         "csv": "2a7dd5e128fa8fdf5bb996f57a768d06b2605ffc8819629317b4ccea2c32ab6a",
         "text": "ca549f11dfd98a7cfd120fc0b09b8b961346a6459837ffdc7bc03d6939e182b7",
     },
@@ -412,23 +412,49 @@ def _key_order(key):
     return (key,) if isinstance(key, int) else (len(key), key)
 
 
-def test_structure_json_is_json_dumps_of_the_payload():
-    # the rendered text against the pure-Python encoder, for every flavor the
-    # kind answers and both modes; the payload's entries are the nonzero counts in key order
+def test_structure_json_is_json_dumps_of_the_payload(capsys):
+    code, out, _ = run(capsys, "structure", "--flavor", "interior", "--n", "4", "--format", "json")
+    assert (code, out) == (0, json.dumps(structure_table(4, "A", "interiorPeak", "set").to_payload()))
+    # for every flavor the kind answers and both modes, the payload's entries
+    # are the nonzero counts in key order
     for kind, n_max in (("A", 5), ("B", 3)):
         for n in range(n_max + 1):
             for flavor in (f for f in FLAVORS if kind == "B" or f not in SIGNED_FLAVORS):
                 for mode in ("set", "number"):
                     table = structure_table(n, kind, flavor, mode)
-                    payload = table.to_payload()
-                    assert _structure_json(table) == json.dumps(payload, indent=1), (kind, n, flavor, mode)
-                    entries = payload["entries"]
-                    assert len(entries) == sum(1 for v in table.counts.values() if v)
+                    entries = table.to_payload()["entries"]
+                    assert len(entries) == sum(1 for v in table.counts.values() if v), (kind, n, flavor, mode)
                     order = [tuple(map(_key_order, (e["A"], e["B"], e["C"]))) for e in entries]
                     assert order == sorted(order) and all(e["count"] for e in entries)
     empty = StructureTable(n=2, kind="A", flavor="interiorPeak", mode="set", keys=(), counts={})
-    assert _structure_json(empty) == json.dumps(empty.to_payload(), indent=1)
     assert empty.to_payload()["entries"] == []
+
+
+# one query of every subcommand that writes JSON, with its exit status: a
+# passing and a failing closure among them
+JSON_QUERIES = {
+    ("peaks", "--window", "-2,3,4,-5,1"): 0,
+    ("extensions", "--file", "-"): 0,
+    ("census", "--window", "3,1,4,2", "--alphabet", "left", "--k", "3"): 0,
+    ("qsym", "--flavor", "left", "--n", "4", "--members", "{1,3}", "--basis", "F"): 0,
+    ("qsym", "--flavor", "typeB", "--report-ranks", "--n", "5"): 0,
+    ("structure", "--flavor", "typeB", "--n", "3"): 0,
+    ("closure", "--flavor", "interior", "--n", "4", "--ideal-in", "left", "--descent-containment"): 0,
+    ("closure", "--flavor", "interior", "--n", "3", "--ideal-in", "typeB"): 1,
+    ("orderpoly", "--n", "4"): 0,
+    ("idempotents", "--n", "4"): 0,
+    ("negatives", "--n-max", "4"): 0,
+    ("verify", "--checks", "examples,closure", "--n-max", "3"): 1,
+}
+
+
+@pytest.mark.parametrize("query", JSON_QUERIES, ids=" ".join)
+def test_json_output_is_json_dumps_of_its_payload(capsys, monkeypatch, query):
+    # the one machine form: the payload as json.dumps writes it, one line
+    monkeypatch.setattr("sys.stdin", io.StringIO("1<2\n1<3\n3<4\n"))
+    assert main([*query, "--format", "json"]) == JSON_QUERIES[query]
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out)) + "\n"
 
 
 def test_structure_cache_warm_run_is_identical(capsys):
