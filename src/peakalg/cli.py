@@ -177,7 +177,7 @@ def _cmd_census(ns: argparse.Namespace) -> tuple[Output, int]:
 
 
 def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
-    from .qsym import m_to_f, peak_series, series_ranks
+    from .qsym import peak_series, series_ranks
 
     flavor = _canonical_flavor(ns.flavor or "interior", "A")
     if flavor not in FIBONACCI_SHIFT:
@@ -206,9 +206,7 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     _enforce_bound(ns.n, "A", ns.allow_large)
     members = _parse_members(ns.members)
     StatSet.of(flavor, ns.n, members)
-    element = peak_series(members, ns.n, typeB=flavor != "interiorPeak")
-    if ns.basis == "F":
-        element = m_to_f(element)
+    element = peak_series(members, ns.n, typeB=flavor != "interiorPeak", basis=ns.basis)
     terms = [
         {"parts": list(key.parts), "coeff": str(value)}
         for key, value in sorted(element.coeffs.items(), key=lambda kv: (kv[0].length, kv[0].parts))
@@ -216,7 +214,7 @@ def _cmd_qsym(ns: argparse.Namespace) -> tuple[Output, int]:
     payload = {"flavor": flavor, "n": ns.n, "members": members, "basis": element.basis,
                "typeB": element.typeB, "terms": terms}
     rows = [{"parts": " ".join(map(str, t["parts"])), "coeff": t["coeff"]} for t in terms]
-    text = "\n".join(f"{t['coeff']} * {ns.basis or 'M'}{tuple(t['parts'])}" for t in terms)
+    text = "\n".join(f"{t['coeff']} * {ns.basis}{tuple(t['parts'])}" for t in terms)
     return Output(payload, rows, text), 0
 
 

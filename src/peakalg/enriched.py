@@ -159,12 +159,6 @@ def chain_count(n: int, des: frozenset[int], alphabet: Alphabet) -> int:
     return sum(state)
 
 
-def chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> Census:
-    """Monomial census of all chain maps, same DP as chain_count, decoded
-    from `coded_chain_census` into a fresh dict on every call."""
-    return coded_chain_census(n, des, alphabet).decode()
-
-
 def coded_chain_census(n: int, des: frozenset[int], alphabet: Alphabet) -> CodedCensus:
     """The coded census of the chain maps.  The DP state after a step
     depends on the descent set only through its members before that step,
@@ -307,12 +301,12 @@ def epp_count(p: GroupElement, alphabet: Alphabet) -> int:
     return chain_count(*chain_rules(p, alphabet), alphabet)
 
 
-def epp_census(p: GroupElement, alphabet: Alphabet) -> Census:
-    return chain_census(*chain_rules(p, alphabet), alphabet)
-
-
 def coded_epp_census(p: GroupElement, alphabet: Alphabet) -> CodedCensus:
     return coded_chain_census(*chain_rules(p, alphabet), alphabet)
+
+
+def epp_census(p: GroupElement, alphabet: Alphabet) -> Census:
+    return coded_epp_census(p, alphabet).decode()
 
 
 def epp_values(p: GroupElement, alphabet: Alphabet) -> Iterator[tuple[Letter, ...]]:
@@ -458,18 +452,12 @@ def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> lis
     f(a) <=- f(b) otherwise.  For a signed poset the implied values
     f(0) = zero letter and f(-m) = -f(m) enter the relation checks.  A brute
     walk over every map, labels 1..n in turn, checking the whole closed
-    relation: the reference of `poset_epp_census`, which checks only the
+    relation: the reference of `coded_poset_census`, which checks only the
     covers, in another order."""
     fixed, checks = _compile_relation(poset, alphabet, poset.relation, range(1, poset.n + 1))
     out: list[dict[int, Letter]] = []
     _extend_map(1, fixed, checks, [0] * (poset.n + 1), alphabet.letters, out)
     return out
-
-
-def poset_epp_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> Census:
-    """census_of_maps(poset_epp_maps(poset, alphabet), alphabet), counted
-    without visiting the maps: `coded_poset_census`, decoded."""
-    return coded_poset_census(poset, alphabet).decode()
 
 
 def coded_poset_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> CodedCensus:
@@ -545,10 +533,10 @@ def census_product(left: CodedCensus, right: CodedCensus) -> CodedCensus:
 
 
 def census_sum(n: int, terms: Iterable[tuple[frozenset[int], int]], alphabet: Alphabet) -> CodedCensus:
-    """The coded sum of times * chain_census(n, des, alphabet) over the terms
-    (des, times): windows sharing a descent set share a census, so each
-    descent set's census enters once, times the number of its windows.  The
-    sum keeps the code system of the censuses it adds."""
+    """The coded sum of times * coded_chain_census(n, des, alphabet) over
+    the terms (des, times): windows sharing a descent set share a census, so
+    each descent set's census enters once, times the number of its windows.
+    The sum keeps the code system of the censuses it adds."""
     codes = None
     total: dict[int, int] = {}
     for des, times in terms:

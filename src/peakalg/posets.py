@@ -272,24 +272,22 @@ def parse_poset(text: str, signed: bool = False, n: int | None = None) -> Labele
     return (SignedPoset if signed else LabeledPoset).from_covers(largest if n is None else n, covers)
 
 
-def _thinned_chain(window: list[int], rng: random.Random, keep: float, floor: tuple[int, ...]) -> list[tuple[int, int]]:
+def _thinned_chain(window: list[int], rng: random.Random, floor: tuple[int, ...]) -> list[tuple[int, int]]:
     """Shuffle the window, set floor below it, and keep each cover of the
-    resulting chain with probability `keep`."""
+    resulting chain with probability 0.6."""
     rng.shuffle(window)
     labels = list(floor) + window
-    return [cover for cover in zip(labels, labels[1:]) if rng.random() < keep]
+    return [cover for cover in zip(labels, labels[1:]) if rng.random() < 0.6]
 
 
-def random_poset(n: int, rng: random.Random, keep: float = 0.6) -> LabeledPoset:
-    """A random poset built by thinning the cover chain of a random window:
-    each cover is kept with probability `keep`, so keep=0 gives the
-    antichain, keep=1 a chain, and the window is always a linear extension.
-    """
-    return LabeledPoset.from_covers(n, _thinned_chain(list(range(1, n + 1)), rng, keep, ()))
+def random_poset(n: int, rng: random.Random) -> LabeledPoset:
+    """A random poset built by thinning the cover chain of a random window
+    (`_thinned_chain`), so the window is always a linear extension."""
+    return LabeledPoset.from_covers(n, _thinned_chain(list(range(1, n + 1)), rng, ()))
 
 
-def random_signed_poset(n: int, rng: random.Random, keep: float = 0.6) -> SignedPoset:
+def random_signed_poset(n: int, rng: random.Random) -> SignedPoset:
     """Random signed analogue: thin the chain 0 < w(1) < ... of a random
     signed window, then close symmetrically."""
     window = [v if rng.random() < 0.5 else -v for v in range(1, n + 1)]
-    return SignedPoset.from_covers(n, _thinned_chain(window, rng, keep, (0,)))
+    return SignedPoset.from_covers(n, _thinned_chain(window, rng, (0,)))

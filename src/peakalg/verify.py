@@ -132,22 +132,26 @@ def _alphabet_for(kind: str, k: int) -> Alphabet:
     return Alphabet.plus_minus(k) if kind == "B" else Alphabet.prime(k)
 
 
-def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> CheckResult:
+# the largest alphabet parameter k of the extensions and bipartite checks
+_K = 3
+
+
+def check_extensions(bounds: Bounds, posets_per_n: int = 25) -> CheckResult:
     """Census additivity: the census of an order equals the sum of the
-    censuses of its linear extensions, for random orders of both kinds.  Each
-    order is drawn once, at the default keep, from one generator seeded by
-    `bounds.seed`; its extensions are tallied by descent set and its census
-    counted label by label over its covers, in its `label_order`, so
-    neither the extensions nor the maps are listed, and `examined` counts
+    censuses of its linear extensions, for random orders of both kinds and
+    the alphabets of k = 1.._K.  Each order is drawn once from one generator
+    seeded by `bounds.seed`; its extensions are tallied by descent set and
+    its census counted label by label over its covers, in its `label_order`,
+    so neither the extensions nor the maps are listed, and `examined` counts
     both, the extensions once per alphabet."""
-    if posets_per_n < 1 or k_max < 1:
-        raise ValueError(f"posets_per_n and k_max must be at least 1, got {posets_per_n} and {k_max}")
+    if posets_per_n < 1:
+        raise ValueError(f"posets_per_n must be at least 1, got {posets_per_n}")
     n_max = bounds.cap(6)
     rng = random.Random(bounds.seed)
     failures = []
     examined = {}
     for kind, draw in (("A", random_poset), ("B", random_signed_poset)):
-        alphabets = [_alphabet_for(kind, k) for k in range(1, k_max + 1)]
+        alphabets = [_alphabet_for(kind, k) for k in range(1, _K + 1)]
         seen = examined[kind] = {"orders": 0, "extensions": 0, "maps": 0}
         for n in range(1, n_max + 1):
             for trial in range(posets_per_n):
@@ -166,7 +170,7 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25, k_max: int = 3) -> 
     )
     return _result(
         "extensions", not failures,
-        f"additivity over extensions, {posets_per_n} random orders per n<=%d per kind, k<=%d" % (n_max, k_max),
+        f"additivity over extensions, {posets_per_n} random orders per n<=%d per kind, k<=%d" % (n_max, _K),
         failures, quoted, examined=examined,
     )
 
@@ -217,14 +221,12 @@ _BIPARTITE_PAIRS = {
 }
 
 
-def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
+def check_bipartite(bounds: Bounds) -> CheckResult:
     """Pair-alphabet censuses factor through ordered factorizations: the
-    census over the up-down product alphabet equals the factorization sum,
-    for every window.  The alphabets are built for each pair and n, so the
-    censuses and chain-DP prefix states they keep are dropped when the sweep
-    moves on."""
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
+    census over the up-down product alphabet of k = _K equals the
+    factorization sum, for every window.  The alphabets are built for each
+    pair and n, so the censuses and chain-DP prefix states they keep are
+    dropped when the sweep moves on."""
     n_a = bounds.cap(4)
     n_b = bounds.cap(3)
     failures = []
@@ -233,7 +235,7 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
     for kind, n_max in (("A", n_a), ("B", n_b)):
         for n in range(1, n_max + 1):
             for label, *names in _BIPARTITE_PAIRS[kind]:
-                alphabets = {name: getattr(Alphabet, name)(k) for name in names}
+                alphabets = {name: getattr(Alphabet, name)(_K) for name in names}
                 first, second = (alphabets[name] for name in names)
                 product = Alphabet.product(first, second)
                 seen = examined[label]
@@ -251,7 +253,7 @@ def check_bipartite(bounds: Bounds, k: int = 3) -> CheckResult:
                         failures.append({"pair": label, "window": str(w)})
     return _result(
         "bipartite", not failures,
-        f"pair-alphabet census factorizations at k={k}, n<={n_a} (ordinary) / n<={n_b} (signed)",
+        f"pair-alphabet census factorizations at k={_K}, n<={n_a} (ordinary) / n<={n_b} (signed)",
         failures, _quote_examined(examined, "products", "tables"), examined=examined,
     )
 

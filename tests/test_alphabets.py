@@ -23,6 +23,18 @@ def test_factories_refuse_negative_sizes():
             factory(-2)
 
 
+def test_an_alphabet_with_a_repeated_letter_is_refused():
+    with pytest.raises(ValueError, match="duplicate letters"):
+        Alphabet("twice", (1, 1), (1, 1), ((1,), (1,)), 2, None, None)
+
+
+def test_an_alphabet_without_a_negation_refuses_to_negate():
+    # every factory alphabet has one; a hand-built alphabet may not
+    plain = Alphabet("plain", (1, 2), (1, 1), ((1,), (2,)), 3, None, None)
+    with pytest.raises(ValueError, match="no negation"):
+        plain.negate(1)
+
+
 def test_left_letters():
     a = Alphabet.left(3)
     assert a.letters == (0, -1, 1, -2, 2, -3, 3)

@@ -92,8 +92,11 @@ def test_kind_a_beside_a_signed_flavor_or_entry_is_refused(capsys, argv):
 def test_refused_library_values_are_usage_records(tmp_path, capsys):
     path = tmp_path / "cycle.poset"
     path.write_text("1<2\n2<1\n")
+    beyond = tmp_path / "beyond.poset"
+    beyond.write_text("1<3\n")
     for argv in (
         ("extensions", "--file", str(path)),
+        ("extensions", "--n", "2", "--file", str(beyond)),  # a label past --n
         ("census", "--window", "-2,1", "--alphabet", "prime"),
         ("qsym", "--flavor", "left", "--n", "3", "--members", "{0}"),
         ("verify", "--checks", ","),
@@ -624,6 +627,10 @@ def test_size_bounds_enforced(capsys):
     ("census", "--window", "2,1,3", "--k", "-1"),
     ("census", "--window", "2,1,3", "--k", "0"),
     ("closure", "--flavor", "interior", "--n", "0"),
+    # a subcommand that needs a size refuses to run without one
+    ("structure", "--flavor", "interior"),
+    ("orderpoly",),
+    ("qsym", "--flavor", "interior"),
 ])
 def test_sizes_below_one_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)

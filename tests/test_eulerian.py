@@ -114,6 +114,11 @@ def test_order_polynomial_rejects_unrealizable_counts():
         order_polynomial(-1, 3)
 
 
+def test_order_polynomial_refuses_a_size_below_one():
+    with pytest.raises(ValueError, match="at least 1"):
+        order_polynomial(0, 0)
+
+
 def test_order_polynomial_out_of_sample():
     # interpolation uses 0..n; agreement beyond that is a real prediction,
     # and any window with the right peak count gives the same value

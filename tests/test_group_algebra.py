@@ -298,6 +298,12 @@ def test_kind_mixing_is_rejected():
         u + v
 
 
+def test_an_element_with_a_rank_outside_its_group_is_refused():
+    for rank in (-1, 6):
+        with pytest.raises(ValueError, match="out of range"):
+            AlgebraElement(3, "A", {rank: 1})
+
+
 def test_stat_classes_partition_the_group():
     classes = stat_classes(4, "A", "interiorPeak", mode="set")
     assert sum(len(v) for v in classes.values()) == group_order(4, "A")

@@ -190,6 +190,21 @@ def test_stat_set_refuses_a_negative_size():
         StatSet.of("interiorPeak", -1, ())
 
 
+def test_peak_and_descent_readers_refuse_each_others_flavors():
+    w = Permutation((2, 1, 3))
+    with pytest.raises(ValueError, match="not a peak flavor"):
+        peak_set(w, "descentA")
+    with pytest.raises(ValueError, match="not a descent flavor"):
+        descent_set(w, "interiorPeak")
+    with pytest.raises(ValueError, match="not a peak flavor"):
+        enumerate_peak_sets(3, "descentA")
+
+
+def test_a_subset_outside_the_composition_is_refused():
+    with pytest.raises(ValueError, match="not within"):
+        Composition.from_subset({3}, 3)
+
+
 def test_stat_set_validation():
     assert StatSet.of("interiorPeak", 5, [3]).members == frozenset({3})
     with pytest.raises(ValueError):

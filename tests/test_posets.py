@@ -23,6 +23,8 @@ from peakalg.posets import (
     zigzag_poset,
 )
 
+from thinned_orders import thinned_order
+
 
 def test_frozen_vee_poset():
     # 1 and 2 both above 3: two extensions
@@ -114,7 +116,7 @@ def test_filter_oracle_agrees_with_backtracking():
     for n in range(1, 5):
         for keep in (0.3, 0.6, 0.9):
             for _ in range(6):
-                for P in (random_poset(n, rng, keep), random_signed_poset(n, rng, keep)):
+                for P in (thinned_order("A", n, rng, keep), thinned_order("B", n, rng, keep)):
                     found = [e.window for e in P.linear_extensions()]
                     assert len(found) == len(set(found)), P.relation
                     assert set(found) == {e.window for e in P.linear_extensions_filter()}, P.relation
@@ -199,6 +201,16 @@ def test_random_posets_are_reproducible():
     assert sa.relation == sb.relation
 
 
+def test_the_test_draws_at_keep_0_6_are_the_library_draws():
+    # thinned_order stands in for random_poset at other densities; at the
+    # library's own 0.6 it must draw the same orders from the same generator
+    for kind, draw in (("A", random_poset), ("B", random_signed_poset)):
+        ours, theirs = random.Random(7), random.Random(7)
+        for n in range(0, 7):
+            for _ in range(5):
+                assert thinned_order(kind, n, ours, 0.6) == draw(n, theirs)
+
+
 def test_cycle_detection():
     with pytest.raises(ValueError):
         LabeledPoset.from_covers(3, [(1, 2), (2, 3), (3, 1)])
@@ -277,7 +289,7 @@ def test_extension_descents_count_what_the_listings_list():
     for n in range(0, 6):
         for keep in (0.0, 0.3, 0.6, 0.9):
             for _ in range(3):
-                orders += [random_poset(n, rng, keep), random_signed_poset(n, rng, keep)]
+                orders += [thinned_order("A", n, rng, keep), thinned_order("B", n, rng, keep)]
     for P in orders:
         tally = P.extension_descents()
         assert tally == _descent_tally(P.linear_extensions(), P.kind), P
@@ -302,6 +314,16 @@ def test_a_signed_order_of_negative_size_is_refused():
         SignedPoset(-2, frozenset())
 
 
+def test_a_label_outside_the_order_is_refused():
+    with pytest.raises(ValueError, match="label out of range"):
+        LabeledPoset.from_covers(2, [(1, 3)])
+
+
+def test_a_zigzag_position_outside_the_window_is_refused():
+    with pytest.raises(ValueError, match="outside"):
+        zigzag_poset(Permutation((2, 1, 3)), {3})
+
+
 def test_random_orders_of_negative_size_are_refused():
     for draw in (random_poset, random_signed_poset):
         with pytest.raises(ValueError, match="n >= 0"):
@@ -317,8 +339,8 @@ def _shaped_and_seeded_orders():
               SignedPoset.from_covers(2, [(0, 1), (-2, 1)]), SignedPoset.from_covers(3, [(2, -2), (-3, 1), (0, 3)]),
               SignedPoset.chain((2, -3, 1))]
     for n in range(1, 8):
-        orders += [random_poset(n, rng, keep) for keep in (0.4, 0.8)]
-        orders += [random_signed_poset(n, rng, keep) for keep in (0.4, 0.8)]
+        orders += [thinned_order("A", n, rng, keep) for keep in (0.4, 0.8)]
+        orders += [thinned_order("B", n, rng, keep) for keep in (0.4, 0.8)]
     return orders
 
 

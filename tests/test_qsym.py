@@ -68,6 +68,17 @@ def test_kind_mixing_is_rejected():
         quasi_shuffle(M((1,)), M((1,), True))
 
 
+def test_basis_mismatches_are_refused():
+    with pytest.raises(ValueError, match="unknown basis"):
+        QSymElement("X", False)
+    with pytest.raises(ValueError, match="expected an element of the F basis"):
+        f_to_m(M((1,)))
+    with pytest.raises(ValueError, match="M basis"):
+        quasi_shuffle(F((1,)), F((1,)))
+    with pytest.raises(ValueError, match="different bases"):
+        rank_of_span([M((1,)), F((1,))])
+
+
 def test_peak_series_frozen():
     assert peak_series([], 1) == M((1,)).scale(2)
     assert peak_series([], 2) == M((2,)).scale(2) + M((1, 1)).scale(4)
@@ -115,15 +126,19 @@ def test_peak_series_match_the_subset_set_form():
 
 
 def test_fundamental_forms_agree():
-    # every interior peak set with n <= 6 and every type B peak set with
-    # n <= 5, the left peak sets among them
-    plans = [(False, "interiorPeak", 6), (True, "typeBPeak", 5), (True, "leftPeak", 5)]
-    for typeB, flavor, n_max in plans:
-        for n in range(0, n_max + 1):
+    # the two routes to an F-basis series, the M-basis series rewritten by
+    # m_to_f and the series built in the F basis (which `peakalg qsym
+    # --basis F` prints), agree on every interior, left and type B peak set
+    # with n <= 7: 175 sets
+    checked = 0
+    for typeB, flavor in ((False, "interiorPeak"), (True, "leftPeak"), (True, "typeBPeak")):
+        for n in range(0, 8):
             for s in enumerate_stat_sets(n, flavor):
                 series = peak_series(s.members, n, typeB)
                 assert series.basis == "M" and series.typeB == typeB
-                assert m_to_f(series) == peak_series(s.members, n, typeB, "F"), (flavor, n, s)
+                assert m_to_f(series) == peak_series(s.members, n, typeB, basis="F"), (flavor, n, s)
+                checked += 1
+    assert checked == 175
 
 
 def test_quasi_shuffle_frozen():

@@ -8,7 +8,7 @@ import pytest
 from peakalg.alphabets import Alphabet
 from peakalg.enriched import poset_epp_maps
 from peakalg import enriched, eulerian, verify
-from peakalg.permutations import enumerate_group, peak_set
+from peakalg.permutations import descent_set, enumerate_group, peak_set
 from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset
 from peakalg.verify import (
     CHECKS,
@@ -155,7 +155,7 @@ def test_extensions_check_replays_its_draws():
     # replays the draws, and the filter oracle and the brute map walk recount
     # what the check examined
     bounds = Bounds(n_max=4)
-    result = check_extensions(bounds, posets_per_n=5, k_max=3)
+    result = check_extensions(bounds, posets_per_n=5)
     assert result.passed
     rng = random.Random(bounds.seed)
     expected = {}
@@ -175,26 +175,26 @@ def test_extensions_check_replays_its_draws():
 
 def test_extensions_check_reports_what_it_examined():
     # at n = 1 every order is a single label: a labeled one has one
-    # extension and 2k maps into prime(k); a signed one is the antichain
-    # (extensions 1 and -1, 4k+1 maps into plusMinus(k)) or a chain through
-    # 0 (one extension, 2k+1 maps)
-    result = check_extensions(Bounds(n_max=1), posets_per_n=3, k_max=2)
+    # extension and 2k maps into prime(k), k = 1..3; a signed one is the
+    # antichain (extensions 1 and -1, 4k+1 maps into plusMinus(k)) or a
+    # chain through 0 (one extension, 2k+1 maps)
+    result = check_extensions(Bounds(n_max=1), posets_per_n=3)
     assert result.passed
     examined = result.data["examined"]
-    assert examined["A"] == {"orders": 3, "extensions": 3 * 2, "maps": 3 * (2 + 4)}
+    assert examined["A"] == {"orders": 3, "extensions": 3 * 3, "maps": 3 * (2 + 4 + 6)}
     signed = examined["B"]
-    antichains = signed["extensions"] // 2 - 3
+    antichains = signed["extensions"] // 3 - 3
     assert signed["orders"] == 3 and 0 <= antichains <= 3
-    assert signed["maps"] == antichains * (5 + 9) + (3 - antichains) * (3 + 5)
+    assert signed["maps"] == antichains * (5 + 9 + 13) + (3 - antichains) * (3 + 5 + 7)
     for kind, seen in examined.items():
         assert f"{kind}: {seen['orders']} orders, {seen['maps']} maps, {seen['extensions']} extension" in result.details
 
 
 def test_extensions_check_refuses_to_draw_nothing():
-    # with no order drawn, or no alphabet, the check would pass on 0 orders
-    for posets_per_n, k_max in ((0, 3), (-1, 3), (25, 0)):
+    # with no order drawn the check would pass on 0 orders
+    for posets_per_n in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
-            check_extensions(Bounds(n_max=2), posets_per_n=posets_per_n, k_max=k_max)
+            check_extensions(Bounds(n_max=2), posets_per_n=posets_per_n)
 
 
 def test_extensions_check_lists_no_extension_and_walks_no_map(monkeypatch):
@@ -289,9 +289,41 @@ def test_bipartite_check_reports_what_it_examined(monkeypatch):
         assert f"{label}: {seen['windows']} windows, {seen['products']} products, {seen['tables']} tables" in result.details
 
 
-def test_bipartite_check_refuses_to_compare_nothing():
-    # at k = 0 every alphabet has no letter and every census is empty, so
-    # the check would pass on nothing
-    for k in (0, -1):
-        with pytest.raises(ValueError, match="at least 1"):
-            check_bipartite(Bounds(n_max=2), k=k)
+# (check, n_max, {name in verify: stand-in}, the keys of its failure record):
+# each stand-in makes the check's library input wrong in one way
+_FAILURES = {
+    "examples": ("examples", None, {"peak_set": lambda w, flavor: descent_set(w, "descent" + w.kind)},
+                 {"window", "flavor", "got"}),
+    "ranks": ("ranks", 2, {"series_ranks": lambda flavor, n: (1, 1, 2)}, {"flavor", "n", "count", "rank", "expected"}),
+    "extensions": ("extensions", 1, {"census_sum": lambda *args: None}, {"kind", "n", "trial", "k"}),
+    "bipartite": ("bipartite", 1, {"coded_factorization_census": lambda *args: None}, {"pair", "window"}),
+    "containment": ("closure", 1, {"descent_algebra_containment": lambda *args: False}, {"stage", "n"}),
+    "ideal": ("closure", 1, {"ideal_check": lambda *args: {"ideal": False}}, {"stage", "n", "witness"}),
+    "multiplicativity": ("idempotents", 1, {"verify_rho_multiplicativity": lambda n: {
+        "multiplicative": False, "parity_ok": False, "mismatches": [], "windows_tallied": 1, "profiles": 1}},
+        {"n", "stage", "report"}),
+    "control": ("negatives", 2, {"negative_battery": lambda n_max: [
+        {"statistic": "A:descentA", "kind": "A", "n": n_max, "control": True, "closed": False}]},
+        {"statistic", "stage"}),
+    "witness": ("negatives", 2, {"negative_battery": lambda n_max: [
+        {"statistic": "A:rightPeak", "kind": "A", "n": eulerian.BATTERY_CAPS["A"], "control": False, "closed": True}]},
+        {"statistic", "stage", "bound"}),
+    "properness": ("negatives", 4, {"negative_battery": lambda n_max: [],
+                                    "multiplicative_closure": lambda *args, **kwargs: {"dim_closure": 24}},
+                   {"stage", "report"}),
+    "order polynomial": ("oracles", 1, {"epp_count": lambda w, alphabet: -1}, {"stage", "window", "k"}),
+    "quasi-shuffle": ("oracles", 1, {"quasi_shuffle": lambda a, b: verify.QSymElement.zero(typeB=a.typeB)},
+                      {"stage", "a", "b"}),
+}
+
+
+@pytest.mark.parametrize("case", list(_FAILURES))
+def test_a_wrong_library_input_is_reported_as_a_failure(monkeypatch, case):
+    name, n_max, stand_ins, keys = _FAILURES[case]
+    for attribute, stand_in in stand_ins.items():
+        monkeypatch.setattr(verify, attribute, stand_in)
+    result = CHECKS[name](Bounds(n_max=n_max))
+    failures = result.data["failures"]
+    assert result.passed is False
+    assert failures and result.details.startswith(f"{len(failures)} failure(s); first: {failures[0]}")
+    assert all(set(failure) == keys for failure in failures), failures
