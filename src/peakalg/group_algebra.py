@@ -30,8 +30,8 @@ rank order.  `factorization_counts` is its one-statistic case.
 
 The classes of a statistic partition the group, so an element lies in the
 span of its class sums exactly when it is constant on every class, and the
-closure, duality, ideal and audit checks decide membership by comparing
-exact values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
+closure, duality and ideal checks decide membership by comparing exact
+values, with no elimination.  As (v_A * v_B)(p) = N_p(A, B), the
 number of factorizations of p by class pair, each compares the tallies of
 class members against their class representative's.  They read one window
 per cell (`_cells`).  When the classes of every statistic asked about are
@@ -462,26 +462,6 @@ def _factorization_mismatches(n: int, kind: str, flavor: str, mode: str):
     return _mismatches(n, kind, flavor, mode, lambda r: factorization_counts(n, kind, r, flavor, mode))
 
 
-def representative_audit(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
-    """Check that factorization counts by statistic pair agree across the
-    members of every class, not just the chosen representative: one window
-    per cell (`_cells`), so a pass assumes Solomon's theorem for the windows
-    a descent cell stands for.  Returns a report with the first disagreeing
-    pair of windows if one exists, which assumes nothing."""
-    first = next(_factorization_mismatches(n, kind, flavor, mode), None)
-    if first is None:
-        return {"consistent": True}
-    key, base, r, diffs = first
-    return {
-        "consistent": False,
-        "class": _key_json(key),
-        "windows": _texts(n, kind, base, r),
-        "differences": {
-            str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
-        },
-    }
-
-
 # ---------------------------------------------------------------------------
 # Span checks: membership in a class-sum span is constancy on the classes
 
@@ -580,9 +560,17 @@ def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     cell (`_cells`), so consistency assumes Solomon's theorem for the windows
     a descent cell stands for.  Mismatches are reported, not raised, one per
     pair (A, B) in key order, at the minimal-rank window read where the two
-    sides differ, with its class, representative and difference."""
+    sides differ, with its class, representative and difference.  `audit`
+    is the first member, class by class, whose counts differ from its
+    representative's: its class, the two windows and every differing pair
+    with both counts (None when consistent; a failure assumes nothing)."""
     earliest: dict[tuple[StatKey, StatKey], tuple] = {}
+    audit = None
     for key, base, r, diffs in _factorization_mismatches(n, kind, flavor, mode):
+        if audit is None:
+            audit = {"class": _key_json(key), "windows": _texts(n, kind, base, r), "differences": {
+                str((_key_json(a), _key_json(b))): list(v) for (a, b), v in sorted(diffs.items(), key=_entry_order)
+            }}
         for pair, (expected, count) in diffs.items():
             if pair not in earliest or r < earliest[pair][0]:
                 earliest[pair] = (r, key, base, count - expected)
@@ -592,4 +580,4 @@ def verify_duality(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
         for (key_a, key_b), (r, key, base, difference) in sorted(earliest.items(), key=_entry_order)
         for window, representative in [_texts(n, kind, r, base)]
     ]
-    return {"consistent": not mismatches, "mismatches": mismatches}
+    return {"consistent": not mismatches, "mismatches": mismatches, "audit": audit}

@@ -4,10 +4,11 @@ extensions, and the zig-zag posets that encode descent classes.
 Input line format: one strict relation per line, "a<b".  Signed posets use
 labels in {-n..n} and automatically receive the symmetric closure
 (a < b implies -b < -a).  Both kinds share one implementation of the label
-check, the closure, the constructors, the placement rule that both lists
-and counts the linear extensions, and the filter oracle; an order's `kind`
-attribute ("A" for LabeledPoset, "B" for SignedPoset) matches the kind of
-its linear extensions' windows.
+check, the closure table (the labels above each label, off which the
+relation, the covers and the placement rule are read), the constructors,
+the placement rule that both lists and counts the linear extensions, and
+the filter oracle; an order's `kind` attribute ("A" for LabeledPoset, "B"
+for SignedPoset) matches the kind of its linear extensions' windows.
 """
 
 from __future__ import annotations
@@ -21,31 +22,27 @@ from typing import ClassVar, Iterable, Sequence
 from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation, enumerate_group
 
 
-def _transitive_closure(pairs: set[tuple[int, int]]) -> set[tuple[int, int]]:
-    closed = set(pairs)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(closed):
-            for c, d in list(closed):
-                if b == c and (a, d) not in closed:
-                    closed.add((a, d))
-                    changed = True
-    return closed
-
-
-def _check_strict_order(pairs: set[tuple[int, int]]) -> None:
+def _closure(labels: range, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
+    """The labels above each label in the transitive closure of the pairs,
+    by Warshall's rule: once the labels before k have been passed through,
+    every label with k above it takes the labels above k."""
+    above: dict[int, set[int]] = {x: set() for x in labels}
     for a, b in pairs:
-        if a == b:
-            raise ValueError(f"relation contains a cycle through {a}")
-        if (b, a) in pairs:
-            raise ValueError(f"relation contains a cycle: {a} < {b} < {a}")
+        above[a].add(b)
+    for k in labels:
+        for row in above.values():
+            if k in row:
+                row |= above[k]
+    return above
 
 
 @dataclass(frozen=True)
 class _Order:
     """A strict partial order of either kind, stored transitively closed; a
-    subclass adds its `kind` and its `chain` constructor."""
+    subclass adds its `kind` and its `chain` constructor.  `relation`,
+    `covers` and `_placeable` read one closure table (`_closure`) of the
+    given pairs and, for a signed order, their mirrors; a cycle is refused,
+    naming the first label on one in `labels` order."""
 
     n: int
     relation: frozenset[tuple[int, int]]
@@ -61,9 +58,12 @@ class _Order:
         pairs = set(self.relation)
         if self.kind == "B":
             pairs |= {(-b, -a) for a, b in pairs}
-        closed = _transitive_closure(pairs)
-        _check_strict_order(closed)
-        object.__setattr__(self, "relation", frozenset(closed))
+        above = _closure(labels, pairs)
+        for x in labels:
+            if x in above[x]:
+                raise ValueError(f"relation contains a cycle through {x}")
+        object.__setattr__(self, "_above", above)
+        object.__setattr__(self, "relation", frozenset((a, b) for a in labels for b in above[a]))
 
     @property
     def labels(self) -> range:
@@ -83,16 +83,12 @@ class _Order:
 
     @cached_property
     def covers(self) -> frozenset[tuple[int, int]]:
-        """The cover relation of the stored order: the pairs a < b with no
-        label between them (for a signed order, over {-n..n} with 0, so a
-        cover may go through 0 or join x and -x).  Its transitive closure is
-        the stored relation; kept on the order once taken."""
-        above: dict[int, set[int]] = {x: set() for x in self.labels}
-        below: dict[int, set[int]] = {x: set() for x in self.labels}
-        for a, b in self.relation:
-            above[a].add(b)
-            below[b].add(a)
-        return frozenset((a, b) for a, b in self.relation if above[a].isdisjoint(below[b]))
+        """The cover relation of the stored order: the pairs a < b with b
+        above no label above a (for a signed order, over {-n..n} with 0, so
+        a cover may go through 0 or join x and -x).  Its transitive closure
+        is the stored relation; kept on the order once taken."""
+        above = self._above
+        return frozenset((a, b) for a in self.labels for b in above[a].difference(*(above[c] for c in above[a])))
 
     @cached_property
     def label_order(self) -> tuple[int, ...]:
@@ -133,17 +129,14 @@ class _Order:
         label already decided (placed, or the negative of one placed) lies
         above it: by central symmetry d < -x iff x < -d, and decided labels
         come in pairs d, -d, so checking x against them suffices."""
-        above: dict[int, set[int]] = {x: set() for x in self.labels}
-        for a, b in self.relation:
-            above[a].add(b)
         rule = []
         for m in range(1, self.n + 1):
             if self.kind == "A":
-                below = sum(1 << (a - 1) for a in self.labels if m in above[a])
+                below = sum(1 << (a - 1) for a in self.labels if m in self._above[a])
                 rule.append((m, 1 << (m - 1), below, 0))
             else:  # 0 above x puts -x above x too
-                rule += [(x, 1 << (m - 1), 0, sum({1 << (abs(b) - 1) for b in above[x]}))
-                         for x in (m, -m) if -x not in above[x]]
+                rule += [(x, 1 << (m - 1), 0, sum({1 << (abs(b) - 1) for b in self._above[x]}))
+                         for x in (m, -m) if -x not in self._above[x]]
         return rule
 
     def linear_extensions(self) -> list[Permutation] | list[SignedPermutation]:

@@ -167,10 +167,10 @@ def test_extensions_from_stdin(capsys, monkeypatch):
 
 
 def test_oversized_extensions_input_is_refused_before_any_closure(tmp_path, capsys, monkeypatch):
-    def no_closure(pairs):
+    def no_closure(labels, pairs):
         raise AssertionError("the transitive closure of an oversized order was taken")
 
-    monkeypatch.setattr(peakalg.posets, "_transitive_closure", no_closure)
+    monkeypatch.setattr(peakalg.posets, "_closure", no_closure)
     path = tmp_path / "chain.poset"
     path.write_text("".join(f"{i}<{i + 1}\n" for i in range(1, 400)))
     for argv in (("extensions", "--file", str(path)), ("extensions", "--file", str(path), "--signed")):

@@ -23,7 +23,6 @@ from peakalg.group_algebra import (
     factorization_counts,
     ideal_check,
     multiplicative_closure,
-    representative_audit,
     sorted_keys,
     stat_classes,
     structure_table,
@@ -395,7 +394,6 @@ def _class_reports(n, kind, flavor, mode):
     tallies, ideal checks against every flavor of the kind included."""
     return {
         "closure": closure_check(n, kind, flavor, mode),
-        "audit": representative_audit(n, kind, flavor, mode),
         "duality": verify_duality(n, kind, flavor, mode),
         "ideal": {outer: ideal_check(n, kind, flavor, outer, mode) for outer in _flavors(kind)},
     }
@@ -477,13 +475,13 @@ def test_duality_holds_for_unsigned_windows():
     for n in (2, 3, 4):
         assert verify_duality(n, "A", "interiorPeak")["consistent"]
         assert verify_duality(n, "A", "leftPeak")["consistent"]
-        assert representative_audit(n, "A", "interiorPeak")["consistent"]
-        assert representative_audit(n, "A", "leftPeak")["consistent"]
+        assert verify_duality(n, "A", "interiorPeak")["audit"] is None
+        assert verify_duality(n, "A", "leftPeak")["audit"] is None
 
 
 def test_duality_fails_for_signed_windows_at_three():
     assert verify_duality(2, "B", "typeBPeak")["consistent"]
-    assert representative_audit(2, "B", "typeBPeak")["consistent"]
+    assert verify_duality(2, "B", "typeBPeak")["audit"] is None
     bad = verify_duality(3, "B", "typeBPeak")
     assert not bad["consistent"] and bad["mismatches"]
     table = structure_table(3, "B", "typeBPeak")
@@ -508,8 +506,8 @@ def test_duality_fails_for_signed_windows_at_three():
             assert factorization_counts(3, "B", below, "typeBPeak").get(pair, 0) == table.count(*pair, other_key)
     # one record per pair
     assert len({(str(m["A"]), str(m["B"])) for m in bad["mismatches"]}) == len(bad["mismatches"])
-    audit = representative_audit(3, "B", "typeBPeak")
-    assert not audit["consistent"]
+    audit = bad["audit"]
+    assert audit is not None
     assert audit["windows"]
 
 
@@ -528,10 +526,11 @@ def _dense_verify_duality(n, kind, flavor, mode):
     keys = sorted_keys(sums)
     elements = list(enumerate_group(n, kind))
     class_of = {r: key for key, v in sums.items() for r in v.coeffs}
+    products = {(key_a, key_b): sums[key_a].convolve(sums[key_b]).coeffs for key_a in keys for key_b in keys}
     mismatches = []
     for key_a in keys:
         for key_b in keys:
-            lhs = sums[key_a].convolve(sums[key_b]).coeffs
+            lhs = products[key_a, key_b]
             for r, window in enumerate(elements):
                 key_c = class_of[r]
                 difference = lhs.get(r, 0) - table.count(key_a, key_b, key_c)
@@ -542,7 +541,21 @@ def _dense_verify_duality(n, kind, flavor, mode):
                         "difference": str(difference),
                     })
                     break
-    return {"consistent": not mismatches, "mismatches": mismatches}
+    # the audit: the first member, class by class in order of least rank,
+    # whose products differ from its representative's, with every pair that differs
+    audit = None
+    for ranks in sorted(sorted(v.coeffs) for v in sums.values()):
+        base = ranks[0]
+        for r in ranks[1:]:
+            differences = {str((_json_key(a), _json_key(b))): [lhs.get(base, 0), lhs.get(r, 0)]
+                           for (a, b), lhs in products.items() if lhs.get(base, 0) != lhs.get(r, 0)}
+            if differences:
+                audit = {"class": _json_key(class_of[r]), "windows": [str(elements[base]), str(elements[r])],
+                         "differences": differences}
+                break
+        if audit:
+            break
+    return {"consistent": not mismatches, "mismatches": mismatches, "audit": audit}
 
 
 def _dense_closure(n, kind, flavor, mode):

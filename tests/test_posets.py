@@ -2,7 +2,7 @@
 
 import gc
 import random
-from collections import Counter
+from collections import Counter, deque
 
 import pytest
 
@@ -23,7 +23,7 @@ from peakalg.posets import (
     zigzag_poset,
 )
 
-from thinned_orders import thinned_order
+from thinned_orders import thinned_covers, thinned_order
 
 
 def test_frozen_vee_poset():
@@ -212,10 +212,54 @@ def test_the_test_draws_at_keep_0_6_are_the_library_draws():
 
 
 def test_cycle_detection():
-    with pytest.raises(ValueError):
-        LabeledPoset.from_covers(3, [(1, 2), (2, 3), (3, 1)])
-    with pytest.raises(ValueError):
-        SignedPoset.from_covers(2, [(1, -1), (-1, 1)])
+    # each refusal names the first label, in label order, on a cycle
+    for order, n, covers, first in (
+        (LabeledPoset, 3, [(1, 2), (2, 3), (3, 1)], 1),
+        (LabeledPoset, 1, [(1, 1)], 1),
+        (LabeledPoset, 3, [(1, 2), (3, 2), (2, 3)], 2),
+        (LabeledPoset, 4, [(4, 2), (3, 4), (2, 3)], 2),
+        (SignedPoset, 2, [(1, -1), (-1, 1)], -1),
+    ):
+        with pytest.raises(ValueError, match=f"^relation contains a cycle through {first}$"):
+            order.from_covers(n, covers)
+
+
+def _reachable(labels, pairs):
+    """The strict relation the pairs generate: what a breadth-first search
+    from each label reaches."""
+    succ = {x: [] for x in labels}
+    for a, b in pairs:
+        succ[a].append(b)
+    out = set()
+    for start in labels:
+        queue, seen = deque(succ[start]), set(succ[start])
+        while queue:
+            for b in succ[queue.popleft()]:
+                if b not in seen:
+                    seen.add(b)
+                    queue.append(b)
+        out |= {(start, b) for b in seen}
+    return out
+
+
+def test_relation_is_the_reachability_of_the_drawn_pairs():
+    # seeded orders of both kinds, the library's draws and thinned ones at
+    # keep 0.0, 0.3 and 0.9: the relation is what the drawn covers reach,
+    # mirrored for a signed order.  Warshall's rule with its loops swapped
+    # misses 1 < 4 on 1 < 3 < 2 < 4, the first order checked
+    rng = random.Random(20261021)
+    drawn = [(LabeledPoset.from_covers(4, [(1, 3), (3, 2), (2, 4)]), [(1, 3), (3, 2), (2, 4)])]
+    for n in range(10):
+        for kind, draw in (("A", random_poset), ("B", random_signed_poset)):
+            for keep in (None, 0.0, 0.3, 0.9):
+                twin = random.Random()
+                twin.setstate(rng.getstate())
+                P = draw(n, rng) if keep is None else thinned_order(kind, n, rng, keep)
+                drawn.append((P, thinned_covers(kind, n, twin, 0.6 if keep is None else keep)))
+    for P, pairs in drawn:
+        if P.kind == "B":
+            pairs += [(-b, -a) for a, b in pairs]
+        assert P.relation == _reachable(P.labels, pairs), (P, pairs)
 
 
 def test_signed_relation_below_own_negative():

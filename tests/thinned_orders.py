@@ -11,12 +11,16 @@ antichain, keep = 1 a chain, and the window is always a linear extension.
 from peakalg.posets import LabeledPoset, SignedPoset
 
 
-def thinned_order(kind, n, rng, keep):
+def thinned_covers(kind, n, rng, keep):
+    """The covers `thinned_order` draws, before any closure is taken."""
     if kind == "A":
         window, floor = list(range(1, n + 1)), []
     else:
         window, floor = [v if rng.random() < 0.5 else -v for v in range(1, n + 1)], [0]
     rng.shuffle(window)
     labels = floor + window
-    covers = [cover for cover in zip(labels, labels[1:]) if rng.random() < keep]
-    return (LabeledPoset if kind == "A" else SignedPoset).from_covers(n, covers)
+    return [cover for cover in zip(labels, labels[1:]) if rng.random() < keep]
+
+
+def thinned_order(kind, n, rng, keep):
+    return (LabeledPoset if kind == "A" else SignedPoset).from_covers(n, thinned_covers(kind, n, rng, keep))
