@@ -309,12 +309,14 @@ def _cmd_idempotents(ns: argparse.Namespace) -> tuple[Output, int]:
     rows = [{"index": s["index"], "peak_count": s["peak_count"], "terms": len(s["terms"])}
             for s in serialized]
     lines = [f"multiplicative: {report['multiplicative']}  degrees: {report['degrees']}  "
-             f"sum=identity: {report['sum_equals_identity']}  sum=unit: {report['sum_is_unit']}"]
+             f"sum=identity: {report['sum_equals_identity']}  sum=unit: {report['sum_is_unit']}  "
+             f"spans: {report['spans_classes']}  commutative: {report['commutative']}"]
     for s in serialized:
         preview = ", ".join(f"{t['coeff']}*[{t['window']}]" for t in s["terms"][:4])
         suffix = " ..." if len(s["terms"]) > 4 else ""
         lines.append(f"e_{s['index']} (peak count {s['peak_count']}): {preview}{suffix}")
-    return Output(payload, rows, "\n".join(lines)), 0 if report["multiplicative"] else 1
+    passed = all(report[key] for key in ("multiplicative", "spans_classes", "commutative"))
+    return Output(payload, rows, "\n".join(lines)), 0 if passed else 1
 
 
 def _cmd_negatives(ns: argparse.Namespace) -> tuple[Output, int]:

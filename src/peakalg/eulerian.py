@@ -2,13 +2,17 @@
 
 For a window p, the number of enriched maps into the signed alphabet with 2k
 letters extends to a degree-n polynomial in k; it depends only on the number
-of interior peaks of p.  Packaging the half-argument polynomials of all
-windows into a single generating polynomial with group-algebra coefficients
-yields coefficients that are mutually orthogonal idempotents; their span is
-the span of the peak-number class sums.  The coefficients are kept by
-interior peak count, and one report, `verify_rho_multiplicativity`, decides
-their multiplicativity, that span and the commutativity of the class sums in
-those coordinates: no dense product or elimination over the group is formed.
+of interior peaks of p.  The polynomial is built in integers: the forward
+differences of its counts at k = 0..n are integers, so n! times it has
+integer coefficients, read off Newton's forward-difference form.  Packaging
+the half-argument polynomials of all windows into a single generating
+polynomial with group-algebra coefficients yields coefficients that are
+mutually orthogonal idempotents; their span is the span of the peak-number
+class sums.  The coefficients are kept by interior peak count, the degree-d
+one an integer over n! * 2^d, and one report, `verify_rho_multiplicativity`,
+decides their multiplicativity, that span and the commutativity of the class
+sums in those coordinates, on integers over one common denominator: no dense
+product or elimination over the group is formed.
 
 The battery at the bottom sweeps the statistics whose class sums do NOT span
 a convolution-closed subspace, recording a concrete witness at the smallest
@@ -19,6 +23,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from math import factorial, lcm
 from typing import Iterable, Mapping, Sequence
 
 from .alphabets import Alphabet
@@ -84,30 +89,6 @@ class RationalPolynomial(SparseVector):
                 out[i + j] = out.get(i + j, 0) + a * b
         return self._like(out)
 
-    def substitute_scaled(self, factor: Fraction | int) -> "RationalPolynomial":
-        """p(factor * x) as a polynomial in x."""
-        factor = exact(factor)
-        return self._like({d: c * factor**d for d, c in self.coeffs.items()})
-
-    @classmethod
-    def interpolate(cls, points: Sequence[tuple[Fraction | int, Fraction | int]]) -> "RationalPolynomial":
-        """The unique polynomial of degree < len(points) through the points,
-        in exact arithmetic: Newton's divided differences, expanded by
-        Horner's rule."""
-        xs = [Fraction(x) for x, _ in points]
-        if len(set(xs)) != len(xs):
-            raise ValueError("interpolation nodes must be distinct")
-        # after pass k, entry i >= k is the divided difference [x_{i-k} .. x_i]
-        diffs = [Fraction(y) for _, y in points]
-        for k in range(1, len(xs)):
-            for i in range(len(xs) - 1, k - 1, -1):
-                diffs[i] = (diffs[i] - diffs[i - 1]) / (xs[i] - xs[i - k])
-        # p = d_0 + (x - x_0)(d_1 + (x - x_1)(d_2 + ...)), from the inside out
-        poly = cls.zero()
-        for d, x in zip(reversed(diffs), reversed(xs)):
-            poly = poly * cls((-x, 1)) + cls((d,))
-        return poly
-
 
 # ---------------------------------------------------------------------------
 # Order polynomials
@@ -117,29 +98,53 @@ def realized_peak_counts(n: int) -> list[int]:
     return sorted(stat_classes(n, "A", "interiorPeak", mode="number"))
 
 
-def order_polynomial(peaks: int, n: int) -> RationalPolynomial:
-    """The degree-n polynomial whose value at each k >= 0 counts enriched maps
-    of any n-window with the given number of interior peaks into the signed
-    alphabet on 2k letters.  Built by interpolation at k = 0..n."""
+def _factorial_interpolant(values: Sequence[int]) -> list[int]:
+    """n! * P as ascending integer coefficients, with n = len(values) - 1 and
+    P the polynomial of degree <= n through (k, values[k]), k = 0..n.  By
+    Newton's forward-difference form, P = sum_m (D^m values)[0] * x(x-1)...(x-m+1) / m!,
+    and differences of integers are integers, so n! * P is built on ints."""
+    n = len(values) - 1
+    out = [0] * (n + 1)
+    falling, weight, diffs = [1], factorial(n), list(values)  # x(x-1)...(x-m+1), n!/m!, D^m values
+    for m in range(n + 1):
+        for d, c in enumerate(falling):
+            out[d] += diffs[0] * weight * c
+        falling = [a - m * b for a, b in zip([0, *falling], [*falling, 0])]
+        diffs = [b - a for a, b in zip(diffs, diffs[1:])]
+        weight //= m + 1
+    return out
+
+
+def _scaled_order_polynomial(peaks: int, n: int) -> list[int]:
+    """n! times the order polynomial of `order_polynomial(peaks, n)`, as
+    ascending integer coefficients, from its counts at k = 0..n."""
     if n < 1:
         raise ValueError("window size must be at least 1")
     if not 0 <= peaks <= (n - 1) // 2:
         raise ValueError(f"no window of size {n} has {peaks} interior peaks")
     representative = unrank(stat_classes(n, "A", "interiorPeak", "number")[peaks][0], n, "A")
-    points = [(k, epp_count(representative, Alphabet.prime(k))) for k in range(n + 1)]
-    return RationalPolynomial.interpolate(points)
+    return _factorial_interpolant([epp_count(representative, Alphabet.prime(k)) for k in range(n + 1)])
+
+
+def order_polynomial(peaks: int, n: int) -> RationalPolynomial:
+    """The degree-n polynomial whose value at each k >= 0 counts enriched maps
+    of any n-window with the given number of interior peaks into the signed
+    alphabet on 2k letters.  Built from its counts at k = 0..n by forward
+    differences, in integers, and divided by n! once."""
+    return RationalPolynomial(Fraction(c, factorial(n)) for c in _scaled_order_polynomial(peaks, n))
 
 
 # ---------------------------------------------------------------------------
 # The generating polynomial and its idempotent coefficients
 
 
-def rho_by_peak_count(n: int) -> list[dict[int, Fraction]]:
+def rho_by_peak_count(n: int) -> list[dict[int, Fraction | int]]:
     """The coefficients of rho by degree in the formal variable: entry d maps
     each realized interior peak count i to the degree-d coefficient of the
-    half-argument order polynomial of i-peak windows."""
-    polys = {i: order_polynomial(i, n).substitute_scaled(Fraction(1, 2)) for i in realized_peak_counts(n)}
-    return [{i: poly.coefficient(d) for i, poly in polys.items()} for d in range(n + 1)]
+    half-argument order polynomial of i-peak windows, c_d / (n! * 2^d) with
+    c_d the degree-d coefficient of n! times the order polynomial."""
+    scaled = {i: _scaled_order_polynomial(i, n) for i in realized_peak_counts(n)}
+    return [{i: exact(Fraction(c[d], factorial(n) << d)) for i, c in scaled.items()} for d in range(n + 1)]
 
 
 def _peak_count_combination(n: int, coefficients: dict[int, Fraction]) -> AlgebraElement:
@@ -204,42 +209,44 @@ def _rho_report(n: int, profiles: set[tuple[int, frozenset]]) -> dict:
     (peak count, factorization counts by peak-count pair) profiles that
     holds the profile of every window."""
     by_count = rho_by_peak_count(n)
-    degrees = [d for d, c in enumerate(by_count) if any(c.values())]
+    # the table over the lcm of its denominators, scale: table[d][i] = scale * rho[d][i]
+    scale = lcm(*(c.denominator for row in by_count for c in row.values()))
+    table = [{i: c.numerator * (scale // c.denominator) for i, c in row.items()} for row in by_count]
+    degrees = [d for d, row in enumerate(table) if any(row.values())]
     allowed = parity_degrees(n)
-    rows = Span(by_count[d] for d in allowed)
     parity_ok = all(d in allowed for d in degrees)
     failing = set()
     for peaks, counts in profiles:
         for a in degrees:
             for b in degrees:
-                product = sum(by_count[a][i] * by_count[b][j] * times for (i, j), times in counts)
-                if product != (by_count[a][peaks] if a == b else 0):
+                product = sum(table[a][i] * table[b][j] * times for (i, j), times in counts)
+                if product != (scale * table[a][peaks] if a == b else 0):
                     failing.add((a, b))
-    # the coefficients sum to sum_i total[i] * v_i, the identity exactly when
-    # only peak count 0 has a nonzero total, that total is 1, and its class
-    # is the identity (rank 0) alone
-    total = {i: sum(by_count[d][i] for d in degrees) for i in by_count[0]}
+    # the coefficients sum to sum_i total[i] / scale * v_i, the identity
+    # exactly when only peak count 0 has a nonzero total, that total is
+    # scale, and its class is the identity (rank 0) alone
+    total = {i: sum(table[d][i] for d in degrees) for i in table[0]}
     identity_alone = stat_classes(n, "A", "interiorPeak", mode="number")[0] == (0,)
     # the sum e is the unit of the peak-number span when e * v_j = v_j * e =
     # v_j for every j: at p, sum_i total[i] N_p(i, j) = sum_i total[i] N_p(j, i)
-    # = [peaks(p) = j]
+    # = scale * [peaks(p) = j]
     unit = True
     for peaks, counts in profiles:
-        left, right = Counter(), Counter()  # (e * v_j)(p) and (v_j * e)(p) by j
+        left, right = Counter(), Counter()  # scale * (e * v_j)(p) and scale * (v_j * e)(p) by j
         for (i, j), times in counts:
             left[j] += total[i] * times
             right[i] += total[j] * times
-        unit &= left == right == Counter({peaks: 1})
+        unit &= left == right == Counter({peaks: scale})
     return {
         "n": n,
         "multiplicative": parity_ok and not failing,
         "parity_ok": parity_ok,
         "degrees": degrees,
         "mismatches": [(a, b) for a in degrees for b in degrees if (a, b) in failing],
-        "sum_equals_identity": [i for i, t in total.items() if t] == [0] and total[0] == 1 and identity_alone,
+        "sum_equals_identity": [i for i, t in total.items() if t] == [0] and total[0] == scale and identity_alone,
         "sum_is_unit": unit,
         "commutative": all(counts == {((j, i), times) for (i, j), times in counts} for _, counts in profiles),
-        "spans_classes": len(allowed) == len(by_count[0]) == rows.dim,
+        "spans_classes": len(allowed) == len(table[0]) == Span(table[d] for d in allowed).dim,
     }
 
 

@@ -557,6 +557,52 @@ def test_idempotents(capsys):
         assert item["terms"] == [{"window": w, "coeff": c} for w, c in zip(windows, coeffs)]
 
 
+def test_idempotents_exits_1_when_the_coefficients_do_not_span(capsys, monkeypatch):
+    # with its top allowed degree zeroed at n = 5, rho stays multiplicative,
+    # but its two remaining idempotents no longer span the three class sums
+    from peakalg import eulerian
+
+    original = eulerian.rho_by_peak_count
+
+    def zeroed(n):
+        table = original(n)
+        table[5] = {i: 0 for i in table[5]}
+        return table
+
+    monkeypatch.setattr(eulerian, "rho_by_peak_count", zeroed)
+    code, out, _ = run(capsys, "idempotents", "--n", "5", "--format", "json")
+    report = json.loads(out)["report"]
+    assert (report["multiplicative"], report["spans_classes"], report["commutative"]) == (True, False, True)
+    assert code == 1
+
+
+def test_idempotents_exits_1_when_the_class_sums_do_not_commute(capsys, monkeypatch):
+    # one extra factorization of the identity by peak counts (0, 1): rho's
+    # coefficients form an invertible matrix, so the asymmetry also breaks
+    # multiplicativity; at the report seam, commutativity alone fails
+    from peakalg import eulerian
+    from peakalg.permutations import Permutation, unrank
+
+    counts_of = eulerian.factorization_counts
+
+    def asymmetric(n, kind, r, flavor, mode="set"):
+        counts = counts_of(n, kind, r, flavor, mode)
+        if unrank(r, n, kind) == Permutation((1, 2, 3, 4)):
+            counts[(0, 1)] += 1
+        return counts
+
+    monkeypatch.setattr(eulerian, "factorization_counts", asymmetric)
+    code, out, _ = run(capsys, "idempotents", "--n", "4", "--format", "json")
+    assert json.loads(out)["report"]["commutative"] is False and code == 1
+    monkeypatch.setattr(eulerian, "factorization_counts", counts_of)
+    report_of = eulerian.verify_rho_multiplicativity
+    monkeypatch.setattr(eulerian, "verify_rho_multiplicativity", lambda n: {**report_of(n), "commutative": False})
+    code, out, _ = run(capsys, "idempotents", "--n", "4", "--format", "json")
+    report = json.loads(out)["report"]
+    assert (report["multiplicative"], report["spans_classes"], report["commutative"]) == (True, True, False)
+    assert code == 1
+
+
 def test_negatives_full_battery(capsys):
     code, out, _ = run(capsys, "negatives", "--format", "json")
     assert code == 0

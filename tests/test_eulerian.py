@@ -2,7 +2,6 @@
 idempotents, and the closure battery."""
 
 import math
-import random
 from fractions import Fraction
 
 import pytest
@@ -47,13 +46,6 @@ def test_polynomial_trailing_zeros_are_trimmed():
     assert RationalPolynomial((F(0), F(0))).coefficients == ()
 
 
-def test_polynomial_interpolation():
-    r = RationalPolynomial.interpolate([(0, 0), (1, 2), (2, 8), (3, 18)])
-    assert r.coefficients == (F(0), F(0), F(2))
-    line = RationalPolynomial.interpolate([(0, 1), (1, 2)])
-    assert line.coefficients == (F(1), F(1))
-
-
 def _lagrange(points):
     """The reference interpolant: a sum of Lagrange basis products."""
     xs = [Fraction(x) for x, _ in points]
@@ -70,27 +62,17 @@ def _lagrange(points):
     return total
 
 
-def test_interpolation_matches_the_lagrange_form():
-    # distinct nodes, negative and fractional, in no order, and rational values
-    rng = random.Random(20261019)
-    nodes = list(dict.fromkeys(F(a, b) for a in range(-12, 13) for b in (1, 2, 3, 5)))
-    for size in range(10):
-        for _ in range(8):
-            points = [(x, F(rng.randint(-40, 40), rng.randint(1, 7))) for x in rng.sample(nodes, size)]
-            assert RationalPolynomial.interpolate(points) == _lagrange(points), points
-    assert RationalPolynomial.interpolate([]) == _lagrange([]) == RationalPolynomial.zero()
-    assert RationalPolynomial.interpolate([(F(-3, 2), F(7, 4))]).coefficients == (F(7, 4),)
-    assert RationalPolynomial.interpolate([(5, 0)]) == RationalPolynomial.zero()
-    for points in ([(1, 2), (1, 3)], [(F(1, 2), 0), (-1, 1), (F(2, 4), 5)]):
-        with pytest.raises(ValueError, match="distinct"):
-            RationalPolynomial.interpolate(points)
-
-
-def test_polynomial_argument_scaling():
-    p = RationalPolynomial((F(1), F(2)))
-    assert p.substitute_scaled(F(1, 2)).coefficients == (F(1), F(1))
-    cubic = RationalPolynomial((F(0), F(0), F(0), F(8)))
-    assert cubic.substitute_scaled(F(1, 2)).coefficients == (F(0), F(0), F(0), F(1))
+def test_order_polynomials_and_rho_match_the_lagrange_form():
+    # the forward-difference construction in integers, against the Lagrange
+    # interpolant of the same counts at k = 0..n in Fractions; rho's degree-d
+    # coefficient is the interpolant's times 2^-d
+    for n in range(1, 9):
+        table = eulerian.rho_by_peak_count(n)
+        for i in realized_peak_counts(n):
+            representative = unrank(group_algebra.stat_classes(n, "A", "interiorPeak", "number")[i][0], n, "A")
+            reference = _lagrange([(k, epp_count(representative, Alphabet.prime(k))) for k in range(n + 1)])
+            assert order_polynomial(i, n) == reference, (n, i)
+            assert [table[d][i] for d in range(n + 1)] == [F(reference.coefficient(d), 2**d) for d in range(n + 1)], (n, i)
 
 
 def test_order_polynomial_frozen():
@@ -257,17 +239,27 @@ def test_multiplicativity_verdict_matches_dense_products():
 
 
 def test_multiplicativity_check_catches_a_perturbed_coefficient(monkeypatch):
+    # the second perturbation's 101 divides no n! * 2^d; it moves 1/101 of
+    # peak count 0 from degree 4 to degree 2, which keeps the coefficients'
+    # sum, the unit: a report that put the table over n! * 2^n, or truncated
+    # it to ints, would lose that unit verdict
     original = eulerian.rho_by_peak_count
+    sums = class_sums(4, "A", "interiorPeak", "number").values()
+    for moves in ({(2, 1): F(1, 3)}, {(2, 0): F(1, 101), (4, 0): F(-1, 101)}):
 
-    def perturbed(n):
-        table = original(n)
-        table[2][1] += F(1, 3)
-        return table
+        def perturbed(n, moves=moves):
+            table = original(n)
+            for (d, i), change in moves.items():
+                table[d][i] += change
+            return table
 
-    monkeypatch.setattr(eulerian, "rho_by_peak_count", perturbed)
-    report = verify_rho_multiplicativity(4)
-    assert not report["multiplicative"]
-    assert report["mismatches"] and report["mismatches"] == _dense_mismatches(4)
+        monkeypatch.setattr(eulerian, "rho_by_peak_count", perturbed)
+        report = verify_rho_multiplicativity(4)
+        assert not report["multiplicative"], moves
+        assert report["mismatches"] and report["mismatches"] == _dense_mismatches(4), moves
+        unit = sum(rho(4), AlgebraElement.zero(4, "A"))
+        assert report["sum_is_unit"] is all(unit.convolve(v) == v == v.convolve(unit) for v in sums), moves
+    assert report["sum_is_unit"] is True
 
 
 def test_commutativity_flag_catches_an_asymmetric_count(monkeypatch):
