@@ -49,11 +49,15 @@ def supports_signed(alphabet: Alphabet) -> bool:
     return alphabet.zero_index is not None and alphabet._negate is not None
 
 
+def _check_host(p: GroupElement, alphabet: Alphabet) -> None:
+    if p.kind == "B" and not supports_signed(alphabet):
+        raise ValueError(f"{alphabet.variant} alphabet cannot host signed windows")
+
+
 def chain_rules(p: GroupElement, alphabet: Alphabet) -> tuple[int, frozenset[int]]:
     """(n, descent set) governing the chains of p into alphabet; whether a
     chain is anchored is the alphabet's own property (a zero letter)."""
-    if p.kind == "B" and not supports_signed(alphabet):
-        raise ValueError(f"{alphabet.variant} alphabet cannot host signed windows")
+    _check_host(p, alphabet)
     return p.n, descent_set(p, "descent" + p.kind).members
 
 
@@ -568,21 +572,25 @@ def factorization_census(
     return coded_factorization_census(p, first, second).decode()
 
 
-def coded_factorization_census(p: GroupElement, first: Alphabet, second: Alphabet) -> CodedCensus:
+def coded_factorization_census(
+    p: GroupElement, first: Alphabet, second: Alphabet, table: frozenset | None = None
+) -> CodedCensus:
     """The coded factorization census.  A census depends on its window only
     through the descent set, so the sum runs over the count table of p
-    (`count_table`): for each Des tau the censuses of its sigma sides are
+    (`count_table`, or `table` when a caller that reads the table too has
+    tallied it): for each Des tau the censuses of its sigma sides are
     summed first, and that sum enters one product with the census of tau.
     The result is kept on the first alphabet, keyed by the second alphabet,
     n and the count table, so windows with equal tables build it once; this
     returns the kept census itself, which callers must not change."""
-    n, _ = chain_rules(p, first)
-    chain_rules(p, second)  # refuses a second alphabet that cannot host p
-    table = count_table(p)
-    slot = (_alphabet_key(second), n, table)
+    _check_host(p, first)
+    _check_host(p, second)
+    if table is None:
+        table = count_table(p)
+    slot = (_alphabet_key(second), p.n, table)
     stored = first.censuses.get(slot)
     if stored is None:
-        stored = first.censuses[slot] = _factorization_census(n, table, first, second)
+        stored = first.censuses[slot] = _factorization_census(p.n, table, first, second)
     return stored
 
 

@@ -28,6 +28,17 @@ from operator import mul
 from typing import ClassVar, Iterable, Iterator, Sequence
 
 
+def _built(cls, **fields):
+    """An instance of the frozen dataclass cls holding `fields`, made
+    without its `__post_init__` check: the one constructor of the values
+    this module builds valid by construction (the sets of `stat_set` and
+    `enumerate_stat_sets`, the windows of `enumerate_group`).  Outside input
+    goes through cls(...), which checks it."""
+    instance = object.__new__(cls)
+    instance.__dict__.update(fields)
+    return instance
+
+
 def _parse_ints(text: str) -> tuple[int, ...]:
     text = text.strip().replace("−", "-")
     if text in ("", "()"):
@@ -159,7 +170,13 @@ def ambient_interval(flavor: str, n: int) -> tuple[int, int]:
 
 @dataclass(frozen=True)
 class StatSet:
-    """A peak or descent set together with its flavor and ambient size."""
+    """A peak or descent set together with its flavor and ambient size.
+
+    Outside input is checked here, whether it comes through `StatSet(...)`,
+    `of` or `parse`: n >= 0, members inside the flavor's ambient interval,
+    and no two adjacent members in a peak set.  The sets that `stat_set` and
+    `enumerate_stat_sets` build meet these by construction and skip the
+    check (`_built`)."""
 
     flavor: str
     n: int
@@ -197,7 +214,9 @@ class StatSet:
 def stat_set(p: GroupElement, flavor: str) -> StatSet:
     """The flavor's set of p: peaks of the window padded with w(0) = w(n+1)
     = 0, or descents, clipped to the ambient interval; a signed flavor adds
-    0 whenever w(1) < 0.  A signed flavor refuses an ordinary window."""
+    0 whenever w(1) < 0.  A signed flavor refuses an ordinary window, and an
+    unknown flavor is refused; p is a checked window.  The set read off is
+    valid by construction, so it is built without `StatSet`'s check."""
     w, n = p.window, p.n
     lo, hi = ambient_interval(flavor, n)
     _check_signed_flavor(p.kind, flavor)
@@ -208,7 +227,7 @@ def stat_set(p: GroupElement, flavor: str) -> StatSet:
         members = {i for i in range(max(lo, 1), hi + 1) if w[i - 1] > w[i]}
     if flavor in SIGNED_FLAVORS and n and w[0] < 0:
         members.add(0)
-    return StatSet(flavor, n, frozenset(members))
+    return _built(StatSet, flavor=flavor, n=n, members=frozenset(members))
 
 
 def peak_set(p: GroupElement, flavor: str) -> StatSet:
@@ -260,9 +279,12 @@ def windows(n: int, kind: str) -> tuple[tuple[int, ...], ...]:
 
 
 def enumerate_group(n: int, kind: str) -> Iterator[GroupElement]:
-    """All of S_n (kind 'A') or B_n (kind 'B'), as elements, in rank order."""
+    """All of S_n (kind 'A') or B_n (kind 'B'), as elements, in rank order.
+    n and kind are checked at the call; the windows of `windows` are valid
+    by construction, so each element is built without its window check."""
     group = windows(n, kind)  # checks the kind at the call
-    return map(ELEMENT_TYPES[kind], group)
+    cls = ELEMENT_TYPES[kind]
+    return (_built(cls, window=window) for window in group)
 
 
 def _lehmer_rank(window: tuple[int, ...]) -> int:
@@ -409,10 +431,14 @@ def sparse_subsets(lo: int, hi: int) -> list[frozenset[int]]:
 
 def enumerate_stat_sets(n: int, flavor: str) -> list[StatSet]:
     """The full combinatorial domain of the statistic: sparse subsets of the
-    ambient interval for peak flavors, all subsets for descent flavors."""
+    ambient interval for peak flavors, all subsets for descent flavors.
+    Valid by construction once n and the flavor are, so only those are
+    checked."""
     lo, hi = ambient_interval(flavor, n)
+    if n < 0:
+        raise ValueError(f"window size must be nonnegative, got {n}")
     members = sparse_subsets(lo, hi) if flavor in PEAK_FLAVORS else map(frozenset, subsets(range(lo, hi + 1)))
-    return [StatSet(flavor, n, s) for s in members]
+    return [_built(StatSet, flavor=flavor, n=n, members=s) for s in members]
 
 
 def enumerate_peak_sets(n: int, flavor: str) -> list[StatSet]:

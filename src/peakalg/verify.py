@@ -16,6 +16,7 @@ from typing import Callable, Sequence
 from .alphabets import Alphabet
 from .enriched import (
     census_sum,
+    coded_chain_census,
     coded_epp_census,
     coded_factorization_census,
     coded_poset_census,
@@ -42,6 +43,7 @@ from .permutations import (
     Permutation,
     SignedPermutation,
     compositions,
+    descent_set,
     enumerate_group,
     fibonacci,
     group_order,
@@ -177,34 +179,40 @@ def check_extensions(bounds: Bounds, posets_per_n: int = 25) -> CheckResult:
 def check_formulas(bounds: Bounds) -> CheckResult:
     """The subset-expansion of each peak series evaluates, in n+1 variables,
     to the brute census of every window with that peak set.  Each series is
-    evaluated and coded once per size and compared with the coded census of
-    every window of its set."""
+    evaluated and coded once per (size, peak set) and compared with the
+    coded census of every window of its set.  A window's census depends on
+    it only through its descent set, which is read once per window for all
+    its alphabets; the census itself is built once per (alphabet, descent
+    set) and kept on the alphabet (`coded_chain_census`)."""
     n_a = bounds.cap(5)
     n_b = bounds.cap(4)
     failures = []
     examined = {flavor: {"windows": 0, "series": 0} for flavor in ("interior", "left", "typeB")}
 
-    def compare(label: str, w, members: frozenset[int], typeB: bool, alphabet: Alphabet, evaluated: dict) -> None:
+    def compare(label: str, w, members: frozenset[int], typeB: bool, alphabet: Alphabet, des: frozenset[int],
+                evaluated: dict) -> None:
         seen = examined[label]
         if (members, typeB) not in evaluated:
             series = evaluate(peak_series(members, w.n, typeB=typeB), w.n + 1)
             evaluated[members, typeB] = encode_census(series, alphabet, w.n)
             seen["series"] += 1
         seen["windows"] += 1
-        if evaluated[members, typeB] != coded_epp_census(w, alphabet):
+        if evaluated[members, typeB] != coded_chain_census(w.n, des, alphabet):
             failures.append({"flavor": label, "window": str(w)})
 
     for n in range(1, n_a + 1):
         prime, left = Alphabet.prime(n + 1), Alphabet.left(n + 1)
         evaluated: dict = {}
         for w in enumerate_group(n, "A"):
-            compare("interior", w, peak_set(w, "interiorPeak").members, False, prime, evaluated)
-            compare("left", w, peak_set(w, "leftPeak").members, True, left, evaluated)
+            des = descent_set(w, "descentA").members
+            compare("interior", w, peak_set(w, "interiorPeak").members, False, prime, des, evaluated)
+            compare("left", w, peak_set(w, "leftPeak").members, True, left, des, evaluated)
     for n in range(1, n_b + 1):
         pm = Alphabet.plus_minus(n + 1)
         evaluated = {}
         for w in enumerate_group(n, "B"):
-            compare("typeB", w, peak_set(w, "typeBPeak").members, True, pm, evaluated)
+            des = descent_set(w, "descentB").members
+            compare("typeB", w, peak_set(w, "typeBPeak").members, True, pm, des, evaluated)
     return _result(
         "formulas", not failures,
         f"series = census at k=n+1, every window, n<={n_a} (ordinary) / n<={n_b} (signed)",
@@ -223,9 +231,13 @@ _BIPARTITE_PAIRS = {
 def check_bipartite(bounds: Bounds) -> CheckResult:
     """Pair-alphabet censuses factor through ordered factorizations: the
     census over the up-down product alphabet of k = _K equals the
-    factorization sum, for every window.  The alphabets are built for each
-    pair and n, so the censuses and chain-DP prefix states they keep are
-    dropped when the sweep moves on."""
+    factorization sum, for every window.  Each window's count table is
+    tallied once (`count_table`) and handed to the factorization census,
+    which is built once per (pair, table): windows of one descent class
+    share a table.  The direct census is built once per descent set and
+    kept on the product alphabet.  The alphabets are built for each pair
+    and n, so the censuses and chain-DP prefix states they keep are dropped
+    when the sweep moves on."""
     n_a = bounds.cap(4)
     n_b = bounds.cap(3)
     failures = []
@@ -248,7 +260,7 @@ def check_bipartite(bounds: Bounds) -> CheckResult:
                         tables.add(table)
                         seen["tables"] += 1
                         seen["products"] += len({des_tau for (des_tau, _), _ in table})
-                    if coded_epp_census(w, product) != coded_factorization_census(w, first, second):
+                    if coded_epp_census(w, product) != coded_factorization_census(w, first, second, table):
                         failures.append({"pair": label, "window": str(w)})
     return _result(
         "bipartite", not failures,
@@ -371,17 +383,36 @@ def check_negatives(bounds: Bounds) -> CheckResult:
 
 def check_oracles(bounds: Bounds) -> CheckResult:
     """Out-of-sample agreement of the counting polynomials, and the
-    quasi-shuffle product against truncated evaluation."""
+    quasi-shuffle product against truncated evaluation.  Every window of
+    S_n is compared at k = n+1 and n+2, each compared value computed once
+    per key it depends on: a counting polynomial is built once per interior
+    peak count and evaluated once per (peak count, k), and the enriched-map
+    count, which depends on the window only through its descent set, is
+    taken by `epp_count` once per (descent set, k), on the first window with
+    that set.  `examined` counts the windows compared, the polynomial
+    values, the (descent set, k) counts and the quasi-shuffle pairs."""
     n_max = bounds.cap(5)
     failures = []
+    examined = {"windows": 0, "values": 0, "counts": 0, "pairs": 0}
     primes = {k: Alphabet.prime(k) for k in range(2, n_max + 3)}
     for n in range(1, n_max + 1):
-        polys = {i: order_polynomial(i, n) for i in realized_peak_counts(n)}
+        ks = (n + 1, n + 2)
+        values = {}
+        for i in realized_peak_counts(n):
+            polynomial = order_polynomial(i, n)
+            values.update(((i, k), polynomial.evaluate(k)) for k in ks)
+        counts = {}
         for w in enumerate_group(n, "A"):
+            examined["windows"] += 1
             i = len(peak_set(w, "interiorPeak").members)
-            for k in (n + 1, n + 2):
-                if polys[i].evaluate(k) != epp_count(w, primes[k]):
+            des = descent_set(w, "descentA").members
+            for k in ks:
+                if (des, k) not in counts:
+                    counts[des, k] = epp_count(w, primes[k])
+                if values[i, k] != counts[des, k]:
                     failures.append({"stage": "order polynomial", "window": str(w), "k": k})
+        examined["values"] += len(values)
+        examined["counts"] += len(counts)
     k = 3
     for typeB in (False, True):
         pool = [c for d in range(0, 5) for c in compositions(d, typeB)]
@@ -389,6 +420,7 @@ def check_oracles(bounds: Bounds) -> CheckResult:
             for cb in pool:
                 if ca.degree + cb.degree > 4:
                     continue
+                examined["pairs"] += 1
                 a = QSymElement.monomial(ca.parts, typeB)
                 b = QSymElement.monomial(cb.parts, typeB)
                 lhs = evaluate(quasi_shuffle(a, b), k)
@@ -398,7 +430,8 @@ def check_oracles(bounds: Bounds) -> CheckResult:
     return _result(
         "oracles", not failures,
         f"counting polynomials out-of-sample n<={n_max}; quasi-shuffle = evaluation product (deg<=4, k={k})",
-        failures,
+        failures, f"{examined['windows']} windows, {examined['values']} polynomial values, "
+        f"{examined['counts']} descent-set counts, {examined['pairs']} quasi-shuffle pairs", examined=examined,
     )
 
 

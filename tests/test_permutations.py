@@ -6,6 +6,7 @@ import pytest
 
 from peakalg.permutations import (
     ELEMENT_TYPES,
+    FLAVORS,
     Composition,
     Permutation,
     SignedPermutation,
@@ -188,6 +189,8 @@ def test_stat_set_refuses_a_negative_size():
     assert StatSet.of("leftPeak", 0, ()).members == frozenset()
     with pytest.raises(ValueError, match="nonnegative"):
         StatSet.of("interiorPeak", -1, ())
+    with pytest.raises(ValueError, match="nonnegative"):
+        enumerate_stat_sets(-1, "interiorPeak")
 
 
 def test_peak_and_descent_readers_refuse_each_others_flavors():
@@ -217,6 +220,32 @@ def test_stat_set_validation():
     assert StatSet.parse("interiorPeak", 3, "{}").members == frozenset()
     with pytest.raises(ValueError):
         StatSet.parse("interiorPeak", 3, "2")  # braces required
+
+
+def test_a_stat_set_built_directly_refuses_outside_input():
+    # the sets the library reads off windows skip the check; a set built
+    # from outside input never does, through the constructor as through
+    # `of` and `parse`
+    for flavor, n, members, problem in (("interiorPeak", 5, {1}, "outside"),
+                                        ("typeBPeak", 3, {0, 1}, "adjacent"),
+                                        ("leftPeak", -1, set(), "nonnegative")):
+        with pytest.raises(ValueError, match=problem):
+            StatSet(flavor, n, frozenset(members))
+
+
+def test_sets_and_elements_built_unchecked_equal_checked_ones():
+    # stat_set, enumerate_stat_sets and enumerate_group build their values
+    # without the check; each equals the checked value of the same fields
+    for kind, n_max in (("A", 5), ("B", 4)):
+        flavors = [flavor for flavor in FLAVORS if kind == "B" or flavor not in SIGNED_FLAVORS]
+        for n in range(n_max + 1):
+            assert list(enumerate_group(n, kind)) == [ELEMENT_TYPES[kind](w) for w in windows(n, kind)]
+            for w in enumerate_group(n, kind):
+                for flavor in flavors:
+                    got = stat_set(w, flavor)
+                    assert got == StatSet.of(flavor, w.n, got.members), (w, flavor)
+            for flavor in flavors:
+                assert all(s == StatSet.of(flavor, n, s.members) for s in enumerate_stat_sets(n, flavor))
 
 
 def test_peak_set_counts_are_fibonacci():

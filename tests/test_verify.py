@@ -289,6 +289,43 @@ def test_bipartite_check_reports_what_it_examined(monkeypatch):
         assert f"{label}: {seen['windows']} windows, {seen['products']} products, {seen['tables']} tables" in result.details
 
 
+def test_bipartite_check_tallies_each_count_table_once(monkeypatch):
+    # one count table per window examined, handed to the factorization census:
+    # 1 + 2 + 6 windows of A_n for each of two pairs, 2 + 8 + 48 of B_n
+    calls = []
+    original = enriched.count_table
+
+    def counted(w):
+        calls.append(w)
+        return original(w)
+
+    monkeypatch.setattr(verify, "count_table", counted)
+    monkeypatch.setattr(enriched, "count_table", counted)
+    result = check_bipartite(Bounds(n_max=3))
+    assert result.passed
+    assert len(calls) == sum(seen["windows"] for seen in result.data["examined"].values()) == 76
+
+
+def test_oracles_check_computes_each_value_once_per_key(monkeypatch):
+    # at n <= 3: a map count per (descent set, k), 1 + 2 + 4 descent sets of
+    # S_n at k = n+1, n+2; a polynomial per interior peak count, 1 + 1 + 2,
+    # each evaluated at those two k; and every quasi-shuffle pair of degree
+    # sum <= 4: compositions of 0..4 number 1, 1, 2, 4, 8, making 48 pairs,
+    # and pseudo-compositions 1, 2, 4, 8, 16, making 129
+    counts, built, values = [], [], []
+    original_count, original_build = verify.epp_count, verify.order_polynomial
+    original_evaluate = eulerian.RationalPolynomial.evaluate
+    monkeypatch.setattr(verify, "epp_count", lambda w, alphabet: counts.append(w) or original_count(w, alphabet))
+    monkeypatch.setattr(verify, "order_polynomial", lambda i, n: built.append((i, n)) or original_build(i, n))
+    monkeypatch.setattr(eulerian.RationalPolynomial, "evaluate",
+                        lambda self, x: values.append(x) or original_evaluate(self, x))
+    result = verify.check_oracles(Bounds(n_max=3))
+    assert result.passed
+    assert (len(counts), len(built), len(values)) == (14, 4, 8)
+    assert result.data["examined"] == {"windows": 1 + 2 + 6, "values": 8, "counts": 14, "pairs": 48 + 129}
+    assert result.details.endswith("; 9 windows, 8 polynomial values, 14 descent-set counts, 177 quasi-shuffle pairs")
+
+
 # (check, n_max, {name in verify: stand-in}, the keys of its failure record):
 # each stand-in makes the check's library input wrong in one way
 _FAILURES = {
