@@ -63,8 +63,9 @@ class Alphabet:
         # that n extend; and factorization censuses by (second alphabet, n,
         # count table), kept by enriched.coded_factorization_census; and,
         # under "relation masks", the allowed-letter masks of each shape of
-        # poset relation, kept by enriched._compile_relation.  All of them
-        # are dropped with the alphabet.
+        # poset cover, kept by enriched._compile_relation for its one user,
+        # enriched.coded_poset_census.  All of them are dropped with the
+        # alphabet.
         self.censuses: dict[tuple, Any] = {}
 
     def __len__(self) -> int:
@@ -152,31 +153,3 @@ class Alphabet:
         """a < b, or a == b with negative sign."""
         ia, ib = self.index[a], self.index[b]
         return ia < ib or (ia == ib and self.eps[ia] < 0)
-
-    def display(self, a: Letter) -> str:
-        if self.variant == "plusMinus":
-            j, e = a
-            return f"{j}" if e > 0 else f"{j}'"
-        return str(a)
-
-
-def make_product_leq(first: Alphabet, second: Alphabet):
-    """The three-case pair comparison, built directly from the component
-    alphabets: differing first components compare by the first alphabet;
-    an equal first component in an upward column compares the seconds with
-    the same sign; in a downward column, reversed with the opposite sign.
-
-    Returned as leq(a, b, sign) with sign=+1 for <=+ and -1 for <=-.  Agrees
-    with leq_plus/leq_minus on Alphabet.product(first, second); kept separate
-    as an independent cross-check of the product order.
-    """
-
-    def leq(a: Letter, b: Letter, sign: int) -> bool:
-        (s, t), (u, v) = a, b
-        if s != u:
-            return first.less(s, u)
-        if first.epsilon(s) > 0:
-            return second.leq_plus(t, v) if sign > 0 else second.leq_minus(t, v)
-        return second.leq_minus(v, t) if sign > 0 else second.leq_plus(v, t)
-
-    return leq

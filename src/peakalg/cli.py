@@ -97,7 +97,10 @@ def _resolve(kind: str | None, flavors: list[str], window: str | None = None
 def _parse_members(text: str | None) -> list[int]:
     if text is None or text.strip() in ("", "{}", "none"):
         return []
-    return sorted(_parse_ints(text.strip().strip("{}")))
+    try:
+        return sorted(_parse_ints(text.strip().strip("{}")))
+    except ValueError:
+        raise ValueError(f"not a set of integers: {text!r}") from None
 
 
 # ---------------------------------------------------------------------------

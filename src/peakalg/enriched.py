@@ -33,7 +33,7 @@ censuses, exactly as long as the alphabet.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .alphabets import Alphabet, Letter
 from .group_algebra import factorization_counts
@@ -334,23 +334,12 @@ def epp_maps(p: GroupElement, alphabet: Alphabet) -> list[dict[int, Letter]]:
     return out
 
 
-def census_of_maps(maps: Iterable[dict[int, Letter]], alphabet: Alphabet) -> Census:
-    """Monomial census of explicit maps on positive labels (oracle path)."""
-    total: Census = {}
-    for assignment in maps:
-        key = [0] * alphabet.n_vars
-        for letter in assignment.values():
-            for v in alphabet.weight_vars(letter):
-                key[v] += 1
-        k = tuple(key)
-        total[k] = total.get(k, 0) + 1
-    return total
-
-
 # ---------------------------------------------------------------------------
-# Poset-shaped maps: a count over the cover relations, the direct side of the
-# census-additivity check, and a brute walk over the maps on the whole closed
-# relation, its reference.  Neither shares code with the chain DP above.
+# Poset-shaped maps: the maps f on the labels 1..n of an order with, for
+# every strict relation a < b, f(a) <=+ f(b) when a < b as integers and
+# f(a) <=- f(b) otherwise, where f(0) is the zero letter and f(-m) = -f(m).
+# Their census, counted over the cover relations, is the direct side of the
+# census-additivity check; it shares no code with the chain DP above.
 
 
 def _pair_masks(alphabet: Alphabet, shape: tuple[int, int, bool]) -> list[int]:
@@ -384,32 +373,32 @@ def _pair_masks(alphabet: Alphabet, shape: tuple[int, int, bool]) -> list[int]:
 
 
 def _compile_relation(
-    poset: LabeledPoset | SignedPoset, alphabet: Alphabet, pairs: Iterable[tuple[int, int]], order: Sequence[int]
+    poset: LabeledPoset | SignedPoset, alphabet: Alphabet
 ) -> tuple[list[int], list[list[tuple[int, list[int]]]]]:
-    """The strict relations `pairs` of a labeled or signed poset as
-    allowed-letter bitmasks over letter indices, for labels that receive
-    letters in `order`, a permutation of 1..n.
+    """The covers of a labeled or signed poset as allowed-letter bitmasks
+    over letter indices, for labels that receive letters in the order's
+    `label_order`.
 
-    A relation a < b asks f(a) <=+ f(b) when a < b as integers and
+    A cover a < b asks f(a) <=+ f(b) when a < b as integers and
     f(a) <=- f(b) otherwise, with f(0) the zero letter and f(-m) = -f(m),
-    and it is checked when the later of |a| and |b| in the order receives
-    its letter.  Returns, per label m, the mask of letters that m may take
-    whatever came before (the relations inside {0, m, -m}), and the pairs
-    (j, table) for the labels j before m that m is related to: given the
-    letter y of j, m may take the letters of table[y].  The masks depend
-    only on the alphabet and the pair's shape (`_pair_masks`), so they are
-    kept on the alphabet.
+    and it is checked when the later of |a| and |b| in the label order
+    receives its letter.  Returns, per label m, the mask of letters that m
+    may take whatever came before (the covers inside {0, m, -m}), and the
+    pairs (j, table) for the labels j before m that m is related to: given
+    the letter y of j, m may take the letters of table[y].  The masks
+    depend only on the alphabet and the pair's shape (`_pair_masks`), so
+    they are kept on the alphabet.
     """
     n = poset.n
     if poset.kind == "B" and not supports_signed(alphabet):
         raise ValueError(f"{alphabet.variant} alphabet cannot host signed posets")
     kept = alphabet.censuses.setdefault("relation masks", {})
     position = [0] * (n + 1)
-    for t, m in enumerate(order):
+    for t, m in enumerate(poset.label_order):
         position[m] = t
     fixed = [(1 << len(alphabet)) - 1] * (n + 1)
     tables: list[dict[int, list[int]]] = [{} for _ in range(n + 1)]
-    for a, b in pairs:
+    for a, b in poset.covers:
         if a and b and abs(a) != abs(b):
             m, j = sorted((abs(a), abs(b)), key=position.__getitem__, reverse=True)
         else:  # inside {0, m, -m}
@@ -427,46 +416,12 @@ def _compile_relation(
     return fixed, [list(t.items()) for t in tables]
 
 
-def _extend_map(
-    m: int,
-    fixed: list[int],
-    checks: list[list[tuple[int, list[int]]]],
-    letters: list[int],
-    names: tuple[Letter, ...],
-    out: list[dict[int, Letter]],
-) -> None:
-    """Give label m each letter the relation allows after letters[1..m-1]
-    and go on to m + 1; once every label has a letter, append the map."""
-    if m == len(letters):
-        out.append({label: names[x] for label, x in enumerate(letters[1:], start=1)})
-        return
-    allowed = fixed[m]
-    for j, table in checks[m]:
-        allowed &= table[letters[j]]
-    while allowed:
-        low = allowed & -allowed
-        allowed ^= low
-        letters[m] = low.bit_length() - 1
-        _extend_map(m + 1, fixed, checks, letters, names, out)
-
-
-def poset_epp_maps(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> list[dict[int, Letter]]:
-    """Maps f on the positive labels 1..n with, for every strict relation
-    a < b of the poset, f(a) <=+ f(b) when a < b as integers and
-    f(a) <=- f(b) otherwise.  For a signed poset the implied values
-    f(0) = zero letter and f(-m) = -f(m) enter the relation checks.  A brute
-    walk over every map, labels 1..n in turn, checking the whole closed
-    relation: the reference of `coded_poset_census`, which checks only the
-    covers, in another order."""
-    fixed, checks = _compile_relation(poset, alphabet, poset.relation, range(1, poset.n + 1))
-    out: list[dict[int, Letter]] = []
-    _extend_map(1, fixed, checks, [0] * (poset.n + 1), alphabet.letters, out)
-    return out
-
-
 def coded_poset_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) -> CodedCensus:
-    """The coded census of the maps of `poset_epp_maps`, counted label by
-    label over the covers of the order alone.  That is exact: for covers
+    """The coded census of the maps f on the labels 1..n with, for every
+    strict relation a < b of the poset, f(a) <=+ f(b) when a < b as
+    integers and f(a) <=- f(b) otherwise (for a signed poset, f(0) is the
+    zero letter and f(-m) = -f(m)), counted label by label over the covers
+    of the order alone.  That is exact: for covers
     a < c < b, f(a) <= f(c) <= f(b), and f(a) = f(b) = x forces f(c) = x,
     so a < c < b as integers when x is positive and a > c > b when it is
     negative, and f(a) <=+- f(b) follows.  Labels take letters in the
@@ -476,7 +431,7 @@ def coded_poset_census(poset: LabeledPoset | SignedPoset, alphabet: Alphabet) ->
     labels placed that end in it; the next label extends each state by
     every letter its fixed mask and its tables allow there."""
     order = poset.label_order
-    fixed, checks = _compile_relation(poset, alphabet, poset.covers, order)
+    fixed, checks = _compile_relation(poset, alphabet)
     codes = _KeyCodes.of(alphabet, poset.n)
     read_until = [0] * (poset.n + 1)  # the last step whose check reads label j
     for t, m in enumerate(order):

@@ -65,7 +65,6 @@ from .permutations import (
     _check_signed_flavor,
     ambient_interval,
     group_order,
-    rank,
     rank_digits,
     windows,
 )
@@ -201,10 +200,6 @@ class AlgebraElement(SparseVector):
     @classmethod
     def zero(cls, n: int, kind: str) -> "AlgebraElement":
         return cls(n, kind)
-
-    @classmethod
-    def delta(cls, element: GroupElement) -> "AlgebraElement":
-        return cls(element.n, element.kind, {rank(element): 1})
 
     @classmethod
     def identity(cls, n: int, kind: str) -> "AlgebraElement":

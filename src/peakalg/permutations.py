@@ -43,7 +43,10 @@ def _parse_ints(text: str) -> tuple[int, ...]:
     text = text.strip().replace("−", "-")
     if text in ("", "()"):
         return ()
-    return tuple(int(part) for part in text.split(","))
+    try:
+        return tuple(int(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"not a comma-separated list of integers: {text!r}") from None
 
 
 @dataclass(frozen=True)
@@ -204,7 +207,10 @@ class StatSet:
         if not (text.startswith("{") and text.endswith("}")):
             raise ValueError(f"expected braces around set: {text!r}")
         inner = text[1:-1].strip()
-        members = () if not inner else tuple(int(p) for p in inner.split(","))
+        try:
+            members = () if not inner else tuple(int(p) for p in inner.split(","))
+        except ValueError:
+            raise ValueError(f"not a set of integers {{a,b,...}}: {text!r}") from None
         return cls.of(flavor, n, members)
 
     def __str__(self) -> str:

@@ -6,9 +6,9 @@ labels in {-n..n} and automatically receive the symmetric closure
 (a < b implies -b < -a).  Both kinds share one implementation of the label
 check, the closure table (the labels above each label, off which the
 relation, the covers and the placement rule are read), the constructors,
-the placement rule that both lists and counts the linear extensions, and
-the filter oracle; an order's `kind` attribute ("A" for LabeledPoset, "B"
-for SignedPoset) matches the kind of its linear extensions' windows.
+and the placement rule that both lists and counts the linear extensions;
+an order's `kind` attribute ("A" for LabeledPoset, "B" for SignedPoset)
+matches the kind of its linear extensions' windows.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar, Iterable, Sequence
 
-from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation, enumerate_group
+from .permutations import ELEMENT_TYPES, Permutation, SignedPermutation
 
 
 def _closure(labels: range, pairs: Iterable[tuple[int, int]]) -> dict[int, set[int]]:
@@ -147,19 +147,6 @@ class _Order:
         _extend(self._placeable(), self.n, 0, [], out)
         return list(map(ELEMENT_TYPES[self.kind], out))
 
-    def linear_extensions_filter(self) -> list[Permutation] | list[SignedPermutation]:
-        """Oracle variant, independent of `_placeable`: filter the whole group,
-        in rank order, by the extension criterion, each window read as the
-        word -w(n) < ... < -w(1) < 0 < w(1) < ... < w(n) (an ordinary order
-        relates only labels above 0)."""
-        out = []
-        for p in enumerate_group(self.n, self.kind):
-            word = [-v for v in reversed(p.window)] + [0] + list(p.window)
-            pos = {v: i for i, v in enumerate(word)}
-            if all(pos[a] < pos[b] for a, b in self.relation):
-                out.append(p)
-        return out
-
     def extension_descents(self) -> Counter[frozenset[int]]:
         """The linear extensions tallied by descent set, none of them listed:
         Counter({descent set: number of extensions}), each descent set that
@@ -255,7 +242,10 @@ def parse_covers(text: str) -> tuple[int, list[tuple[int, int]]]:
         if not line or line.startswith("#"):
             continue
         left, _, right = line.partition("<")
-        covers.append((int(left), int(right)))
+        try:
+            covers.append((int(left), int(right)))
+        except ValueError:
+            raise ValueError(f"not a relation 'a<b': {line!r}") from None
     return max((max(abs(a), abs(b)) for a, b in covers), default=0), covers
 
 

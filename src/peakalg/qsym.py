@@ -82,17 +82,11 @@ class QSymElement(SparseVector):
     def degrees(self) -> set[int]:
         return {key.degree for key in self.coeffs}
 
-    def is_homogeneous(self) -> bool:
-        return len(self.degrees()) <= 1
-
     def degree(self) -> int:
         degrees = self.degrees()
         if len(degrees) != 1:
             raise ValueError("element is zero or inhomogeneous")
         return degrees.pop()
-
-    def integer_coefficients(self) -> bool:
-        return all(v.denominator == 1 for v in self.coeffs.values())
 
     def __repr__(self) -> str:
         if not self.coeffs:

@@ -6,6 +6,12 @@ README's statistics table.  The class sums of a statistic partition the group,
 so the value of v_A * v_B at p is the number of factorizations s.t = p with t
 in class A and s in class B, and the span of the class sums is closed exactly
 when these counts are the same for all members of each class.
+
+It also lists the linear extensions of an order and its enriched maps into an
+alphabet straight from their definitions.  An order is read only through its
+`kind`, `n` and `relation` (the closed set of strict pairs a < b), an alphabet
+only through its letters, `leq_plus`, `leq_minus`, `negate`, zero letter and
+weights.
 """
 
 import itertools
@@ -108,3 +114,61 @@ def refines(kind, n, finer, coarser):
         image.setdefault(labels(kind, n, finer)[w], c) == c
         for w, c in labels(kind, n, coarser).items()
     )
+
+
+def linear_extensions(P):
+    """The windows of the group of P, in `group` order, whose word
+    -w(n) < ... < -w(1) < 0 < w(1) < ... < w(n) puts a before b for every
+    relation a < b of P (an ordinary order relates only labels above 0)."""
+    out = []
+    for w in group(P.kind, P.n):
+        word = [-v for v in reversed(w)] + [0] + list(w)
+        position = {v: i for i, v in enumerate(word)}
+        if all(position[a] < position[b] for a, b in P.relation):
+            out.append(w)
+    return out
+
+
+def poset_maps(P, alphabet):
+    """The maps f on the labels 1..n of P, as dicts, with f(a) <=+ f(b) for
+    every relation a < b of P with a < b as integers and f(a) <=- f(b) for
+    the others.  A signed order reads f(0) as the zero letter and f(-m) as
+    the negation of f(m), so it needs an alphabet with a zero letter.  The
+    labels take letters 1..n in turn, and each relation is checked as soon
+    as both of its ends have letters."""
+    f = {}
+    if P.kind == "B":
+        if alphabet.zero_index is None:
+            raise ValueError("a signed order needs an alphabet with a zero letter")
+        f[0] = alphabet.letters[alphabet.zero_index]
+    checks = [[] for _ in range(P.n + 1)]  # the relations whose later end is m
+    for a, b in P.relation:
+        checks[max(abs(a), abs(b))].append((a, b, alphabet.leq_plus if a < b else alphabet.leq_minus))
+    out = []
+    _extend_map(1, P, alphabet, checks, f, out)
+    return out
+
+
+def _extend_map(m, P, alphabet, checks, f, out):
+    if m > P.n:
+        out.append({label: f[label] for label in range(1, P.n + 1)})
+        return
+    for letter in alphabet.letters:
+        f[m] = letter
+        if P.kind == "B":
+            f[-m] = alphabet.negate(letter)
+        if all(leq(f[a], f[b]) for a, b, leq in checks[m]):
+            _extend_map(m + 1, P, alphabet, checks, f, out)
+
+
+def census_of_maps(maps, alphabet):
+    """The monomial census of maps on labels: for each exponent vector, the
+    number of maps whose letters' weights add up to it."""
+    census = Counter()
+    for f in maps:
+        key = [0] * alphabet.n_vars
+        for letter in f.values():
+            for v in alphabet.weight_vars(letter):
+                key[v] += 1
+        census[tuple(key)] += 1
+    return dict(census)

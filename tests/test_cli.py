@@ -180,6 +180,20 @@ def test_oversized_extensions_input_is_refused_before_any_closure(tmp_path, caps
         assert record["code"] == "usage" and record["message"].startswith("n=400 exceeds the default bound"), argv
 
 
+@pytest.mark.parametrize("argv, stdin, message", [
+    (("peaks", "--window", "1,,2"), "", "not a comma-separated list of integers: '1,,2'"),
+    (("census", "--window", ","), "", "not a comma-separated list of integers: ','"),
+    (("qsym", "--n", "3", "--members", "{x}"), "", "not a set of integers: '{x}'"),
+    (("extensions", "--file", "-"), "1<2\n1<x\n", "not a relation 'a<b': '1<x'"),
+    (("extensions", "--file", "-"), "1<2\n12\n", "not a relation 'a<b': '12'"),
+], ids=["window", "empty-window", "members", "order-label", "order-line"])
+def test_a_malformed_number_is_a_usage_error_quoting_the_input(capsys, monkeypatch, argv, stdin, message):
+    monkeypatch.setattr("sys.stdin", io.StringIO(stdin))
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert json.loads(err)["error"] == {"code": "usage", "message": message}
+
+
 def test_extensions_missing_file(capsys):
     code, _, err = run(capsys, "extensions", "--file", "/no/such/file")
     assert code == 2

@@ -55,8 +55,8 @@ def test_convolution_convention():
     # pairs this reads every entry of every product row of the group
     for n, kind in ((3, "A"), (4, "A"), (2, "B"), (3, "B")):
         for a, b in itertools.product(enumerate_group(n, kind), repeat=2):
-            u, w = AlgebraElement.delta(a), AlgebraElement.delta(b)
-            assert u.convolve(w) == AlgebraElement.delta(compose(b, a)), (a, b)
+            u, w = AlgebraElement(n, kind, {rank(a): 1}), AlgebraElement(n, kind, {rank(b): 1})
+            assert u.convolve(w) == AlgebraElement(n, kind, {rank(compose(b, a)): 1}), (a, b)
 
 
 def test_convolution_brute_force():
@@ -277,8 +277,8 @@ def test_identity_is_the_unit():
 
 
 def test_element_arithmetic():
-    u = AlgebraElement.delta(Permutation((2, 1, 3)))
-    v = AlgebraElement.delta(Permutation((1, 2, 3)))
+    u = AlgebraElement(3, "A", {rank(Permutation((2, 1, 3))): 1})
+    v = AlgebraElement(3, "A", {rank(Permutation((1, 2, 3))): 1})
     assert (u + v) - v == u
     assert u.scale(0).is_zero()
     assert (u * v) == u.convolve(v)

@@ -1,5 +1,6 @@
 """The package namespace: what it exports, and what a process loads."""
 
+import ast
 import json
 import os
 import pkgutil
@@ -91,3 +92,17 @@ def test_the_statistics_of_a_window_load_only_the_permutations():
     _, code, after_peaks, _ = _probe("peaks --window 2,1,3 --flavor typeB --format json")
     assert code == 0
     assert after_peaks == ["peakalg", "peakalg.cli", "peakalg.permutations"]
+
+
+def test_the_oracle_imports_nothing_from_the_library():
+    # the references in tests/peak_oracle.py are independent only while no
+    # import there names peakalg
+    tree = ast.parse((Path(__file__).parent / "peak_oracle.py").read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        else:
+            continue
+        assert not any(name.split(".")[0] == "peakalg" for name in names), ast.unparse(node)

@@ -220,6 +220,8 @@ def test_stat_set_validation():
     assert StatSet.parse("interiorPeak", 3, "{}").members == frozenset()
     with pytest.raises(ValueError):
         StatSet.parse("interiorPeak", 3, "2")  # braces required
+    with pytest.raises(ValueError, match=r"not a set of integers \{a,b,...\}: '\{1,x\}'"):
+        StatSet.parse("interiorPeak", 3, "{1,x}")
 
 
 def test_a_stat_set_built_directly_refuses_outside_input():

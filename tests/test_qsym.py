@@ -53,12 +53,9 @@ def test_element_arithmetic():
     assert a.scale(0) == QSymElement.zero("M")
     assert M((1,)) != M((1,), True)
     assert a.degrees() == {1, 2}
-    assert not a.is_homogeneous()
     assert M((2, 1)).degree() == 3
     with pytest.raises(ValueError):
         a.degree()
-    assert (M((1,)) + M((2,))).integer_coefficients()
-    assert not b.integer_coefficients()
 
 
 def test_kind_mixing_is_rejected():

@@ -6,7 +6,6 @@ from fractions import Fraction
 import pytest
 
 from peakalg.alphabets import Alphabet
-from peakalg.enriched import poset_epp_maps
 from peakalg import enriched, eulerian, verify
 from peakalg.permutations import descent_set, enumerate_group, peak_set
 from peakalg.posets import LabeledPoset, SignedPoset, random_poset, random_signed_poset
@@ -25,6 +24,8 @@ from peakalg.verify import (
     check_ranks,
     run_suite,
 )
+
+import peak_oracle as oracle
 
 
 def test_check_listing():
@@ -152,8 +153,8 @@ def test_bounds_reject_n_max_below_one():
 
 def test_extensions_check_replays_its_draws():
     # each order is drawn once from the seeded generator; a fresh generator
-    # replays the draws, and the filter oracle and the brute map walk recount
-    # what the check examined
+    # replays the draws, and the oracle's extension filter and map walk
+    # recount what the check examined
     bounds = Bounds(n_max=4)
     result = check_extensions(bounds, posets_per_n=5)
     assert result.passed
@@ -165,11 +166,11 @@ def test_extensions_check_replays_its_draws():
             for _ in range(5):
                 P = draw(n, rng)
                 seen["orders"] += 1
-                extensions = len(P.linear_extensions_filter())
+                extensions = len(oracle.linear_extensions(P))
                 for k in range(1, 4):
                     alphabet = Alphabet.plus_minus(k) if kind == "B" else Alphabet.prime(k)
                     seen["extensions"] += extensions
-                    seen["maps"] += len(poset_epp_maps(P, alphabet))
+                    seen["maps"] += len(oracle.poset_maps(P, alphabet))
     assert result.data["examined"] == expected
 
 
@@ -199,13 +200,13 @@ def test_extensions_check_refuses_to_draw_nothing():
 
 def test_extensions_check_lists_no_extension_and_walks_no_map(monkeypatch):
     # the extensions are tallied by descent set and the direct census is
-    # counted label by label, so the check passes with both listings refused
+    # counted label by label (the library has no map walk), so the check
+    # passes with the extension listings refused
     def refuse(*args):
         raise AssertionError("listed")
 
     monkeypatch.setattr(LabeledPoset, "linear_extensions", refuse)
     monkeypatch.setattr(SignedPoset, "linear_extensions", refuse)
-    monkeypatch.setattr(enriched, "_extend_map", refuse)
     result = check_extensions(Bounds(n_max=4), posets_per_n=3)
     assert result.passed
     assert all(seen["orders"] == 4 * 3 and seen["maps"] > 0 for seen in result.data["examined"].values())
