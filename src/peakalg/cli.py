@@ -86,6 +86,8 @@ def _resolve(kind: str | None, flavors: list[str], window: str | None = None
     B, and an explicit `--kind A` beside either is refused; otherwise the
     kind is the one given, or A."""
     values = None if window is None else _parse_ints(window)
+    if values == ():
+        raise ValueError("the window is empty; a size must be at least 1")
     signed = any(FLAVOR_ALIASES.get(f, f) in SIGNED_FLAVORS for f in flavors) or any(v < 0 for v in values or ())
     if signed and kind == "A":
         raise ValueError("--kind A names S_n, but a signed flavor or a negative entry names B_n")
@@ -137,6 +139,8 @@ def _cmd_extensions(ns: argparse.Namespace) -> tuple[Output, int]:
         raise ValueError(str(exc)) from None
     largest, covers = parse_covers(source)
     n = largest if ns.n is None else ns.n
+    if n == 0:
+        raise ValueError("the order names no nonzero label; pass --n to give its size")
     # bounded before the order and its transitive closure are built
     _enforce_bound(n, "B" if ns.signed else "A", ns.allow_large)
     poset = (SignedPoset if ns.signed else LabeledPoset).from_covers(n, covers)

@@ -42,18 +42,20 @@ A pass therefore assumes the theorem for the windows it did not read; a
 failure is a pair of windows read, and assumes nothing.  Failures come with
 an explicit certificate, so reports can show a witness.
 `multiplicative_closure` keeps its span in the same cell coordinates: its
-products leave the class-sum span but stay constant on every cell, and it
-hands their coefficient mappings to `linalg.Span` as they are.
+products leave the class-sum span but stay constant on every cell.  It
+tallies each cell once, reads the tallies in every round, and hands its
+products' coefficient mappings to `linalg.Span` as they are.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, repeat
-from operator import add, and_, gt, itemgetter, lshift, lt, or_
+from operator import add, and_, gt, itemgetter, lshift, lt, mod, mul, or_
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .linalg import SparseVector, Span
@@ -480,41 +482,37 @@ def closure_check(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     return {"closed": False, "dim": dim, "certificate": certificate}
 
 
-@lru_cache(maxsize=None)
-def _inverse_classes(n: int, kind: str, flavor: str, mode: str) -> tuple[Callable[[Sequence], tuple], ...]:
-    """Per class C, the getter of the positions j with elements[j]^-1 in C:
-    read off a vector walked to the rank of p, it gives the vector at the
-    p.t^-1, t in C."""
-    inverses = _inverse_ranks(n, kind)
-    return tuple(_getter([inverses[t] for t in ranks]) for ranks in _partition(n, kind, flavor, mode).members)
-
-
 def multiplicative_closure(n: int, kind: str, flavor: str, mode: str = "set") -> dict:
     """Dimension of the smallest convolution-closed subspace containing the
     class sums.  That subspace is the span of the words in them, and a word
     one letter longer is one letter times a shorter word, so each vector that
     grows the span is multiplied on the left by the class sums only, until
     no product grows it.  Every word is constant on each cell (`_cells`), so
-    vectors are kept in cell coordinates, by their value on each cell, and a
-    round reads the least rank p of each cell: (v_C * w)(p) sums w(p.t^-1)
-    over the t in class C, read off p's cell-id row."""
+    vectors are kept by their value on each cell, and the least rank p of
+    each cell is tallied once: (v_C * w)(p) = sum over cells K of
+    #{t in C : p.t^-1 in K} * w[K]."""
     _, ids, members = _partition(n, kind, flavor, mode)
     cell_ids, firsts = _cells(n, kind, flavor)
-    sides = _inverse_classes(n, kind, flavor, mode)
+    width = len(firsts)
+    inverse = _inverse_codes(n, kind, flavor, mode, width)
+    tallies = [[] for _ in members]  # [C][cell]: the getter of the cells K and their counts (None if all 1)
+    for p in firsts:
+        tally = Counter(map(add, inverse, _walk(n, kind, cell_ids, p)))  # codes width * C + K
+        codes = sorted(tally)  # so each class C is one run
+        cells, counts = tuple(map(mod, codes, repeat(width))), tuple(map(tally.__getitem__, codes))
+        bounds = [bisect_left(codes, c * width) for c in range(len(members) + 1)]
+        for row, start, end in zip(tallies, bounds, bounds[1:]):
+            run = counts[start:end]
+            row.append((_getter(cells[start:end]), None if max(run) == 1 else run))
     # the vectors by cell: first the class sums, then each product that grew the span
     frontier = [tuple(int(ids[p] == c) for p in firsts) for c in range(len(members))]
     span = Span(dict(filter(itemgetter(1), enumerate(w))) for w in frontier)
     dim_start = span.dim
     while frontier:
-        values = [[[] for _ in members] for _ in frontier]  # [w][C][cell] = (v_C * w)(least rank of the cell)
-        for p in firsts:
-            row = _walk(n, kind, cell_ids, p)
-            at_sides = [side(row) for side in sides]  # per class C, the cells of the p.t^-1, t in C
-            for w, out in zip(frontier, values):
-                for cells, column in zip(at_sides, out):
-                    column.append(sum(map(w.__getitem__, cells)))
-        frontier = [product for out in values for product in out
-                    if span.add(dict(filter(itemgetter(1), enumerate(product))))]
+        # a run of ones (every run when the cells are single windows) is summed without multiplying
+        products = [[sum(at(w)) if run is None else sum(map(mul, at(w), run)) for at, run in row]
+                    for w in frontier for row in tallies]
+        frontier = [product for product in products if span.add(dict(filter(itemgetter(1), enumerate(product))))]
     return {"dim_start": dim_start, "dim_closure": span.dim, "closed": span.dim == dim_start}
 
 

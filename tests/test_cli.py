@@ -691,8 +691,15 @@ def test_size_bounds_enforced(capsys):
     ("structure", "--flavor", "interior"),
     ("orderpoly",),
     ("qsym", "--flavor", "interior"),
+    # an empty window has size 0
+    ("peaks", "--window="),
+    ("peaks", "--window=()"),
+    ("census", "--window=", "--k", "1"),
+    # an order that names no nonzero label, read from stdin, has size 0 without --n
+    ("extensions", "--file", "-"),
 ])
-def test_sizes_below_one_are_usage_errors(capsys, argv):
+def test_sizes_below_one_are_usage_errors(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO("# no relation\n"))
     code, out, err = run(capsys, *argv)
     assert code == 2 and out == ""
     assert json.loads(err)["error"]["code"] == "usage"

@@ -748,6 +748,28 @@ def test_right_count_closure_is_proper_at_four():
     assert grown["dim_start"] < grown["dim_closure"] < group_order(4, "A")
 
 
+@pytest.mark.parametrize("where, cells", [
+    ((5, "A", "rightPeak", "set"), 16),
+    ((4, "B", "leftPeak", "set"), 16),
+    ((3, "B", "exteriorPeak", "set"), 48),
+    ((4, "A", "rightPeak", "number"), 8),
+])
+def test_multiplicative_closure_walks_each_cell_once(monkeypatch, where, cells):
+    # the cells are tallied once and every round reads the tallies: one walk
+    # per descent class, or per window where the classes are no unions of them
+    walks = []
+    original = group_algebra._walk
+
+    def counted(*args):
+        walks.append(args[3])
+        return original(*args)
+
+    monkeypatch.setattr(group_algebra, "_walk", counted)
+    grown = multiplicative_closure(*where)
+    assert not grown["closed"]
+    assert sorted(walks) == list(group_algebra._cells(*where[:3])[1]) and len(walks) == cells
+
+
 def _both_sided_closure(elements):
     """The closure grown from every product of a basis vector and a fresh
     one, on both sides."""
